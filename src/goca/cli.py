@@ -123,7 +123,7 @@ def _cmd_solve(args) -> int:
         result = sinkhorn(cost, cfg=cfg)
     matrixio.write_matrix(args.out, result.plan)
     print(
-        f"converged={result.converged} iterations={result.iterations} "
+        f"converged={result.converged} iterations={result.iterations} sweeps={result.sweeps} "
         f"row_residual={result.row_residual:.3e} col_residual={result.col_residual:.3e}"
     )
     if args.strict and not result.converged:
@@ -270,6 +270,14 @@ def _train_and_eval(cfg: RunConfig, mode: str, seed_offset: int) -> list[dict]:
     return rows
 
 
+def _pool_size(jobs: int, cells: int) -> int:
+    """Worker processes for ``cells`` independent cells: ``jobs`` clamped
+    to the cell count and the processor count (below 2, run serially)."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+    return min(jobs, cells, os.cpu_count() or 1)
+
+
 def _ablate_cell(packed):
     cfg, mode, seed_offset = packed
     return _train_and_eval(cfg, mode, seed_offset)
@@ -278,8 +286,9 @@ def _ablate_cell(packed):
 def run_ablation(cfg: RunConfig, seeds: int = 5, jobs: int = 1) -> list[dict]:
     """Train every mode on identical data/seeds and score all test conditions."""
     cells = [(cfg, mode, s) for s in range(seeds) for mode in ("sview", "avg", "sep", "goca")]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _pool_size(jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_ablate_cell, cells))
     else:
         results = [_ablate_cell(cell) for cell in cells]
@@ -345,8 +354,9 @@ def run_lambda_grid(
 ) -> list[dict]:
     """Fused-feature accuracy of guided training per (lambda1, lambda2) cell."""
     cells = [(cfg, l1, l2, seeds) for l1 in lambda1_values for l2 in lambda2_values]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _pool_size(jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_grid_cell, cells))
     return [_grid_cell(cell) for cell in cells]
 

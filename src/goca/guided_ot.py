@@ -30,8 +30,7 @@ from .ot_core import (
     SinkhornResult,
     SolverConfig,
     _forced_plan,
-    _scale_plain_kernel,
-    _solve_log,
+    _solve,
     _validate_problem,
     cost_from_features,
     entropy,
@@ -114,11 +113,7 @@ def guided_sinkhorn(
         return _forced_plan(marginals)
     scale = cfg.lambda1 + cfg.lambda2
     effective_cost = c - cfg.lambda2 * np.log(p)
-    if cfg.log_domain:
-        return _solve_log(effective_cost, scale, marginals, cfg.tolerance, cfg.max_iters, v_init)
-    with np.errstate(over="ignore"):  # overflow is detected and reported below
-        kernel = np.exp(-effective_cost / scale)
-    return _scale_plain_kernel(kernel, marginals, cfg.tolerance, cfg.max_iters, v_init)
+    return _solve(effective_cost, scale, marginals, cfg, v_init)
 
 
 def cross_guided_assign(

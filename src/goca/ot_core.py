@@ -9,13 +9,28 @@ where U(psi, omega) is the set of nonnegative M x N matrices with row
 sums psi and column sums omega, C is the feature-to-prototype cost and
 h(D) = -sum_ij d_ij log d_ij.  The minimizer has the scaling form
 D = diag(u) K diag(v) with kernel K = exp(-C / lambda1); the scaling
-vectors are found by alternating row/column (Sinkhorn) updates.
+vectors are found by alternating row/column (Sinkhorn) updates, run as
+one matrix-vector scaling loop, u = psi / (K v) and v = omega / (K^T u).
 
-Iteration runs in the log domain by default so that regularization as
-small as lambda1 ~ 0.01 does not underflow the kernel.  The plain
-multiplicative variant is kept for cross-checking and raises
-SinkhornNumericError when it over- or underflows, signalling the caller
-to retry with ``log_domain=True``.
+By default the loop is stabilized by log-domain absorption (Schmitzer,
+arXiv:1610.06519), so that regularization as small as lambda1 ~ 0.001
+neither under- nor overflows.  A stage opens with one exact
+log-sum-exp row/column sweep and then scales the kernel with those
+potentials absorbed, exp(-C / lambda1 + f + g), whose entries are at
+most 1.  Every 10 sweeps, and at the cap, the loop checks its
+scalings: if u or v has left [1e-50, 1e50] it rolls back to the last
+checked scalings and absorbs them into f and g.  The row residual at a
+check comes from u * (K v), which the next update needs anyway;
+columns are exact after each v update.  A plan counts as converged
+only when both residuals of the materialized plan meet the tolerance.
+The regularization is annealed: stages halve it from where the kernel
+exponent spread range(C) / scale is at most 4 down to lambda1, each
+warm-started from the previous stage's potentials.
+
+``log_domain=False`` runs the same loop on exp(-C / lambda1) in a
+single stage without absorption; where the stabilized loop would
+absorb, it raises SinkhornNumericError, signalling the caller to retry
+with ``log_domain=True``.
 """
 
 from __future__ import annotations
@@ -109,6 +124,9 @@ class SinkhornResult:
 
     ``converged`` is False when the iteration cap was reached first; the
     plan is then the last iterate, which training code may still use.
+    ``iterations`` counts the sweeps of the final (target-regularization)
+    stage, the one the cap applies to; ``sweeps`` counts the sweeps of
+    all ``stages``, annealing stages included.
     """
 
     plan: np.ndarray
@@ -116,6 +134,8 @@ class SinkhornResult:
     iterations: int
     row_residual: float
     col_residual: float
+    sweeps: int = 0
+    stages: int = 0
 
 
 def cost_from_features(features: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
@@ -182,6 +202,13 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 _START_SPREAD = 4.0
 _STAGE_ITER_CAP = 500
 
+# The residual is checked, and the scalings range-checked, every
+# _CHECK_EVERY sweeps and at the cap.  Scalings outside _SCALING_RANGE are
+# rolled back and absorbed into the potentials; their product with the
+# absorbed kernel (entries at most 1) then stays far from overflow.
+_CHECK_EVERY = 10
+_SCALING_RANGE = (1e-50, 1e50)
+
 
 def _anneal_schedule(scale: float, cost_range: float) -> list[float]:
     stages = [scale]
@@ -193,97 +220,146 @@ def _anneal_schedule(scale: float, cost_range: float) -> list[float]:
     return stages
 
 
-def _log_sweeps(
+def _absorb(
+    log_kernel: np.ndarray, marginals: Marginals, g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One exact log-domain sweep from column potentials ``g``.
+
+    Returns the kernel exp(log_kernel + f + g') with the updated row and
+    column potentials absorbed, so its columns sum to the column
+    marginal, and the new column potentials g'.
+    """
+    f = np.log(marginals.row) - _logsumexp(log_kernel + g[None, :], axis=1)
+    shifted = log_kernel + f[:, None]
+    peak = np.max(shifted, axis=0)
+    kernel = np.exp(shifted - peak)
+    col_scale = marginals.col / kernel.sum(axis=0)  # column sums are >= 1
+    kernel *= col_scale
+    return kernel, np.log(col_scale) - peak
+
+
+def _in_range(x: np.ndarray) -> bool:
+    low, high = _SCALING_RANGE
+    return bool(low <= x.min() and x.max() <= high)  # False on NaN
+
+
+def _plain_error(u: np.ndarray, v: np.ndarray) -> SinkhornNumericError:
+    # scalings below the range compensate kernel sums that overflowed;
+    # above it (or non-finite), sums that underflowed
+    kind = "overflow" if min(np.min(u), np.min(v)) < _SCALING_RANGE[0] else "underflow"
+    return SinkhornNumericError(
+        f"{kind} in plain-domain scaling; retry with log_domain=True"
+    )
+
+
+def _scaling_stage(
     log_kernel: np.ndarray,
     marginals: Marginals,
     g: np.ndarray,
     tolerance: float,
     max_iters: int,
+    stabilized: bool,
 ):
-    log_row = np.log(marginals.row)
-    log_col = np.log(marginals.col)
-    f = np.zeros(log_row.size)
-    plan = np.empty_like(log_kernel)
-    row_res = col_res = np.inf
-    converged = False
-    iteration = 0
-    for iteration in range(1, max_iters + 1):
-        f = log_row - _logsumexp(log_kernel + g[None, :], axis=1)
-        g = log_col - _logsumexp(log_kernel + f[:, None], axis=0)
-        plan = np.exp(log_kernel + f[:, None] + g[None, :])
-        row_res = float(np.max(np.abs(plan.sum(axis=1) - marginals.row)))
-        col_res = float(np.max(np.abs(plan.sum(axis=0) - marginals.col)))
-        if max(row_res, col_res) <= tolerance:
-            converged = True
-            break
-    return f, g, plan, iteration, row_res, col_res, converged
+    """Matrix-vector Sinkhorn sweeps u = a / (K v), v = b / (K^T u).
+
+    Stabilized, the stage opens with an exact log-domain sweep and scales
+    the kernel with those potentials absorbed; scalings that leave
+    _SCALING_RANGE are rolled back to the last checkpoint and absorbed
+    into the potentials.  Plain, the kernel is exp(log_kernel) with
+    v = exp(g) and a range violation raises SinkhornNumericError.
+
+    Returns (column potentials including log v, plan, sweeps, row
+    residual, column residual, converged).
+    """
+    row, col = marginals.row, marginals.col
+    if stabilized:
+        kernel, g = _absorb(log_kernel, marginals, g)
+        v = np.ones(col.size)
+        sweeps = 1
+    else:
+        with np.errstate(over="ignore"):  # overflow is detected and reported below
+            kernel = np.exp(log_kernel)
+        if not np.all(np.isfinite(kernel)):
+            raise SinkhornNumericError(
+                "kernel overflow in plain-domain scaling; retry with log_domain=True"
+            )
+        v = np.exp(g)
+        sweeps = 0
+    u = np.ones(row.size)
+    checked_v = v
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # ndarray.dot has less call overhead than @ on these small operands
+        kv = kernel.dot(v)
+        while True:
+            checkpoint = min((sweeps // _CHECK_EVERY + 1) * _CHECK_EVERY, max_iters)
+            for _ in range(checkpoint - sweeps):
+                u = row / kv
+                v = col / u.dot(kernel)
+                kv = kernel.dot(v)
+            sweeps = checkpoint
+            if not (_in_range(u) and _in_range(v)):
+                if not stabilized:
+                    raise _plain_error(u, v)
+                kernel, g = _absorb(log_kernel, marginals, g + np.log(checked_v))
+                u, v = np.ones(row.size), np.ones(col.size)
+                kv = kernel.dot(v)
+                sweeps += 1
+            checked_v = v
+            # columns are exact after each v update; rows sum to u * (K v)
+            if sweeps >= max_iters or np.abs(u * kv - row).max() <= tolerance:
+                plan = u[:, None] * kernel * v[None, :]
+                if not np.all(np.isfinite(plan)):
+                    raise SinkhornNumericError(
+                        "overflow in plain-domain scaling; retry with log_domain=True"
+                    )
+                row_res = float(np.max(np.abs(plan.sum(axis=1) - row)))
+                col_res = float(np.max(np.abs(plan.sum(axis=0) - col)))
+                converged = max(row_res, col_res) <= tolerance
+                if converged or sweeps >= max_iters:
+                    return g + np.log(v), plan, sweeps, row_res, col_res, converged
 
 
-def _solve_log(
+def _solve(
     effective_cost: np.ndarray,
     scale: float,
     marginals: Marginals,
-    tolerance: float,
-    max_iters: int,
+    cfg: SolverConfig,
     v_init: np.ndarray | None,
 ) -> SinkhornResult:
+    """Scale exp(-effective_cost / scale) to the marginals.
+
+    The log-domain solver anneals the regularization down to ``scale``;
+    the plain one runs the final stage alone, unstabilized.
+    """
     g = np.zeros(marginals.col.size) if v_init is None else np.log(v_init)
-    cost_range = float(np.max(effective_cost) - np.min(effective_cost))
-    stages = _anneal_schedule(scale, cost_range)
+    stages = [scale]
+    if cfg.log_domain:
+        cost_range = float(np.max(effective_cost) - np.min(effective_cost))
+        stages = _anneal_schedule(scale, cost_range)
+    sweeps = 0
     for stage_scale in stages[:-1]:
-        f, g, _, _, _, _, _ = _log_sweeps(
+        g, _, stage_sweeps, _, _, _ = _scaling_stage(
             -effective_cost / stage_scale,
             marginals,
             g,
-            max(tolerance, 1e-9),
+            max(cfg.tolerance, 1e-9),
             _STAGE_ITER_CAP,
+            stabilized=True,
         )
-        # keep the Kantorovich potentials (scale * f) continuous across stages
+        sweeps += stage_sweeps
+        # keep the Kantorovich potentials (scale * g) continuous across stages
         g = g * 2.0
-    _, _, plan, iteration, row_res, col_res, converged = _log_sweeps(
-        -effective_cost / scale, marginals, g, tolerance, max_iters
+    _, plan, iterations, row_res, col_res, converged = _scaling_stage(
+        -effective_cost / scale,
+        marginals,
+        g,
+        cfg.tolerance,
+        cfg.max_iters,
+        stabilized=cfg.log_domain,
     )
-    return SinkhornResult(plan, converged, iteration, row_res, col_res)
-
-
-def _scale_plain_kernel(
-    kernel: np.ndarray,
-    marginals: Marginals,
-    tolerance: float,
-    max_iters: int,
-    v_init: np.ndarray | None,
-) -> SinkhornResult:
-    if not np.all(np.isfinite(kernel)):
-        raise SinkhornNumericError(
-            "kernel overflow in plain-domain scaling; retry with log_domain=True"
-        )
-    u = np.ones(marginals.row.size)
-    v = np.ones(marginals.col.size) if v_init is None else v_init.copy()
-    plan = kernel
-    row_res = col_res = np.inf
-    for iteration in range(1, max_iters + 1):
-        kv = kernel @ v
-        if np.any(kv <= 0.0) or not np.all(np.isfinite(kv)):
-            raise SinkhornNumericError(
-                "underflow in plain-domain scaling; retry with log_domain=True"
-            )
-        u = marginals.row / kv
-        ktu = kernel.T @ u
-        if np.any(ktu <= 0.0) or not np.all(np.isfinite(ktu)):
-            raise SinkhornNumericError(
-                "underflow in plain-domain scaling; retry with log_domain=True"
-            )
-        v = marginals.col / ktu
-        plan = u[:, None] * kernel * v[None, :]
-        if not np.all(np.isfinite(plan)):
-            raise SinkhornNumericError(
-                "overflow in plain-domain scaling; retry with log_domain=True"
-            )
-        row_res = float(np.max(np.abs(plan.sum(axis=1) - marginals.row)))
-        col_res = float(np.max(np.abs(plan.sum(axis=0) - marginals.col)))
-        if max(row_res, col_res) <= tolerance:
-            return SinkhornResult(plan, True, iteration, row_res, col_res)
-    return SinkhornResult(plan, False, max_iters, row_res, col_res)
+    return SinkhornResult(
+        plan, converged, iterations, row_res, col_res, sweeps + iterations, len(stages)
+    )
 
 
 def _validate_problem(
@@ -310,7 +386,7 @@ def _forced_plan(marginals: Marginals) -> SinkhornResult:
     # With a single row or column the constraints pin the plan exactly.
     plan = np.outer(marginals.row, marginals.col)
     row_res, col_res = marginal_residual(plan, marginals)
-    return SinkhornResult(plan, True, 0, row_res, col_res)
+    return SinkhornResult(plan, True, 0, row_res, col_res, 0, 0)
 
 
 def sinkhorn(
@@ -331,8 +407,4 @@ def sinkhorn(
         cfg = SolverConfig()
     if c.shape[0] == 1 or c.shape[1] == 1:
         return _forced_plan(marginals)
-    if cfg.log_domain:
-        return _solve_log(c, cfg.lambda1, marginals, cfg.tolerance, cfg.max_iters, v_init)
-    with np.errstate(over="ignore"):  # overflow is detected and reported below
-        kernel = np.exp(-c / cfg.lambda1)
-    return _scale_plain_kernel(kernel, marginals, cfg.tolerance, cfg.max_iters, v_init)
+    return _solve(c, cfg.lambda1, marginals, cfg, v_init)

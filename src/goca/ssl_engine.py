@@ -373,6 +373,13 @@ def baseline_step(
 def _augment(x: np.ndarray, rng: np.random.Generator, cfg: TrainConfig) -> np.ndarray:
     out = x + cfg.aug_noise * rng.standard_normal(x.shape)
     mask = rng.random(x.shape) >= cfg.aug_dropout
+    # A row with every input dropped encodes to a zero feature while the
+    # encoder biases are zero (as initialised), and a zero feature has no
+    # direction to assign; redraw the mask of such rows only.
+    dropped = ~mask.any(axis=1)
+    while dropped.any():
+        mask[dropped] = rng.random((int(dropped.sum()), x.shape[1])) >= cfg.aug_dropout
+        dropped = ~mask.any(axis=1)
     return out * mask
 
 

@@ -48,3 +48,32 @@ def zero_sum_perturbation(rng: np.random.Generator, rows: int, cols: int) -> np.
 def relative_max_error(analytic: np.ndarray, reference: np.ndarray) -> float:
     scale = max(float(np.max(np.abs(reference))), 1e-12)
     return float(np.max(np.abs(analytic - reference))) / scale
+
+
+def log_sinkhorn_reference(
+    cost: np.ndarray,
+    row_marginal: np.ndarray,
+    col_marginal: np.ndarray,
+    reg: float,
+    tolerance: float = 1e-10,
+    max_sweeps: int = 50_000,
+) -> np.ndarray:
+    """Textbook log-domain Sinkhorn from zero potentials, no annealing.
+
+    Alternates exact log-sum-exp row and column updates until the row
+    residual of exp(-cost / reg + f + g) meets ``tolerance`` (columns
+    are exact after each column update); raises if ``max_sweeps`` runs out.
+    """
+    log_kernel = -np.asarray(cost, dtype=float) / reg
+    g = np.zeros(col_marginal.size)
+    for _ in range(max_sweeps):
+        shifted = log_kernel + g[None, :]
+        peak = shifted.max(axis=1, keepdims=True)
+        f = np.log(row_marginal) - np.log(np.exp(shifted - peak).sum(axis=1)) - peak[:, 0]
+        shifted = log_kernel + f[:, None]
+        peak = shifted.max(axis=0, keepdims=True)
+        g = np.log(col_marginal) - np.log(np.exp(shifted - peak).sum(axis=0)) - peak[0]
+        plan = np.exp(log_kernel + f[:, None] + g[None, :])
+        if np.max(np.abs(plan.sum(axis=1) - row_marginal)) <= tolerance:
+            return plan
+    raise RuntimeError("reference Sinkhorn did not reach its tolerance")

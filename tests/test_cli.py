@@ -82,6 +82,14 @@ class TestSolve:
         assert np.max(np.abs(plan.sum(axis=1) - 1.0 / 3.0)) <= 1e-8
         assert np.max(np.abs(plan.sum(axis=0) - 0.25)) <= 1e-8
 
+    def test_reports_total_sweeps(self, tmp_path, capsys):
+        cost_path = tmp_path / "cost.mat"
+        write_matrix(cost_path, np.random.default_rng(3).uniform(-1, 1, size=(4, 3)))
+        assert main(["solve", "--cost", str(cost_path), "--out", str(tmp_path / "p.mat")]) == 0
+        fields = dict(part.split("=") for part in capsys.readouterr().out.split())
+        # the default lambda1 anneals through several stages before the counted one
+        assert int(fields["sweeps"]) > int(fields["iterations"]) > 0
+
     def test_guided_requires_prior(self, tmp_path):
         cost_path = tmp_path / "cost.mat"
         write_matrix(cost_path, np.zeros((2, 2)))
@@ -204,6 +212,27 @@ class TestGridAndAblate:
         serial = run_ablation(cfg, seeds=2, jobs=1)
         parallel = run_ablation(cfg, seeds=2, jobs=2)
         assert serial == parallel
+
+    def test_jobs_below_one_is_usage_error(self, tmp_path, tiny_config):
+        out = tmp_path / "rows.csv"
+        assert main(["ablate", "--config", str(tiny_config), "--seeds", "1",
+                     "--jobs", "0", "--out", str(out)]) == 1
+        assert main(["lambda-grid", "--config", str(tiny_config), "--jobs", "-1",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_pool_size_is_clamped(self, monkeypatch):
+        from goca.cli import _pool_size
+
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        assert _pool_size(1, 20) == 1
+        assert _pool_size(3, 20) == 3
+        assert _pool_size(10_000, 20) == 4
+        assert _pool_size(10_000, 2) == 2
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert _pool_size(8, 20) == 1
+        with pytest.raises(ValueError, match="at least 1"):
+            _pool_size(0, 20)
 
     def test_single_cell_grid_equals_single_train_run(self):
         from goca.cli import _train_and_eval

@@ -11,6 +11,7 @@ from goca.prototypes import ProtoOptConfig
 from goca.ssl_engine import (
     AugmentedBatch,
     TrainConfig,
+    _augment,
     baseline_step,
     encode,
     encode_avg,
@@ -269,6 +270,38 @@ class TestModeCollapse:
         assert res_goca.trace == res_sep.trace
         for key in res_goca.params:
             assert np.array_equal(res_goca.params[key], res_sep.params[key])
+
+
+class TestAugment:
+    @staticmethod
+    def _unguarded(x, rng, cfg):
+        # the augmentation without the dropped-row redraw
+        out = x + cfg.aug_noise * rng.standard_normal(x.shape)
+        return out * (rng.random(x.shape) >= cfg.aug_dropout)
+
+    def test_never_drops_a_whole_row(self):
+        cfg = _fast_cfg("goca", aug_dropout=0.8, hidden_dim=6, feature_dim=8)
+        x = np.random.default_rng(0).standard_normal((20, 6))
+        unguarded = self._unguarded(x, np.random.default_rng(1), cfg)
+        assert not np.all(np.any(unguarded != 0.0, axis=1))  # the draw hits the event
+        views = {}
+        rng = np.random.default_rng(1)
+        for slot in ("a_t", "a_s", "b_t", "b_s"):
+            views[slot] = _augment(x, rng, cfg)
+            assert np.all(np.any(views[slot] != 0.0, axis=1))
+        # a fresh encoder (zero biases) must still give unit features to assign
+        params = init_params("goca", 6, 6, cfg.hidden_dim, cfg.feature_dim,
+                             np.random.default_rng(2))
+        protos = random_unit_rows(np.random.default_rng(3), 4, cfg.feature_dim)
+        result = goca_step(AugmentedBatch(**views), params, protos, cfg)
+        assert np.isfinite(result.loss)
+
+    def test_draw_without_dropped_rows_is_unchanged(self):
+        cfg = TrainConfig()
+        x = np.random.default_rng(4).standard_normal((100, 6))
+        expected = self._unguarded(x, np.random.default_rng(5), cfg)
+        assert np.all(np.any(expected != 0.0, axis=1))
+        assert np.array_equal(_augment(x, np.random.default_rng(5), cfg), expected)
 
 
 class TestTrain:
