@@ -11,13 +11,11 @@ synthetic two-view benchmark at desk scale.
 from .guided_ot import (
     clamp_prior,
     cross_guided_assign,
-    guided_kernel,
     guided_objective,
     guided_sinkhorn,
 )
 from .ot_core import (
     Marginals,
-    SinkhornNumericError,
     SinkhornResult,
     SolverConfig,
     cost_from_features,
@@ -56,14 +54,12 @@ __all__ = [
     "Marginals",
     "SolverConfig",
     "SinkhornResult",
-    "SinkhornNumericError",
     "cost_from_features",
     "entropy",
     "transport_objective",
     "marginal_residual",
     "sinkhorn",
     "clamp_prior",
-    "guided_kernel",
     "guided_objective",
     "guided_sinkhorn",
     "cross_guided_assign",

@@ -2,8 +2,9 @@
 
 Subcommands: gen-data, optimize-prototypes, solve, train, eval,
 lambda-grid, ablate, verify.  Exit codes: 0 success, 1 usage/config
-error, 2 numeric failure (non-convergence with --strict), 3
-verification failure.  All tabular output is CSV with a header row and
+error, 2 numeric failure (non-convergence with --strict, or a
+floating-point failure such as a non-finite plan), 3 verification
+failure.  All tabular output is CSV with a header row and
 matrices use the plain-text matrix format.
 """
 
@@ -45,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
     # for numeric failures, so remap to 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _load_run_config(path: str | None) -> RunConfig:
@@ -111,7 +112,6 @@ def _cmd_solve(args) -> int:
         lambda2=args.lambda2,
         max_iters=args.max_iters,
         tolerance=args.tolerance,
-        log_domain=not args.plain,
     )
     if args.guided:
         if args.prior is None:
@@ -136,10 +136,10 @@ def _cmd_solve(args) -> int:
 # train / eval
 
 
-def _metric_rows(features_by_condition, labels, num_classes, eval_cfg):
-    rows = []
-    for condition, feats in features_by_condition.items():
-        rep = evalmod.repeated_cluster_metrics(
+def _condition_scores(features_by_condition, labels, num_classes, eval_cfg):
+    """Repeated-k-means scores per test condition, in extraction order."""
+    return {
+        condition: evalmod.repeated_cluster_metrics(
             feats,
             labels,
             num_classes,
@@ -147,18 +147,8 @@ def _metric_rows(features_by_condition, labels, num_classes, eval_cfg):
             seed=eval_cfg.seed,
             restarts=eval_cfg.kmeans_restarts,
         )
-        rows.append(
-            [
-                condition,
-                f"{rep.mean.accuracy:.6f}",
-                f"{rep.stderr.accuracy:.6f}",
-                f"{rep.mean.nmi:.6f}",
-                f"{rep.stderr.nmi:.6f}",
-                f"{rep.mean.f1:.6f}",
-                f"{rep.stderr.f1:.6f}",
-            ]
-        )
-    return rows
+        for condition, feats in features_by_condition.items()
+    }
 
 
 _METRIC_HEADER = ["condition", "acc_mean", "acc_se", "nmi_mean", "nmi_se", "f1_mean", "f1_se"]
@@ -191,7 +181,19 @@ def _cmd_train(args) -> int:
         matrixio.write_matrix(os.path.join(args.out, "prototypes.mat"), result.prototypes)
 
     features = extract_features(result.params, result.mode, dataset)
-    rows = _metric_rows(features, dataset.labels, cfg.data.num_classes, cfg.eval)
+    scores = _condition_scores(features, dataset.labels, cfg.data.num_classes, cfg.eval)
+    rows = [
+        [
+            condition,
+            f"{rep.mean.accuracy:.6f}",
+            f"{rep.stderr.accuracy:.6f}",
+            f"{rep.mean.nmi:.6f}",
+            f"{rep.stderr.nmi:.6f}",
+            f"{rep.mean.f1:.6f}",
+            f"{rep.stderr.f1:.6f}",
+        ]
+        for condition, rep in scores.items()
+    ]
     _write_csv(os.path.join(args.out, "metrics.csv"), _METRIC_HEADER, rows)
     print(f"trained mode={result.mode} for {len(result.trace)} steps; wrote {args.out}")
     return EXIT_OK
@@ -246,28 +248,19 @@ def _train_and_eval(cfg: RunConfig, mode: str, seed_offset: int) -> list[dict]:
     train_cfg = replace(_seeded_configs(cfg, seed_offset), mode=mode)
     result = train(dataset, train_cfg)
     features = extract_features(result.params, mode, dataset)
-    rows = []
-    for condition, feats in features.items():
-        rep = evalmod.repeated_cluster_metrics(
-            feats,
-            dataset.labels,
-            cfg.data.num_classes,
-            repeats=cfg.eval.repeats,
-            seed=cfg.eval.seed,
-            restarts=cfg.eval.kmeans_restarts,
-        )
-        rows.append(
-            {
-                "seed": seed_offset,
-                "mode": mode,
-                "condition": condition,
-                "accuracy": rep.mean.accuracy,
-                "accuracy_se": rep.stderr.accuracy,
-                "nmi": rep.mean.nmi,
-                "f1": rep.mean.f1,
-            }
-        )
-    return rows
+    scores = _condition_scores(features, dataset.labels, cfg.data.num_classes, cfg.eval)
+    return [
+        {
+            "seed": seed_offset,
+            "mode": mode,
+            "condition": condition,
+            "accuracy": rep.mean.accuracy,
+            "accuracy_se": rep.stderr.accuracy,
+            "nmi": rep.mean.nmi,
+            "f1": rep.mean.f1,
+        }
+        for condition, rep in scores.items()
+    ]
 
 
 def _pool_size(jobs: int, cells: int) -> int:
@@ -331,13 +324,7 @@ def _cmd_ablate(args) -> int:
 def _grid_cell(packed):
     cfg, lambda1, lambda2, seeds = packed
     solver = replace(cfg.solver, lambda1=lambda1, lambda2=lambda2)
-    cell_cfg = RunConfig(
-        data=cfg.data,
-        proto=cfg.proto,
-        solver=solver,
-        train=replace(cfg.train, solver=solver),
-        eval=cfg.eval,
-    )
+    cell_cfg = replace(cfg, train=replace(cfg.train, solver=solver))
     accs = []
     for s in range(seeds):
         rows = _train_and_eval(cell_cfg, "goca", s)
@@ -546,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda2", type=float, default=0.03)
     p.add_argument("--tolerance", type=float, default=1e-8)
     p.add_argument("--max-iters", type=int, default=10_000)
-    p.add_argument("--plain", action="store_true", help="multiplicative updates instead of log domain")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_solve)
@@ -611,6 +597,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 def entry_point() -> None:

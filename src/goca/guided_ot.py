@@ -39,7 +39,6 @@ from .ot_core import (
 
 __all__ = [
     "clamp_prior",
-    "guided_kernel",
     "guided_objective",
     "guided_sinkhorn",
     "cross_guided_assign",
@@ -54,25 +53,6 @@ def clamp_prior(prior: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     if np.any(p < 0.0):
         raise ValueError("prior entries must be nonnegative")
     return np.maximum(p, floor)
-
-
-def guided_kernel(
-    cost: np.ndarray,
-    prior: np.ndarray,
-    lambda1: float,
-    lambda2: float,
-    prior_floor: float = 1e-12,
-) -> np.ndarray:
-    """K = exp((-C + lambda2 * log prior) / (lambda1 + lambda2)), entries > 0."""
-    if lambda1 <= 0.0:
-        raise ValueError("lambda1 must be positive")
-    if lambda2 < 0.0:
-        raise ValueError("lambda2 must be nonnegative")
-    c = np.asarray(cost, dtype=float)
-    p = clamp_prior(prior, prior_floor)
-    if c.shape != p.shape:
-        raise ValueError(f"shape mismatch: cost {c.shape} vs prior {p.shape}")
-    return np.exp((-c + lambda2 * np.log(p)) / (lambda1 + lambda2))
 
 
 def guided_objective(

@@ -12,7 +12,7 @@ D = diag(u) K diag(v) with kernel K = exp(-C / lambda1); the scaling
 vectors are found by alternating row/column (Sinkhorn) updates, run as
 one matrix-vector scaling loop, u = psi / (K v) and v = omega / (K^T u).
 
-By default the loop is stabilized by log-domain absorption (Schmitzer,
+The loop is stabilized by log-domain absorption (Schmitzer,
 arXiv:1610.06519), so that regularization as small as lambda1 ~ 0.001
 neither under- nor overflows.  A stage opens with one exact
 log-sum-exp row/column sweep and then scales the kernel with those
@@ -25,12 +25,9 @@ columns are exact after each v update.  A plan counts as converged
 only when both residuals of the materialized plan meet the tolerance.
 The regularization is annealed: stages halve it from where the kernel
 exponent spread range(C) / scale is at most 4 down to lambda1, each
-warm-started from the previous stage's potentials.
-
-``log_domain=False`` runs the same loop on exp(-C / lambda1) in a
-single stage without absorption; where the stabilized loop would
-absorb, it raises SinkhornNumericError, signalling the caller to retry
-with ``log_domain=True``.
+warm-started from the previous stage's potentials.  A regularization
+so small that cost / regularization leaves the float64 range yields a
+non-finite plan, which raises FloatingPointError.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ __all__ = [
     "Marginals",
     "SolverConfig",
     "SinkhornResult",
-    "SinkhornNumericError",
     "cost_from_features",
     "entropy",
     "transport_objective",
@@ -53,10 +49,6 @@ __all__ = [
 
 # Tolerance for the unit-norm precondition on feature/prototype rows.
 _UNIT_NORM_ATOL = 1e-6
-
-
-class SinkhornNumericError(ArithmeticError):
-    """Plain-domain scaling over- or underflowed; retry with log_domain=True."""
 
 
 @dataclass(frozen=True)
@@ -103,7 +95,6 @@ class SolverConfig:
     max_iters: int = 10_000
     tolerance: float = 1e-8
     prior_floor: float = 1e-12
-    log_domain: bool = True
 
     def __post_init__(self):
         if self.lambda1 <= 0.0:
@@ -243,50 +234,30 @@ def _in_range(x: np.ndarray) -> bool:
     return bool(low <= x.min() and x.max() <= high)  # False on NaN
 
 
-def _plain_error(u: np.ndarray, v: np.ndarray) -> SinkhornNumericError:
-    # scalings below the range compensate kernel sums that overflowed;
-    # above it (or non-finite), sums that underflowed
-    kind = "overflow" if min(np.min(u), np.min(v)) < _SCALING_RANGE[0] else "underflow"
-    return SinkhornNumericError(
-        f"{kind} in plain-domain scaling; retry with log_domain=True"
-    )
-
-
 def _scaling_stage(
-    log_kernel: np.ndarray,
+    effective_cost: np.ndarray,
+    scale: float,
     marginals: Marginals,
     g: np.ndarray,
     tolerance: float,
     max_iters: int,
-    stabilized: bool,
 ):
     """Matrix-vector Sinkhorn sweeps u = a / (K v), v = b / (K^T u).
 
-    Stabilized, the stage opens with an exact log-domain sweep and scales
-    the kernel with those potentials absorbed; scalings that leave
-    _SCALING_RANGE are rolled back to the last checkpoint and absorbed
-    into the potentials.  Plain, the kernel is exp(log_kernel) with
-    v = exp(g) and a range violation raises SinkhornNumericError.
+    The stage scales exp(-effective_cost / scale): it opens with an exact
+    log-domain sweep and scales the kernel with those potentials
+    absorbed; scalings that leave _SCALING_RANGE are rolled back to the
+    last checkpoint and absorbed into the potentials.
 
     Returns (column potentials including log v, plan, sweeps, row
     residual, column residual, converged).
     """
     row, col = marginals.row, marginals.col
-    if stabilized:
-        kernel, g = _absorb(log_kernel, marginals, g)
-        v = np.ones(col.size)
-        sweeps = 1
-    else:
-        with np.errstate(over="ignore"):  # overflow is detected and reported below
-            kernel = np.exp(log_kernel)
-        if not np.all(np.isfinite(kernel)):
-            raise SinkhornNumericError(
-                "kernel overflow in plain-domain scaling; retry with log_domain=True"
-            )
-        v = np.exp(g)
-        sweeps = 0
-    u = np.ones(row.size)
+    log_kernel = -effective_cost / scale
+    kernel, g = _absorb(log_kernel, marginals, g)
+    u, v = np.ones(row.size), np.ones(col.size)
     checked_v = v
+    sweeps = 1
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # ndarray.dot has less call overhead than @ on these small operands
         kv = kernel.dot(v)
@@ -298,8 +269,6 @@ def _scaling_stage(
                 kv = kernel.dot(v)
             sweeps = checkpoint
             if not (_in_range(u) and _in_range(v)):
-                if not stabilized:
-                    raise _plain_error(u, v)
                 kernel, g = _absorb(log_kernel, marginals, g + np.log(checked_v))
                 u, v = np.ones(row.size), np.ones(col.size)
                 kv = kernel.dot(v)
@@ -309,8 +278,9 @@ def _scaling_stage(
             if sweeps >= max_iters or np.abs(u * kv - row).max() <= tolerance:
                 plan = u[:, None] * kernel * v[None, :]
                 if not np.all(np.isfinite(plan)):
-                    raise SinkhornNumericError(
-                        "overflow in plain-domain scaling; retry with log_domain=True"
+                    raise FloatingPointError(
+                        f"transport plan is not finite at regularization {scale:.3g}: "
+                        "cost / regularization leaves the float64 range"
                     )
                 row_res = float(np.max(np.abs(plan.sum(axis=1) - row)))
                 col_res = float(np.max(np.abs(plan.sum(axis=0) - col)))
@@ -326,36 +296,21 @@ def _solve(
     cfg: SolverConfig,
     v_init: np.ndarray | None,
 ) -> SinkhornResult:
-    """Scale exp(-effective_cost / scale) to the marginals.
-
-    The log-domain solver anneals the regularization down to ``scale``;
-    the plain one runs the final stage alone, unstabilized.
-    """
+    """Scale exp(-effective_cost / scale) to the marginals, annealing the
+    regularization down to ``scale``."""
     g = np.zeros(marginals.col.size) if v_init is None else np.log(v_init)
-    stages = [scale]
-    if cfg.log_domain:
-        cost_range = float(np.max(effective_cost) - np.min(effective_cost))
-        stages = _anneal_schedule(scale, cost_range)
+    cost_range = float(np.max(effective_cost) - np.min(effective_cost))
+    stages = _anneal_schedule(scale, cost_range)
     sweeps = 0
     for stage_scale in stages[:-1]:
         g, _, stage_sweeps, _, _, _ = _scaling_stage(
-            -effective_cost / stage_scale,
-            marginals,
-            g,
-            max(cfg.tolerance, 1e-9),
-            _STAGE_ITER_CAP,
-            stabilized=True,
+            effective_cost, stage_scale, marginals, g, max(cfg.tolerance, 1e-9), _STAGE_ITER_CAP
         )
         sweeps += stage_sweeps
         # keep the Kantorovich potentials (scale * g) continuous across stages
         g = g * 2.0
     _, plan, iterations, row_res, col_res, converged = _scaling_stage(
-        -effective_cost / scale,
-        marginals,
-        g,
-        cfg.tolerance,
-        cfg.max_iters,
-        stabilized=cfg.log_domain,
+        effective_cost, scale, marginals, g, cfg.tolerance, cfg.max_iters
     )
     return SinkhornResult(
         plan, converged, iterations, row_res, col_res, sweeps + iterations, len(stages)

@@ -9,8 +9,7 @@ The -2I shift drops the diagonal to -1 so the row max picks the worst
 off-diagonal cosine.  The row max is nonsmooth, so the optimizer runs
 projected subgradient descent (lowest-index tie-breaking) with a cosine
 learning-rate schedule, re-projecting onto the sphere after every step
-and keeping the best iterate seen per restart.  A smooth log-sum-exp
-variant of the loss is provided for gradient-check hygiene.
+and keeping the best iterate seen per restart.
 
 For N <= Phi + 1 the optimum is the regular simplex with all pairwise
 cosines at -1/(N-1); for N = 2 the pair is antipodal.
@@ -27,8 +26,6 @@ __all__ = [
     "ProtoOptConfig",
     "prototype_loss",
     "prototype_loss_grad",
-    "smooth_prototype_loss",
-    "smooth_prototype_loss_grad",
     "project_to_sphere",
     "optimize_prototypes",
     "max_pairwise_cosine",
@@ -86,26 +83,6 @@ def prototype_loss_grad(prototypes: np.ndarray) -> np.ndarray:
     grad = w[j_star].copy()
     np.add.at(grad, j_star, w)
     return grad / w.shape[0]
-
-
-def smooth_prototype_loss(prototypes: np.ndarray, sharpness: float = 50.0) -> float:
-    """Log-sum-exp relaxation of the per-row max."""
-    w = _checked(prototypes)
-    omega = _shifted_gram(w)
-    shifted = sharpness * omega
-    m = shifted.max(axis=1, keepdims=True)
-    lse = (np.log(np.exp(shifted - m).sum(axis=1)) + m[:, 0]) / sharpness
-    return float(np.mean(lse))
-
-
-def smooth_prototype_loss_grad(prototypes: np.ndarray, sharpness: float = 50.0) -> np.ndarray:
-    w = _checked(prototypes)
-    omega = _shifted_gram(w)
-    shifted = sharpness * omega
-    shifted -= shifted.max(axis=1, keepdims=True)
-    soft = np.exp(shifted)
-    soft /= soft.sum(axis=1, keepdims=True)
-    return (soft + soft.T) @ w / w.shape[0]
 
 
 def project_to_sphere(raw: np.ndarray) -> np.ndarray:

@@ -54,14 +54,20 @@ class RunConfig:
     """Defaults double as the locked synthetic benchmark configuration."""
 
     data: SynthConfig = field(default_factory=SynthConfig)
-    proto: ProtoOptConfig = field(default_factory=ProtoOptConfig)
-    solver: SolverConfig = field(default_factory=lambda: TrainConfig().solver)
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
 
+    @property
+    def proto(self) -> ProtoOptConfig:
+        return self.train.proto
 
-# Scalar fields only; TrainConfig's nested solver/proto are assembled
-# from their own sections.
+    @property
+    def solver(self) -> SolverConfig:
+        return self.train.solver
+
+
+# Scalar fields only; TrainConfig's nested solver/proto are read and
+# written through their own sections.
 _SECTIONS: dict[str, type] = {
     "data": SynthConfig,
     "proto": ProtoOptConfig,
@@ -72,7 +78,7 @@ _SECTIONS: dict[str, type] = {
 
 
 def _scalar_fields(cls) -> list[dataclasses.Field]:
-    return [f for f in fields(cls) if f.type in ("int", "float", "bool", "str")]
+    return [f for f in fields(cls) if f.type in ("int", "float", "str")]
 
 
 def _parse_value(raw: str, type_name: str, key: str):
@@ -82,18 +88,12 @@ def _parse_value(raw: str, type_name: str, key: str):
             return int(raw)
         if type_name == "float":
             return float(raw)
-        if type_name == "bool":
-            if raw not in ("true", "false"):
-                raise ValueError
-            return raw == "true"
         return raw
     except ValueError:
         raise ConfigError(f"invalid {type_name} value {raw!r} for key {key!r}") from None
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -132,7 +132,7 @@ def parse_config(text: str) -> RunConfig:
         eval_cfg = dataclasses.replace(base.eval, **values["eval"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return RunConfig(data=data, proto=proto, solver=solver, train=train, eval=eval_cfg)
+    return RunConfig(data=data, train=train, eval=eval_cfg)
 
 
 def dump_config(cfg: RunConfig) -> str:

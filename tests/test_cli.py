@@ -123,6 +123,24 @@ class TestSolve:
         ])
         assert code == 2
 
+    def test_non_finite_plan_exits_2_with_message(self, tmp_path, capsys):
+        cost_path = tmp_path / "cost.mat"
+        write_matrix(cost_path, np.random.default_rng(4).uniform(-1, 1, size=(3, 4)))
+        out = tmp_path / "p.mat"
+        with np.errstate(all="ignore"):
+            code = main(["solve", "--cost", str(cost_path), "--lambda1", "1e-310",
+                         "--out", str(out)])
+        assert code == 2
+        assert "error: transport plan is not finite at regularization" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_flag_exits_1_with_message(self, tmp_path, capsys):
+        cost_path = tmp_path / "cost.mat"
+        write_matrix(cost_path, np.zeros((2, 2)))
+        code = main(["solve", "--cost", str(cost_path), "--plain", "--out", str(tmp_path / "p.mat")])
+        assert code == 1
+        assert "goca: error: unrecognized arguments: --plain" in capsys.readouterr().err
+
 
 class TestTrainAndEval:
     def test_train_writes_artifacts(self, tmp_path, tiny_config):
@@ -219,6 +237,13 @@ class TestGridAndAblate:
                      "--jobs", "0", "--out", str(out)]) == 1
         assert main(["lambda-grid", "--config", str(tiny_config), "--jobs", "-1",
                      "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_bad_jobs_value_names_the_argument(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        assert main(["ablate", "--jobs", "x", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "goca ablate: error: argument --jobs: invalid int value: 'x'" in err
         assert not out.exists()
 
     def test_pool_size_is_clamped(self, monkeypatch):

@@ -1,4 +1,4 @@
-"""Prior-guided assignment: kernel, objective, solver, cross-view wiring."""
+"""Prior-guided assignment: prior clamping, objective, solver, cross-view wiring."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from goca.guided_ot import (
     clamp_prior,
     cross_guided_assign,
-    guided_kernel,
     guided_objective,
     guided_sinkhorn,
 )
@@ -23,35 +22,7 @@ def _kl(plan, prior):
     return float(np.sum(plan[pos] * np.log(plan[pos] / prior[pos])))
 
 
-class TestGuidedKernel:
-    def test_lambda2_zero_is_plain_kernel(self):
-        rng = np.random.default_rng(0)
-        cost = rng.uniform(-1, 1, size=(3, 3))
-        prior = rng.uniform(0.1, 1.0, size=(3, 3))
-        assert np.array_equal(guided_kernel(cost, prior, 0.02, 0.0), np.exp(-cost / 0.02))
-
-    def test_equal_lambdas_zero_cost_gives_sqrt_prior(self):
-        rng = np.random.default_rng(1)
-        prior = rng.uniform(0.1, 1.0, size=(2, 4))
-        kernel = guided_kernel(np.zeros((2, 4)), prior, 1.0, 1.0)
-        assert np.allclose(kernel, np.sqrt(prior), atol=1e-15)
-
-    def test_matches_elementwise_formula(self):
-        rng = np.random.default_rng(2)
-        cost = rng.uniform(-1, 1, size=(3, 3))
-        prior = rng.uniform(0.01, 1.0, size=(3, 3))
-        kernel = guided_kernel(cost, prior, 0.02, 0.03)
-        for i in range(3):
-            for j in range(3):
-                expected = math.exp(
-                    (-cost[i, j] + 0.03 * math.log(prior[i, j])) / 0.05
-                )
-                assert kernel[i, j] == pytest.approx(expected, rel=1e-12)
-
-    def test_strictly_positive_even_for_zero_prior_entries(self):
-        kernel = guided_kernel(np.zeros((2, 2)), np.zeros((2, 2)), 0.02, 0.03)
-        assert np.all(kernel > 0.0)
-
+class TestClampPrior:
     def test_rejects_negative_prior(self):
         with pytest.raises(ValueError):
             clamp_prior(np.array([[-0.1, 0.5], [0.5, 0.1]]))

@@ -14,8 +14,6 @@ from goca.prototypes import (
     project_to_sphere,
     prototype_loss,
     prototype_loss_grad,
-    smooth_prototype_loss,
-    smooth_prototype_loss_grad,
 )
 
 from _util import random_unit_rows, relative_max_error
@@ -99,20 +97,6 @@ class TestPrototypeGrad:
             analytic = prototype_loss_grad(w).ravel()
             fd = finite_diff_grad(lambda v: prototype_loss(v.reshape(5, 4)), w.ravel())
             assert relative_max_error(analytic, fd) <= 1e-4
-
-    def test_smooth_variant_gradient(self):
-        rng = np.random.default_rng(6)
-        w = random_unit_rows(rng, 4, 3)
-        analytic = smooth_prototype_loss_grad(w, sharpness=50.0).ravel()
-        fd = finite_diff_grad(
-            lambda v: smooth_prototype_loss(v.reshape(4, 3), sharpness=50.0), w.ravel()
-        )
-        assert relative_max_error(analytic, fd) <= 1e-6
-
-    def test_smooth_loss_upper_bounds_max(self):
-        rng = np.random.default_rng(7)
-        w = random_unit_rows(rng, 5, 3)
-        assert smooth_prototype_loss(w, 50.0) >= prototype_loss(w) - 1e-12
 
 
 class TestProjectToSphere:

@@ -39,10 +39,10 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config("train.mode = fancy\n")
 
-    def test_bool_parsing(self):
-        assert parse_config("solver.log_domain = false\n").solver.log_domain is False
-        with pytest.raises(ConfigError):
-            parse_config("solver.log_domain = FALSE\n")
+    def test_solver_and_proto_read_through_train(self):
+        cfg = parse_config("proto.seed = 4\nsolver.lambda1 = 0.05\n")
+        assert cfg.proto is cfg.train.proto and cfg.proto.seed == 4
+        assert cfg.solver is cfg.train.solver and cfg.solver.lambda1 == 0.05
 
 
 class TestRoundTrip:
