@@ -32,7 +32,14 @@ from .prototypes import (
     prototype_loss_grad,
 )
 from .runconfig import ConfigError, RunConfig, dump_config, load_config
-from .ssl_engine import TrainConfig, extract_features, train
+from .ssl_engine import (
+    TrainConfig,
+    extract_features,
+    place_prototypes,
+    prototype_inputs,
+    select_prototypes,
+    train,
+)
 from .synth_data import generate
 
 EXIT_OK = 0
@@ -237,16 +244,21 @@ def _cmd_eval(args) -> int:
 # ablate / lambda-grid
 
 
-def _seeded_configs(cfg: RunConfig, seed_offset: int) -> TrainConfig:
+def _cell_config(cfg: RunConfig, mode: str, seed_offset: int) -> TrainConfig:
     proto = replace(cfg.proto, seed=cfg.proto.seed + seed_offset)
-    return replace(cfg.train, seed=cfg.train.seed + seed_offset, proto=proto)
+    return replace(cfg.train, mode=mode, seed=cfg.train.seed + seed_offset, proto=proto)
 
 
-def _train_and_eval(cfg: RunConfig, mode: str, seed_offset: int) -> list[dict]:
-    """One training run followed by repeated-k-means scoring per condition."""
+def _train_and_eval(cfg: RunConfig, mode: str, seed_offset: int, placed=None) -> list[dict]:
+    """One training run followed by repeated-k-means scoring per condition.
+
+    ``placed`` maps ``prototype_inputs`` entries to prototype sets placed
+    beforehand; without it the run places its own.
+    """
     dataset = generate(cfg.data)
-    train_cfg = replace(_seeded_configs(cfg, seed_offset), mode=mode)
-    result = train(dataset, train_cfg)
+    train_cfg = _cell_config(cfg, mode, seed_offset)
+    prototypes = None if placed is None else select_prototypes(train_cfg, placed)
+    result = train(dataset, train_cfg, prototypes)
     features = extract_features(result.params, mode, dataset)
     scores = _condition_scores(features, dataset.labels, cfg.data.num_classes, cfg.eval)
     return [
@@ -271,20 +283,33 @@ def _pool_size(jobs: int, cells: int) -> int:
     return min(jobs, cells, os.cpu_count() or 1)
 
 
+def _run_cells(run_cell, cells: list, train_cfgs: list[TrainConfig], jobs: int) -> list:
+    """``run_cell((cell, placed))`` for every cell, in order.
+
+    ``placed`` holds every prototype set that ``train_cfgs`` (the
+    training runs of all cells) train against, each distinct one placed
+    once; with several workers the placements run in the pool too.
+    """
+    inputs = list(dict.fromkeys(i for train_cfg in train_cfgs for i in prototype_inputs(train_cfg)))
+    workers = _pool_size(jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            placed = dict(zip(inputs, pool.map(place_prototypes, inputs)))
+            return list(pool.map(run_cell, [(cell, placed) for cell in cells]))
+    placed = {i: place_prototypes(i) for i in inputs}
+    return [run_cell((cell, placed)) for cell in cells]
+
+
 def _ablate_cell(packed):
-    cfg, mode, seed_offset = packed
-    return _train_and_eval(cfg, mode, seed_offset)
+    (cfg, mode, seed_offset), placed = packed
+    return _train_and_eval(cfg, mode, seed_offset, placed)
 
 
 def run_ablation(cfg: RunConfig, seeds: int = 5, jobs: int = 1) -> list[dict]:
     """Train every mode on identical data/seeds and score all test conditions."""
     cells = [(cfg, mode, s) for s in range(seeds) for mode in ("sview", "avg", "sep", "goca")]
-    workers = _pool_size(jobs, len(cells))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_ablate_cell, cells))
-    else:
-        results = [_ablate_cell(cell) for cell in cells]
+    train_cfgs = [_cell_config(*cell) for cell in cells]
+    results = _run_cells(_ablate_cell, cells, train_cfgs, jobs)
     return [row for rows in results for row in rows]
 
 
@@ -322,12 +347,12 @@ def _cmd_ablate(args) -> int:
 
 
 def _grid_cell(packed):
-    cfg, lambda1, lambda2, seeds = packed
+    (cfg, lambda1, lambda2, seeds), placed = packed
     solver = replace(cfg.solver, lambda1=lambda1, lambda2=lambda2)
     cell_cfg = replace(cfg, train=replace(cfg.train, solver=solver))
     accs = []
     for s in range(seeds):
-        rows = _train_and_eval(cell_cfg, "goca", s)
+        rows = _train_and_eval(cell_cfg, "goca", s, placed)
         accs.append(next(r["accuracy"] for r in rows if r["condition"] == "fused"))
     return {"lambda1": lambda1, "lambda2": lambda2, "accuracy": statistics.median(accs)}
 
@@ -339,13 +364,13 @@ def run_lambda_grid(
     seeds: int = 1,
     jobs: int = 1,
 ) -> list[dict]:
-    """Fused-feature accuracy of guided training per (lambda1, lambda2) cell."""
+    """Fused-feature accuracy of guided training per (lambda1, lambda2) cell.
+
+    The prototypes depend on the seed only, so every cell shares them.
+    """
     cells = [(cfg, l1, l2, seeds) for l1 in lambda1_values for l2 in lambda2_values]
-    workers = _pool_size(jobs, len(cells))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_grid_cell, cells))
-    return [_grid_cell(cell) for cell in cells]
+    train_cfgs = [_cell_config(cfg, "goca", s) for s in range(seeds)]
+    return _run_cells(_grid_cell, cells, train_cfgs, jobs)
 
 
 def _parse_float_list(raw: str) -> list[float]:

@@ -1,7 +1,8 @@
 """Plain-text matrix and label files shared by the command-line tools.
 
-Matrix format: a header line ``M N`` followed by M rows of N decimal
-numbers separated by whitespace.  Values are written with 17 significant
+Matrix format: a header line ``M N`` followed by M rows of N finite
+decimal numbers separated by whitespace, and nothing after them but
+blank lines.  Values are written with 17 significant
 digits so a write/read round trip reproduces float64 values exactly.
 Label files hold one integer per line.
 """
@@ -41,6 +42,11 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
             if len(parts) != cols:
                 raise ValueError(f"{path}: row {i} has {len(parts)} values, expected {cols}")
             out[i] = [float(p) for p in parts]
+            if not np.all(np.isfinite(out[i])):
+                raise ValueError(f"{path}: row {i} has a non-finite value")
+        for extra, line in enumerate(fh, start=rows):
+            if line.strip():
+                raise ValueError(f"{path}: row {extra} is past the {rows} rows the header declares")
     return out
 
 

@@ -11,6 +11,12 @@ projected subgradient descent (lowest-index tie-breaking) with a cosine
 learning-rate schedule, re-projecting onto the sphere after every step
 and keeping the best iterate seen per restart.
 
+All restarts descend together as one (restarts, N, Phi) stack, and each
+step forms one Gram matrix per restart, which gives both the loss of
+the new iterate and the nearest rows for the next subgradient.  The
+arithmetic per restart is the same, in the same order, as descending
+one restart at a time.
+
 For N <= Phi + 1 the optimum is the regular simplex with all pairwise
 cosines at -1/(N-1); for N = 2 the pair is antipodal.
 """
@@ -62,27 +68,54 @@ def _checked(prototypes: np.ndarray) -> np.ndarray:
     return w
 
 
-def _shifted_gram(w: np.ndarray) -> np.ndarray:
-    omega = w @ w.T
-    np.fill_diagonal(omega, omega.diagonal() - 2.0)
-    return omega
+def _unit_rows(w: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(w, axis=-1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise ValueError("cannot project a zero row onto the sphere")
+    return w / norms
+
+
+def _loss_and_nearest(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Loss and nearest other row of each set in an (R, N, D) stack.
+
+    One Gram matrix per set gives both.  The nearest row is the lowest
+    index among ties of the largest off-diagonal cosine; a row's loss
+    term is the larger of that cosine and its own shifted diagonal
+    entry G_ii - 2, which is exactly the row max of W W^T - 2 I.
+    """
+    gram = np.matmul(stack, stack.transpose(0, 2, 1))
+    diag = np.arange(stack.shape[1])
+    shifted_self = gram[:, diag, diag] - 2.0
+    gram[:, diag, diag] = -np.inf
+    nearest = np.argmax(gram, axis=2)
+    closest = np.take_along_axis(gram, nearest[:, :, None], axis=2)[:, :, 0]
+    return np.mean(np.maximum(closest, shifted_self), axis=1), nearest
+
+
+def _subgradient(stack: np.ndarray, nearest: np.ndarray) -> np.ndarray:
+    """Loss subgradient of each set in an (R, N, D) stack, given ``_loss_and_nearest``'s rows."""
+    sets, count, dim = stack.shape
+    rows = (nearest + count * np.arange(sets)[:, None]).ravel()
+    grad = stack.reshape(-1, dim)[rows]
+    # Adding entry by entry on one raveled index gives every entry its terms
+    # in row order, as row-wise np.add.at on a single set does, and takes
+    # numpy's fast 1-D path.
+    entries = (rows[:, None] * dim + np.arange(dim)).ravel()
+    np.add.at(grad.ravel(), entries, stack.ravel())
+    return (grad / count).reshape(stack.shape)
 
 
 def prototype_loss(prototypes: np.ndarray) -> float:
     """Mean over rows of the largest off-diagonal cosine."""
-    w = _checked(prototypes)
-    return float(np.mean(np.max(_shifted_gram(w), axis=1)))
+    loss, _ = _loss_and_nearest(_checked(prototypes)[None])
+    return float(loss[0])
 
 
 def prototype_loss_grad(prototypes: np.ndarray) -> np.ndarray:
     """Subgradient of prototype_loss; row argmax ties break at the lowest index."""
-    w = _checked(prototypes)
-    sims = w @ w.T
-    np.fill_diagonal(sims, -np.inf)
-    j_star = np.argmax(sims, axis=1)
-    grad = w[j_star].copy()
-    np.add.at(grad, j_star, w)
-    return grad / w.shape[0]
+    stack = _checked(prototypes)[None]
+    _, nearest = _loss_and_nearest(stack)
+    return _subgradient(stack, nearest)[0]
 
 
 def project_to_sphere(raw: np.ndarray) -> np.ndarray:
@@ -90,10 +123,7 @@ def project_to_sphere(raw: np.ndarray) -> np.ndarray:
     w = np.asarray(raw, dtype=float)
     if w.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    norms = np.linalg.norm(w, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ValueError("cannot project a zero row onto the sphere")
-    return w / norms
+    return _unit_rows(w)
 
 
 def max_pairwise_cosine(prototypes: np.ndarray) -> float:
@@ -103,22 +133,30 @@ def max_pairwise_cosine(prototypes: np.ndarray) -> float:
     return float(np.max(sims))
 
 
-def _descend(rng: np.random.Generator, count: int, dim: int, cfg: ProtoOptConfig):
-    w = project_to_sphere(rng.standard_normal((count, dim)))
+def _descend(rngs: list[np.random.Generator], count: int, dim: int, cfg: ProtoOptConfig):
+    """Projected subgradient descent from one random start per generator.
+
+    All restarts advance together as one (R, N, D) stack.  Returns each
+    restart's best iterate (R, N, D), its loss (R,) and its loss trace
+    (R, steps + 1), whose first column is the loss of the start.
+    """
+    w = _unit_rows(np.stack([rng.standard_normal((count, dim)) for rng in rngs]))
+    loss, nearest = _loss_and_nearest(w)
+    trace = np.empty((len(rngs), cfg.steps + 1))
+    trace[:, 0] = loss
     best_w = w.copy()
-    best_loss = prototype_loss(w)
-    trace = [best_loss]
+    best_loss = loss.copy()
     span = max(cfg.steps - 1, 1)
     for step in range(cfg.steps):
         lr = cfg.final_learning_rate + 0.5 * (cfg.learning_rate - cfg.final_learning_rate) * (
             1.0 + math.cos(math.pi * step / span)
         )
-        w = project_to_sphere(w - lr * prototype_loss_grad(w))
-        loss = prototype_loss(w)
-        trace.append(loss)
-        if loss < best_loss:
-            best_loss = loss
-            best_w = w.copy()
+        w = _unit_rows(w - lr * _subgradient(w, nearest))
+        loss, nearest = _loss_and_nearest(w)
+        trace[:, step + 1] = loss
+        improved = loss < best_loss
+        best_loss[improved] = loss[improved]
+        best_w[improved] = w[improved]
     return best_w, best_loss, trace
 
 
@@ -127,17 +165,12 @@ def optimize_prototypes(count: int, dim: int, cfg: ProtoOptConfig | None = None)
 
     The returned rows are unit-norm and the loss never exceeds the loss
     of the run's own random initialization (the best iterate is kept).
+    Ties between restarts go to the lowest restart index.
     """
     if count < 2 or dim < 2:
         raise ValueError("need at least 2 prototypes in at least 2 dimensions")
     if cfg is None:
         cfg = ProtoOptConfig()
-    best_w = None
-    best_loss = np.inf
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng((cfg.seed, restart))
-        w, loss, _ = _descend(rng, count, dim, cfg)
-        if loss < best_loss:
-            best_loss = loss
-            best_w = w
-    return best_w
+    rngs = [np.random.default_rng((cfg.seed, restart)) for restart in range(cfg.restarts)]
+    best_w, best_loss, _ = _descend(rngs, count, dim, cfg)
+    return best_w[np.argmin(best_loss)]

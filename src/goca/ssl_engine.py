@@ -46,6 +46,9 @@ __all__ = [
     "swapped_loss",
     "goca_step",
     "baseline_step",
+    "prototype_inputs",
+    "place_prototypes",
+    "select_prototypes",
     "train",
     "extract_features",
 ]
@@ -149,15 +152,22 @@ def _head_key(params: ParamDict, view: str) -> str:
     return view if f"{view}.w2" in params else "shared"
 
 
+def _unit_features(z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the projection output scaled to unit norm, and the norms used."""
+    norms = np.linalg.norm(z2, axis=1, keepdims=True)
+    if not np.all(np.isfinite(norms)):
+        raise FloatingPointError("encoder output norm is not finite: the parameters diverged")
+    norms = np.maximum(norms, 1e-30)
+    return z2 / norms, norms
+
+
 def encode(params: ParamDict, view: str, inputs: np.ndarray):
     """Forward one view: linear, tanh, projection, row L2 normalization."""
     x = np.asarray(inputs, dtype=float)
     head = _head_key(params, view)
     z1 = x @ params[f"{view}.w1"].T + params[f"{view}.b1"]
     hidden = np.tanh(z1)
-    z2 = hidden @ params[f"{head}.w2"].T + params[f"{head}.b2"]
-    norms = np.maximum(np.linalg.norm(z2, axis=1, keepdims=True), 1e-30)
-    features = z2 / norms
+    features, norms = _unit_features(hidden @ params[f"{head}.w2"].T + params[f"{head}.b2"])
     cache = {"x": x, "hidden": hidden, "features": features, "norms": norms,
              "view": view, "head": head}
     return features, cache
@@ -170,9 +180,7 @@ def encode_avg(params: ParamDict, inputs_a: np.ndarray, inputs_b: np.ndarray):
     hidden_a = np.tanh(xa @ params["a.w1"].T + params["a.b1"])
     hidden_b = np.tanh(xb @ params["b.w1"].T + params["b.b1"])
     hidden = 0.5 * (hidden_a + hidden_b)
-    z2 = hidden @ params["shared.w2"].T + params["shared.b2"]
-    norms = np.maximum(np.linalg.norm(z2, axis=1, keepdims=True), 1e-30)
-    features = z2 / norms
+    features, norms = _unit_features(hidden @ params["shared.w2"].T + params["shared.b2"])
     cache = {"x_a": xa, "x_b": xb, "hidden_a": hidden_a, "hidden_b": hidden_b,
              "hidden": hidden, "features": features, "norms": norms}
     return features, cache
@@ -383,14 +391,28 @@ def _augment(x: np.ndarray, rng: np.random.Generator, cfg: TrainConfig) -> np.nd
     return out * mask
 
 
-def _make_prototypes(cfg: TrainConfig):
+def prototype_inputs(cfg: TrainConfig) -> tuple[tuple[int, int, ProtoOptConfig], ...]:
+    """``optimize_prototypes`` arguments of each prototype set ``cfg`` trains against.
+
+    sview trains against one set per view, view b's placed with the next
+    seed; every other mode against one shared set.
+    """
+    protos = (cfg.proto,)
     if cfg.mode == "sview":
-        proto_b = replace(cfg.proto, seed=cfg.proto.seed + 1)
-        return (
-            optimize_prototypes(cfg.num_prototypes, cfg.feature_dim, cfg.proto),
-            optimize_prototypes(cfg.num_prototypes, cfg.feature_dim, proto_b),
-        )
-    return optimize_prototypes(cfg.num_prototypes, cfg.feature_dim, cfg.proto)
+        protos += (replace(cfg.proto, seed=cfg.proto.seed + 1),)
+    return tuple((cfg.num_prototypes, cfg.feature_dim, proto) for proto in protos)
+
+
+def place_prototypes(inputs: tuple[int, int, ProtoOptConfig]) -> np.ndarray:
+    """One entry of ``prototype_inputs`` placed."""
+    return optimize_prototypes(*inputs)
+
+
+def select_prototypes(cfg: TrainConfig, placed: dict) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """The ``prototypes`` argument of ``train`` for ``cfg``, taken from
+    ``placed``, which maps each of ``prototype_inputs(cfg)`` to its placement."""
+    sets = tuple(placed[inputs] for inputs in prototype_inputs(cfg))
+    return sets if cfg.mode == "sview" else sets[0]
 
 
 def train(dataset, cfg: TrainConfig, prototypes=None) -> TrainResult:
@@ -408,7 +430,9 @@ def train(dataset, cfg: TrainConfig, prototypes=None) -> TrainResult:
         raise ValueError("batch_size exceeds the dataset size")
 
     if prototypes is None:
-        prototypes = _make_prototypes(cfg)
+        prototypes = select_prototypes(
+            cfg, {inputs: place_prototypes(inputs) for inputs in prototype_inputs(cfg)}
+        )
     for proto in prototypes if isinstance(prototypes, tuple) else (prototypes,):
         if np.asarray(proto).shape[1] != cfg.feature_dim:
             raise ValueError("prototype dimension does not match feature_dim")
@@ -429,10 +453,19 @@ def train(dataset, cfg: TrainConfig, prototypes=None) -> TrainResult:
                 b_t=_augment(view_b[idx], rng, cfg),
                 b_s=_augment(view_b[idx], rng, cfg),
             )
-            if cfg.mode == "goca":
-                result = goca_step(batch, params, prototypes, cfg)
-            else:
-                result = baseline_step(batch, params, prototypes, cfg)
+            step = len(trace)
+            try:
+                if cfg.mode == "goca":
+                    result = goca_step(batch, params, prototypes, cfg)
+                else:
+                    result = baseline_step(batch, params, prototypes, cfg)
+            except FloatingPointError as exc:
+                message = f"{cfg.mode} training stopped at step {step}: {exc}"
+                raise FloatingPointError(message) from exc
+            if not np.isfinite(result.loss):
+                raise FloatingPointError(
+                    f"{cfg.mode} training stopped at step {step}: loss is {result.loss}"
+                )
             for key in params:
                 params[key] -= cfg.learning_rate * result.grads[key]
             trace.append(result.loss)

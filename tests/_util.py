@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -77,3 +79,58 @@ def log_sinkhorn_reference(
         if np.max(np.abs(plan.sum(axis=1) - row_marginal)) <= tolerance:
             return plan
     raise RuntimeError("reference Sinkhorn did not reach its tolerance")
+
+
+def _reference_loss(w: np.ndarray) -> float:
+    omega = w @ w.T
+    np.fill_diagonal(omega, omega.diagonal() - 2.0)
+    return float(np.mean(np.max(omega, axis=1)))
+
+
+def _reference_grad(w: np.ndarray) -> np.ndarray:
+    sims = w @ w.T
+    np.fill_diagonal(sims, -np.inf)
+    j_star = np.argmax(sims, axis=1)
+    grad = w[j_star].copy()
+    np.add.at(grad, j_star, w)
+    return grad / w.shape[0]
+
+
+def _reference_unit_rows(raw: np.ndarray) -> np.ndarray:
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
+def _reference_descend(rng: np.random.Generator, count: int, dim: int, cfg):
+    w = _reference_unit_rows(rng.standard_normal((count, dim)))
+    best_w = w.copy()
+    best_loss = _reference_loss(w)
+    span = max(cfg.steps - 1, 1)
+    for step in range(cfg.steps):
+        lr = cfg.final_learning_rate + 0.5 * (cfg.learning_rate - cfg.final_learning_rate) * (
+            1.0 + math.cos(math.pi * step / span)
+        )
+        w = _reference_unit_rows(w - lr * _reference_grad(w))
+        loss = _reference_loss(w)
+        if loss < best_loss:
+            best_loss = loss
+            best_w = w.copy()
+    return best_w, best_loss
+
+
+def sequential_prototypes_reference(count: int, dim: int, cfg) -> np.ndarray:
+    """Prototype placement one restart at a time, two Gram matrices per step.
+
+    The per-restart loop ``goca.prototypes.optimize_prototypes`` ran
+    before its restarts were batched, with the same arithmetic in the
+    same order; the batched descent must return exactly
+    (``np.array_equal``) what this returns.
+    """
+    best_w = None
+    best_loss = np.inf
+    for restart in range(cfg.restarts):
+        rng = np.random.default_rng((cfg.seed, restart))
+        w, loss = _reference_descend(rng, count, dim, cfg)
+        if loss < best_loss:
+            best_loss = loss
+            best_w = w
+    return best_w

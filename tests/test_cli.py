@@ -1,6 +1,8 @@
 """Command-line surface: subcommands, exit codes, file formats."""
 
 import csv
+import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,6 +136,14 @@ class TestSolve:
         assert "error: transport plan is not finite at regularization" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_input_exits_1_naming_file_and_row(self, tmp_path, capsys):
+        cost_path = tmp_path / "cost.mat"
+        cost_path.write_text("2 2\n0 1\nnan 0\n")
+        out = tmp_path / "p.mat"
+        assert main(["solve", "--cost", str(cost_path), "--out", str(out)]) == 1
+        assert f"error: {cost_path}: row 1 has a non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_exits_1_with_message(self, tmp_path, capsys):
         cost_path = tmp_path / "cost.mat"
         write_matrix(cost_path, np.zeros((2, 2)))
@@ -158,6 +168,16 @@ class TestTrainAndEval:
         metrics = _read_csv(out / "metrics.csv")
         assert metrics[0][0] == "condition"
         assert {row[0] for row in metrics[1:]} == {"a", "b", "fused"}
+
+    def test_diverging_training_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "diverge.cfg"
+        cfg_path.write_text(TINY_CONFIG + "train.learning_rate = 1e200\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--mode", "sep", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "error: sep training stopped at step 1: encoder output norm is not finite" \
+            in capsys.readouterr().err
 
     def test_eval_subcommand(self, tmp_path, tiny_config):
         data_dir = tmp_path / "data"
@@ -188,6 +208,16 @@ class TestTrainAndEval:
             "--labels", str(bad_labels), "--metrics", str(tmp_path / "m.csv"),
         ])
         assert code == 1
+
+    def test_eval_rejects_rows_past_the_header(self, tmp_path, capsys):
+        features = tmp_path / "f.mat"
+        features.write_text("2 2\n1 0\n0 1\n1 1\n")
+        labels = tmp_path / "l.txt"
+        labels.write_text("0\n1\n")
+        code = main(["eval", "--features", str(features), "--labels", str(labels),
+                     "--metrics", str(tmp_path / "m.csv")])
+        assert code == 1
+        assert f"error: {features}: row 2 is past the 2 rows" in capsys.readouterr().err
 
 
 class TestGridAndAblate:
@@ -230,6 +260,47 @@ class TestGridAndAblate:
         serial = run_ablation(cfg, seeds=2, jobs=1)
         parallel = run_ablation(cfg, seeds=2, jobs=2)
         assert serial == parallel
+
+    @staticmethod
+    def _count_placements(monkeypatch):
+        import goca.ssl_engine as engine
+
+        calls = []
+        place = engine.optimize_prototypes
+
+        def counted(*args):
+            calls.append(args)
+            return place(*args)
+
+        monkeypatch.setattr(engine, "optimize_prototypes", counted)
+        return calls
+
+    def test_ablation_places_each_distinct_prototype_set_once(self, monkeypatch):
+        from goca.cli import _train_and_eval
+
+        cfg = parse_config(TINY_CONFIG)
+        calls = self._count_placements(monkeypatch)
+        rows = run_ablation(cfg, seeds=2)
+        # proto seeds 0 and 1 for seed 0 (sview's view b takes seed + 1), 1 and 2 for seed 1
+        assert [args[2].seed for args in calls] == [0, 1, 2]
+        calls.clear()
+        own = [row for s in range(2) for mode in ("sview", "avg", "sep", "goca")
+               for row in _train_and_eval(cfg, mode, s)]
+        assert len(calls) == 10
+        assert rows == own
+
+    def test_lambda_grid_places_prototypes_once_per_seed(self, monkeypatch):
+        from goca.cli import _train_and_eval
+
+        cfg = parse_config(TINY_CONFIG)
+        calls = self._count_placements(monkeypatch)
+        grid = run_lambda_grid(cfg, [0.1, 0.2], [0.0, 0.03], seeds=2)
+        assert [args[2].seed for args in calls] == [0, 1]
+        solver = replace(cfg.solver, lambda1=0.2, lambda2=0.03)
+        last_cell = replace(cfg, train=replace(cfg.train, solver=solver))
+        fused = [next(r["accuracy"] for r in _train_and_eval(last_cell, "goca", s)
+                      if r["condition"] == "fused") for s in range(2)]
+        assert grid[-1]["accuracy"] == statistics.median(fused)
 
     def test_jobs_below_one_is_usage_error(self, tmp_path, tiny_config):
         out = tmp_path / "rows.csv"

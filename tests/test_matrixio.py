@@ -37,3 +37,24 @@ def test_labels_round_trip(tmp_path):
     path = tmp_path / "l.txt"
     write_labels(path, labels)
     assert np.array_equal(read_labels(path), labels)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_rejects_non_finite_values(tmp_path, value):
+    path = tmp_path / "bad.mat"
+    path.write_text(f"2 2\n1 2\n3 {value}\n")
+    with pytest.raises(ValueError, match=r"bad\.mat: row 1 has a non-finite value"):
+        read_matrix(path)
+
+
+def test_rejects_rows_past_the_declared_count(tmp_path):
+    path = tmp_path / "long.mat"
+    path.write_text("2 2\n1 2\n3 4\n\n5 6\n")
+    with pytest.raises(ValueError, match=r"long\.mat: row 3 is past the 2 rows"):
+        read_matrix(path)
+
+
+def test_trailing_blank_lines_are_accepted(tmp_path):
+    path = tmp_path / "m.mat"
+    path.write_text("1 2\n1 2\n\n  \n")
+    assert np.array_equal(read_matrix(path), [[1.0, 2.0]])

@@ -144,7 +144,7 @@ class TestSinkhorn:
         with pytest.raises(ValueError, match="finite"):
             sinkhorn(np.array([[np.inf, 0.0], [0.0, 0.0]]))
 
-    def test_plain_mode_overflow_signals_retry(self):
+    def test_stabilized_solver_converges_where_kernel_overflows(self):
         cost = np.full((3, 3), -1.0)
         cost[0, 0] = 1.0
         # exp(-cost / 0.001) overflows float64; the stabilized loop does not
@@ -294,7 +294,7 @@ class TestScalingLoop:
         ref = log_sinkhorn_reference(cost, marg.row, marg.col, 1e-3)
         assert np.max(np.abs(res.plan - ref)) <= 1e-7
 
-    def test_plain_mode_signals_retry_when_scalings_leave_range(self):
+    def test_stabilized_solver_converges_where_scalings_leave_range(self):
         rng = np.random.default_rng(59)
         cost = rng.uniform(-1, 1, size=(4, 5))
         # the kernel stays finite, but unstabilized scalings would leave the safe range

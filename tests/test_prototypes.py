@@ -16,7 +16,7 @@ from goca.prototypes import (
     prototype_loss_grad,
 )
 
-from _util import random_unit_rows, relative_max_error
+from _util import random_unit_rows, relative_max_error, sequential_prototypes_reference
 
 
 def _non_degenerate_unit_rows(rng, rows, dim, gap=1e-3):
@@ -143,13 +143,13 @@ class TestOptimizePrototypes:
     def test_never_worse_than_initialization(self):
         cfg = ProtoOptConfig(steps=50, restarts=1, seed=11)
         rng = np.random.default_rng((cfg.seed, 0))
-        _, best_loss, trace = _descend(rng, 8, 4, cfg)
+        _, (best_loss,), (trace,) = _descend([rng], 8, 4, cfg)
         assert best_loss <= trace[0]
 
     def test_descent_trace_roughly_monotone(self):
         cfg = ProtoOptConfig(steps=2000, restarts=1, seed=12)
         rng = np.random.default_rng((cfg.seed, 0))
-        _, _, trace = _descend(rng, 5, 3, cfg)
+        _, _, (trace,) = _descend([rng], 5, 3, cfg)
         # single subgradient steps may wiggle by at most one step's magnitude
         increments = np.diff(trace)
         assert np.max(increments) <= 2.0 * cfg.learning_rate
@@ -165,3 +165,41 @@ class TestOptimizePrototypes:
             optimize_prototypes(1, 4)
         with pytest.raises(ValueError):
             optimize_prototypes(4, 1)
+
+
+class TestBatchedDescent:
+    """The batched restarts return exactly what one restart at a time returns."""
+
+    @pytest.mark.parametrize(
+        "count, dim, steps",
+        [
+            (2, 2, 300), (2, 3, 300), (2, 4, 50),  # antipodal pairs
+            (3, 2, 400), (4, 3, 400), (5, 4, 300), (3, 3, 200),  # simplex, N <= D + 1
+            (6, 4, 200), (5, 3, 200), (8, 4, 150), (4, 16, 150),
+            (64, 16, 60),
+        ],
+    )
+    @pytest.mark.parametrize("restarts", [1, 2, 3, 4, 5])
+    def test_matches_sequential_restarts_bitwise(self, count, dim, steps, restarts):
+        for seed in (0, 7):
+            cfg = ProtoOptConfig(steps=steps, restarts=restarts, seed=seed)
+            batched = optimize_prototypes(count, dim, cfg)
+            assert np.array_equal(batched, sequential_prototypes_reference(count, dim, cfg))
+
+    def test_tied_restarts_go_to_the_first(self):
+        cfg = ProtoOptConfig(steps=300, restarts=5, seed=0)
+        rngs = [np.random.default_rng((cfg.seed, r)) for r in range(cfg.restarts)]
+        best_w, best_loss, _ = _descend(rngs, 2, 3, cfg)
+        # every restart reaches the antipodal optimum, so the loss ties exactly
+        assert np.all(best_loss == best_loss[0])
+        assert np.array_equal(optimize_prototypes(2, 3, cfg), best_w[0])
+
+    def test_trace_starts_at_the_initial_loss(self):
+        cfg = ProtoOptConfig(steps=20, restarts=3, seed=4)
+        rngs = [np.random.default_rng((cfg.seed, r)) for r in range(cfg.restarts)]
+        starts = [project_to_sphere(np.random.default_rng((cfg.seed, r)).standard_normal((6, 4)))
+                  for r in range(cfg.restarts)]
+        _, best_loss, trace = _descend(rngs, 6, 4, cfg)
+        assert trace.shape == (3, 21)
+        assert list(trace[:, 0]) == [prototype_loss(w) for w in starts]
+        assert np.array_equal(best_loss, trace.min(axis=1))

@@ -334,6 +334,21 @@ class TestTrain:
         last = float(np.mean(result.trace[-steps_per_epoch:]))
         assert last < first
 
+    @pytest.mark.parametrize("mode", ["sview", "avg", "sep", "goca"])
+    def test_divergence_stops_naming_mode_and_step(self, mode):
+        data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
+                                    distractor_dim=3, num_distractor_modes=4, seed=6))
+        cfg = TrainConfig(mode=mode, epochs=2, batch_size=10, hidden_dim=6, feature_dim=8,
+                          num_prototypes=4, learning_rate=1e200,
+                          solver=SolverConfig(lambda1=0.1, tolerance=1e-6, max_iters=500),
+                          proto=ProtoOptConfig(steps=50, restarts=1))
+        # the first update scales the weights to ~1e200, so the next
+        # step's feature norms overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError,
+                               match=f"^{mode} training stopped at step 1: .* parameters diverged"):
+                train(data, cfg)
+
     def test_dimension_mismatch_rejected(self):
         data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
                                     distractor_dim=3, num_distractor_modes=4, seed=6))
