@@ -38,7 +38,6 @@ from .ssl_engine import (
     TrainResult,
     baseline_step,
     encode,
-    encode_avg,
     extract_features,
     goca_step,
     init_params,
@@ -74,7 +73,6 @@ __all__ = [
     "AugmentedBatch",
     "init_params",
     "encode",
-    "encode_avg",
     "prototype_scores",
     "swapped_loss",
     "goca_step",

@@ -373,14 +373,17 @@ def run_lambda_grid(
     return _run_cells(_grid_cell, cells, train_cfgs, jobs)
 
 
-def _parse_float_list(raw: str) -> list[float]:
-    return [float(part) for part in raw.split(",") if part.strip()]
+def _parse_float_list(raw: str, flag: str) -> list[float]:
+    values = [float(part) for part in raw.split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"{flag} needs at least one value")
+    return values
 
 
 def _cmd_lambda_grid(args) -> int:
+    l1s = _parse_float_list(args.lambda1_list, "--lambda1-list")
+    l2s = _parse_float_list(args.lambda2_list, "--lambda2-list")
     cfg = _load_run_config(args.config)
-    l1s = _parse_float_list(args.lambda1_list)
-    l2s = _parse_float_list(args.lambda2_list)
     rows = run_lambda_grid(cfg, l1s, l2s, seeds=args.seeds, jobs=args.jobs)
     _write_csv(
         args.out,

@@ -32,7 +32,8 @@ non-finite plan, which raises FloatingPointError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,6 +50,15 @@ __all__ = [
 
 # Tolerance for the unit-norm precondition on feature/prototype rows.
 _UNIT_NORM_ATOL = 1e-6
+
+
+def reject_non_finite(config) -> None:
+    """Raise ValueError naming the first float field of the dataclass
+    instance ``config`` that is NaN or infinite."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -97,6 +107,7 @@ class SolverConfig:
     prior_floor: float = 1e-12
 
     def __post_init__(self):
+        reject_non_finite(self)
         if self.lambda1 <= 0.0:
             raise ValueError("lambda1 must be positive")
         if self.lambda2 < 0.0:

@@ -1,25 +1,30 @@
 """Two-view swapped-prediction training against frozen prototypes.
 
-Each view has its own two-layer perceptron backbone (linear, tanh,
-linear projection, final L2 normalization); the projection layer is
-shared across views except in single-view training.  A step encodes two
-augmentations of each view, computes transport-plan targets for every
-branch, and minimizes the swapped cross-entropy between one
-augmentation's targets and the other augmentation's softmax prototype
-scores, summed over both views.  Targets are treated as constants: no
-gradient flows through the assignment solver.
+Each view has its own backbone (linear, tanh); a linear projection head
+with final L2 normalization turns backbone activations into features.
+A step encodes two augmentations (slots t and s) of every branch,
+solves transport-plan targets by the mode's target rule, and minimizes
+the swapped cross-entropy between one augmentation's targets and the
+other augmentation's softmax prototype scores, summed over branches.
+Targets are treated as constants: no gradient flows through the
+assignment solver.
 
-Training modes
-    sview  independent backbones, heads and prototypes per view,
-           plain assignments
-    avg    backbone outputs averaged into one shared-head branch,
-           plain assignments
-    sep    shared head and prototypes, per-view plain assignments
-    goca   as sep, but each view's assignment is guided by the other
-           view's plain assignment on the same batch
+One step body serves all four modes.  The mode fixes only which
+backbones feed each branch (their hidden activations are averaged),
+which prototype set each branch scores against, and the target rule:
 
-Solver plans have rows summing to 1/M; they are multiplied by M before
-entering the cross-entropy so each target row is a probability row.
+    sview  branches a and b, each with its own backbone, head and
+           prototypes; a plain plan per branch
+    avg    one branch fed by both backbones, shared head; a plain plan
+    sep    branches a and b, shared head and prototypes; a plain plan
+           per branch
+    goca   as sep, but each view's plan is guided by the other view's
+           plain plan on the same batch (``cross_guided_assign``)
+
+``goca_step`` runs goca steps and ``baseline_step`` the other modes;
+``train`` calls one of them per batch.  Solver plans have rows summing
+to 1/M; they are multiplied by M before entering the cross-entropy so
+each target row is a probability row.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .guided_ot import cross_guided_assign
-from .ot_core import Marginals, SolverConfig, cost_from_features, sinkhorn
+from .ot_core import Marginals, SolverConfig, cost_from_features, reject_non_finite, sinkhorn
 from .prototypes import ProtoOptConfig, optimize_prototypes
 
 __all__ = [
@@ -41,7 +46,6 @@ __all__ = [
     "TrainResult",
     "init_params",
     "encode",
-    "encode_avg",
     "prototype_scores",
     "swapped_loss",
     "goca_step",
@@ -83,6 +87,7 @@ class TrainConfig:
     proto: ProtoOptConfig = field(default_factory=ProtoOptConfig)
 
     def __post_init__(self):
+        reject_non_finite(self)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.batch_size < 2:
@@ -91,6 +96,8 @@ class TrainConfig:
             raise ValueError("temperature must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
+        if self.hidden_dim < 1:
+            raise ValueError("hidden_dim must be at least 1")
         if self.num_prototypes < 2:
             raise ValueError("need at least 2 prototypes")
         if not 0.0 <= self.aug_dropout < 1.0:
@@ -161,28 +168,29 @@ def _unit_features(z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z2 / norms, norms
 
 
-def encode(params: ParamDict, view: str, inputs: np.ndarray):
-    """Forward one view: linear, tanh, projection, row L2 normalization."""
-    x = np.asarray(inputs, dtype=float)
-    head = _head_key(params, view)
-    z1 = x @ params[f"{view}.w1"].T + params[f"{view}.b1"]
-    hidden = np.tanh(z1)
+def encode(params: ParamDict, views, inputs):
+    """Forward one branch: linear and tanh per backbone, projection, row
+    L2 normalization.
+
+    ``views`` is one backbone (``"a"``) with one input array, or a tuple
+    of backbones (``("a", "b")``) with one row-aligned input array each;
+    their hidden activations are averaged before the shared projection.
+    """
+    if isinstance(views, str):
+        views, inputs = (views,), (inputs,)
+    xs = tuple(np.asarray(x, dtype=float) for x in inputs)
+    if len(xs) != len(views):
+        raise ValueError("encode needs one input array per backbone")
+    hiddens = tuple(np.tanh(x @ params[f"{v}.w1"].T + params[f"{v}.b1"]) for v, x in zip(views, xs))
+    # the sum is a new array only for two backbones, and scaling in place
+    # by weight 1.0 leaves a single backbone's activations bit for bit
+    weight = 1.0 / len(views)
+    hidden = sum(hiddens[1:], hiddens[0])
+    hidden *= weight
+    head = _head_key(params, views[0])
     features, norms = _unit_features(hidden @ params[f"{head}.w2"].T + params[f"{head}.b2"])
-    cache = {"x": x, "hidden": hidden, "features": features, "norms": norms,
-             "view": view, "head": head}
-    return features, cache
-
-
-def encode_avg(params: ParamDict, inputs_a: np.ndarray, inputs_b: np.ndarray):
-    """Average both backbones' hidden activations into one shared-head branch."""
-    xa = np.asarray(inputs_a, dtype=float)
-    xb = np.asarray(inputs_b, dtype=float)
-    hidden_a = np.tanh(xa @ params["a.w1"].T + params["a.b1"])
-    hidden_b = np.tanh(xb @ params["b.w1"].T + params["b.b1"])
-    hidden = 0.5 * (hidden_a + hidden_b)
-    features, norms = _unit_features(hidden @ params["shared.w2"].T + params["shared.b2"])
-    cache = {"x_a": xa, "x_b": xb, "hidden_a": hidden_a, "hidden_b": hidden_b,
-             "hidden": hidden, "features": features, "norms": norms}
+    cache = {"views": views, "x": xs, "hiddens": hiddens, "weight": weight, "hidden": hidden,
+             "features": features, "norms": norms, "head": head}
     return features, cache
 
 
@@ -190,24 +198,11 @@ def _backprop(cache: dict, d_features: np.ndarray, params: ParamDict, grads: Par
     features = cache["features"]
     inner = np.sum(d_features * features, axis=1, keepdims=True)
     dz2 = (d_features - features * inner) / cache["norms"]
-    head, view = cache["head"], cache["view"]
-    hidden = cache["hidden"]
-    grads[f"{head}.w2"] += dz2.T @ hidden
+    head = cache["head"]
+    grads[f"{head}.w2"] += dz2.T @ cache["hidden"]
     grads[f"{head}.b2"] += dz2.sum(axis=0)
-    dz1 = (1.0 - hidden * hidden) * (dz2 @ params[f"{head}.w2"])
-    grads[f"{view}.w1"] += dz1.T @ cache["x"]
-    grads[f"{view}.b1"] += dz1.sum(axis=0)
-
-
-def _backprop_avg(cache: dict, d_features: np.ndarray, params: ParamDict, grads: ParamDict) -> None:
-    features = cache["features"]
-    inner = np.sum(d_features * features, axis=1, keepdims=True)
-    dz2 = (d_features - features * inner) / cache["norms"]
-    grads["shared.w2"] += dz2.T @ cache["hidden"]
-    grads["shared.b2"] += dz2.sum(axis=0)
-    d_hidden = 0.5 * (dz2 @ params["shared.w2"])
-    for view, hidden, x in (("a", cache["hidden_a"], cache["x_a"]),
-                            ("b", cache["hidden_b"], cache["x_b"])):
+    d_hidden = cache["weight"] * (dz2 @ params[f"{head}.w2"])
+    for view, x, hidden in zip(cache["views"], cache["x"], cache["hiddens"]):
         dz1 = (1.0 - hidden * hidden) * d_hidden
         grads[f"{view}.w1"] += dz1.T @ x
         grads[f"{view}.b1"] += dz1.sum(axis=0)
@@ -257,41 +252,62 @@ def swapped_loss(
     return float(total / m)
 
 
-def _plain_targets(features: np.ndarray, prototypes: np.ndarray, solver: SolverConfig):
-    m = features.shape[0]
-    marginals = Marginals.uniform(m, np.asarray(prototypes).shape[0])
-    result = sinkhorn(cost_from_features(features, prototypes), marginals, solver)
-    return m * result.plan, result.converged
-
-
-def _branch_loss(
-    slot_features: dict[str, np.ndarray],
-    slot_caches: dict[str, dict],
-    targets: dict[str, np.ndarray],
-    keys: tuple[str, str],
-    prototypes: np.ndarray,
-    cfg: TrainConfig,
+def _step(
+    batch: AugmentedBatch,
     params: ParamDict,
-    grads: ParamDict,
-    avg: bool = False,
-) -> float:
-    key_t, key_s = keys
-    f_t, f_s = slot_features[key_t], slot_features[key_s]
-    g_t = prototype_scores(f_t, prototypes, cfg.temperature)
-    g_s = prototype_scores(f_s, prototypes, cfg.temperature)
-    loss = swapped_loss(targets[key_t], g_s, targets[key_s], g_t)
-    m = f_t.shape[0]
-    scale = 1.0 / (m * cfg.temperature)
-    d_f_s = scale * (g_s - targets[key_t]) @ prototypes
-    d_f_t = scale * (g_t - targets[key_s]) @ prototypes
-    backprop = _backprop_avg if avg else _backprop
-    backprop(slot_caches[key_s], d_f_s, params, grads)
-    backprop(slot_caches[key_t], d_f_t, params, grads)
-    return loss
+    prototypes,
+    cfg: TrainConfig,
+    targets: dict[str, np.ndarray] | None,
+) -> StepResult:
+    """Encode every branch, solve its targets by the mode's rule, and
+    backpropagate the swapped loss; targets are keyed ``<branch>.<slot>``."""
+    if cfg.mode == "avg":
+        branches = {"avg": ("a", "b")}
+    else:
+        branches = {"a": ("a",), "b": ("b",)}
+    if cfg.mode == "sview":
+        if not isinstance(prototypes, (tuple, list)) or len(prototypes) != 2:
+            raise ValueError("sview mode needs one prototype set per view")
+        protos = {"a": np.asarray(prototypes[0]), "b": np.asarray(prototypes[1])}
+    else:
+        protos = dict.fromkeys(branches, np.asarray(prototypes))
 
+    features, caches = {}, {}
+    for branch, views in branches.items():
+        for slot in ("t", "s"):
+            inputs = tuple(getattr(batch, f"{view}_{slot}") for view in views)
+            key = f"{branch}.{slot}"
+            features[key], caches[key] = encode(params, views, inputs)
 
-def _zero_grads(params: ParamDict) -> ParamDict:
-    return {key: np.zeros_like(value) for key, value in params.items()}
+    converged: bool | None = None
+    if targets is None:
+        results = {}
+        if cfg.mode == "goca":
+            for slot in ("t", "s"):
+                results[f"a.{slot}"], results[f"b.{slot}"] = cross_guided_assign(
+                    features[f"a.{slot}"], features[f"b.{slot}"], protos["a"], cfg=cfg.solver
+                )
+        else:
+            for key, feats in features.items():
+                branch_protos = protos[key.split(".")[0]]
+                marginals = Marginals.uniform(feats.shape[0], branch_protos.shape[0])
+                results[key] = sinkhorn(cost_from_features(feats, branch_protos), marginals, cfg.solver)
+        # plans have rows summing to 1/M; targets are probability rows
+        targets = {key: features[key].shape[0] * res.plan for key, res in results.items()}
+        converged = all(res.converged for res in results.values())
+
+    grads = {key: np.zeros_like(value) for key, value in params.items()}
+    loss = 0.0
+    for branch in branches:
+        key_t, key_s = f"{branch}.t", f"{branch}.s"
+        f_t, f_s = features[key_t], features[key_s]
+        g_t = prototype_scores(f_t, protos[branch], cfg.temperature)
+        g_s = prototype_scores(f_s, protos[branch], cfg.temperature)
+        loss += swapped_loss(targets[key_t], g_s, targets[key_s], g_t)
+        scale = 1.0 / (f_t.shape[0] * cfg.temperature)
+        _backprop(caches[key_s], scale * (g_s - targets[key_t]) @ protos[branch], params, grads)
+        _backprop(caches[key_t], scale * (g_t - targets[key_s]) @ protos[branch], params, grads)
+    return StepResult(loss, grads, targets, converged)
 
 
 def goca_step(
@@ -306,29 +322,9 @@ def goca_step(
     Pass precomputed ``targets`` to hold the assignments fixed, e.g. for
     finite-difference gradient checks.
     """
-    features, caches = {}, {}
-    for key, x in (("a.t", batch.a_t), ("a.s", batch.a_s), ("b.t", batch.b_t), ("b.s", batch.b_s)):
-        view = key.split(".")[0]
-        features[key], caches[key] = encode(params, view, x)
-    converged: bool | None = None
-    if targets is None:
-        converged = True
-        targets = {}
-        for slot in ("t", "s"):
-            res_a, res_b = cross_guided_assign(
-                features[f"a.{slot}"], features[f"b.{slot}"], prototypes, cfg=cfg.solver
-            )
-            m = features[f"a.{slot}"].shape[0]
-            targets[f"a.{slot}"] = m * res_a.plan
-            targets[f"b.{slot}"] = m * res_b.plan
-            if not (res_a.converged and res_b.converged):
-                converged = False
-        if not converged:
-            logger.warning("guided assignment did not converge; using last iterate")
-    grads = _zero_grads(params)
-    loss = _branch_loss(features, caches, targets, ("a.t", "a.s"), prototypes, cfg, params, grads)
-    loss += _branch_loss(features, caches, targets, ("b.t", "b.s"), prototypes, cfg, params, grads)
-    return StepResult(loss, grads, targets, converged)
+    if cfg.mode != "goca":
+        raise ValueError(f"goca_step does not handle mode {cfg.mode!r}")
+    return _step(batch, params, prototypes, cfg, targets)
 
 
 def baseline_step(
@@ -339,43 +335,9 @@ def baseline_step(
     targets: dict[str, np.ndarray] | None = None,
 ) -> StepResult:
     """One sview, avg or sep step; see module docstring for the modes."""
-    if cfg.mode == "sview":
-        if not isinstance(prototypes, (tuple, list)) or len(prototypes) != 2:
-            raise ValueError("sview mode needs one prototype set per view")
-        protos = {"a": np.asarray(prototypes[0]), "b": np.asarray(prototypes[1])}
-    elif cfg.mode in ("avg", "sep"):
-        protos = {"a": np.asarray(prototypes), "b": np.asarray(prototypes)}
-    else:
+    if cfg.mode == "goca":
         raise ValueError(f"baseline_step does not handle mode {cfg.mode!r}")
-
-    features, caches = {}, {}
-    if cfg.mode == "avg":
-        features["t"], caches["t"] = encode_avg(params, batch.a_t, batch.b_t)
-        features["s"], caches["s"] = encode_avg(params, batch.a_s, batch.b_s)
-        branch_keys = [(("t", "s"), protos["a"], True)]
-    else:
-        for key, x in (("a.t", batch.a_t), ("a.s", batch.a_s),
-                       ("b.t", batch.b_t), ("b.s", batch.b_s)):
-            view = key.split(".")[0]
-            features[key], caches[key] = encode(params, view, x)
-        branch_keys = [(("a.t", "a.s"), protos["a"], False), (("b.t", "b.s"), protos["b"], False)]
-
-    converged: bool | None = None
-    if targets is None:
-        converged = True
-        targets = {}
-        for key in features:
-            view = key.split(".")[0] if "." in key else "a"
-            targets[key], ok = _plain_targets(features[key], protos[view], cfg.solver)
-            if not ok:
-                converged = False
-        if not converged:
-            logger.warning("plain assignment did not converge; using last iterate")
-    grads = _zero_grads(params)
-    loss = 0.0
-    for keys, branch_protos, avg in branch_keys:
-        loss += _branch_loss(features, caches, targets, keys, branch_protos, cfg, params, grads, avg=avg)
-    return StepResult(loss, grads, targets, converged)
+    return _step(batch, params, prototypes, cfg, targets)
 
 
 def _augment(x: np.ndarray, rng: np.random.Generator, cfg: TrainConfig) -> np.ndarray:
@@ -462,6 +424,11 @@ def train(dataset, cfg: TrainConfig, prototypes=None) -> TrainResult:
             except FloatingPointError as exc:
                 message = f"{cfg.mode} training stopped at step {step}: {exc}"
                 raise FloatingPointError(message) from exc
+            if result.solver_converged is False:
+                logger.warning(
+                    "%s training step %d: assignment did not converge; using last iterate",
+                    cfg.mode, step,
+                )
             if not np.isfinite(result.loss):
                 raise FloatingPointError(
                     f"{cfg.mode} training stopped at step {step}: loss is {result.loss}"
@@ -486,7 +453,7 @@ def extract_features(params: ParamDict, mode: str, dataset) -> dict[str, np.ndar
     view_a = np.asarray(dataset.view_a, dtype=float)
     view_b = np.asarray(dataset.view_b, dtype=float)
     if mode == "avg":
-        fused, _ = encode_avg(params, view_a, view_b)
+        fused, _ = encode(params, ("a", "b"), (view_a, view_b))
         return {"fused": fused}
     feats_a, _ = encode(params, "a", view_a)
     feats_b, _ = encode(params, "b", view_b)

@@ -144,6 +144,17 @@ class TestSolve:
         assert f"error: {cost_path}: row 1 has a non-finite value" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lambda1", "nan"), ("--lambda2", "inf"), ("--tolerance", "nan"),
+    ])
+    def test_non_finite_solver_value_exits_1(self, tmp_path, capsys, flag, value):
+        cost_path = tmp_path / "cost.mat"
+        write_matrix(cost_path, np.zeros((2, 2)))
+        out = tmp_path / "p.mat"
+        assert main(["solve", "--cost", str(cost_path), flag, value, "--out", str(out)]) == 1
+        assert f"error: {flag[2:]} must be finite, got {float(value)}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_exits_1_with_message(self, tmp_path, capsys):
         cost_path = tmp_path / "cost.mat"
         write_matrix(cost_path, np.zeros((2, 2)))
@@ -178,6 +189,18 @@ class TestTrainAndEval:
         assert code == 2
         assert "error: sep training stopped at step 1: encoder output norm is not finite" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("train.temperature = nan", "temperature must be finite, got nan"),
+        ("train.hidden_dim = 0", "hidden_dim must be at least 1"),
+    ])
+    def test_invalid_train_value_exits_1_at_load(self, tmp_path, capsys, line, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(line + "\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(bad), "--out", str(out)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_subcommand(self, tmp_path, tiny_config):
         data_dir = tmp_path / "data"
@@ -301,6 +324,18 @@ class TestGridAndAblate:
         fused = [next(r["accuracy"] for r in _train_and_eval(last_cell, "goca", s)
                       if r["condition"] == "fused") for s in range(2)]
         assert grid[-1]["accuracy"] == statistics.median(fused)
+
+    @pytest.mark.parametrize("flag", ["--lambda1-list", "--lambda2-list"])
+    @pytest.mark.parametrize("raw", ["", " , "])
+    def test_empty_lambda_list_exits_1_before_any_work(
+        self, tmp_path, tiny_config, capsys, monkeypatch, flag, raw
+    ):
+        calls = self._count_placements(monkeypatch)
+        out = tmp_path / "grid.csv"
+        assert main(["lambda-grid", "--config", tiny_config, flag, raw, "--out", str(out)]) == 1
+        assert f"error: {flag} needs at least one value" in capsys.readouterr().err
+        assert not out.exists()
+        assert calls == []
 
     def test_jobs_below_one_is_usage_error(self, tmp_path, tiny_config):
         out = tmp_path / "rows.csv"

@@ -158,6 +158,12 @@ class TestSinkhorn:
             with pytest.raises(FloatingPointError, match="not finite at regularization"):
                 sinkhorn(cost, cfg=SolverConfig(lambda1=1e-310))
 
+    @pytest.mark.parametrize("field", ["lambda1", "lambda2", "tolerance", "prior_floor"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_config_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SolverConfig(**{field: value})
+
     def test_non_convergence_returns_flagged_iterate(self):
         rng = np.random.default_rng(2)
         cost = rng.uniform(-1, 1, size=(4, 4))

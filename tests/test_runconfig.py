@@ -39,6 +39,18 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config("train.mode = fancy\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("train.temperature = nan", "temperature must be finite"),
+        ("train.learning_rate = inf", "learning_rate must be finite"),
+        ("train.aug_noise = -inf", "aug_noise must be finite"),
+        ("solver.tolerance = nan", "tolerance must be finite"),
+        ("solver.lambda2 = inf", "lambda2 must be finite"),
+        ("train.hidden_dim = 0", "hidden_dim must be at least 1"),
+    ])
+    def test_non_finite_float_or_zero_hidden_dim_rejected(self, line, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(line + "\n")
+
     def test_solver_and_proto_read_through_train(self):
         cfg = parse_config("proto.seed = 4\nsolver.lambda1 = 0.05\n")
         assert cfg.proto is cfg.train.proto and cfg.proto.seed == 4

@@ -1,5 +1,6 @@
 """Scores, swapped loss, step gradients, mode equivalences, training loop."""
 
+import logging
 import math
 
 import numpy as np
@@ -8,13 +9,14 @@ import pytest
 from goca.oracle import finite_diff_grad
 from goca.ot_core import SolverConfig
 from goca.prototypes import ProtoOptConfig
+import goca.ssl_engine as engine
 from goca.ssl_engine import (
+    MODES,
     AugmentedBatch,
     TrainConfig,
     _augment,
     baseline_step,
     encode,
-    encode_avg,
     extract_features,
     goca_step,
     init_params,
@@ -54,6 +56,14 @@ def _fast_cfg(mode, **kwargs):
     )
     defaults.update(kwargs)
     return TrainConfig(**defaults)
+
+
+def _train_cfg(mode, **solver):
+    return TrainConfig(mode=mode, epochs=2, batch_size=10, hidden_dim=6, feature_dim=8,
+                       num_prototypes=4,
+                       solver=SolverConfig(**{"lambda1": 0.1, "tolerance": 1e-6,
+                                              "max_iters": 500, **solver}),
+                       proto=ProtoOptConfig(steps=50, restarts=1), seed=17)
 
 
 def _tiny_batch(rng, m=8, in_a=7, in_b=6):
@@ -167,7 +177,7 @@ class TestEncoders:
         params["b.w1"] = params["a.w1"].copy()
         params["b.b1"] = params["a.b1"].copy()
         x = rng.standard_normal((9, 7))
-        fused, _ = encode_avg(params, x, x)
+        fused, _ = encode(params, ("a", "b"), (x, x))
         single, _ = encode(params, "a", x)
         assert np.max(np.abs(fused - single)) <= 1e-12
 
@@ -243,6 +253,35 @@ class TestStepGradients:
         _, keys = _params_to_vec(params)
         drift = np.max(np.abs(_grad_vec(first.grads, keys) - _grad_vec(second.grads, keys)))
         assert drift < 1e-7
+
+
+class TestStepEntryPoints:
+    def test_each_rejects_the_other_modes(self):
+        params, protos, batch = _tiny_setup("sep", seed=15)
+        with pytest.raises(ValueError, match="goca_step does not handle mode 'sep'"):
+            goca_step(batch, params, protos, _fast_cfg("sep"))
+        with pytest.raises(ValueError, match="baseline_step does not handle mode 'goca'"):
+            baseline_step(batch, params, protos, _fast_cfg("goca"))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_train_calls_its_mode_binding_once_per_batch(self, mode, monkeypatch):
+        # span tracing wraps these two module attributes and expects one
+        # call per training step through them, never a nested one
+        calls = {"goca_step": 0, "baseline_step": 0}
+        for name in calls:
+            def counted(*args, _name=name, _step=getattr(engine, name), **kwargs):
+                calls[_name] += 1
+                return _step(*args, **kwargs)
+
+            monkeypatch.setattr(engine, name, counted)
+        data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
+                                    distractor_dim=3, num_distractor_modes=4, seed=16))
+        cfg = _train_cfg(mode)
+        result = train(data, cfg)
+        steps = cfg.epochs * (len(data) // cfg.batch_size)
+        assert len(result.trace) == steps
+        expected = "goca_step" if mode == "goca" else "baseline_step"
+        assert calls == {name: steps if name == expected else 0 for name in calls}
 
 
 class TestModeCollapse:
@@ -348,6 +387,23 @@ class TestTrain:
             with pytest.raises(FloatingPointError,
                                match=f"^{mode} training stopped at step 1: .* parameters diverged"):
                 train(data, cfg)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_non_converged_steps_warn_once_naming_mode_and_step(self, mode, caplog):
+        data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
+                                    distractor_dim=3, num_distractor_modes=4, seed=18))
+        with caplog.at_level(logging.WARNING, logger="goca.ssl_engine"):
+            train(data, _train_cfg(mode))
+        assert caplog.records == []
+        # an unreachable tolerance stops every solve at the cap; a cap of
+        # one check block (10 sweeps) still leaves valid targets
+        with caplog.at_level(logging.WARNING, logger="goca.ssl_engine"):
+            result = train(data, _train_cfg(mode, tolerance=1e-18, max_iters=10))
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("goca.ssl_engine", logging.WARNING,
+             f"{mode} training step {step}: assignment did not converge; using last iterate")
+            for step in range(len(result.trace))
+        ]
 
     def test_dimension_mismatch_rejected(self):
         data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
