@@ -17,6 +17,7 @@ import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .prototypes import (
     prototype_loss,
     prototype_loss_grad,
 )
-from .runconfig import ConfigError, RunConfig, dump_config, load_config
+from .runconfig import ConfigError, EvalConfig, RunConfig, dump_config, load_config
 from .ssl_engine import (
     TrainConfig,
     extract_features,
@@ -283,34 +284,27 @@ def _pool_size(jobs: int, cells: int) -> int:
     return min(jobs, cells, os.cpu_count() or 1)
 
 
-def _run_cells(run_cell, cells: list, train_cfgs: list[TrainConfig], jobs: int) -> list:
-    """``run_cell((cell, placed))`` for every cell, in order.
+def _run_cells(cells: list[tuple[RunConfig, str, int]], jobs: int) -> list[list[dict]]:
+    """``_train_and_eval`` of every ``(cfg, mode, seed_offset)`` cell, in order.
 
-    ``placed`` holds every prototype set that ``train_cfgs`` (the
-    training runs of all cells) train against, each distinct one placed
-    once; with several workers the placements run in the pool too.
+    Each distinct prototype set the cells train against is placed once
+    and handed to every cell; with several workers the placements run
+    in the pool too.
     """
-    inputs = list(dict.fromkeys(i for train_cfg in train_cfgs for i in prototype_inputs(train_cfg)))
+    inputs = list(dict.fromkeys(i for cell in cells for i in prototype_inputs(_cell_config(*cell))))
     workers = _pool_size(jobs, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             placed = dict(zip(inputs, pool.map(place_prototypes, inputs)))
-            return list(pool.map(run_cell, [(cell, placed) for cell in cells]))
+            return list(pool.map(_train_and_eval, *zip(*cells), repeat(placed)))
     placed = {i: place_prototypes(i) for i in inputs}
-    return [run_cell((cell, placed)) for cell in cells]
-
-
-def _ablate_cell(packed):
-    (cfg, mode, seed_offset), placed = packed
-    return _train_and_eval(cfg, mode, seed_offset, placed)
+    return [_train_and_eval(*cell, placed) for cell in cells]
 
 
 def run_ablation(cfg: RunConfig, seeds: int = 5, jobs: int = 1) -> list[dict]:
     """Train every mode on identical data/seeds and score all test conditions."""
     cells = [(cfg, mode, s) for s in range(seeds) for mode in ("sview", "avg", "sep", "goca")]
-    train_cfgs = [_cell_config(*cell) for cell in cells]
-    results = _run_cells(_ablate_cell, cells, train_cfgs, jobs)
-    return [row for rows in results for row in rows]
+    return [row for rows in _run_cells(cells, jobs) for row in rows]
 
 
 def ablation_medians(rows: list[dict]) -> dict[tuple[str, str], float]:
@@ -346,17 +340,6 @@ def _cmd_ablate(args) -> int:
     return EXIT_OK
 
 
-def _grid_cell(packed):
-    (cfg, lambda1, lambda2, seeds), placed = packed
-    solver = replace(cfg.solver, lambda1=lambda1, lambda2=lambda2)
-    cell_cfg = replace(cfg, train=replace(cfg.train, solver=solver))
-    accs = []
-    for s in range(seeds):
-        rows = _train_and_eval(cell_cfg, "goca", s, placed)
-        accs.append(next(r["accuracy"] for r in rows if r["condition"] == "fused"))
-    return {"lambda1": lambda1, "lambda2": lambda2, "accuracy": statistics.median(accs)}
-
-
 def run_lambda_grid(
     cfg: RunConfig,
     lambda1_values: list[float],
@@ -364,13 +347,25 @@ def run_lambda_grid(
     seeds: int = 1,
     jobs: int = 1,
 ) -> list[dict]:
-    """Fused-feature accuracy of guided training per (lambda1, lambda2) cell.
+    """Median fused-feature accuracy over ``seeds`` guided training runs
+    per (lambda1, lambda2) cell.
 
     The prototypes depend on the seed only, so every cell shares them.
     """
-    cells = [(cfg, l1, l2, seeds) for l1 in lambda1_values for l2 in lambda2_values]
-    train_cfgs = [_cell_config(cfg, "goca", s) for s in range(seeds)]
-    return _run_cells(_grid_cell, cells, train_cfgs, jobs)
+    pairs = [(l1, l2) for l1 in lambda1_values for l2 in lambda2_values]
+    cells = []
+    for l1, l2 in pairs:
+        solver = replace(cfg.solver, lambda1=l1, lambda2=l2)
+        cell_cfg = replace(cfg, train=replace(cfg.train, solver=solver))
+        cells += [(cell_cfg, "goca", s) for s in range(seeds)]
+    fused = [
+        next(r["accuracy"] for r in rows if r["condition"] == "fused")
+        for rows in _run_cells(cells, jobs)
+    ]
+    return [
+        {"lambda1": l1, "lambda2": l2, "accuracy": statistics.median(fused[i * seeds : (i + 1) * seeds])}
+        for i, (l1, l2) in enumerate(pairs)
+    ]
 
 
 def _parse_float_list(raw: str, flag: str) -> list[float]:
@@ -545,10 +540,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize-prototypes", help="place maximally separated unit prototypes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--steps", type=int, default=5000)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--steps", type=int, default=ProtoOptConfig.steps)
+    p.add_argument("--lr", type=float, default=ProtoOptConfig.learning_rate)
+    p.add_argument("--restarts", type=int, default=ProtoOptConfig.restarts)
+    p.add_argument("--seed", type=int, default=ProtoOptConfig.seed)
     p.add_argument("--out", required=True)
     p.add_argument("--report", action="store_true")
     p.set_defaults(func=_cmd_optimize_prototypes)
@@ -557,10 +552,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost", required=True)
     p.add_argument("--guided", action="store_true")
     p.add_argument("--prior")
-    p.add_argument("--lambda1", type=float, default=0.02)
-    p.add_argument("--lambda2", type=float, default=0.03)
-    p.add_argument("--tolerance", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=10_000)
+    p.add_argument("--lambda1", type=float, default=SolverConfig.lambda1)
+    p.add_argument("--lambda2", type=float, default=SolverConfig.lambda2)
+    p.add_argument("--tolerance", type=float, default=SolverConfig.tolerance)
+    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_solve)
@@ -579,8 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-labels")
     p.add_argument("--recall-k", type=int, default=1)
     p.add_argument("--k", type=int, help="number of clusters (default: number of label values)")
-    p.add_argument("--repeats", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--repeats", type=int, default=EvalConfig.repeats)
+    p.add_argument("--seed", type=int, default=EvalConfig.seed)
     p.add_argument("--metrics", required=True)
     p.set_defaults(func=_cmd_eval)
 

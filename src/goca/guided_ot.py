@@ -29,7 +29,6 @@ from .ot_core import (
     Marginals,
     SinkhornResult,
     SolverConfig,
-    _forced_plan,
     _solve,
     _validate_problem,
     cost_from_features,
@@ -45,7 +44,7 @@ __all__ = [
 ]
 
 
-def clamp_prior(prior: np.ndarray, floor: float = 1e-12) -> np.ndarray:
+def clamp_prior(prior: np.ndarray, floor: float = SolverConfig.prior_floor) -> np.ndarray:
     """Floor prior entries so logs stay finite."""
     p = np.asarray(prior, dtype=float)
     if not np.all(np.isfinite(p)):
@@ -61,7 +60,7 @@ def guided_objective(
     prior: np.ndarray,
     lambda1: float,
     lambda2: float,
-    prior_floor: float = 1e-12,
+    prior_floor: float = SolverConfig.prior_floor,
 ) -> float:
     """<D, C> - lambda1 * h(D) + lambda2 * KL(D | prior)."""
     d = np.asarray(plan, dtype=float)
@@ -79,21 +78,14 @@ def guided_sinkhorn(
     prior: np.ndarray,
     marginals: Marginals | None = None,
     cfg: SolverConfig | None = None,
-    *,
-    v_init: np.ndarray | None = None,
 ) -> SinkhornResult:
     """Minimize the guided objective over U by scaling the guided kernel."""
-    c, marginals, v_init = _validate_problem(cost, marginals, v_init)
-    if cfg is None:
-        cfg = SolverConfig()
+    c, marginals, cfg = _validate_problem(cost, marginals, cfg)
     p = clamp_prior(prior, cfg.prior_floor)
     if p.shape != c.shape:
         raise ValueError(f"shape mismatch: cost {c.shape} vs prior {p.shape}")
-    if c.shape[0] == 1 or c.shape[1] == 1:
-        return _forced_plan(marginals)
-    scale = cfg.lambda1 + cfg.lambda2
-    effective_cost = c - cfg.lambda2 * np.log(p)
-    return _solve(effective_cost, scale, marginals, cfg, v_init)
+    # _solve, not sinkhorn, so that a wrapper of sinkhorn counts plain solves only
+    return _solve(c - cfg.lambda2 * np.log(p), cfg.lambda1 + cfg.lambda2, marginals, cfg)
 
 
 def cross_guided_assign(

@@ -301,15 +301,13 @@ def _scaling_stage(
 
 
 def _solve(
-    effective_cost: np.ndarray,
-    scale: float,
-    marginals: Marginals,
-    cfg: SolverConfig,
-    v_init: np.ndarray | None,
+    effective_cost: np.ndarray, scale: float, marginals: Marginals, cfg: SolverConfig
 ) -> SinkhornResult:
     """Scale exp(-effective_cost / scale) to the marginals, annealing the
     regularization down to ``scale``."""
-    g = np.zeros(marginals.col.size) if v_init is None else np.log(v_init)
+    if effective_cost.shape[0] == 1 or effective_cost.shape[1] == 1:
+        return _forced_plan(marginals)
+    g = np.zeros(marginals.col.size)
     cost_range = float(np.max(effective_cost) - np.min(effective_cost))
     stages = _anneal_schedule(scale, cost_range)
     sweeps = 0
@@ -329,8 +327,10 @@ def _solve(
 
 
 def _validate_problem(
-    cost: np.ndarray, marginals: Marginals | None, v_init: np.ndarray | None
-) -> tuple[np.ndarray, Marginals, np.ndarray | None]:
+    cost: np.ndarray, marginals: Marginals | None, cfg: SolverConfig | None
+) -> tuple[np.ndarray, Marginals, SolverConfig]:
+    """The cost as a float matrix, with uniform marginals and the default
+    solver settings filled in where none are given."""
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2:
         raise ValueError("cost must be a 2-D matrix")
@@ -341,11 +341,7 @@ def _validate_problem(
         marginals = Marginals.uniform(m, n)
     if marginals.row.size != m or marginals.col.size != n:
         raise ValueError("marginals do not match the cost matrix shape")
-    if v_init is not None:
-        v_init = np.asarray(v_init, dtype=float)
-        if v_init.shape != (n,) or np.any(v_init <= 0.0):
-            raise ValueError("v_init must be a positive length-N vector")
-    return c, marginals, v_init
+    return c, marginals, SolverConfig() if cfg is None else cfg
 
 
 def _forced_plan(marginals: Marginals) -> SinkhornResult:
@@ -359,18 +355,10 @@ def sinkhorn(
     cost: np.ndarray,
     marginals: Marginals | None = None,
     cfg: SolverConfig | None = None,
-    *,
-    v_init: np.ndarray | None = None,
 ) -> SinkhornResult:
     """Minimize <D, C> - lambda1 * h(D) over U(psi, omega).
 
-    Defaults to uniform marginals.  ``v_init`` optionally seeds the
-    column scaling vector; any positive choice converges to the same
-    plan, which the tests exercise.
+    Defaults to uniform marginals and ``SolverConfig()``.
     """
-    c, marginals, v_init = _validate_problem(cost, marginals, v_init)
-    if cfg is None:
-        cfg = SolverConfig()
-    if c.shape[0] == 1 or c.shape[1] == 1:
-        return _forced_plan(marginals)
-    return _solve(c, cfg.lambda1, marginals, cfg, v_init)
+    c, marginals, cfg = _validate_problem(cost, marginals, cfg)
+    return _solve(c, cfg.lambda1, marginals, cfg)

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ot_core import reject_non_finite
+
 __all__ = [
     "ProtoOptConfig",
     "prototype_loss",
@@ -47,6 +49,7 @@ class ProtoOptConfig:
     seed: int = 0
 
     def __post_init__(self):
+        reject_non_finite(self)
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
         if self.learning_rate <= 0.0:

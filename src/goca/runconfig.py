@@ -37,7 +37,6 @@ class ConfigError(ValueError):
 class EvalConfig:
     repeats: int = 50
     kmeans_restarts: int = 1
-    recall_k: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -45,8 +44,6 @@ class EvalConfig:
             raise ValueError("repeats must be positive")
         if self.kmeans_restarts < 1:
             raise ValueError("kmeans_restarts must be positive")
-        if self.recall_k < 1:
-            raise ValueError("recall_k must be positive")
 
 
 @dataclass(frozen=True)

@@ -303,7 +303,16 @@ def _step(
         f_t, f_s = features[key_t], features[key_s]
         g_t = prototype_scores(f_t, protos[branch], cfg.temperature)
         g_s = prototype_scores(f_s, protos[branch], cfg.temperature)
-        loss += swapped_loss(targets[key_t], g_s, targets[key_s], g_t)
+        try:
+            loss += swapped_loss(targets[key_t], g_s, targets[key_s], g_t)
+        except ValueError as exc:
+            if converged is not False:
+                raise
+            # the targets are plans the solver left off the marginals at its cap
+            raise FloatingPointError(
+                f"{exc}; the assignment did not converge within "
+                f"solver.max_iters = {cfg.solver.max_iters}"
+            ) from exc
         scale = 1.0 / (f_t.shape[0] * cfg.temperature)
         _backprop(caches[key_s], scale * (g_s - targets[key_t]) @ protos[branch], params, grads)
         _backprop(caches[key_t], scale * (g_t - targets[key_s]) @ protos[branch], params, grads)

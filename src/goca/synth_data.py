@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ot_core import reject_non_finite
+
 __all__ = ["SynthConfig", "SynthDataset", "generate"]
 
 
@@ -35,6 +37,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        reject_non_finite(self)
         if self.num_classes < 2:
             raise ValueError("need at least 2 classes")
         if self.samples_per_class < 1:

@@ -7,9 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from goca.cli import main, run_ablation, run_lambda_grid
+from goca.cli import build_parser, main, run_ablation, run_lambda_grid
 from goca.matrixio import read_matrix, write_matrix
-from goca.runconfig import RunConfig, dump_config, parse_config
+from goca.ot_core import SolverConfig
+from goca.prototypes import ProtoOptConfig
+from goca.runconfig import EvalConfig, RunConfig, dump_config, parse_config
 
 TINY_CONFIG = """
 data.num_classes = 2
@@ -193,6 +195,8 @@ class TestTrainAndEval:
     @pytest.mark.parametrize("line, message", [
         ("train.temperature = nan", "temperature must be finite, got nan"),
         ("train.hidden_dim = 0", "hidden_dim must be at least 1"),
+        ("proto.learning_rate = nan", "learning_rate must be finite, got nan"),
+        ("data.view_b_noise = nan", "view_b_noise must be finite, got nan"),
     ])
     def test_invalid_train_value_exits_1_at_load(self, tmp_path, capsys, line, message):
         bad = tmp_path / "bad.cfg"
@@ -201,6 +205,16 @@ class TestTrainAndEval:
         assert main(["train", "--config", str(bad), "--out", str(out)]) == 1
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_capped_solver_failure_exits_2_naming_the_cap(self, tmp_path, capsys):
+        cfg_path = tmp_path / "capped.cfg"
+        cfg_path.write_text(TINY_CONFIG.replace("solver.max_iters = 500", "solver.max_iters = 1"))
+        code = main(["train", "--mode", "avg", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: avg training stopped at step 0: " in err
+        assert "did not converge within solver.max_iters = 1" in err
 
     def test_eval_subcommand(self, tmp_path, tiny_config):
         data_dir = tmp_path / "data"
@@ -399,6 +413,29 @@ class TestVerifyAndConfig:
 
     def test_unknown_subcommand_exits_1(self):
         assert main(["frobnicate"]) == 1
+
+    def test_recall_k_is_not_a_config_key(self, tmp_path, capsys):
+        assert main(["dump-config"]) == 0
+        assert "recall_k" not in capsys.readouterr().out
+        bad = tmp_path / "old.cfg"
+        bad.write_text("eval.recall_k = 1\n")
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "config error: line 1: unknown key 'eval.recall_k'" in capsys.readouterr().err
+
+    def test_flag_defaults_are_the_config_defaults(self):
+        parser = build_parser()
+        solve = parser.parse_args(["solve", "--cost", "c.mat", "--out", "p.mat"])
+        solver = SolverConfig()
+        assert (solve.lambda1, solve.lambda2, solve.tolerance, solve.max_iters) == (
+            solver.lambda1, solver.lambda2, solver.tolerance, solver.max_iters)
+        protos = parser.parse_args(
+            ["optimize-prototypes", "--n", "4", "--dim", "3", "--out", "w.mat"])
+        proto = ProtoOptConfig()
+        assert (protos.steps, protos.lr, protos.restarts, protos.seed) == (
+            proto.steps, proto.learning_rate, proto.restarts, proto.seed)
+        scoring = parser.parse_args(
+            ["eval", "--features", "f.mat", "--labels", "l.txt", "--metrics", "m.csv"])
+        assert (scoring.repeats, scoring.seed) == (EvalConfig().repeats, EvalConfig().seed)
 
     def test_config_error_exits_1(self, tmp_path):
         bad = tmp_path / "bad.cfg"

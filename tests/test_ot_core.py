@@ -212,16 +212,6 @@ class TestSolverInvariants:
             shifted = sinkhorn(cost + shift, cfg=SolverConfig(lambda1=0.1)).plan
             assert np.allclose(base, shifted, atol=1e-9)
 
-    def test_uniqueness_from_different_initializations(self):
-        rng = np.random.default_rng(37)
-        cost = rng.uniform(-1, 1, size=(4, 4))
-        cfg = SolverConfig(lambda1=0.1, tolerance=1e-10)
-        base = sinkhorn(cost, cfg=cfg).plan
-        for _ in range(3):
-            v0 = np.exp(rng.uniform(-2, 2, size=4))
-            other = sinkhorn(cost, cfg=cfg, v_init=v0).plan
-            assert np.max(np.abs(base - other)) <= 1e-8
-
     def test_determinism(self):
         rng = np.random.default_rng(41)
         cost = rng.uniform(-1, 1, size=(5, 3))
@@ -289,8 +279,7 @@ class TestScalingLoop:
         monkeypatch.setattr(ot_core, "_anneal_schedule", lambda scale, cost_range: [scale])
         rng = np.random.default_rng(57)
         cost = rng.uniform(-1, 1, size=(12, 9))
-        v_init = np.exp(np.where(np.arange(9) % 2 == 0, 300.0, -300.0))
-        res = sinkhorn(cost, cfg=SolverConfig(lambda1=1e-3), v_init=v_init)
+        res = sinkhorn(cost, cfg=SolverConfig(lambda1=1e-3))
         assert res.stages == 1
         assert len(absorbed) > 1  # stage entry plus at least one absorption
         assert np.all(np.isfinite(res.plan))
