@@ -23,7 +23,7 @@ import numpy as np
 
 from . import eval as evalmod
 from . import matrixio, oracle
-from .guided_ot import clamp_prior, guided_objective, guided_sinkhorn
+from .guided_ot import clamp_prior, guided_sinkhorn
 from .ot_core import Marginals, SolverConfig, sinkhorn
 from .prototypes import (
     ProtoOptConfig,
@@ -32,7 +32,7 @@ from .prototypes import (
     prototype_loss,
     prototype_loss_grad,
 )
-from .runconfig import ConfigError, EvalConfig, RunConfig, dump_config, load_config
+from .runconfig import ConfigError, RunConfig, dump_config, load_config
 from .ssl_engine import (
     TrainConfig,
     extract_features,
@@ -147,14 +147,7 @@ def _cmd_solve(args) -> int:
 def _condition_scores(features_by_condition, labels, num_classes, eval_cfg):
     """Repeated-k-means scores per test condition, in extraction order."""
     return {
-        condition: evalmod.repeated_cluster_metrics(
-            feats,
-            labels,
-            num_classes,
-            repeats=eval_cfg.repeats,
-            seed=eval_cfg.seed,
-            restarts=eval_cfg.kmeans_restarts,
-        )
+        condition: evalmod.repeated_cluster_metrics(feats, labels, num_classes, eval_cfg)
         for condition, feats in features_by_condition.items()
     }
 
@@ -214,9 +207,8 @@ def _cmd_eval(args) -> int:
         print("error: features and labels disagree on sample count", file=sys.stderr)
         return EXIT_USAGE
     k = args.k if args.k is not None else int(np.unique(labels).size)
-    rep = evalmod.repeated_cluster_metrics(
-        features, labels, k, repeats=args.repeats, seed=args.seed
-    )
+    eval_cfg = evalmod.EvalConfig(repeats=args.repeats, seed=args.seed)
+    rep = evalmod.repeated_cluster_metrics(features, labels, k, eval_cfg)
     rows = [
         ["accuracy", f"{rep.mean.accuracy:.6f}", f"{rep.stderr.accuracy:.6f}"],
         ["nmi", f"{rep.mean.nmi:.6f}", f"{rep.stderr.nmi:.6f}"],
@@ -284,6 +276,11 @@ def _pool_size(jobs: int, cells: int) -> int:
     return min(jobs, cells, os.cpu_count() or 1)
 
 
+def _check_seeds(seeds: int) -> None:
+    if seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {seeds}")
+
+
 def _run_cells(cells: list[tuple[RunConfig, str, int]], jobs: int) -> list[list[dict]]:
     """``_train_and_eval`` of every ``(cfg, mode, seed_offset)`` cell, in order.
 
@@ -303,6 +300,7 @@ def _run_cells(cells: list[tuple[RunConfig, str, int]], jobs: int) -> list[list[
 
 def run_ablation(cfg: RunConfig, seeds: int = 5, jobs: int = 1) -> list[dict]:
     """Train every mode on identical data/seeds and score all test conditions."""
+    _check_seeds(seeds)
     cells = [(cfg, mode, s) for s in range(seeds) for mode in ("sview", "avg", "sep", "goca")]
     return [row for rows in _run_cells(cells, jobs) for row in rows]
 
@@ -352,6 +350,7 @@ def run_lambda_grid(
 
     The prototypes depend on the seed only, so every cell shares them.
     """
+    _check_seeds(seeds)
     pairs = [(l1, l2) for l1 in lambda1_values for l2 in lambda2_values]
     cells = []
     for l1, l2 in pairs:
@@ -574,8 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-labels")
     p.add_argument("--recall-k", type=int, default=1)
     p.add_argument("--k", type=int, help="number of clusters (default: number of label values)")
-    p.add_argument("--repeats", type=int, default=EvalConfig.repeats)
-    p.add_argument("--seed", type=int, default=EvalConfig.seed)
+    p.add_argument("--repeats", type=int, default=evalmod.EvalConfig.repeats)
+    p.add_argument("--seed", type=int, default=evalmod.EvalConfig.seed)
     p.add_argument("--metrics", required=True)
     p.set_defaults(func=_cmd_eval)
 

@@ -13,16 +13,18 @@ tie-breaking and normalization conventions stay pinned:
 * neighbor ties in retrieval go to the lowest database index.
 
 The repeated-k-means helper reports the mean and standard error over
-independent repetitions.
+independent repetitions; ``EvalConfig`` holds its settings.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "EvalConfig",
     "ClusterMetrics",
     "RepeatedMetrics",
     "kmeans",
@@ -32,6 +34,21 @@ __all__ = [
     "recall_at_k",
     "repeated_cluster_metrics",
 ]
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """Settings of ``repeated_cluster_metrics``."""
+
+    repeats: int = 50
+    kmeans_restarts: int = 1
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.repeats < 1:
+            raise ValueError("repeats must be positive")
+        if self.kmeans_restarts < 1:
+            raise ValueError("kmeans_restarts must be positive")
 
 
 class ClusterMetrics(NamedTuple):
@@ -186,21 +203,20 @@ def repeated_cluster_metrics(
     features: np.ndarray,
     truth: np.ndarray,
     k: int,
-    repeats: int = 50,
-    seed: int = 0,
-    restarts: int = 1,
+    cfg: EvalConfig | None = None,
 ) -> RepeatedMetrics:
-    """Mean and standard error of majority-vote metrics over repeated k-means."""
-    if repeats < 1:
-        raise ValueError("repeats must be positive")
+    """Mean and standard error of majority-vote metrics over ``cfg.repeats``
+    k-means runs into ``k`` clusters (default ``EvalConfig()``), the i-th
+    seeded ``(cfg.seed, i)`` with ``cfg.kmeans_restarts`` restarts."""
+    cfg = EvalConfig() if cfg is None else cfg
     rows = []
-    for i in range(repeats):
-        labels = kmeans(features, k, seed=(seed, i), restarts=restarts)
+    for i in range(cfg.repeats):
+        labels = kmeans(features, k, seed=(cfg.seed, i), restarts=cfg.kmeans_restarts)
         rows.append(majority_vote_metrics(labels, truth))
     arr = np.asarray(rows, dtype=float)
     means = arr.mean(axis=0)
-    if repeats > 1:
-        stderr = arr.std(axis=0, ddof=1) / np.sqrt(repeats)
+    if cfg.repeats > 1:
+        stderr = arr.std(axis=0, ddof=1) / np.sqrt(cfg.repeats)
     else:
         stderr = np.zeros(3)
     return RepeatedMetrics(ClusterMetrics(*means), ClusterMetrics(*stderr))

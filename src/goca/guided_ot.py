@@ -92,26 +92,22 @@ def cross_guided_assign(
     feats_a: np.ndarray,
     feats_b: np.ndarray,
     prototypes: np.ndarray,
-    marginals: Marginals | None = None,
     cfg: SolverConfig | None = None,
 ) -> tuple[SinkhornResult, SinkhornResult]:
     """Assign two views against shared prototypes, each guided by the other.
 
     Per view, the plain plan of the *other* view on the same batch is the
-    prior; priors are recomputed from scratch for every call.
+    prior; priors are recomputed from scratch for every call.  All four
+    solves use uniform marginals and ``cfg`` (``SolverConfig()`` if None).
     """
     fa = np.asarray(feats_a, dtype=float)
     fb = np.asarray(feats_b, dtype=float)
     if fa.shape[0] != fb.shape[0]:
         raise ValueError("both views must contain the same number of samples")
-    if cfg is None:
-        cfg = SolverConfig()
     cost_a = cost_from_features(fa, prototypes)
     cost_b = cost_from_features(fb, prototypes)
-    if marginals is None:
-        marginals = Marginals.uniform(fa.shape[0], np.asarray(prototypes).shape[0])
-    plain_a = sinkhorn(cost_a, marginals, cfg)
-    plain_b = sinkhorn(cost_b, marginals, cfg)
-    guided_a = guided_sinkhorn(cost_a, plain_b.plan, marginals, cfg)
-    guided_b = guided_sinkhorn(cost_b, plain_a.plan, marginals, cfg)
+    plain_a = sinkhorn(cost_a, cfg=cfg)
+    plain_b = sinkhorn(cost_b, cfg=cfg)
+    guided_a = guided_sinkhorn(cost_a, plain_b.plan, cfg=cfg)
+    guided_b = guided_sinkhorn(cost_b, plain_a.plan, cfg=cfg)
     return guided_a, guided_b

@@ -26,8 +26,8 @@ only when both residuals of the materialized plan meet the tolerance.
 The regularization is annealed: stages halve it from where the kernel
 exponent spread range(C) / scale is at most 4 down to lambda1, each
 warm-started from the previous stage's potentials.  A regularization
-so small that cost / regularization leaves the float64 range yields a
-non-finite plan, which raises FloatingPointError.
+so small that range(C) / regularization leaves the float64 range
+raises FloatingPointError before annealing, as does a non-finite plan.
 """
 
 from __future__ import annotations
@@ -211,6 +211,11 @@ _STAGE_ITER_CAP = 500
 _CHECK_EVERY = 10
 _SCALING_RANGE = (1e-50, 1e50)
 
+_NON_FINITE_PLAN = (
+    "transport plan is not finite at regularization {:.3g}: "
+    "cost / regularization leaves the float64 range"
+)
+
 
 def _anneal_schedule(scale: float, cost_range: float) -> list[float]:
     stages = [scale]
@@ -289,10 +294,7 @@ def _scaling_stage(
             if sweeps >= max_iters or np.abs(u * kv - row).max() <= tolerance:
                 plan = u[:, None] * kernel * v[None, :]
                 if not np.all(np.isfinite(plan)):
-                    raise FloatingPointError(
-                        f"transport plan is not finite at regularization {scale:.3g}: "
-                        "cost / regularization leaves the float64 range"
-                    )
+                    raise FloatingPointError(_NON_FINITE_PLAN.format(scale))
                 row_res = float(np.max(np.abs(plan.sum(axis=1) - row)))
                 col_res = float(np.max(np.abs(plan.sum(axis=0) - col)))
                 converged = max(row_res, col_res) <= tolerance
@@ -309,6 +311,8 @@ def _solve(
         return _forced_plan(marginals)
     g = np.zeros(marginals.col.size)
     cost_range = float(np.max(effective_cost) - np.min(effective_cost))
+    if not math.isfinite(cost_range / scale):
+        raise FloatingPointError(_NON_FINITE_PLAN.format(scale))
     stages = _anneal_schedule(scale, cost_range)
     sweeps = 0
     for stage_scale in stages[:-1]:

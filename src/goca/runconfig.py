@@ -3,9 +3,10 @@
 A config file holds ``section.field = value`` lines; blank lines and
 ``#`` comments are ignored.  Unknown or duplicate keys are errors, and
 values are validated by the owning config dataclasses at load time.
-Missing keys take the documented defaults, which double as the locked
-synthetic benchmark.  Dumping writes every key in canonical order, so a
-dumped config reloads and re-dumps byte-identically.
+``RunConfig`` composes the per-module configs, each the only copy of
+its defaults; missing keys take those defaults, which double as the
+locked synthetic benchmark.  Dumping writes every key in canonical
+order, so a dumped config reloads and re-dumps byte-identically.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field, fields
 
+from .eval import EvalConfig
 from .ot_core import SolverConfig
 from .prototypes import ProtoOptConfig
 from .ssl_engine import TrainConfig
@@ -25,25 +27,11 @@ __all__ = [
     "parse_config",
     "dump_config",
     "load_config",
-    "save_config",
 ]
 
 
 class ConfigError(ValueError):
     """Malformed key, unknown key, or invalid value in a run config."""
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    repeats: int = 50
-    kmeans_restarts: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.repeats < 1:
-            raise ValueError("repeats must be positive")
-        if self.kmeans_restarts < 1:
-            raise ValueError("kmeans_restarts must be positive")
 
 
 @dataclass(frozen=True)
@@ -145,8 +133,3 @@ def dump_config(cfg: RunConfig) -> str:
 def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def save_config(path, cfg: RunConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_config(cfg))

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .guided_ot import cross_guided_assign
-from .ot_core import Marginals, SolverConfig, cost_from_features, reject_non_finite, sinkhorn
+from .ot_core import SolverConfig, cost_from_features, reject_non_finite, sinkhorn
 from .prototypes import ProtoOptConfig, optimize_prototypes
 
 __all__ = [
@@ -289,9 +289,8 @@ def _step(
                 )
         else:
             for key, feats in features.items():
-                branch_protos = protos[key.split(".")[0]]
-                marginals = Marginals.uniform(feats.shape[0], branch_protos.shape[0])
-                results[key] = sinkhorn(cost_from_features(feats, branch_protos), marginals, cfg.solver)
+                cost = cost_from_features(feats, protos[key.split(".")[0]])
+                results[key] = sinkhorn(cost, cfg=cfg.solver)
         # plans have rows summing to 1/M; targets are probability rows
         targets = {key: features[key].shape[0] * res.plan for key, res in results.items()}
         converged = all(res.converged for res in results.values())

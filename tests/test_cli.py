@@ -138,6 +138,17 @@ class TestSolve:
         assert "error: transport plan is not finite at regularization" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_regularization_beyond_float_range_exits_2_before_solving(self, tmp_path, capsys):
+        cost_path = tmp_path / "cost.mat"
+        write_matrix(cost_path, np.random.default_rng(4).uniform(-1, 1, size=(3, 4)))
+        out = tmp_path / "p.mat"
+        code = main(["solve", "--cost", str(cost_path), "--lambda1", "1e-310", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: transport plan is not finite at regularization 1e-310:" in err
+        assert not out.exists()
+
     def test_non_finite_input_exits_1_naming_file_and_row(self, tmp_path, capsys):
         cost_path = tmp_path / "cost.mat"
         cost_path.write_text("2 2\n0 1\nnan 0\n")
@@ -350,6 +361,24 @@ class TestGridAndAblate:
         assert f"error: {flag} needs at least one value" in capsys.readouterr().err
         assert not out.exists()
         assert calls == []
+
+    @pytest.mark.parametrize("command", ["ablate", "lambda-grid"])
+    def test_seeds_below_one_exits_1_before_any_work(
+        self, tmp_path, tiny_config, capsys, monkeypatch, command
+    ):
+        calls = self._count_placements(monkeypatch)
+        out = tmp_path / "rows.csv"
+        assert main([command, "--config", tiny_config, "--seeds", "0", "--out", str(out)]) == 1
+        assert "error: --seeds must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+        assert calls == []
+
+    def test_run_functions_reject_seeds_below_one(self):
+        cfg = parse_config(TINY_CONFIG)
+        with pytest.raises(ValueError, match="^--seeds must be at least 1, got 0$"):
+            run_ablation(cfg, seeds=0)
+        with pytest.raises(ValueError, match="^--seeds must be at least 1, got -2$"):
+            run_lambda_grid(cfg, [0.1], [0.0], seeds=-2)
 
     def test_jobs_below_one_is_usage_error(self, tmp_path, tiny_config):
         out = tmp_path / "rows.csv"

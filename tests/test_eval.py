@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from goca.eval import (
+    EvalConfig,
     kmeans,
     majority_vote_metrics,
     normalized_mutual_info,
@@ -170,7 +171,7 @@ class TestRepeatedMetrics:
             [rng.standard_normal((20, 3)) + 4 * e for e in np.eye(3)[:2]]
         )
         truth = np.repeat([0, 1], 20)
-        rep = repeated_cluster_metrics(feats, truth, 2, repeats=10, seed=0)
+        rep = repeated_cluster_metrics(feats, truth, 2, EvalConfig(repeats=10, seed=0))
         assert rep.mean.accuracy > 0.9
         assert rep.stderr.accuracy >= 0.0
 
@@ -178,5 +179,5 @@ class TestRepeatedMetrics:
         rng = np.random.default_rng(11)
         feats = rng.standard_normal((12, 3))
         truth = rng.integers(0, 2, size=12)
-        rep = repeated_cluster_metrics(feats, truth, 2, repeats=1, seed=0)
+        rep = repeated_cluster_metrics(feats, truth, 2, EvalConfig(repeats=1, seed=0))
         assert rep.stderr == (0.0, 0.0, 0.0)

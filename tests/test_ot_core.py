@@ -158,6 +158,16 @@ class TestSinkhorn:
             with pytest.raises(FloatingPointError, match="not finite at regularization"):
                 sinkhorn(cost, cfg=SolverConfig(lambda1=1e-310))
 
+    @pytest.mark.filterwarnings("error")
+    def test_regularization_beyond_float_range_fails_before_annealing(self):
+        cost = np.random.default_rng(17).uniform(-1, 1, size=(3, 4))
+        # raised from the range check, before any numpy overflow warns
+        message = r"not finite at regularization 1e-310: cost / regularization leaves"
+        with pytest.raises(FloatingPointError, match=message):
+            sinkhorn(cost, cfg=SolverConfig(lambda1=1e-310))
+        with pytest.raises(FloatingPointError, match=message):
+            guided_sinkhorn(cost, np.ones((3, 4)), cfg=SolverConfig(lambda1=1e-310, lambda2=0.0))
+
     @pytest.mark.parametrize("field", ["lambda1", "lambda2", "tolerance", "prior_floor"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_config_rejects_non_finite_values(self, field, value):
@@ -296,6 +306,49 @@ class TestScalingLoop:
         res = sinkhorn(cost, cfg=SolverConfig(lambda1=0.005))
         assert res.converged
         assert res.stages > 1 and res.sweeps > res.iterations
+
+
+class TestPropertyBattery:
+    """Fresh-seed draws across shapes, marginals, regularizations and priors.
+
+    Shapes run from 2 to 40 per side, and a quarter of the cases (a
+    plain and a guided one in every 8) are at most 4 x 4, where the
+    mirror-descent oracle applies.  Marginals are non-uniform and lambda1
+    is log-uniform on [1e-3, 1].  Odd cases solve guided, against a prior
+    with about 30 % of its entries exactly 0.
+    """
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_battery(self, seed):
+        rng = np.random.default_rng(seed)
+        converged = 0
+        for case in range(24):
+            high = 5 if case // 2 % 4 == 0 else 41
+            m, n = (int(k) for k in rng.integers(2, high, size=2))
+            row = rng.uniform(0.2, 1.0, size=m)
+            col = rng.uniform(0.2, 1.0, size=n)
+            marg = Marginals(row / row.sum(), col / col.sum())
+            cost = rng.uniform(-1, 1, size=(m, n))
+            cfg = SolverConfig(lambda1=float(10.0 ** rng.uniform(-3.0, 0.0)))
+            prior, lambda2 = None, 0.0
+            if case % 2:
+                raw = rng.uniform(0.0, 1.0, size=(m, n))
+                raw[rng.random((m, n)) < 0.3] = 0.0
+                res = guided_sinkhorn(cost, raw, marg, cfg)
+                prior, lambda2 = clamp_prior(raw, cfg.prior_floor), cfg.lambda2
+            else:
+                res = sinkhorn(cost, marg, cfg)
+            assert np.all(np.isfinite(res.plan))
+            if not res.converged:
+                continue
+            converged += 1
+            ref_cost = cost if prior is None else cost - lambda2 * np.log(prior)
+            ref = log_sinkhorn_reference(ref_cost, marg.row, marg.col, cfg.lambda1 + lambda2)
+            assert np.max(np.abs(res.plan - ref)) <= 1e-7
+            if max(m, n) <= 4:
+                oracle = mirror_descent_small(cost, prior, marg.row, marg.col, cfg.lambda1, lambda2)
+                assert np.max(np.abs(res.plan - oracle)) <= 1e-5
+        assert converged >= 22
 
 
 class TestConfigValidation:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from goca.eval import repeated_cluster_metrics
+from goca.eval import EvalConfig, repeated_cluster_metrics
 from goca.synth_data import SynthConfig, generate
 
 
@@ -37,7 +37,8 @@ class TestGenerate:
         cfg = SynthConfig(distractor_strength=0.0, view_a_noise=0.0, view_b_noise=0.0)
         data = generate(cfg)
         for view in (data.view_a, data.view_b):
-            rep = repeated_cluster_metrics(view, data.labels, 4, repeats=3, seed=0, restarts=5)
+            scoring = EvalConfig(repeats=3, seed=0, kmeans_restarts=5)
+            rep = repeated_cluster_metrics(view, data.labels, 4, scoring)
             assert rep.mean.accuracy == pytest.approx(1.0)
 
     def test_rejects_more_classes_than_signal_dims(self):
@@ -50,12 +51,16 @@ class TestCalibrationBands:
 
     def test_view_a_clusters_by_distractor(self):
         data = generate(SynthConfig())
-        rep = repeated_cluster_metrics(data.view_a, data.labels, 4, repeats=10, seed=0, restarts=3)
+        rep = repeated_cluster_metrics(
+            data.view_a, data.labels, 4, EvalConfig(repeats=10, seed=0, kmeans_restarts=3)
+        )
         assert rep.mean.accuracy <= 0.45
 
     def test_view_b_is_class_faithful_but_noisy(self):
         data = generate(SynthConfig())
-        rep = repeated_cluster_metrics(data.view_b, data.labels, 4, repeats=10, seed=0, restarts=3)
+        rep = repeated_cluster_metrics(
+            data.view_b, data.labels, 4, EvalConfig(repeats=10, seed=0, kmeans_restarts=3)
+        )
         assert 0.5 <= rep.mean.accuracy <= 0.9
 
     def test_distractor_mode_independent_of_class(self):
