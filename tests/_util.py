@@ -81,6 +81,34 @@ def log_sinkhorn_reference(
     raise RuntimeError("reference Sinkhorn did not reach its tolerance")
 
 
+def lloyd_reference(x: np.ndarray, k: int, rng: np.random.Generator, max_iters: int):
+    """One Lloyd run at a time, with the exact broadcast distance.
+
+    The loop ``goca.eval`` ran before its runs were stacked: ties go to
+    the lowest centroid index, an empty cluster takes the farthest point,
+    and the labels are returned once an iteration leaves them unchanged.
+    The stacked loop must return exactly (``np.array_equal``) these labels.
+    """
+    centroids = x[rng.choice(x.shape[0], size=k, replace=False)].copy()
+    labels = np.full(x.shape[0], -1)
+    for _ in range(max_iters):
+        d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        own = d2[np.arange(x.shape[0]), new_labels]
+        for j in range(k):
+            if not np.any(new_labels == j):
+                far = int(np.argmax(own))
+                centroids[j] = x[far]
+                new_labels[far] = j
+                own[far] = -np.inf
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            centroids[j] = x[labels == j].mean(axis=0)
+    return labels
+
+
 def _reference_loss(w: np.ndarray) -> float:
     omega = w @ w.T
     np.fill_diagonal(omega, omega.diagonal() - 2.0)

@@ -267,6 +267,17 @@ class TestTrainAndEval:
         assert code == 1
         assert f"error: {features}: row 2 is past the 2 rows" in capsys.readouterr().err
 
+    def test_eval_rejects_more_clusters_than_distinct_rows(self, tmp_path, capsys):
+        features = tmp_path / "f.mat"
+        features.write_text("4 2\n1 0\n1 0\n0 1\n0 1\n")
+        labels = tmp_path / "l.txt"
+        labels.write_text("0\n1\n2\n2\n")
+        code = main(["eval", "--features", str(features), "--labels", str(labels),
+                     "--metrics", str(tmp_path / "m.csv")])
+        assert code == 1
+        assert "error: k = 3 exceeds the 2 distinct rows of the 4 samples" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
 
 class TestGridAndAblate:
     def test_lambda_grid_rows(self, tmp_path, tiny_config):

@@ -1,10 +1,12 @@
 """Clustering and retrieval metrics against hand-built oracles."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
+from goca import eval as evalmod
 from goca.eval import (
     EvalConfig,
     kmeans,
@@ -15,7 +17,7 @@ from goca.eval import (
     within_cluster_ss,
 )
 
-from _util import random_unit_rows
+from _util import lloyd_reference, random_unit_rows
 
 
 def _brute_force_wcss(points: np.ndarray, k: int) -> float:
@@ -181,3 +183,161 @@ class TestRepeatedMetrics:
         truth = rng.integers(0, 2, size=12)
         rep = repeated_cluster_metrics(feats, truth, 2, EvalConfig(repeats=1, seed=0))
         assert rep.stderr == (0.0, 0.0, 0.0)
+
+
+class TestInputChecks:
+    def test_k_above_distinct_rows_is_rejected(self):
+        points = np.repeat(np.eye(2), 5, axis=0)
+        with pytest.raises(ValueError, match="k = 3 exceeds the 2 distinct rows of the 10 samples"):
+            kmeans(points, 3)
+        with pytest.raises(ValueError, match="k = 3 exceeds the 2 distinct rows"):
+            repeated_cluster_metrics(points, np.repeat([0, 1], 5), 3, EvalConfig(repeats=2))
+
+    def test_k_equal_to_distinct_rows_splits_them(self):
+        points = np.repeat(np.eye(2), 5, axis=0)
+        labels = kmeans(points, 2, seed=0)
+        assert len(set(labels[:5].tolist())) == 1
+        assert len(set(labels[5:].tolist())) == 1
+        assert labels[0] != labels[5]
+
+    def test_signed_zeros_are_one_row(self):
+        points = np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, 2.0]])
+        with pytest.raises(ValueError, match="exceeds the 2 distinct rows"):
+            kmeans(points, 3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_are_rejected(self, bad):
+        points = np.arange(12.0).reshape(6, 2)
+        points[2, 1] = bad
+        with pytest.raises(ValueError, match="1 of 12 values are NaN or infinite"):
+            kmeans(points, 2)
+        with pytest.raises(ValueError, match="1 of 12 values are NaN or infinite"):
+            repeated_cluster_metrics(points, np.zeros(6, dtype=int), 2, EvalConfig(repeats=2))
+
+    def test_k_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="got k = 0"):
+            kmeans(np.eye(3), 0)
+
+
+_BATTERY_KINDS = ("grid", "duplicates", "scaled", "far_groups")
+_BATTERY_REPEATS = 20
+
+
+def _battery_cases(seed: int, count: int = 24):
+    """Seeded k-means inputs that stress ties, duplicates, scale and reseeding.
+
+    Integer grids give exact distance ties; duplicated rows give identical
+    starting centroids, hence empty clusters; per-coordinate scales span
+    1e-4 to 1e4; tight groups far apart leave clusters empty after a step.
+    k runs from 1 to min(8, distinct rows), and every third case caps
+    the iterations at 1-3.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        kind = _BATTERY_KINDS[i % len(_BATTERY_KINDS)]
+        n = int(rng.integers(5, 121))
+        d = int(rng.integers(1, 21))
+        if kind == "grid":
+            x = rng.integers(-2, 3, size=(n, d)).astype(float)
+        elif kind == "duplicates":
+            base = rng.standard_normal((int(rng.integers(2, n + 1)), d))
+            x = base[rng.integers(0, base.shape[0], size=n)]
+        elif kind == "scaled":
+            x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-4, 4, size=d)
+        else:
+            groups = int(rng.integers(2, 6))
+            centers = rng.standard_normal((groups, d)) * 10.0 ** rng.uniform(2, 4)
+            noise = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-4, 0)
+            x = centers[rng.integers(0, groups, size=n)] + noise
+        k = int(rng.integers(1, min(8, np.unique(x, axis=0).shape[0]) + 1))
+        max_iters = int(rng.integers(1, 4)) if i % 3 == 0 else 300
+        cases.append((x, k, max_iters))
+    return cases
+
+
+def _reference_kmeans(x, k, seed, restarts):
+    rng = np.random.default_rng(seed)
+    best_labels, best_wcss = None, np.inf
+    for _ in range(restarts):
+        labels = lloyd_reference(x, k, rng, 300)
+        wcss = within_cluster_ss(x, labels)
+        if wcss < best_wcss:
+            best_labels, best_wcss = labels, wcss
+    return best_labels
+
+
+class TestStackedLloyd:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_battery_matches_one_run_at_a_time(self, seed, monkeypatch):
+        exact_calls = []
+        sq_dists = evalmod._sq_dists
+
+        def counted(x, centroids):
+            exact_calls.append(x.shape)
+            return sq_dists(x, centroids)
+
+        monkeypatch.setattr(evalmod, "_sq_dists", counted)
+        for case, (x, k, max_iters) in enumerate(_battery_cases(seed)):
+            starts = np.array([
+                np.random.default_rng((seed, i)).choice(x.shape[0], size=k, replace=False)
+                for i in range(_BATTERY_REPEATS)
+            ])
+            stacked = evalmod._lloyd(x, starts, max_iters)
+            for i in range(_BATTERY_REPEATS):
+                with warnings.catch_warnings():
+                    # an empty cluster's mean would warn; with k at most
+                    # the distinct rows none has been seen
+                    warnings.simplefilter("error", RuntimeWarning)
+                    reference = lloyd_reference(x, k, np.random.default_rng((seed, i)), max_iters)
+                assert np.array_equal(stacked[i], reference), (case, i)
+            assert np.array_equal(
+                kmeans(x, k, seed=(seed, case), restarts=3),
+                _reference_kmeans(x, k, (seed, case), 3),
+            ), case
+        # the exact fallback ranked some rows, and some runs reseeded
+        assert sum(shape[0] for shape in exact_calls if len(shape) == 3) > 0
+        assert any(len(shape) == 2 for shape in exact_calls)
+
+    def test_block_size_does_not_change_labels(self, monkeypatch):
+        x, k, _ = _battery_cases(0)[1]
+        starts = np.array([
+            np.random.default_rng((0, i)).choice(x.shape[0], size=k, replace=False)
+            for i in range(7)
+        ])
+        whole = evalmod._lloyd(x, starts, 300)
+        for runs_per_block in (1, 3):
+            monkeypatch.setattr(evalmod, "_BLOCK_BYTES", 8 * k * x.shape[0] * runs_per_block)
+            assert np.array_equal(evalmod._lloyd(x, starts, 300), whole)
+
+    def test_repeated_metrics_match_reference_runs(self):
+        rng = np.random.default_rng(12)
+        truth = np.repeat(np.arange(3), 30)
+        feats = rng.standard_normal((90, 5)) + 2.0 * np.eye(3, 5)[truth]
+        cfg = EvalConfig(repeats=6, seed=3, kmeans_restarts=2)
+        rows = [
+            majority_vote_metrics(_reference_kmeans(feats, 3, (3, i), 2), truth)
+            for i in range(cfg.repeats)
+        ]
+        arr = np.asarray(rows, dtype=float)
+        rep = repeated_cluster_metrics(feats, truth, 3, cfg)
+        assert tuple(rep.mean) == tuple(arr.mean(axis=0))
+        assert tuple(rep.stderr) == tuple(arr.std(axis=0, ddof=1) / np.sqrt(cfg.repeats))
+
+
+class TestClusterMeans:
+    # np.add.reduceat in place of bincount fails this test: its sums
+    # differ from numpy's row-order sums in the last bits.
+    @pytest.mark.parametrize("d", [1, 2, 16])
+    def test_bit_exact_against_masked_mean(self, d):
+        rng = np.random.default_rng(40 + d)
+        for members in range(1, 401):
+            n = members + int(rng.integers(2, 10))
+            x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, size=d)
+            labels = np.zeros((2, n), dtype=np.intp)
+            labels[0, rng.permutation(n)[:n - members]] = 1 + np.arange(n - members) % 2
+            labels[1] = rng.permutation(np.arange(n) % 3)
+            means = evalmod._cluster_means(x, labels, 3)
+            for r in range(2):
+                for j in range(3):
+                    assert np.array_equal(means[r, j], x[labels[r] == j].mean(axis=0)), (members, r, j)
