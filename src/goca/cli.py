@@ -206,6 +206,19 @@ def _cmd_eval(args) -> int:
     if features.shape[0] != labels.shape[0]:
         print("error: features and labels disagree on sample count", file=sys.stderr)
         return EXIT_USAGE
+    if args.queries is not None:
+        if args.query_labels is None:
+            print("error: --queries requires --query-labels", file=sys.stderr)
+            return EXIT_USAGE
+        queries = matrixio.read_matrix(args.queries)
+        q_labels = matrixio.read_labels(args.query_labels)
+        if queries.shape[1] != features.shape[1]:
+            print(
+                f"error: --queries has {queries.shape[1]} columns but --features has "
+                f"{features.shape[1]}; retrieval compares rows of one width",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
     k = args.k if args.k is not None else int(np.unique(labels).size)
     eval_cfg = evalmod.EvalConfig(repeats=args.repeats, seed=args.seed)
     rep = evalmod.repeated_cluster_metrics(features, labels, k, eval_cfg)
@@ -215,11 +228,6 @@ def _cmd_eval(args) -> int:
         ["f1", f"{rep.mean.f1:.6f}", f"{rep.stderr.f1:.6f}"],
     ]
     if args.queries is not None:
-        if args.query_labels is None:
-            print("error: --queries requires --query-labels", file=sys.stderr)
-            return EXIT_USAGE
-        queries = matrixio.read_matrix(args.queries)
-        q_labels = matrixio.read_labels(args.query_labels)
         # retrieval is cosine-based, so rows are normalized here even when
         # the stored features are raw
         def unit(rows_):

@@ -11,6 +11,8 @@ tie-breaking and normalization conventions stay pinned:
   its starting rows from one ``default_rng(seed)``;
 * NMI = 2 I(clusters; truth) / (H(clusters) + H(truth)), in [0, 1];
 * F1 is macro-averaged over the ground-truth classes;
+* one (cluster, class) count table per scored clustering gives the
+  majority vote, accuracy, F1 and NMI, so each pair is counted once;
 * neighbor ties in retrieval go to the lowest database index.
 
 The repeated-k-means helper reports the mean and standard error over
@@ -232,57 +234,56 @@ def _entropy_of_counts(counts: np.ndarray) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
+def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Counts of the (a, b) value pairs; rows and columns in sorted value order."""
+    _, ai = np.unique(a, return_inverse=True)
+    _, bi = np.unique(b, return_inverse=True)
+    table = np.zeros((ai.max() + 1, bi.max() + 1))
+    np.add.at(table, (ai, bi), 1.0)
+    return table
+
+
+def _nmi(table: np.ndarray) -> float:
+    joint = table / table.sum()
+    outer = joint.sum(axis=1)[:, None] * joint.sum(axis=0)[None, :]
+    mask = joint > 0
+    mutual = float(np.sum(joint[mask] * np.log(joint[mask] / outer[mask])))
+    denom = _entropy_of_counts(table.sum(axis=1)) + _entropy_of_counts(table.sum(axis=0))
+    if denom == 0.0:
+        return 1.0
+    return float(np.clip(2.0 * mutual / denom, 0.0, 1.0))
+
+
 def normalized_mutual_info(a: np.ndarray, b: np.ndarray) -> float:
     """2 I(a; b) / (H(a) + H(b)); 1.0 for two trivial identical partitions."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError("label vectors must have equal length")
-    _, ai = np.unique(a, return_inverse=True)
-    _, bi = np.unique(b, return_inverse=True)
-    n_a, n_b = ai.max() + 1, bi.max() + 1
-    contingency = np.zeros((n_a, n_b))
-    np.add.at(contingency, (ai, bi), 1.0)
-    joint = contingency / contingency.sum()
-    pa = joint.sum(axis=1)
-    pb = joint.sum(axis=0)
-    outer = pa[:, None] * pb[None, :]
-    mask = joint > 0
-    mutual = float(np.sum(joint[mask] * np.log(joint[mask] / outer[mask])))
-    denom = _entropy_of_counts(contingency.sum(axis=1)) + _entropy_of_counts(contingency.sum(axis=0))
-    if denom == 0.0:
-        return 1.0
-    return float(np.clip(2.0 * mutual / denom, 0.0, 1.0))
+    return _nmi(_contingency(a, b))
 
 
 def majority_vote_metrics(clusters: np.ndarray, truth: np.ndarray) -> ClusterMetrics:
     """Label each cluster by its majority ground-truth class, then score.
 
     Majority ties go to the lowest class id.  F1 is macro-averaged over
-    the classes present in the ground truth.
+    the classes present in the ground truth.  One count table gives all three.
     """
     clusters = np.asarray(clusters)
     truth = np.asarray(truth)
     if clusters.shape != truth.shape:
         raise ValueError("cluster and truth vectors must have equal length")
-    assigned = np.empty_like(truth)
-    for c in np.unique(clusters):
-        members = truth[clusters == c]
-        values, counts = np.unique(members, return_counts=True)
-        assigned[clusters == c] = values[np.argmax(counts)]
-    accuracy = float(np.mean(assigned == truth))
-
-    f1_scores = []
-    for c in np.unique(truth):
-        tp = float(np.sum((assigned == c) & (truth == c)))
-        fp = float(np.sum((assigned == c) & (truth != c)))
-        fn = float(np.sum((assigned != c) & (truth == c)))
-        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-        f1_scores.append(
-            2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-        )
-    return ClusterMetrics(accuracy, normalized_mutual_info(clusters, truth), float(np.mean(f1_scores)))
+    table = _contingency(clusters, truth)
+    classes = table.shape[1]
+    majority = table.argmax(axis=1)  # the first maximum: the lowest class id
+    hits = table.max(axis=1)
+    tp = np.bincount(majority, weights=hits, minlength=classes)
+    predicted = np.bincount(majority, weights=table.sum(axis=1), minlength=classes)  # tp + fp
+    precision = np.divide(tp, predicted, out=np.zeros(classes), where=predicted > 0)
+    recall = tp / table.sum(axis=0)  # every class has members, so tp + fn > 0
+    # precision + recall > 0 exactly where tp > 0
+    f1 = np.divide(2.0 * precision * recall, precision + recall, out=np.zeros(classes), where=tp > 0)
+    return ClusterMetrics(float(hits.sum() / table.sum()), _nmi(table), float(np.mean(f1)))
 
 
 def recall_at_k(
@@ -302,6 +303,8 @@ def recall_at_k(
         raise ValueError("need 1 <= k <= database size")
     if q.shape[0] != q_labels.shape[0] or db.shape[0] != d_labels.shape[0]:
         raise ValueError("labels must align with their feature arrays")
+    if q.shape[-1] != db.shape[-1]:
+        raise ValueError(f"queries have {q.shape[-1]} columns but the database has {db.shape[-1]}")
     sims = q @ db.T
     neighbors = np.argsort(-sims, axis=1, kind="stable")[:, :k]
     hits = np.any(d_labels[neighbors] == q_labels[:, None], axis=1)

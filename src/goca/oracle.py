@@ -130,6 +130,11 @@ def golden_section_2x2(
     return np.array([[d11, d12], [d21, d22]])
 
 
+def _log_sum_exp(values: np.ndarray, axis: int) -> np.ndarray:
+    peak = values.max(axis=axis, keepdims=True)
+    return np.log(np.exp(values - peak).sum(axis=axis, keepdims=True)) + peak
+
+
 def _project_onto_marginals(
     log_plan: np.ndarray,
     psi: np.ndarray,
@@ -139,29 +144,26 @@ def _project_onto_marginals(
 ):
     """Alternating exact KL projections onto the row- and column-marginal sets.
 
-    Each row (column) rescaling is the exact Bregman projection onto its
-    constraint set; passes alternate until the joint residual reaches
-    ``tol``.  Scaling factors are accumulated in log space so the log
-    plan stays exact even where the plan underflows.
+    Each row (column) normalization is the exact Bregman projection onto
+    its constraint set; passes alternate until the joint residual reaches
+    ``tol``.  The normalizations are log-sum-exp shifts of the log plan,
+    so entries that underflow in the plain domain neither stall nor blow
+    up the scaling.
     """
-    plan = np.exp(log_plan)
-    log_u = np.zeros(psi.size)
-    log_v = np.zeros(omega.size)
+    log_psi = np.log(psi)
+    log_omega = np.log(omega)
     residual = np.inf
     for _ in range(max_passes):
-        r = psi / plan.sum(axis=1)
-        plan *= r[:, None]
-        log_u += np.log(r)
-        c = omega / plan.sum(axis=0)
-        plan *= c[None, :]
-        log_v += np.log(c)
+        log_plan = log_plan + (log_psi[:, None] - _log_sum_exp(log_plan, 1))
+        log_plan = log_plan + (log_omega[None, :] - _log_sum_exp(log_plan, 0))
+        plan = np.exp(log_plan)
         residual = max(
             float(np.max(np.abs(plan.sum(axis=1) - psi))),
             float(np.max(np.abs(plan.sum(axis=0) - omega))),
         )
         if residual <= tol:
             break
-    return log_plan + log_u[:, None] + log_v[None, :], residual
+    return log_plan, residual
 
 
 def mirror_descent_small(
@@ -198,8 +200,6 @@ def mirror_descent_small(
         effective_cost = c - lambda2 * np.log(p)
     scale = lambda1 + lambda2
     eta = 0.5 / scale
-    log_psi = np.log(psi)
-    log_omega = np.log(omega)
 
     log_plan = np.log(np.outer(psi, omega))
     prev_obj = np.inf

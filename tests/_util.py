@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from goca.eval import ClusterMetrics
+
 
 def random_unit_rows(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
     x = rng.standard_normal((rows, dim))
@@ -107,6 +109,65 @@ def lloyd_reference(x: np.ndarray, k: int, rng: np.random.Generator, max_iters: 
         for j in range(k):
             centroids[j] = x[labels == j].mean(axis=0)
     return labels
+
+
+def _entropy_of_counts(counts: np.ndarray) -> float:
+    p = counts[counts > 0] / counts.sum()
+    return float(-np.sum(p * np.log(p)))
+
+
+def nmi_reference(a: np.ndarray, b: np.ndarray) -> float:
+    """``goca.eval.normalized_mutual_info`` as it was before its count table was shared."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError("label vectors must have equal length")
+    _, ai = np.unique(a, return_inverse=True)
+    _, bi = np.unique(b, return_inverse=True)
+    n_a, n_b = ai.max() + 1, bi.max() + 1
+    contingency = np.zeros((n_a, n_b))
+    np.add.at(contingency, (ai, bi), 1.0)
+    joint = contingency / contingency.sum()
+    pa = joint.sum(axis=1)
+    pb = joint.sum(axis=0)
+    outer = pa[:, None] * pb[None, :]
+    mask = joint > 0
+    mutual = float(np.sum(joint[mask] * np.log(joint[mask] / outer[mask])))
+    denom = _entropy_of_counts(contingency.sum(axis=1)) + _entropy_of_counts(contingency.sum(axis=0))
+    if denom == 0.0:
+        return 1.0
+    return float(np.clip(2.0 * mutual / denom, 0.0, 1.0))
+
+
+def majority_vote_reference(clusters: np.ndarray, truth: np.ndarray) -> ClusterMetrics:
+    """Majority-vote scoring with a loop per cluster and per class.
+
+    ``goca.eval.majority_vote_metrics`` as it was before it read every
+    metric from one count table; the table version must return exactly
+    (``==``) this tuple.  Majority ties go to the lowest class id.
+    """
+    clusters = np.asarray(clusters)
+    truth = np.asarray(truth)
+    if clusters.shape != truth.shape:
+        raise ValueError("cluster and truth vectors must have equal length")
+    assigned = np.empty_like(truth)
+    for c in np.unique(clusters):
+        members = truth[clusters == c]
+        values, counts = np.unique(members, return_counts=True)
+        assigned[clusters == c] = values[np.argmax(counts)]
+    accuracy = float(np.mean(assigned == truth))
+
+    f1_scores = []
+    for c in np.unique(truth):
+        tp = float(np.sum((assigned == c) & (truth == c)))
+        fp = float(np.sum((assigned == c) & (truth != c)))
+        fn = float(np.sum((assigned != c) & (truth == c)))
+        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+        f1_scores.append(
+            2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+        )
+    return ClusterMetrics(accuracy, nmi_reference(clusters, truth), float(np.mean(f1_scores)))
 
 
 def _reference_loss(w: np.ndarray) -> float:

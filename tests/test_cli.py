@@ -278,6 +278,24 @@ class TestTrainAndEval:
         assert "error: k = 3 exceeds the 2 distinct rows of the 4 samples" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
 
+    def test_eval_rejects_queries_of_another_width(self, tmp_path, capsys):
+        features = tmp_path / "f.mat"
+        write_matrix(features, np.eye(4, 12))
+        queries = tmp_path / "q.mat"
+        write_matrix(queries, np.eye(2, 6))
+        labels = tmp_path / "l.txt"
+        labels.write_text("0\n1\n0\n1\n")
+        query_labels = tmp_path / "ql.txt"
+        query_labels.write_text("0\n1\n")
+        metrics = tmp_path / "m.csv"
+        code = main(["eval", "--features", str(features), "--labels", str(labels),
+                     "--queries", str(queries), "--query-labels", str(query_labels),
+                     "--k", "2", "--metrics", str(metrics)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: --queries has 6 columns but --features has 12" in err
+        assert not metrics.exists()
+
 
 class TestGridAndAblate:
     def test_lambda_grid_rows(self, tmp_path, tiny_config):

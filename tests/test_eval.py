@@ -17,7 +17,7 @@ from goca.eval import (
     within_cluster_ss,
 )
 
-from _util import lloyd_reference, random_unit_rows
+from _util import lloyd_reference, majority_vote_reference, nmi_reference, random_unit_rows
 
 
 def _brute_force_wcss(points: np.ndarray, k: int) -> float:
@@ -129,6 +129,72 @@ class TestNMI:
         assert normalized_mutual_info(a, a) == pytest.approx(1.0, abs=1e-12)
 
 
+def _scoring_cases(seed: int) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """(kind, clusters, truth) label pairs drawn from one seed.
+
+    Label values are negative and gapped throughout.  The kinds cover
+    random draws, n = 1, every point its own cluster, majority ties the
+    lowest class must win, more classes than clusters (classes no
+    cluster predicts score F1 = 0), and one cluster against one class.
+    """
+    rng = np.random.default_rng(seed)
+    ids = np.arange(-40, 60, 3)
+    cases = []
+    for _ in range(30):
+        n = int(rng.integers(1, 400))
+        cluster_ids = rng.choice(ids, size=int(rng.integers(1, 9)), replace=False)
+        class_ids = rng.choice(ids, size=int(rng.integers(1, 7)), replace=False)
+        cases.append(("random", rng.choice(cluster_ids, n), rng.choice(class_ids, n)))
+    cases.append(("n = 1", rng.choice(ids, 1), rng.choice(ids, 1)))
+    n = int(rng.integers(2, 30))
+    cases.append(("singletons", rng.choice(ids, n, replace=False), rng.choice(ids[:4], n)))
+    for _ in range(5):
+        # tied clusters hold m points of each of two classes; one untied
+        # cluster keeps the class totals apart, so the tie-break shows in F1
+        clusters, truth = [], []
+        for cluster in rng.choice(ids, size=int(rng.integers(1, 4)), replace=False):
+            pair = rng.choice(ids[:5], size=2, replace=False)
+            m = int(rng.integers(1, 6))
+            clusters += [cluster] * 2 * m
+            truth += [pair[0]] * m + [pair[1]] * m
+        extra = int(rng.integers(1, 10))
+        clusters += [ids[-1]] * extra
+        truth += list(rng.choice(ids[:5], extra))
+        order = rng.permutation(len(clusters))
+        cases.append(("ties", np.array(clusters)[order], np.array(truth)[order]))
+    for _ in range(5):
+        n = int(rng.integers(6, 200))
+        cases.append((
+            "unpredicted classes",
+            rng.choice(ids[:2], n),
+            rng.choice(rng.choice(ids, size=6, replace=False), n),
+        ))
+    n = int(rng.integers(1, 50))
+    one = np.full(n, rng.choice(ids)), np.full(n, rng.choice(ids))
+    cases.append(("one cluster, one class", *one))
+    return cases
+
+
+class TestScoringAgainstReference:
+    """The count-table scoring returns the per-cluster, per-class loop's exact tuple."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_battery(self, seed):
+        for kind, clusters, truth in _scoring_cases(seed):
+            reference = majority_vote_reference(clusters, truth)
+            assert majority_vote_metrics(clusters, truth) == reference, kind
+            assert normalized_mutual_info(clusters, truth) == nmi_reference(clusters, truth), kind
+
+    def test_one_cluster_one_class_scores_one(self):
+        assert majority_vote_metrics(np.full(5, -3), np.full(5, 8)) == (1.0, 1.0, 1.0)
+
+    def test_unpredicted_class_scores_zero_f1(self):
+        # one cluster, majority class 2; classes -1 and 7 are never predicted
+        metrics = majority_vote_metrics(np.zeros(6, dtype=int), np.array([2, 2, 2, -1, 7, 7]))
+        assert metrics.accuracy == 0.5
+        assert metrics.f1 == (2.0 * 0.5 * 1.0 / 1.5) / 3
+
+
 class TestRecallAtK:
     def test_duplicated_queries(self):
         rng = np.random.default_rng(6)
@@ -158,6 +224,13 @@ class TestRecallAtK:
                 neighbor_labels = {db_labels[j] for _, j in dists[:k]}
                 hits += q_labels[i] in neighbor_labels
             assert recall_at_k(queries, db, q_labels, db_labels, k) == pytest.approx(hits / 10)
+
+    def test_width_mismatch_names_both_widths(self):
+        rng = np.random.default_rng(11)
+        with pytest.raises(ValueError, match="queries have 6 columns but the database has 12"):
+            recall_at_k(
+                random_unit_rows(rng, 3, 6), random_unit_rows(rng, 4, 12), np.zeros(3), np.zeros(4), 1
+            )
 
     def test_k_larger_than_database_rejected(self):
         rng = np.random.default_rng(9)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from goca.oracle import finite_diff_grad, golden_section_2x2, mirror_descent_small
+from goca.ot_core import Marginals, SolverConfig, sinkhorn
 
 from _util import feasible_random_plan
 
@@ -89,6 +90,28 @@ class TestMirrorDescent:
         a = mirror_descent_small(cost, None, m4, m4, 0.3)
         b = mirror_descent_small(cost.copy(), None, m4, m4, 0.3)
         assert np.array_equal(a, b)
+
+    def test_small_lambda_plan_stays_finite(self):
+        # a 4 x 2 plain draw of the solver property battery (seed 11, case
+        # 16): at this lambda1 the log plan reaches about -748, so its
+        # smallest entries underflow to 0 in the plain domain
+        row = np.array(
+            [0.4489851305895785, 0.4094677353725505, 0.7428480388938783, 0.8019829853588456]
+        )
+        col = np.array([0.24878559366807196, 0.7296901787709196])
+        cost = np.array([
+            [-0.9890920028492349, -0.7996970602194018],
+            [-0.03146243604539811, -0.7389259743980958],
+            [-0.7526884564473706, 0.6935550619448139],
+            [0.4647396282358076, 0.5315308344888672],
+        ])
+        lam = 0.0018981452681190775
+        marg = Marginals(row / row.sum(), col / col.sum())
+        solved = sinkhorn(cost, marg, SolverConfig(lambda1=lam))
+        assert solved.converged
+        plan = mirror_descent_small(cost, None, marg.row, marg.col, lam)
+        assert np.all(np.isfinite(plan))
+        assert np.max(np.abs(plan - solved.plan)) <= 1e-5
 
     def test_rejects_large_instances(self):
         with pytest.raises(ValueError):
