@@ -132,6 +132,7 @@ def _cmd_solve(args) -> int:
     matrixio.write_matrix(args.out, result.plan)
     print(
         f"converged={result.converged} iterations={result.iterations} sweeps={result.sweeps} "
+        f"newton_steps={result.newton_steps} "
         f"row_residual={result.row_residual:.3e} col_residual={result.col_residual:.3e}"
     )
     if args.strict and not result.converged:

@@ -28,6 +28,18 @@ exponent spread range(C) / scale is at most 4 down to lambda1, each
 warm-started from the previous stage's potentials.  A regularization
 so small that range(C) / regularization leaves the float64 range
 raises FloatingPointError before annealing, as does a non-finite plan.
+
+The final stage, the only one the caller's max_iters caps, may end in a
+Newton polish (Sinkhorn-Newton, Brauer et al., arXiv:1710.06635).  At
+the first check where the row residual did not shrink over the last 10
+sweeps, or shrinks at a rate that meets the tolerance only after
+max_iters, the materialized plan goes to damped Newton on the M + N - 1
+dual potentials (the last column potential fixed).  A polish that meets
+the tolerance ends the stage; one that fails (singular Hessian, no
+descent, or its step cap spent) lets scaling run on, and the check at
+the cap polishes once more.  The rate needs two checks, so a cap of at
+most 10 sweeps is never polished.  Where scaling converges before the
+trigger, the plan is bit-for-bit that of scaling alone.
 """
 
 from __future__ import annotations
@@ -128,7 +140,10 @@ class SinkhornResult:
     plan is then the last iterate, which training code may still use.
     ``iterations`` counts the sweeps of the final (target-regularization)
     stage, the one the cap applies to; ``sweeps`` counts the sweeps of
-    all ``stages``, annealing stages included.
+    all ``stages``, annealing stages included.  ``newton_steps`` counts
+    the steps of the Newton polish that finished the final stage after
+    its ``iterations`` sweeps; it is 0 when scaling alone converged or
+    the plan is capped.
     """
 
     plan: np.ndarray
@@ -138,6 +153,7 @@ class SinkhornResult:
     col_residual: float
     sweeps: int = 0
     stages: int = 0
+    newton_steps: int = 0
 
 
 def cost_from_features(features: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
@@ -211,6 +227,13 @@ _STAGE_ITER_CAP = 500
 _CHECK_EVERY = 10
 _SCALING_RANGE = (1e-50, 1e50)
 
+# A Newton polish takes at most _NEWTON_STEPS steps; its line search
+# accepts a step once the dual objective falls by _ARMIJO times the
+# predicted decrease, and gives up below a step length of _MIN_STEP.
+_NEWTON_STEPS = 8
+_ARMIJO = 1e-4
+_MIN_STEP = 1e-10
+
 _NON_FINITE_PLAN = (
     "transport plan is not finite at regularization {:.3g}: "
     "cost / regularization leaves the float64 range"
@@ -250,6 +273,68 @@ def _in_range(x: np.ndarray) -> bool:
     return bool(low <= x.min() and x.max() <= high)  # False on NaN
 
 
+def _projected_past_cap(
+    res: float, prev: float, sweeps: int, tolerance: float, max_iters: int
+) -> bool:
+    """Whether the row residual, ``prev`` one check block ago and ``res``
+    now, did not shrink or at its observed rate meets ``tolerance`` only
+    after ``max_iters`` sweeps."""
+    if res >= prev:
+        return True
+    blocks = math.log(tolerance / res) / math.log(res / prev)
+    return sweeps + _CHECK_EVERY * blocks > max_iters
+
+
+def _newton_polish(plan: np.ndarray, marginals: Marginals, tolerance: float):
+    """Damped Newton on the dual potentials, starting from ``plan``.
+
+    The unknowns are the row shifts df and the column shifts dg but the
+    last (fixed at 0).  A step minimizes the dual objective
+    sum(P * exp(df_i + dg_j)) - a . df - b . dg, whose Hessian at P is
+    [[diag(P 1), P'], [P'^T, diag(P^T 1)']] with ' dropping the last
+    column, and backtracks until the objective falls by at least
+    _ARMIJO times the predicted decrease.
+
+    Returns (plan, dg, steps, row residual, column residual) once both
+    residuals of the plan meet ``tolerance``, or None when the Hessian
+    is singular, a step finds no descent or _NEWTON_STEPS run out.
+    """
+    row, col = marginals.row, marginals.col
+    m = row.size
+    dg = np.zeros(col.size)
+    rows, cols = plan.sum(axis=1), plan.sum(axis=0)
+    for steps in range(1, _NEWTON_STEPS + 1):
+        grad = np.concatenate([rows - row, cols[:-1] - col[:-1]])
+        hessian = np.block([[np.diag(rows), plan[:, :-1]], [plan[:, :-1].T, np.diag(cols[:-1])]])
+        try:
+            delta = np.linalg.solve(hessian, -grad)
+        except np.linalg.LinAlgError:
+            return None
+        step_f, step_g = delta[:m], np.append(delta[m:], 0.0)
+        slope = float(grad.dot(delta))
+        if not slope < 0.0:
+            return None
+        linear = row.dot(step_f) + col.dot(step_g)
+        t = 1.0
+        while True:
+            exponent = t * step_f[:, None] + t * step_g[None, :]
+            # expm1 keeps the objective change exact near the optimum
+            change = float(np.sum(plan * np.expm1(exponent))) - t * linear
+            if change <= _ARMIJO * t * slope:
+                break
+            t *= 0.5
+            if t < _MIN_STEP:
+                return None
+        plan = plan * np.exp(exponent)
+        dg += t * step_g
+        rows, cols = plan.sum(axis=1), plan.sum(axis=0)
+        row_res = float(np.max(np.abs(rows - row)))
+        col_res = float(np.max(np.abs(cols - col)))
+        if max(row_res, col_res) <= tolerance:
+            return plan, dg, steps, row_res, col_res
+    return None
+
+
 def _scaling_stage(
     effective_cost: np.ndarray,
     scale: float,
@@ -257,16 +342,22 @@ def _scaling_stage(
     g: np.ndarray,
     tolerance: float,
     max_iters: int,
+    polish: bool = False,
 ):
     """Matrix-vector Sinkhorn sweeps u = a / (K v), v = b / (K^T u).
 
     The stage scales exp(-effective_cost / scale): it opens with an exact
     log-domain sweep and scales the kernel with those potentials
     absorbed; scalings that leave _SCALING_RANGE are rolled back to the
-    last checkpoint and absorbed into the potentials.
+    last checkpoint and absorbed into the potentials.  With ``polish``,
+    the first check whose row residual is projected past ``max_iters``
+    (see _projected_past_cap) hands the plan to _newton_polish; if that
+    fails, scaling goes on and the cap check polishes once more.  Both
+    need the residual of the check before, so a stage capped within
+    one check block is never polished.
 
     Returns (column potentials including log v, plan, sweeps, row
-    residual, column residual, converged).
+    residual, column residual, converged, Newton steps).
     """
     row, col = marginals.row, marginals.col
     log_kernel = -effective_cost / scale
@@ -274,6 +365,8 @@ def _scaling_stage(
     u, v = np.ones(row.size), np.ones(col.size)
     checked_v = v
     sweeps = 1
+    prev = None  # row residual at the last check
+    tried = False  # a failed polish is tried again only at the cap
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # ndarray.dot has less call overhead than @ on these small operands
         kv = kernel.dot(v)
@@ -291,22 +384,42 @@ def _scaling_stage(
                 sweeps += 1
             checked_v = v
             # columns are exact after each v update; rows sum to u * (K v)
-            if sweeps >= max_iters or np.abs(u * kv - row).max() <= tolerance:
+            res = float(np.abs(u * kv - row).max())
+            if sweeps >= max_iters or res <= tolerance:
                 plan = u[:, None] * kernel * v[None, :]
                 if not np.all(np.isfinite(plan)):
                     raise FloatingPointError(_NON_FINITE_PLAN.format(scale))
                 row_res = float(np.max(np.abs(plan.sum(axis=1) - row)))
                 col_res = float(np.max(np.abs(plan.sum(axis=0) - col)))
                 converged = max(row_res, col_res) <= tolerance
-                if converged or sweeps >= max_iters:
-                    return g + np.log(v), plan, sweeps, row_res, col_res, converged
+                if converged:
+                    return g + np.log(v), plan, sweeps, row_res, col_res, True, 0
+            if (
+                polish
+                and prev is not None
+                and res > tolerance
+                and (
+                    sweeps >= max_iters
+                    or not tried
+                    and _projected_past_cap(res, prev, sweeps, tolerance, max_iters)
+                )
+            ):
+                tried = True
+                polished = _newton_polish(u[:, None] * kernel * v[None, :], marginals, tolerance)
+                if polished is not None:
+                    plan, dg, steps, row_res, col_res = polished
+                    return g + np.log(v) + dg, plan, sweeps, row_res, col_res, True, steps
+            if sweeps >= max_iters:
+                return g + np.log(v), plan, sweeps, row_res, col_res, False, 0
+            prev = res
 
 
 def _solve(
     effective_cost: np.ndarray, scale: float, marginals: Marginals, cfg: SolverConfig
 ) -> SinkhornResult:
     """Scale exp(-effective_cost / scale) to the marginals, annealing the
-    regularization down to ``scale``."""
+    regularization down to ``scale``; only the final stage, the one
+    ``cfg.max_iters`` caps, may end in a Newton polish."""
     if effective_cost.shape[0] == 1 or effective_cost.shape[1] == 1:
         return _forced_plan(marginals)
     g = np.zeros(marginals.col.size)
@@ -316,17 +429,18 @@ def _solve(
     stages = _anneal_schedule(scale, cost_range)
     sweeps = 0
     for stage_scale in stages[:-1]:
-        g, _, stage_sweeps, _, _, _ = _scaling_stage(
+        g, _, stage_sweeps, _, _, _, _ = _scaling_stage(
             effective_cost, stage_scale, marginals, g, max(cfg.tolerance, 1e-9), _STAGE_ITER_CAP
         )
         sweeps += stage_sweeps
         # keep the Kantorovich potentials (scale * g) continuous across stages
         g = g * 2.0
-    _, plan, iterations, row_res, col_res, converged = _scaling_stage(
-        effective_cost, scale, marginals, g, cfg.tolerance, cfg.max_iters
+    _, plan, iterations, row_res, col_res, converged, newton_steps = _scaling_stage(
+        effective_cost, scale, marginals, g, cfg.tolerance, cfg.max_iters, polish=True
     )
     return SinkhornResult(
-        plan, converged, iterations, row_res, col_res, sweeps + iterations, len(stages)
+        plan, converged, iterations, row_res, col_res, sweeps + iterations, len(stages),
+        newton_steps,
     )
 
 

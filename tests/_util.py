@@ -7,6 +7,18 @@ import math
 import numpy as np
 
 from goca.eval import ClusterMetrics
+from goca.ot_core import (
+    _CHECK_EVERY,
+    _NON_FINITE_PLAN,
+    _STAGE_ITER_CAP,
+    Marginals,
+    SinkhornResult,
+    SolverConfig,
+    _absorb,
+    _anneal_schedule,
+    _forced_plan,
+    _in_range,
+)
 
 
 def random_unit_rows(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
@@ -52,6 +64,22 @@ def zero_sum_perturbation(rng: np.random.Generator, rows: int, cols: int) -> np.
 def relative_max_error(analytic: np.ndarray, reference: np.ndarray) -> float:
     scale = max(float(np.max(np.abs(reference))), 1e-12)
     return float(np.max(np.abs(analytic - reference))) / scale
+
+
+def c03_draws():
+    """The 100 (cost, prior) pairs of acceptance criterion c03, in its order.
+
+    The same seed-103 draws as ``test_acceptance.test_c03_kernel_reduction``:
+    square instances of side 2 to 5, the prior already clamped at the
+    default floor.  At library defaults 29 of them reach the sweep cap of
+    the solver without its Newton polish.
+    """
+    rng = np.random.default_rng(103)
+    for _ in range(100):
+        size = int(rng.integers(2, 6))
+        cost = rng.uniform(-1.0, 1.0, size=(size, size))
+        prior = np.maximum(rng.uniform(0.0, 1.0, size=(size, size)), SolverConfig.prior_floor)
+        yield cost, prior
 
 
 def log_sinkhorn_reference(
@@ -109,6 +137,91 @@ def lloyd_reference(x: np.ndarray, k: int, rng: np.random.Generator, max_iters: 
         for j in range(k):
             centroids[j] = x[labels == j].mean(axis=0)
     return labels
+
+
+def _scaling_stage_reference(
+    effective_cost: np.ndarray,
+    scale: float,
+    marginals: Marginals,
+    g: np.ndarray,
+    tolerance: float,
+    max_iters: int,
+):
+    """Matrix-vector Sinkhorn sweeps u = a / (K v), v = b / (K^T u).
+
+    The stage scales exp(-effective_cost / scale): it opens with an exact
+    log-domain sweep and scales the kernel with those potentials
+    absorbed; scalings that leave _SCALING_RANGE are rolled back to the
+    last checkpoint and absorbed into the potentials.
+
+    Returns (column potentials including log v, plan, sweeps, row
+    residual, column residual, converged).
+    """
+    row, col = marginals.row, marginals.col
+    log_kernel = -effective_cost / scale
+    kernel, g = _absorb(log_kernel, marginals, g)
+    u, v = np.ones(row.size), np.ones(col.size)
+    checked_v = v
+    sweeps = 1
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # ndarray.dot has less call overhead than @ on these small operands
+        kv = kernel.dot(v)
+        while True:
+            checkpoint = min((sweeps // _CHECK_EVERY + 1) * _CHECK_EVERY, max_iters)
+            for _ in range(checkpoint - sweeps):
+                u = row / kv
+                v = col / u.dot(kernel)
+                kv = kernel.dot(v)
+            sweeps = checkpoint
+            if not (_in_range(u) and _in_range(v)):
+                kernel, g = _absorb(log_kernel, marginals, g + np.log(checked_v))
+                u, v = np.ones(row.size), np.ones(col.size)
+                kv = kernel.dot(v)
+                sweeps += 1
+            checked_v = v
+            # columns are exact after each v update; rows sum to u * (K v)
+            if sweeps >= max_iters or np.abs(u * kv - row).max() <= tolerance:
+                plan = u[:, None] * kernel * v[None, :]
+                if not np.all(np.isfinite(plan)):
+                    raise FloatingPointError(_NON_FINITE_PLAN.format(scale))
+                row_res = float(np.max(np.abs(plan.sum(axis=1) - row)))
+                col_res = float(np.max(np.abs(plan.sum(axis=0) - col)))
+                converged = max(row_res, col_res) <= tolerance
+                if converged or sweeps >= max_iters:
+                    return g + np.log(v), plan, sweeps, row_res, col_res, converged
+
+
+def solve_reference(
+    effective_cost: np.ndarray, scale: float, marginals: Marginals, cfg: SolverConfig
+) -> SinkhornResult:
+    """``goca.ot_core._solve`` as it was before the Newton polish.
+
+    Scales exp(-effective_cost / scale) to the marginals, annealing the
+    regularization down to ``scale``, and stops at ``cfg.max_iters``.
+    Where this converges, the polished solver must return exactly
+    (``np.array_equal``) this plan with the same sweep counts.
+    """
+    if effective_cost.shape[0] == 1 or effective_cost.shape[1] == 1:
+        return _forced_plan(marginals)
+    g = np.zeros(marginals.col.size)
+    cost_range = float(np.max(effective_cost) - np.min(effective_cost))
+    if not math.isfinite(cost_range / scale):
+        raise FloatingPointError(_NON_FINITE_PLAN.format(scale))
+    stages = _anneal_schedule(scale, cost_range)
+    sweeps = 0
+    for stage_scale in stages[:-1]:
+        g, _, stage_sweeps, _, _, _ = _scaling_stage_reference(
+            effective_cost, stage_scale, marginals, g, max(cfg.tolerance, 1e-9), _STAGE_ITER_CAP
+        )
+        sweeps += stage_sweeps
+        # keep the Kantorovich potentials (scale * g) continuous across stages
+        g = g * 2.0
+    _, plan, iterations, row_res, col_res, converged = _scaling_stage_reference(
+        effective_cost, scale, marginals, g, cfg.tolerance, cfg.max_iters
+    )
+    return SinkhornResult(
+        plan, converged, iterations, row_res, col_res, sweeps + iterations, len(stages)
+    )
 
 
 def _entropy_of_counts(counts: np.ndarray) -> float:

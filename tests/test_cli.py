@@ -13,6 +13,8 @@ from goca.ot_core import SolverConfig
 from goca.prototypes import ProtoOptConfig
 from goca.runconfig import EvalConfig, RunConfig, dump_config, parse_config
 
+from _util import c03_draws
+
 TINY_CONFIG = """
 data.num_classes = 2
 data.samples_per_class = 20
@@ -93,6 +95,22 @@ class TestSolve:
         fields = dict(part.split("=") for part in capsys.readouterr().out.split())
         # the default lambda1 anneals through several stages before the counted one
         assert int(fields["sweeps"]) > int(fields["iterations"]) > 0
+        assert fields["newton_steps"] == "0"
+
+    def test_reports_newton_steps_of_a_polished_solve(self, tmp_path, capsys):
+        # c03's sixth instance stalls at library defaults: scaling alone
+        # reaches the 10,000-sweep cap, the Newton polish converges
+        cost, prior = list(c03_draws())[5]
+        write_matrix(tmp_path / "cost.mat", cost)
+        write_matrix(tmp_path / "prior.mat", prior)
+        assert main([
+            "solve", "--cost", str(tmp_path / "cost.mat"), "--guided",
+            "--prior", str(tmp_path / "prior.mat"), "--strict", "--out", str(tmp_path / "p.mat"),
+        ]) == 0
+        fields = dict(part.split("=") for part in capsys.readouterr().out.split())
+        assert fields["converged"] == "True"
+        assert int(fields["newton_steps"]) > 0
+        assert int(fields["iterations"]) < 10_000
 
     def test_guided_requires_prior(self, tmp_path):
         cost_path = tmp_path / "cost.mat"

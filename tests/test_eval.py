@@ -105,6 +105,13 @@ class TestMajorityVoteMetrics:
             for value in metrics:
                 assert 0.0 <= value <= 1.0
 
+    def test_rejects_empty_labels_naming_them(self):
+        empty = np.array([], dtype=int)
+        with pytest.raises(ValueError, match="^cluster and truth vectors are empty$"):
+            majority_vote_metrics(empty, empty)
+        with pytest.raises(ValueError, match="must have equal length"):
+            majority_vote_metrics(empty, np.array([1]))
+
 
 class TestNMI:
     def test_symmetry(self):
@@ -127,6 +134,11 @@ class TestNMI:
     def test_identical_partitions_reach_one(self):
         a = np.array([0, 0, 1, 1, 2, 2])
         assert normalized_mutual_info(a, a) == pytest.approx(1.0, abs=1e-12)
+
+    def test_rejects_empty_labels_naming_them(self):
+        empty = np.array([], dtype=int)
+        with pytest.raises(ValueError, match="^label vectors are empty$"):
+            normalized_mutual_info(empty, empty)
 
 
 def _scoring_cases(seed: int) -> list[tuple[str, np.ndarray, np.ndarray]]:
