@@ -321,8 +321,9 @@ def battery_draws(seed: int):
     Shapes run from 2 to 40 per side, and a quarter of the draws (a
     plain and a guided one in every 8) are at most 4 x 4, where the
     mirror-descent oracle applies.  Marginals are non-uniform and lambda1
-    is log-uniform on [1e-3, 1].  Odd draws are guided, against a prior
-    with about 30 % of its entries at the floor; even ones have prior None.
+    is log-uniform on [1e-3, 1].  Odd draws are guided, against a raw
+    prior with about 30 % of its entries exactly 0, so that the solve
+    itself must floor them; even ones have prior None.
     """
     rng = np.random.default_rng(seed)
     for case in range(24):
@@ -335,9 +336,8 @@ def battery_draws(seed: int):
         cfg = SolverConfig(lambda1=float(10.0 ** rng.uniform(-3.0, 0.0)))
         prior = None
         if case % 2:
-            raw = rng.uniform(0.0, 1.0, size=(m, n))
-            raw[rng.random((m, n)) < 0.3] = 0.0
-            prior = clamp_prior(raw, cfg.prior_floor)
+            prior = rng.uniform(0.0, 1.0, size=(m, n))
+            prior[rng.random((m, n)) < 0.3] = 0.0
         yield cost, prior, marg, cfg
 
 
@@ -347,11 +347,15 @@ def _solve_draw(cost, prior, marg, cfg):
 
 def _reference_and_polished(cost, prior, marg, cfg):
     """The draw solved by ``_util.solve_reference``, the solver before its
-    Newton polish, and by the library."""
+    Newton polish, and by the library.
+
+    The library gets ``prior`` as it is and floors it itself; only the
+    reference is handed the floored prior.
+    """
     if prior is None:
         ref = solve_reference(cost, cfg.lambda1, marg, cfg)
     else:
-        shifted = cost - cfg.lambda2 * np.log(prior)
+        shifted = cost - cfg.lambda2 * np.log(clamp_prior(prior, cfg.prior_floor))
         ref = solve_reference(shifted, cfg.lambda1 + cfg.lambda2, marg, cfg)
     return ref, _solve_draw(cost, prior, marg, cfg)
 
@@ -393,6 +397,7 @@ class TestPropertyBattery:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_seeded_battery(self, seed):
+        zero_priors = 0
         for case, (cost, prior, marg, cfg) in enumerate(battery_draws(seed)):
             ref, res = _reference_and_polished(cost, prior, marg, cfg)
             assert np.all(np.isfinite(res.plan))
@@ -403,13 +408,17 @@ class TestPropertyBattery:
                 assert np.max(np.abs(res.plan - ref.plan)) <= 1e-7
             else:
                 _assert_unpolished_parity(ref, res)
-            lambda2 = 0.0 if prior is None else cfg.lambda2
-            ref_cost = cost if prior is None else cost - lambda2 * np.log(prior)
+            floored, lambda2 = None, 0.0
+            if prior is not None:
+                zero_priors += bool(np.any(prior == 0.0))
+                floored, lambda2 = clamp_prior(prior, cfg.prior_floor), cfg.lambda2
+            ref_cost = cost if floored is None else cost - lambda2 * np.log(floored)
             log_ref = log_sinkhorn_reference(ref_cost, marg.row, marg.col, cfg.lambda1 + lambda2)
             assert np.max(np.abs(res.plan - log_ref)) <= 1e-7
             if max(cost.shape) <= 4:
-                oracle = mirror_descent_small(cost, prior, marg.row, marg.col, cfg.lambda1, lambda2)
+                oracle = mirror_descent_small(cost, floored, marg.row, marg.col, cfg.lambda1, lambda2)
                 assert np.max(np.abs(res.plan - oracle)) <= 1e-5
+        assert zero_priors > 0
 
     def test_plain_3x3_draw_that_reached_the_cap_converges(self):
         # seed 11, draw 8: lambda1 = 0.0158 and non-uniform marginals.
