@@ -517,6 +517,8 @@ def _verification_battery(seed: int) -> list[tuple[str, bool, str]]:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     checks = _verification_battery(args.seed)
     failures = 0
     for name, passed, detail in checks:

@@ -63,6 +63,8 @@ class EvalConfig:
             raise ValueError("repeats must be positive")
         if self.kmeans_restarts < 1:
             raise ValueError("kmeans_restarts must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 class ClusterMetrics(NamedTuple):

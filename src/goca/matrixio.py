@@ -60,6 +60,13 @@ def write_labels(path: str | os.PathLike, labels: np.ndarray) -> None:
 
 
 def read_labels(path: str | os.PathLike) -> np.ndarray:
+    values = []
     with open(path, "r", encoding="ascii") as fh:
-        values = [int(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                values.append(int(line))
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno} is not an integer: {line.strip()!r}") from None
     return np.asarray(values, dtype=int)

@@ -45,7 +45,7 @@ trigger, the plan is bit-for-bit that of scaling alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -295,15 +295,14 @@ def _newton_polish(plan: np.ndarray, marginals: Marginals, tolerance: float):
     column, and backtracks until the objective falls by at least
     _ARMIJO times the predicted decrease.
 
-    Returns (plan, dg, steps, row residual, column residual) once both
-    residuals of the plan meet ``tolerance``, or None when the Hessian
-    is singular, a step finds no descent or _NEWTON_STEPS run out.
+    Returns (plan, steps) once both residuals of the plan meet
+    ``tolerance``, or None when the Hessian is singular, a step finds
+    no descent or _NEWTON_STEPS run out.
     """
     row, col = marginals.row, marginals.col
     m = row.size
-    dg = np.zeros(col.size)
-    rows, cols = plan.sum(axis=1), plan.sum(axis=0)
     for steps in range(1, _NEWTON_STEPS + 1):
+        rows, cols = plan.sum(axis=1), plan.sum(axis=0)
         grad = np.concatenate([rows - row, cols[:-1] - col[:-1]])
         hessian = np.block([[np.diag(rows), plan[:, :-1]], [plan[:, :-1].T, np.diag(cols[:-1])]])
         try:
@@ -326,12 +325,8 @@ def _newton_polish(plan: np.ndarray, marginals: Marginals, tolerance: float):
             if t < _MIN_STEP:
                 return None
         plan = plan * np.exp(exponent)
-        dg += t * step_g
-        rows, cols = plan.sum(axis=1), plan.sum(axis=0)
-        row_res = float(np.max(np.abs(rows - row)))
-        col_res = float(np.max(np.abs(cols - col)))
-        if max(row_res, col_res) <= tolerance:
-            return plan, dg, steps, row_res, col_res
+        if max(marginal_residual(plan, marginals)) <= tolerance:
+            return plan, steps
     return None
 
 
@@ -356,8 +351,9 @@ def _scaling_stage(
     need the residual of the check before, so a stage capped within
     one check block is never polished.
 
-    Returns (column potentials including log v, plan, sweeps, row
-    residual, column residual, converged, Newton steps).
+    Returns the column potentials including log v (without the shifts
+    of a polish) and a SinkhornResult whose ``iterations`` are the
+    stage's sweeps, with ``newton_steps`` set when a polish ended it.
     """
     row, col = marginals.row, marginals.col
     log_kernel = -effective_cost / scale
@@ -389,11 +385,11 @@ def _scaling_stage(
                 plan = u[:, None] * kernel * v[None, :]
                 if not np.all(np.isfinite(plan)):
                     raise FloatingPointError(_NON_FINITE_PLAN.format(scale))
-                row_res = float(np.max(np.abs(plan.sum(axis=1) - row)))
-                col_res = float(np.max(np.abs(plan.sum(axis=0) - col)))
+                row_res, col_res = marginal_residual(plan, marginals)
                 converged = max(row_res, col_res) <= tolerance
+                result = SinkhornResult(plan, converged, sweeps, row_res, col_res)
                 if converged:
-                    return g + np.log(v), plan, sweeps, row_res, col_res, True, 0
+                    return g + np.log(v), result
             if (
                 polish
                 and prev is not None
@@ -407,10 +403,12 @@ def _scaling_stage(
                 tried = True
                 polished = _newton_polish(u[:, None] * kernel * v[None, :], marginals, tolerance)
                 if polished is not None:
-                    plan, dg, steps, row_res, col_res = polished
-                    return g + np.log(v) + dg, plan, sweeps, row_res, col_res, True, steps
+                    plan, steps = polished
+                    residuals = marginal_residual(plan, marginals)
+                    result = SinkhornResult(plan, True, sweeps, *residuals, newton_steps=steps)
+                    return g + np.log(v), result
             if sweeps >= max_iters:
-                return g + np.log(v), plan, sweeps, row_res, col_res, False, 0
+                return g + np.log(v), result
             prev = res
 
 
@@ -429,19 +427,16 @@ def _solve(
     stages = _anneal_schedule(scale, cost_range)
     sweeps = 0
     for stage_scale in stages[:-1]:
-        g, _, stage_sweeps, _, _, _, _ = _scaling_stage(
+        g, stage = _scaling_stage(
             effective_cost, stage_scale, marginals, g, max(cfg.tolerance, 1e-9), _STAGE_ITER_CAP
         )
-        sweeps += stage_sweeps
+        sweeps += stage.iterations
         # keep the Kantorovich potentials (scale * g) continuous across stages
         g = g * 2.0
-    _, plan, iterations, row_res, col_res, converged, newton_steps = _scaling_stage(
+    _, result = _scaling_stage(
         effective_cost, scale, marginals, g, cfg.tolerance, cfg.max_iters, polish=True
     )
-    return SinkhornResult(
-        plan, converged, iterations, row_res, col_res, sweeps + iterations, len(stages),
-        newton_steps,
-    )
+    return replace(result, sweeps=sweeps + result.iterations, stages=len(stages))
 
 
 def _validate_problem(
@@ -465,8 +460,7 @@ def _validate_problem(
 def _forced_plan(marginals: Marginals) -> SinkhornResult:
     # With a single row or column the constraints pin the plan exactly.
     plan = np.outer(marginals.row, marginals.col)
-    row_res, col_res = marginal_residual(plan, marginals)
-    return SinkhornResult(plan, True, 0, row_res, col_res, 0, 0)
+    return SinkhornResult(plan, True, 0, *marginal_residual(plan, marginals))
 
 
 def sinkhorn(

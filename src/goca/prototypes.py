@@ -58,6 +58,8 @@ class ProtoOptConfig:
             raise ValueError("final_learning_rate must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _checked(prototypes: np.ndarray) -> np.ndarray:

@@ -102,6 +102,8 @@ class TrainConfig:
             raise ValueError("need at least 2 prototypes")
         if not 0.0 <= self.aug_dropout < 1.0:
             raise ValueError("aug_dropout must lie in [0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

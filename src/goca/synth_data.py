@@ -52,6 +52,8 @@ class SynthConfig:
             raise ValueError("strengths and noise levels must be nonnegative")
         if self.class_scale <= 0.0:
             raise ValueError("class_scale must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

@@ -482,6 +482,31 @@ class TestVerifyAndConfig:
         assert main(["verify"]) == 3
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command, message", [
+        (["verify"], "--seed must be nonnegative, got -1"),
+        (["gen-data", "--out", "data"], "seed must be nonnegative, got -1"),
+        (["train", "--out", "run"], "seed must be nonnegative, got -1"),
+        (["optimize-prototypes", "--n", "4", "--dim", "3", "--out", "w.mat"],
+         "seed must be nonnegative, got -1"),
+        (["eval", "--features", "f.mat", "--labels", "l.txt", "--metrics", "m.csv"],
+         "seed must be nonnegative, got -1"),
+    ])
+    def test_negative_seed_exits_1_naming_the_seed(
+        self, tmp_path, monkeypatch, capsys, command, message
+    ):
+        import goca.cli as cli_mod
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.mat").write_text("2 2\n1 0\n0 1\n")
+        (tmp_path / "l.txt").write_text("0\n1\n")
+        drawn = []
+        monkeypatch.setattr(cli_mod, "_verification_battery", drawn.append)
+        monkeypatch.setattr(cli_mod, "generate", drawn.append)
+        assert main(command + ["--seed", "-1"]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert drawn == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.mat", "l.txt"]
+
     def test_dump_config_round_trip(self, capsys):
         assert main(["dump-config"]) == 0
         text = capsys.readouterr().out

@@ -1,6 +1,8 @@
-"""Every name a package module imports is used there or re-exported."""
+"""Every name a package module imports is used there or re-exported, and
+every name it exports exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,11 @@ def test_every_import_is_used(path):
     used |= _exported(tree)
     unused = [f"{path.name}:{line}: {name}" for name, line in _imports(tree) if name not in used]
     assert unused == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_export_resolves(path):
+    name = "goca" if path.stem == "__init__" else f"goca.{path.stem}"
+    module = importlib.import_module(name)
+    stale = [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
+    assert stale == []

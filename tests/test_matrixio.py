@@ -58,3 +58,11 @@ def test_trailing_blank_lines_are_accepted(tmp_path):
     path = tmp_path / "m.mat"
     path.write_text("1 2\n1 2\n\n  \n")
     assert np.array_equal(read_matrix(path), [[1.0, 2.0]])
+
+
+@pytest.mark.parametrize("entry", ["x", "1.0"])
+def test_rejects_non_integer_label_naming_file_and_line(tmp_path, entry):
+    path = tmp_path / "labels.txt"
+    path.write_text(f"0\n\n1\n{entry}\n")
+    with pytest.raises(ValueError, match=rf"labels\.txt: line 4 is not an integer: '{entry}'$"):
+        read_labels(path)

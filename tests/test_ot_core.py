@@ -514,6 +514,46 @@ class TestNewtonPolish:
         _assert_unpolished_parity(ref, res)
 
 
+def _battery_draw():
+    cost, prior, marg, cfg = list(battery_draws(0))[1]
+    return _solve_draw(cost, prior, marg, cfg), marg, cfg
+
+
+def _polished_c03_draw():
+    cost, prior = list(c03_draws())[5]
+    marg, cfg = Marginals.uniform(*cost.shape), SolverConfig()
+    return guided_sinkhorn(cost, prior, marg, cfg), marg, cfg
+
+
+def _capped_draw():
+    cost = np.random.default_rng(2).uniform(-1, 1, size=(4, 4))
+    marg, cfg = Marginals.uniform(4, 4), SolverConfig(max_iters=5, tolerance=1e-18)
+    return sinkhorn(cost, marg, cfg), marg, cfg
+
+
+def _forced_draw():
+    marg, cfg = Marginals.uniform(1, 7), SolverConfig()
+    return sinkhorn(np.linspace(-1.0, 1.0, 7)[None, :], marg, cfg), marg, cfg
+
+
+class TestReportedResiduals:
+    """Each result reports the residuals of the plan it returns."""
+
+    @pytest.mark.parametrize("draw, kind", [
+        (_battery_draw, "unpolished"),
+        (_polished_c03_draw, "polished"),
+        (_capped_draw, "capped"),
+        (_forced_draw, "forced"),
+    ])
+    def test_residuals_are_those_of_the_returned_plan(self, draw, kind):
+        res, marg, cfg = draw()
+        assert (res.row_residual, res.col_residual) == marginal_residual(res.plan, marg)
+        assert res.converged == (max(res.row_residual, res.col_residual) <= cfg.tolerance)
+        assert res.converged == (kind != "capped")
+        assert (res.newton_steps > 0) == (kind == "polished")
+        assert (res.stages == 0) == (kind == "forced")
+
+
 class TestConfigValidation:
     def test_shipped_lambda_defaults(self):
         cfg = SolverConfig()

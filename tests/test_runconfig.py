@@ -51,6 +51,11 @@ class TestParse:
         with pytest.raises(ConfigError, match=message):
             parse_config(line + "\n")
 
+    @pytest.mark.parametrize("section", ["data", "proto", "train", "eval"])
+    def test_negative_seed_rejected_naming_seed(self, section):
+        with pytest.raises(ConfigError, match="^seed must be nonnegative, got -1$"):
+            parse_config(f"{section}.seed = -1\n")
+
     def test_solver_and_proto_read_through_train(self):
         cfg = parse_config("proto.seed = 4\nsolver.lambda1 = 0.05\n")
         assert cfg.proto is cfg.train.proto and cfg.proto.seed == 4
