@@ -30,10 +30,13 @@ def write_matrix(path: str | os.PathLike, matrix: np.ndarray) -> None:
 
 def read_matrix(path: str | os.PathLike) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: malformed header, expected 'M N'")
-        rows, cols = int(header[0]), int(header[1])
+        header = fh.readline()
+        try:
+            rows, cols = (int(h) for h in header.split())
+        except ValueError:
+            raise ValueError(
+                f"{path}: malformed header {header.strip()!r}, expected integers 'M N'"
+            ) from None
         if rows < 1 or cols < 1:
             raise ValueError(f"{path}: matrix dimensions must be positive")
         out = np.empty((rows, cols), dtype=float)
@@ -41,7 +44,10 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
             parts = fh.readline().split()
             if len(parts) != cols:
                 raise ValueError(f"{path}: row {i} has {len(parts)} values, expected {cols}")
-            out[i] = [float(p) for p in parts]
+            try:
+                out[i] = [float(p) for p in parts]
+            except ValueError:
+                raise ValueError(f"{path}: row {i} has a non-numeric value") from None
             if not np.all(np.isfinite(out[i])):
                 raise ValueError(f"{path}: row {i} has a non-finite value")
         for extra, line in enumerate(fh, start=rows):

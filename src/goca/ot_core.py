@@ -33,12 +33,13 @@ The final stage, the only one the caller's max_iters caps, may end in a
 Newton polish (Sinkhorn-Newton, Brauer et al., arXiv:1710.06635).  At
 the first check where the row residual did not shrink over the last 10
 sweeps, or shrinks at a rate that meets the tolerance only after
-max_iters, the materialized plan goes to damped Newton on the M + N - 1
-dual potentials (the last column potential fixed).  A polish that meets
-the tolerance ends the stage; one that fails (singular Hessian, no
-descent, or its step cap spent) lets scaling run on, and the check at
-the cap polishes once more.  The rate needs two checks, so a cap of at
-most 10 sweeps is never polished.  Where scaling converges before the
+max_iters, or only after more sweeps (M N each) than a Newton solve
+costs (4 (M + N)^3), the materialized plan goes to damped Newton on the
+M + N - 1 dual potentials (the last column potential fixed).  A polish
+that meets the tolerance ends the stage; one that fails (singular
+Hessian, no descent, or its step cap spent) lets scaling run on, and the
+check at the cap polishes once more.  The rate needs two checks, so a
+cap of at most 10 sweeps is never polished.  Where scaling converges before the
 trigger, the plan is bit-for-bit that of scaling alone.
 """
 
@@ -136,7 +137,8 @@ class SolverConfig:
 class SinkhornResult:
     """Transport plan plus convergence diagnostics.
 
-    ``converged`` is False when the iteration cap was reached first; the
+    ``converged`` is True when both residuals of ``plan`` meet the
+    tolerance.  It is False when the iteration cap was reached first; the
     plan is then the last iterate, which training code may still use.
     ``iterations`` counts the sweeps of the final (target-regularization)
     stage, the one the cap applies to; ``sweeps`` counts the sweeps of
@@ -231,6 +233,11 @@ _SCALING_RANGE = (1e-50, 1e50)
 # accepts a step once the dual objective falls by _ARMIJO times the
 # predicted decrease, and gives up below a step length of _MIN_STEP.
 _NEWTON_STEPS = 8
+# A final stage is polished once the sweeps its residual rate still needs
+# would cost more than a Newton solve, taken as _NEWTON_WORK * (M + N)^3
+# against M * N per sweep.  At training shape, 100 x 64, that is past
+# 2,700 sweeps, beyond the cap training runs at.
+_NEWTON_WORK = 4
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-10
 
@@ -273,16 +280,23 @@ def _in_range(x: np.ndarray) -> bool:
     return bool(low <= x.min() and x.max() <= high)  # False on NaN
 
 
-def _projected_past_cap(
-    res: float, prev: float, sweeps: int, tolerance: float, max_iters: int
+def _worth_polishing(
+    res: float, prev: float, sweeps: int, tolerance: float, max_iters: int, shape: tuple[int, int]
 ) -> bool:
-    """Whether the row residual, ``prev`` one check block ago and ``res``
-    now, did not shrink or at its observed rate meets ``tolerance`` only
-    after ``max_iters`` sweeps."""
+    """Whether an M x N stage should hand its plan to _newton_polish now.
+
+    It should when the row residual, ``prev`` one check block ago and
+    ``res`` now, did not shrink, or when at its observed rate it meets
+    ``tolerance`` only after ``max_iters`` sweeps, or only after more
+    remaining sweeps than a Newton solve is worth: a sweep costs about
+    M N, a Newton solve about _NEWTON_WORK (M + N)^3.
+    """
     if res >= prev:
         return True
     blocks = math.log(tolerance / res) / math.log(res / prev)
-    return sweeps + _CHECK_EVERY * blocks > max_iters
+    m, n = shape
+    remaining = _CHECK_EVERY * blocks
+    return sweeps + remaining > max_iters or remaining * m * n > _NEWTON_WORK * (m + n) ** 3
 
 
 def _newton_polish(plan: np.ndarray, marginals: Marginals, tolerance: float):
@@ -345,8 +359,8 @@ def _scaling_stage(
     log-domain sweep and scales the kernel with those potentials
     absorbed; scalings that leave _SCALING_RANGE are rolled back to the
     last checkpoint and absorbed into the potentials.  With ``polish``,
-    the first check whose row residual is projected past ``max_iters``
-    (see _projected_past_cap) hands the plan to _newton_polish; if that
+    the first check whose row residual rate makes a polish worth it (see
+    _worth_polishing) hands the plan to _newton_polish; if that
     fails, scaling goes on and the cap check polishes once more.  Both
     need the residual of the check before, so a stage capped within
     one check block is never polished.
@@ -397,7 +411,7 @@ def _scaling_stage(
                 and (
                     sweeps >= max_iters
                     or not tried
-                    and _projected_past_cap(res, prev, sweeps, tolerance, max_iters)
+                    and _worth_polishing(res, prev, sweeps, tolerance, max_iters, kernel.shape)
                 )
             ):
                 tried = True
@@ -419,7 +433,7 @@ def _solve(
     regularization down to ``scale``; only the final stage, the one
     ``cfg.max_iters`` caps, may end in a Newton polish."""
     if effective_cost.shape[0] == 1 or effective_cost.shape[1] == 1:
-        return _forced_plan(marginals)
+        return _forced_plan(marginals, cfg.tolerance)
     g = np.zeros(marginals.col.size)
     cost_range = float(np.max(effective_cost) - np.min(effective_cost))
     if not math.isfinite(cost_range / scale):
@@ -457,10 +471,12 @@ def _validate_problem(
     return c, marginals, SolverConfig() if cfg is None else cfg
 
 
-def _forced_plan(marginals: Marginals) -> SinkhornResult:
-    # With a single row or column the constraints pin the plan exactly.
+def _forced_plan(marginals: Marginals, tolerance: float) -> SinkhornResult:
+    # With a single row or column the constraints pin the plan exactly, but
+    # its sums still carry the rounding of the marginal's own sum.
     plan = np.outer(marginals.row, marginals.col)
-    return SinkhornResult(plan, True, 0, *marginal_residual(plan, marginals))
+    residuals = marginal_residual(plan, marginals)
+    return SinkhornResult(plan, max(residuals) <= tolerance, 0, *residuals)
 
 
 def sinkhorn(

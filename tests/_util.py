@@ -202,7 +202,7 @@ def solve_reference(
     (``np.array_equal``) this plan with the same sweep counts.
     """
     if effective_cost.shape[0] == 1 or effective_cost.shape[1] == 1:
-        return _forced_plan(marginals)
+        return _forced_plan(marginals, cfg.tolerance)
     g = np.zeros(marginals.col.size)
     cost_range = float(np.max(effective_cost) - np.min(effective_cost))
     if not math.isfinite(cost_range / scale):

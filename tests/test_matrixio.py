@@ -47,6 +47,21 @@ def test_rejects_non_finite_values(tmp_path, value):
         read_matrix(path)
 
 
+def test_rejects_non_numeric_value_naming_file_and_row(tmp_path):
+    path = tmp_path / "bad.mat"
+    path.write_text("2 2\n1 2\n1 x\n")
+    with pytest.raises(ValueError, match=r"bad\.mat: row 1 has a non-numeric value$"):
+        read_matrix(path)
+
+
+@pytest.mark.parametrize("header", ["a 2", "2", "2 2 2", "2.0 2", ""])
+def test_rejects_malformed_header_naming_file(tmp_path, header):
+    path = tmp_path / "bad.mat"
+    path.write_text(f"{header}\n1 2\n3 4\n")
+    with pytest.raises(ValueError, match=rf"bad\.mat: malformed header '{header}', expected integers"):
+        read_matrix(path)
+
+
 def test_rejects_rows_past_the_declared_count(tmp_path):
     path = tmp_path / "long.mat"
     path.write_text("2 2\n1 2\n3 4\n\n5 6\n")

@@ -2,13 +2,16 @@
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import goca.ot_core as ot_core
 from goca.oracle import finite_diff_grad
 from goca.ot_core import SolverConfig
 from goca.prototypes import ProtoOptConfig
+from goca.runconfig import RunConfig
 import goca.ssl_engine as engine
 from goca.ssl_engine import (
     MODES,
@@ -20,7 +23,10 @@ from goca.ssl_engine import (
     extract_features,
     goca_step,
     init_params,
+    place_prototypes,
+    prototype_inputs,
     prototype_scores,
+    select_prototypes,
     swapped_loss,
     train,
 )
@@ -404,6 +410,26 @@ class TestTrain:
              f"{mode} training step {step}: assignment did not converge; using last iterate")
             for step in range(len(result.trace))
         ]
+
+    def test_training_at_defaults_never_polishes(self, monkeypatch):
+        # At 100 x 64 a polish pays off only once more than 2,700 sweeps
+        # are projected, past training's cap of 2,000, so every solve of
+        # a training run is scaling's alone and its outputs do not move
+        # with the polish.
+        def polish(*args):
+            pytest.fail("a training solve ran the Newton polish")
+
+        monkeypatch.setattr(ot_core, "_newton_polish", polish)
+        run = RunConfig()
+        data = generate(run.data)
+        placed = {}
+        for mode in MODES:
+            cfg = replace(run.train, mode=mode, epochs=2)
+            for inputs in prototype_inputs(cfg):
+                if inputs not in placed:
+                    placed[inputs] = place_prototypes(inputs)
+            result = train(data, cfg, select_prototypes(cfg, placed))
+            assert len(result.trace) == 2 * len(data) // cfg.batch_size
 
     def test_dimension_mismatch_rejected(self):
         data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
