@@ -30,17 +30,17 @@ so small that range(C) / regularization leaves the float64 range
 raises FloatingPointError before annealing, as does a non-finite plan.
 
 The final stage, the only one the caller's max_iters caps, may end in a
-Newton polish (Sinkhorn-Newton, Brauer et al., arXiv:1710.06635).  At
-the first check where the row residual did not shrink over the last 10
-sweeps, or shrinks at a rate that meets the tolerance only after
-max_iters, or only after more sweeps (M N each) than a Newton solve
-costs (4 (M + N)^3), the materialized plan goes to damped Newton on the
-M + N - 1 dual potentials (the last column potential fixed).  A polish
-that meets the tolerance ends the stage; one that fails (singular
-Hessian, no descent, or its step cap spent) lets scaling run on, and the
-check at the cap polishes once more.  The rate needs two checks, so a
-cap of at most 10 sweeps is never polished.  Where scaling converges before the
-trigger, the plan is bit-for-bit that of scaling alone.
+Newton polish (Sinkhorn-Newton, Brauer et al., arXiv:1710.06635): damped
+Newton on the M + N - 1 dual potentials (the last column potential
+fixed), from the materialized plan.  It polishes at the first check
+where the row residual did not shrink over the last 10 sweeps, or
+shrinks at a rate that meets the tolerance only after more sweeps (M N
+each) than a Newton solve costs (4 (M + N)^3).  If that never fires, or
+its polish fails (singular Hessian, no descent, or its step cap spent),
+scaling runs on and the check at the cap polishes.  A polish that meets
+the tolerance ends the stage.  The rate needs two checks, so a cap of at
+most 10 sweeps is never polished.  Where scaling converges before either
+check polishes, the plan is bit-for-bit that of scaling alone.
 """
 
 from __future__ import annotations
@@ -280,23 +280,20 @@ def _in_range(x: np.ndarray) -> bool:
     return bool(low <= x.min() and x.max() <= high)  # False on NaN
 
 
-def _worth_polishing(
-    res: float, prev: float, sweeps: int, tolerance: float, max_iters: int, shape: tuple[int, int]
-) -> bool:
+def _worth_polishing(res: float, prev: float, tolerance: float, shape: tuple[int, int]) -> bool:
     """Whether an M x N stage should hand its plan to _newton_polish now.
 
     It should when the row residual, ``prev`` one check block ago and
     ``res`` now, did not shrink, or when at its observed rate it meets
-    ``tolerance`` only after ``max_iters`` sweeps, or only after more
-    remaining sweeps than a Newton solve is worth: a sweep costs about
-    M N, a Newton solve about _NEWTON_WORK (M + N)^3.
+    ``tolerance`` only after more sweeps than a Newton solve is worth: a
+    sweep costs about M N, a Newton solve about _NEWTON_WORK (M + N)^3.
+    A stage this never fires for is polished at its cap instead.
     """
     if res >= prev:
         return True
     blocks = math.log(tolerance / res) / math.log(res / prev)
     m, n = shape
-    remaining = _CHECK_EVERY * blocks
-    return sweeps + remaining > max_iters or remaining * m * n > _NEWTON_WORK * (m + n) ** 3
+    return _CHECK_EVERY * blocks * m * n > _NEWTON_WORK * (m + n) ** 3
 
 
 def _newton_polish(plan: np.ndarray, marginals: Marginals, tolerance: float):
@@ -360,8 +357,8 @@ def _scaling_stage(
     absorbed; scalings that leave _SCALING_RANGE are rolled back to the
     last checkpoint and absorbed into the potentials.  With ``polish``,
     the first check whose row residual rate makes a polish worth it (see
-    _worth_polishing) hands the plan to _newton_polish; if that
-    fails, scaling goes on and the cap check polishes once more.  Both
+    _worth_polishing) hands the plan to _newton_polish; if none does, or
+    that polish fails, scaling goes on and the cap check polishes.  Both
     need the residual of the check before, so a stage capped within
     one check block is never polished.
 
@@ -410,8 +407,7 @@ def _scaling_stage(
                 and res > tolerance
                 and (
                     sweeps >= max_iters
-                    or not tried
-                    and _worth_polishing(res, prev, sweeps, tolerance, max_iters, kernel.shape)
+                    or not tried and _worth_polishing(res, prev, tolerance, kernel.shape)
                 )
             ):
                 tried = True

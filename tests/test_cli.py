@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, file formats."""
 
 import csv
+import inspect
 import statistics
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from goca.matrixio import read_matrix, write_matrix
 from goca.ot_core import SolverConfig
 from goca.prototypes import ProtoOptConfig
 from goca.runconfig import EvalConfig, RunConfig, dump_config, parse_config
+from goca.ssl_engine import place_prototypes, prototype_inputs
 
 from _util import c03_draws
 
@@ -211,6 +213,15 @@ class TestTrainAndEval:
         assert metrics[0][0] == "condition"
         assert {row[0] for row in metrics[1:]} == {"a", "b", "fused"}
 
+    def test_sview_train_writes_one_prototype_set_per_view(self, tmp_path, tiny_config):
+        out = tmp_path / "run"
+        assert main(["train", "--mode", "sview", "--config", tiny_config, "--out", str(out)]) == 0
+        train_cfg = replace(parse_config(TINY_CONFIG).train, mode="sview")
+        inputs = prototype_inputs(train_cfg)
+        for i, name in enumerate(["prototypes_a.mat", "prototypes_b.mat"]):
+            assert np.array_equal(read_matrix(out / name), place_prototypes(inputs[i]))
+        assert not (out / "prototypes.mat").exists()
+
     def test_diverging_training_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "diverge.cfg"
         cfg_path.write_text(TINY_CONFIG + "train.learning_rate = 1e200\n")
@@ -263,6 +274,19 @@ class TestTrainAndEval:
         assert names == ["accuracy", "nmi", "f1", "recall@1"]
         # every query is its own nearest neighbor
         assert float(rows[4][1]) == 1.0
+
+    def test_eval_queries_require_query_labels(self, tmp_path, tiny_config, capsys):
+        data_dir = tmp_path / "data"
+        main(["gen-data", "--config", tiny_config, "--out", str(data_dir)])
+        metrics = tmp_path / "m.csv"
+        code = main([
+            "eval", "--features", str(data_dir / "view_b.mat"),
+            "--labels", str(data_dir / "labels.txt"),
+            "--queries", str(data_dir / "view_b.mat"), "--metrics", str(metrics),
+        ])
+        assert code == 1
+        assert "error: --queries requires --query-labels" in capsys.readouterr().err
+        assert not metrics.exists()
 
     def test_eval_rejects_misaligned_labels(self, tmp_path, tiny_config):
         data_dir = tmp_path / "data"
@@ -537,6 +561,11 @@ class TestVerifyAndConfig:
         scoring = parser.parse_args(
             ["eval", "--features", "f.mat", "--labels", "l.txt", "--metrics", "m.csv"])
         assert (scoring.repeats, scoring.seed) == (EvalConfig().repeats, EvalConfig().seed)
+        for command, run in (("ablate", run_ablation), ("lambda-grid", run_lambda_grid)):
+            flags = parser.parse_args([command, "--out", "o.csv"])
+            params = inspect.signature(run).parameters
+            assert (flags.seeds, flags.jobs) == (
+                params["seeds"].default, params["jobs"].default), command
 
     def test_config_error_exits_1(self, tmp_path):
         bad = tmp_path / "bad.cfg"

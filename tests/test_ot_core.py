@@ -499,6 +499,18 @@ class TestNewtonPolish:
                 assert ref.converged
                 _assert_unpolished_parity(ref, res)
 
+    def test_stage_is_polished_at_the_cap_when_the_work_rule_never_fires(self):
+        # At 100 x 64 a Newton solve is worth 2,700+ sweeps, so under a
+        # 100-sweep cap scaling runs to the cap and the polish starts there
+        rng = np.random.default_rng(73)
+        protos = random_unit_rows(rng, 64, 16)
+        cfg = SolverConfig(max_iters=100)
+        for _ in range(10):
+            res = sinkhorn(cost_from_features(random_unit_rows(rng, 100, 16), protos), cfg=cfg)
+            assert res.converged
+            assert res.iterations == cfg.max_iters
+            assert res.newton_steps > 0
+
     def test_failed_polish_is_retried_at_the_cap(self, monkeypatch):
         # seed 28, draw 18 (32 x 27): the first polish starts at a row
         # residual of 1.6e-4 with a near-singular Hessian and fails; the
@@ -526,6 +538,30 @@ class TestNewtonPolish:
         ref, res = _reference_and_polished(cost, prior, marg, cfg)
         assert not ref.converged
         _assert_unpolished_parity(ref, res)
+
+
+class TestNewtonPolishFailures:
+    """``_newton_polish`` returns None where it cannot finish, without a
+    RuntimeWarning (which the test configuration turns into an error)."""
+
+    def test_singular_hessian(self):
+        plan = np.full((4, 5), 1.0 / 20)
+        plan[2] = 0.0  # a zero row sum zeroes a row of the Hessian
+        assert ot_core._newton_polish(plan, Marginals.uniform(4, 5), 1e-8) is None
+
+    def test_step_cap_spent(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        start = np.full((4, 5), 1.0 / 20) * np.exp(5 * rng.standard_normal((4, 5)))
+        marg, tolerance = Marginals.uniform(4, 5), 1e-12
+        cap = ot_core._NEWTON_STEPS
+        assert ot_core._newton_polish(start, marg, tolerance) is None
+        # the same start converges given more steps, in 10
+        monkeypatch.setattr(ot_core, "_NEWTON_STEPS", 100)
+        polished = ot_core._newton_polish(start, marg, tolerance)
+        assert polished is not None
+        plan, steps = polished
+        assert steps > cap
+        assert max(marginal_residual(plan, marg)) <= tolerance
 
 
 def _battery_draw():
