@@ -174,9 +174,11 @@ def cost_from_features(features: np.ndarray, prototypes: np.ndarray) -> np.ndarr
             f"prototypes are {protos.shape[1]}-D"
         )
     for name, arr in (("feature", feats), ("prototype", protos)):
-        norms = np.linalg.norm(arr, axis=1)
-        if np.max(np.abs(norms - 1.0)) > _UNIT_NORM_ATOL:
-            raise ValueError(f"{name} rows must be unit-norm")
+        off = np.abs(np.linalg.norm(arr, axis=1) - 1.0)
+        # written so that a NaN norm fails it too
+        if not np.max(off) <= _UNIT_NORM_ATOL:
+            row = int(np.argmin(off <= _UNIT_NORM_ATOL))
+            raise ValueError(f"{name} rows must be unit-norm; row {row} is off by {off[row]}")
     return -(feats @ protos.T)
 
 

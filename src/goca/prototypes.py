@@ -17,6 +17,13 @@ the new iterate and the nearest rows for the next subgradient.  The
 arithmetic per restart is the same, in the same order, as descending
 one restart at a time.
 
+The Gram multiplies each set by a contiguous copy of its transpose:
+numpy sends a product of a buffer with its own transposed view down a
+slower path (symmetric rank-k update per set), and the copy costs less
+than it saves.  The descent's bits are pinned against the one-restart
+loop in ``tests/_util.sequential_prototypes_reference``, and each step
+kernel against its own reference there.
+
 For N <= Phi + 1 the optimum is the regular simplex with all pairwise
 cosines at -1/(N-1); for N = 2 the pair is antipodal.
 """
@@ -66,21 +73,42 @@ def _checked(prototypes: np.ndarray) -> np.ndarray:
     w = np.asarray(prototypes, dtype=float)
     if w.ndim != 2 or w.shape[0] < 2:
         raise ValueError("prototypes must be a matrix with at least 2 rows")
-    norms = np.linalg.norm(w, axis=1)
-    # loose enough that finite-difference probes off the sphere stay valid
-    if np.max(np.abs(norms - 1.0)) > 1e-4:
-        raise ValueError("prototype rows must be unit-norm")
+    off = np.abs(np.linalg.norm(w, axis=1) - 1.0)
+    # loose enough that finite-difference probes off the sphere stay valid;
+    # written so that a NaN norm fails it too
+    if not np.max(off) <= 1e-4:
+        row = int(np.argmin(off <= 1e-4))
+        raise ValueError(f"prototype rows must be unit-norm; row {row} is off by {off[row]}")
     return w
 
 
 def _unit_rows(w: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(w, axis=-1, keepdims=True)
-    if np.any(norms == 0.0):
+    # np.linalg.norm's own arithmetic for real input, without its dispatch
+    norms = np.sqrt(np.add.reduce(w * w, axis=-1, keepdims=True))
+    if not norms.all():
         raise ValueError("cannot project a zero row onto the sphere")
     return w / norms
 
 
-def _loss_and_nearest(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _StackIndex:
+    """Flat offsets into an (R, N, D) stack and its (R, N, N) Grams.
+
+    They depend only on the shape, so a descent builds them once instead
+    of once per step.
+    """
+
+    def __init__(self, shape: tuple[int, int, int]):
+        sets, count, dim = shape
+        rows = np.arange(sets * count)
+        self.gram_rows = rows * count  # each row's first Gram entry
+        self.diagonal = self.gram_rows + rows % count  # each row's own Gram entry
+        self.set_rows = rows - rows % count  # first stack row of each row's set
+        self.columns = np.tile(np.arange(dim), sets * count)  # column of each entry
+
+
+def _loss_and_nearest(
+    stack: np.ndarray, index: _StackIndex | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Loss and nearest other row of each set in an (R, N, D) stack.
 
     One Gram matrix per set gives both.  The nearest row is the lowest
@@ -88,24 +116,33 @@ def _loss_and_nearest(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     term is the larger of that cosine and its own shifted diagonal
     entry G_ii - 2, which is exactly the row max of W W^T - 2 I.
     """
-    gram = np.matmul(stack, stack.transpose(0, 2, 1))
-    diag = np.arange(stack.shape[1])
-    shifted_self = gram[:, diag, diag] - 2.0
-    gram[:, diag, diag] = -np.inf
+    if index is None:
+        index = _StackIndex(stack.shape)
+    sets, count, _ = stack.shape
+    gram = np.matmul(stack, np.ascontiguousarray(stack.transpose(0, 2, 1)))
+    flat = gram.ravel()
+    shifted_self = flat.take(index.diagonal) - 2.0
+    flat[index.diagonal] = -np.inf
     nearest = np.argmax(gram, axis=2)
-    closest = np.take_along_axis(gram, nearest[:, :, None], axis=2)[:, :, 0]
-    return np.mean(np.maximum(closest, shifted_self), axis=1), nearest
+    closest = flat.take(index.gram_rows + nearest.ravel())
+    # np.mean's own arithmetic: one add.reduce along each set, then one divide
+    terms = np.maximum(closest, shifted_self).reshape(sets, count)
+    return np.add.reduce(terms, axis=1) / count, nearest
 
 
-def _subgradient(stack: np.ndarray, nearest: np.ndarray) -> np.ndarray:
+def _subgradient(
+    stack: np.ndarray, nearest: np.ndarray, index: _StackIndex | None = None
+) -> np.ndarray:
     """Loss subgradient of each set in an (R, N, D) stack, given ``_loss_and_nearest``'s rows."""
-    sets, count, dim = stack.shape
-    rows = (nearest + count * np.arange(sets)[:, None]).ravel()
-    grad = stack.reshape(-1, dim)[rows]
+    if index is None:
+        index = _StackIndex(stack.shape)
+    count, dim = stack.shape[1:]
+    rows = nearest.ravel() + index.set_rows
+    grad = stack.reshape(-1, dim).take(rows, axis=0)
     # Adding entry by entry on one raveled index gives every entry its terms
     # in row order, as row-wise np.add.at on a single set does, and takes
     # numpy's fast 1-D path.
-    entries = (rows[:, None] * dim + np.arange(dim)).ravel()
+    entries = np.repeat(rows * dim, dim) + index.columns
     np.add.at(grad.ravel(), entries, stack.ravel())
     return (grad / count).reshape(stack.shape)
 
@@ -146,7 +183,8 @@ def _descend(rngs: list[np.random.Generator], count: int, dim: int, cfg: ProtoOp
     (R, steps + 1), whose first column is the loss of the start.
     """
     w = _unit_rows(np.stack([rng.standard_normal((count, dim)) for rng in rngs]))
-    loss, nearest = _loss_and_nearest(w)
+    index = _StackIndex(w.shape)
+    loss, nearest = _loss_and_nearest(w, index)
     trace = np.empty((len(rngs), cfg.steps + 1))
     trace[:, 0] = loss
     best_w = w.copy()
@@ -156,12 +194,12 @@ def _descend(rngs: list[np.random.Generator], count: int, dim: int, cfg: ProtoOp
         lr = cfg.final_learning_rate + 0.5 * (cfg.learning_rate - cfg.final_learning_rate) * (
             1.0 + math.cos(math.pi * step / span)
         )
-        w = _unit_rows(w - lr * _subgradient(w, nearest))
-        loss, nearest = _loss_and_nearest(w)
+        w = _unit_rows(w - lr * _subgradient(w, nearest, index))
+        loss, nearest = _loss_and_nearest(w, index)
         trace[:, step + 1] = loss
         improved = loss < best_loss
-        best_loss[improved] = loss[improved]
-        best_w[improved] = w[improved]
+        np.copyto(best_loss, loss, where=improved)
+        np.copyto(best_w, w, where=improved[:, None, None])
     return best_w, best_loss, trace
 
 

@@ -54,6 +54,17 @@ class TestCostFromFeatures:
         with pytest.raises(ValueError, match="unit-norm"):
             cost_from_features(2.0 * np.eye(2), np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rows(self, bad):
+        rng = np.random.default_rng(12)
+        feats = random_unit_rows(rng, 4, 3)
+        protos = random_unit_rows(rng, 5, 3)
+        feats[2, 1] = bad
+        with pytest.raises(ValueError, match="feature rows must be unit-norm; row 2"):
+            cost_from_features(feats, protos)
+        with pytest.raises(ValueError, match="prototype rows must be unit-norm; row 2"):
+            cost_from_features(protos, feats)
+
     def test_entries_in_range(self):
         rng = np.random.default_rng(11)
         c = cost_from_features(random_unit_rows(rng, 6, 4), random_unit_rows(rng, 5, 4))

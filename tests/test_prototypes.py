@@ -9,6 +9,9 @@ from goca.oracle import finite_diff_grad
 from goca.prototypes import (
     ProtoOptConfig,
     _descend,
+    _loss_and_nearest,
+    _subgradient,
+    _unit_rows,
     max_pairwise_cosine,
     optimize_prototypes,
     project_to_sphere,
@@ -16,7 +19,14 @@ from goca.prototypes import (
     prototype_loss_grad,
 )
 
-from _util import random_unit_rows, relative_max_error, sequential_prototypes_reference
+from _util import (
+    _reference_grad,
+    _reference_loss,
+    _reference_unit_rows,
+    random_unit_rows,
+    relative_max_error,
+    sequential_prototypes_reference,
+)
 
 
 def _non_degenerate_unit_rows(rng, rows, dim, gap=1e-3):
@@ -59,6 +69,15 @@ class TestPrototypeLoss:
     def test_rejects_single_row(self):
         with pytest.raises(ValueError):
             prototype_loss(np.array([[1.0, 0.0]]))
+
+    @pytest.mark.parametrize("check", [prototype_loss, prototype_loss_grad, max_pairwise_cosine])
+    def test_rejects_non_finite_rows(self, check):
+        with pytest.raises(ValueError, match="must be unit-norm; row 0"):
+            check(np.full((3, 2), np.nan))
+        w = random_unit_rows(np.random.default_rng(6), 4, 3)
+        w[3, 0] = np.nan
+        with pytest.raises(ValueError, match="must be unit-norm; row 3"):
+            check(w)
 
 
 class TestPrototypeGrad:
@@ -203,3 +222,70 @@ class TestBatchedDescent:
         assert trace.shape == (3, 21)
         assert list(trace[:, 0]) == [prototype_loss(w) for w in starts]
         assert np.array_equal(best_loss, trace.min(axis=1))
+
+
+def _kernel_stacks(sets):
+    """(sets, N, D) stacks of unit rows for the kernel tests, by case name.
+
+    ``ties`` repeats row 1 of every set at rows 3 and 5, so those rows
+    tie exactly for each other's nearest row.  ``antipodal`` holds N = 2
+    pairs (a, -a) with a.a > 1 in floating point, where the shifted
+    diagonal G_ii - 2 is the row max.
+    """
+    rng = np.random.default_rng(sets)
+    ties = np.stack([random_unit_rows(rng, 8, 4) for _ in range(sets)])
+    ties[:, [3, 5]] = ties[:, [1, 1]]
+    pairs = []
+    while len(pairs) < sets:
+        a = random_unit_rows(rng, 1, 3)[0]
+        if a @ a > 1.0:
+            pairs.append(np.stack([a, -a]))
+    return {
+        "random": np.stack([random_unit_rows(rng, 64, 16) for _ in range(sets)]),
+        "small": np.stack([random_unit_rows(rng, 5, 3) for _ in range(sets)]),
+        "ties": ties,
+        "antipodal": np.stack(pairs),
+    }
+
+
+class TestStepKernelsBitwise:
+    """Each stacked step kernel equals its one-set reference in every bit."""
+
+    @pytest.mark.parametrize("sets", [1, 3, 10])
+    def test_unit_rows(self, sets):
+        rng = np.random.default_rng(sets)
+        for count, dim in ((2, 2), (5, 3), (64, 16)):
+            raw = rng.standard_normal((sets, count, dim))
+            expected = np.stack([_reference_unit_rows(m) for m in raw])
+            assert np.array_equal(_unit_rows(raw), expected)
+
+    @pytest.mark.parametrize("sets", [1, 3, 10])
+    def test_loss_and_nearest(self, sets):
+        for stack in _kernel_stacks(sets).values():
+            loss, nearest = _loss_and_nearest(stack)
+            for w, set_loss, set_nearest in zip(stack, loss, nearest):
+                sims = w @ w.T
+                np.fill_diagonal(sims, -np.inf)
+                assert set_loss == _reference_loss(w)
+                assert np.array_equal(set_nearest, np.argmax(sims, axis=1))
+
+    @pytest.mark.parametrize("sets", [1, 3, 10])
+    def test_subgradient(self, sets):
+        for stack in _kernel_stacks(sets).values():
+            _, nearest = _loss_and_nearest(stack)
+            expected = np.stack([_reference_grad(w) for w in stack])
+            assert np.array_equal(_subgradient(stack, nearest), expected)
+
+    def test_duplicated_rows_go_to_the_lowest_index(self):
+        _, nearest = _loss_and_nearest(_kernel_stacks(3)["ties"])
+        assert np.all(nearest[:, [1, 3, 5]] == [3, 1, 1])
+
+    def test_antipodal_loss_is_the_shifted_diagonal(self):
+        stack = _kernel_stacks(3)["antipodal"]
+        loss, nearest = _loss_and_nearest(stack)
+        assert np.all(nearest == [1, 0])
+        for w, set_loss in zip(stack, loss):
+            gram = w @ w.T
+            assert set_loss == gram[0, 0] - 2.0
+            # the pair's off-diagonal cosine -a.a lies strictly below it
+            assert gram[0, 1] < set_loss
