@@ -22,18 +22,13 @@ from itertools import repeat
 import numpy as np
 
 from . import eval as evalmod
-from . import matrixio, oracle
-from .guided_ot import clamp_prior, guided_sinkhorn
-from .ot_core import Marginals, SolverConfig, sinkhorn
-from .prototypes import (
-    ProtoOptConfig,
-    max_pairwise_cosine,
-    optimize_prototypes,
-    prototype_loss,
-    prototype_loss_grad,
-)
+from . import matrixio
+from .guided_ot import guided_sinkhorn
+from .ot_core import SolverConfig, sinkhorn
+from .prototypes import ProtoOptConfig, max_pairwise_cosine, optimize_prototypes, prototype_loss
 from .runconfig import ConfigError, RunConfig, dump_config, load_config
 from .ssl_engine import (
+    MODES,
     TrainConfig,
     extract_features,
     place_prototypes,
@@ -42,6 +37,7 @@ from .ssl_engine import (
     train,
 )
 from .synth_data import generate
+from .verify import oracle_battery
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -310,7 +306,7 @@ def _run_cells(cells: list[tuple[RunConfig, str, int]], jobs: int) -> list[list[
 def run_ablation(cfg: RunConfig, seeds: int = 5, jobs: int = 1) -> list[dict]:
     """Train every mode on identical data/seeds and score all test conditions."""
     _check_seeds(seeds)
-    cells = [(cfg, mode, s) for s in range(seeds) for mode in ("sview", "avg", "sep", "goca")]
+    cells = [(cfg, mode, s) for s in range(seeds) for mode in MODES]
     return [row for rows in _run_cells(cells, jobs) for row in rows]
 
 
@@ -377,7 +373,12 @@ def run_lambda_grid(
 
 
 def _parse_float_list(raw: str, flag: str) -> list[float]:
-    values = [float(part) for part in raw.split(",") if part.strip()]
+    values = []
+    for part in filter(str.strip, raw.split(",")):
+        try:
+            values.append(float(part))
+        except ValueError:
+            raise ValueError(f"{flag} entry {part.strip()!r} is not a number") from None
     if not values:
         raise ValueError(f"{flag} needs at least one value")
     return values
@@ -406,120 +407,10 @@ def _cmd_lambda_grid(args) -> int:
 # verify
 
 
-def _verification_battery(seed: int) -> list[tuple[str, bool, str]]:
-    rng = np.random.default_rng(seed)
-    checks: list[tuple[str, bool, str]] = []
-
-    def record(name: str, worst: float, tol: float):
-        checks.append((name, worst <= tol, f"worst {worst:.3e} vs tol {tol:.0e}"))
-
-    marg2 = Marginals.uniform(2, 2)
-    worst = 0.0
-    for _ in range(50):
-        cost = rng.uniform(-1.0, 1.0, size=(2, 2))
-        for lam in (0.02, 0.1, 0.5):
-            plan = sinkhorn(cost, marg2, SolverConfig(lambda1=lam)).plan
-            ref = oracle.golden_section_2x2(cost, None, marg2.row, marg2.col, lam)
-            worst = max(worst, float(np.max(np.abs(plan - ref))))
-    record("plain 2x2 vs golden-section", worst, 1e-6)
-
-    worst = 0.0
-    for _ in range(50):
-        cost = rng.uniform(-1.0, 1.0, size=(2, 2))
-        prior = clamp_prior(rng.uniform(0.0, 1.0, size=(2, 2)) ** 3)
-        for lam2 in (0.01, 0.03, 1.0):
-            cfg = SolverConfig(lambda1=0.02, lambda2=lam2)
-            plan = guided_sinkhorn(cost, prior, marg2, cfg).plan
-            ref = oracle.golden_section_2x2(cost, prior, marg2.row, marg2.col, 0.02, lam2)
-            worst = max(worst, float(np.max(np.abs(plan - ref))))
-    record("guided 2x2 vs golden-section", worst, 1e-6)
-
-    worst = 0.0
-    for size in (3, 4):
-        marg = Marginals.uniform(size, size)
-        for _ in range(10):
-            cost = rng.uniform(-1.0, 1.0, size=(size, size))
-            lam = float(rng.choice([0.1, 0.5]))
-            plan = sinkhorn(cost, marg, SolverConfig(lambda1=lam)).plan
-            ref = oracle.mirror_descent_small(cost, None, marg.row, marg.col, lam)
-            worst = max(worst, float(np.max(np.abs(plan - ref))))
-    record("plain 3x3/4x4 vs mirror descent", worst, 1e-5)
-
-    worst = 0.0
-    for _ in range(20):
-        size = int(rng.integers(2, 5))
-        marg = Marginals.uniform(size, size)
-        cost = rng.uniform(-1.0, 1.0, size=(size, size))
-        prior = clamp_prior(rng.uniform(0.0, 1.0, size=(size, size)))
-        cfg = SolverConfig(lambda1=0.02, lambda2=0.03)
-        guided = guided_sinkhorn(cost, prior, marg, cfg).plan
-        reduced = sinkhorn(
-            cost - cfg.lambda2 * np.log(clamp_prior(prior, cfg.prior_floor)),
-            marg,
-            SolverConfig(lambda1=cfg.lambda1 + cfg.lambda2),
-        ).plan
-        worst = max(worst, float(np.max(np.abs(guided - reduced))))
-    record("kernel reduction of the guided problem", worst, 1e-8)
-
-    worst = 0.0
-    for _ in range(10):
-        cost = rng.uniform(-1.0, 1.0, size=(3, 3))
-        marg = Marginals.uniform(3, 3)
-        prior = clamp_prior(rng.uniform(0.0, 1.0, size=(3, 3)))
-        plain = sinkhorn(cost, marg, SolverConfig(lambda1=0.02)).plan
-        guided = guided_sinkhorn(cost, prior, marg, SolverConfig(lambda1=0.02, lambda2=0.0)).plan
-        worst = max(worst, float(np.max(np.abs(plain - guided))))
-    record("lambda2 = 0 reduces to plain", worst, 1e-9)
-
-    worst = 0.0
-    for _ in range(10):
-        cost = rng.uniform(-1.0, 1.0, size=(3, 3))
-        marg = Marginals.uniform(3, 3)
-        prior = clamp_prior(rng.uniform(0.1, 1.0, size=(3, 3)))
-        cfg = SolverConfig(lambda1=0.02, lambda2=0.5)
-        base = guided_sinkhorn(cost, prior, marg, cfg).plan
-        for factor in (1e-3, 1e3):
-            scaled = guided_sinkhorn(cost, factor * prior, marg, cfg).plan
-            worst = max(worst, float(np.max(np.abs(base - scaled))))
-    record("prior-scale invariance", worst, 1e-9)
-
-    worst = 0.0
-    for _ in range(5):
-        cost = rng.uniform(-1.0, 1.0, size=(3, 3))
-        marg = Marginals.uniform(3, 3)
-        base = np.exp(rng.uniform(-1.0, 1.0, size=(3, 3)))
-        for _ in range(200):
-            base *= (marg.row / base.sum(axis=1))[:, None]
-            base *= (marg.col / base.sum(axis=0))[None, :]
-        cfg = SolverConfig(lambda1=0.02, lambda2=1e3)
-        plan = guided_sinkhorn(cost, base, marg, cfg).plan
-        worst = max(worst, float(np.max(np.abs(plan - base))))
-    record("strong prior dominates", worst, 1e-3)
-
-    worst = 0.0
-    count = 0
-    while count < 5:
-        w = rng.standard_normal((5, 4))
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
-        sims = w @ w.T
-        np.fill_diagonal(sims, -np.inf)
-        top2 = np.sort(sims, axis=1)[:, -2:]
-        if np.min(top2[:, 1] - top2[:, 0]) < 1e-3:
-            continue  # near-tied argmax: subgradient not unique
-        count += 1
-        analytic = prototype_loss_grad(w).ravel()
-        fd = oracle.finite_diff_grad(lambda vec: prototype_loss(vec.reshape(5, 4)), w.ravel())
-        scale = max(float(np.max(np.abs(fd))), 1e-12)
-        worst = max(worst, float(np.max(np.abs(analytic - fd))) / scale)
-    record("prototype subgradient vs finite differences", worst, 1e-4)
-
-    return checks
-
-
 def _cmd_verify(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")
-    checks = _verification_battery(args.seed)
+    checks = oracle_battery(args.seed)
     failures = 0
     for name, passed, detail in checks:
         state = "PASS" if passed else "FAIL"
@@ -571,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("train", help="train one mode on the synthetic benchmark")
-    p.add_argument("--mode", choices=["sview", "avg", "sep", "goca"])
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
@@ -605,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ablate)
 
-    p = sub.add_parser("verify", help="run the oracle battery and report pass/fail")
+    p = sub.add_parser("verify", help="run criteria c01-c06's oracle checks at reduced draws")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
 

@@ -161,10 +161,15 @@ def prototype_loss_grad(prototypes: np.ndarray) -> np.ndarray:
 
 
 def project_to_sphere(raw: np.ndarray) -> np.ndarray:
-    """Rescale each row to unit L2 norm; idempotent, zero rows are an error."""
+    """Rescale each row to unit L2 norm; idempotent, zero and non-finite
+    rows are an error."""
     w = np.asarray(raw, dtype=float)
     if w.ndim != 2:
         raise ValueError("expected a 2-D matrix")
+    finite = np.isfinite(w).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"cannot project a non-finite row onto the sphere; row {row} is {w[row]}")
     return _unit_rows(w)
 
 

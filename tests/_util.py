@@ -19,34 +19,12 @@ from goca.ot_core import (
     _forced_plan,
     _in_range,
 )
+from goca.verify import feasible_random_plan  # re-exported for the tests
 
 
 def random_unit_rows(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
     x = rng.standard_normal((rows, dim))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
-
-
-def project_to_marginals(
-    matrix: np.ndarray,
-    row_marginal: np.ndarray,
-    col_marginal: np.ndarray,
-    sweeps: int = 500,
-) -> np.ndarray:
-    """Alternating row/column rescaling; test-local feasibility helper."""
-    out = np.asarray(matrix, dtype=float).copy()
-    for _ in range(sweeps):
-        out *= (row_marginal / out.sum(axis=1))[:, None]
-        out *= (col_marginal / out.sum(axis=0))[None, :]
-    return out
-
-
-def feasible_random_plan(
-    rng: np.random.Generator,
-    row_marginal: np.ndarray,
-    col_marginal: np.ndarray,
-) -> np.ndarray:
-    raw = np.exp(rng.uniform(-1.0, 1.0, size=(row_marginal.size, col_marginal.size)))
-    return project_to_marginals(raw, row_marginal, col_marginal)
 
 
 def zero_sum_perturbation(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -59,27 +37,6 @@ def zero_sum_perturbation(rng: np.random.Generator, rows: int, cols: int) -> np.
     delta[i, jj] -= 1.0
     delta[ii, j] -= 1.0
     return delta
-
-
-def relative_max_error(analytic: np.ndarray, reference: np.ndarray) -> float:
-    scale = max(float(np.max(np.abs(reference))), 1e-12)
-    return float(np.max(np.abs(analytic - reference))) / scale
-
-
-def c03_draws():
-    """The 100 (cost, prior) pairs of acceptance criterion c03, in its order.
-
-    The same seed-103 draws as ``test_acceptance.test_c03_kernel_reduction``:
-    square instances of side 2 to 5, the prior already clamped at the
-    default floor.  At library defaults 29 of them reach the sweep cap of
-    the solver without its Newton polish.
-    """
-    rng = np.random.default_rng(103)
-    for _ in range(100):
-        size = int(rng.integers(2, 6))
-        cost = rng.uniform(-1.0, 1.0, size=(size, size))
-        prior = np.maximum(rng.uniform(0.0, 1.0, size=(size, size)), SolverConfig.prior_floor)
-        yield cost, prior
 
 
 def log_sinkhorn_reference(

@@ -8,8 +8,6 @@ ordering, metric correctness, and the lambda-grid smoke run.
 """
 
 import itertools
-import math
-import statistics
 import time
 
 import numpy as np
@@ -17,16 +15,9 @@ import pytest
 
 from goca.cli import ablation_medians, run_ablation, run_lambda_grid
 from goca.eval import kmeans, majority_vote_metrics, recall_at_k, within_cluster_ss
-from goca.guided_ot import clamp_prior, guided_sinkhorn
-from goca.oracle import finite_diff_grad, golden_section_2x2, mirror_descent_small
-from goca.ot_core import Marginals, SolverConfig, sinkhorn
-from goca.prototypes import (
-    ProtoOptConfig,
-    max_pairwise_cosine,
-    optimize_prototypes,
-    prototype_loss,
-    prototype_loss_grad,
-)
+from goca.oracle import finite_diff_grad
+from goca.ot_core import SolverConfig, marginal_residual
+from goca.prototypes import ProtoOptConfig, max_pairwise_cosine, optimize_prototypes, prototype_loss
 from goca.runconfig import RunConfig
 from goca.ssl_engine import (
     AugmentedBatch,
@@ -38,8 +29,18 @@ from goca.ssl_engine import (
     train,
 )
 from goca.synth_data import SynthConfig, generate
+from goca.verify import (
+    guided_vs_oracles,
+    kernel_reduction,
+    kl_to_prior_falls,
+    plain_vs_oracles,
+    prior_dominance,
+    prior_scale_invariance,
+    prototype_subgradient,
+    zero_lambda2,
+)
 
-from _util import feasible_random_plan, random_unit_rows
+from _util import random_unit_rows
 
 
 def _report(name: str, elapsed: float, detail: str = ""):
@@ -47,46 +48,21 @@ def _report(name: str, elapsed: float, detail: str = ""):
     print(f"\nPASS {name} ({elapsed:.1f}s){suffix}")
 
 
-def _collect_feasibility(result, marginals, records):
-    if result.converged:
-        plan = result.plan
-        records.append(
-            max(
-                float(np.max(np.abs(plan.sum(axis=1) - marginals.row))),
-                float(np.max(np.abs(plan.sum(axis=0) - marginals.col))),
-            )
-        )
-
-
 _FEASIBILITY_RECORDS: list[float] = []
+
+
+def _record_feasibility(solves):
+    """Every solve must converge; criterion 4 checks their residuals."""
+    for res, marg in solves:
+        assert res.converged
+        _FEASIBILITY_RECORDS.append(max(marginal_residual(res.plan, marg)))
 
 
 def test_c01_oracle_equivalence_plain():
     start = time.perf_counter()
-    rng = np.random.default_rng(101)
-    marg2 = Marginals.uniform(2, 2)
-    worst_2x2 = 0.0
-    for _ in range(200):
-        cost = rng.uniform(-1.0, 1.0, size=(2, 2))
-        for lam in (0.02, 0.1, 0.5):
-            res = sinkhorn(cost, marg2, SolverConfig(lambda1=lam))
-            assert res.converged
-            _collect_feasibility(res, marg2, _FEASIBILITY_RECORDS)
-            ref = golden_section_2x2(cost, None, marg2.row, marg2.col, lam)
-            worst_2x2 = max(worst_2x2, float(np.max(np.abs(res.plan - ref))))
+    worst_2x2, worst_nxn, solves = plain_vs_oracles(np.random.default_rng(101), 200, 25)
+    _record_feasibility(solves)
     assert worst_2x2 <= 1e-6
-
-    worst_nxn = 0.0
-    for size in (3, 4):
-        marg = Marginals.uniform(size, size)
-        for _ in range(25):
-            cost = rng.uniform(-1.0, 1.0, size=(size, size))
-            lam = float(rng.choice([0.1, 0.5]))
-            res = sinkhorn(cost, marg, SolverConfig(lambda1=lam, max_iters=100_000))
-            assert res.converged
-            _collect_feasibility(res, marg, _FEASIBILITY_RECORDS)
-            ref = mirror_descent_small(cost, None, marg.row, marg.col, lam)
-            worst_nxn = max(worst_nxn, float(np.max(np.abs(res.plan - ref))))
     assert worst_nxn <= 1e-5
 
     elapsed = time.perf_counter() - start
@@ -97,43 +73,11 @@ def test_c01_oracle_equivalence_plain():
 
 def test_c02_oracle_equivalence_guided():
     start = time.perf_counter()
-    rng = np.random.default_rng(102)
-    marg2 = Marginals.uniform(2, 2)
-    lambda1_cycle = itertools.cycle((0.02, 0.1, 0.5))
-    worst_2x2 = 0.0
-    worst_cross = 0.0
-    for i in range(200):
-        cost = rng.uniform(-1.0, 1.0, size=(2, 2))
-        prior = clamp_prior(rng.uniform(0.0, 1.0, size=(2, 2)) ** 3)
-        lam1 = next(lambda1_cycle)
-        for lam2 in (0.01, 0.03, 1.0):
-            cfg = SolverConfig(lambda1=lam1, lambda2=lam2, max_iters=100_000)
-            res = guided_sinkhorn(cost, prior, marg2, cfg)
-            assert res.converged
-            _collect_feasibility(res, marg2, _FEASIBILITY_RECORDS)
-            clamped = clamp_prior(prior, cfg.prior_floor)
-            ref = golden_section_2x2(cost, clamped, marg2.row, marg2.col, lam1, lam2)
-            worst_2x2 = max(worst_2x2, float(np.max(np.abs(res.plan - ref))))
-            if i % 10 == 0:
-                ref2 = mirror_descent_small(cost, clamped, marg2.row, marg2.col, lam1, lam2)
-                worst_cross = max(worst_cross, float(np.max(np.abs(res.plan - ref2))))
+    worst_2x2, worst_cross, worst_nxn, solves = guided_vs_oracles(
+        np.random.default_rng(102), 200, 25)
+    _record_feasibility(solves)
     assert worst_2x2 <= 1e-6
     assert worst_cross <= 1e-5  # mirror descent carries the n x n tolerance
-
-    worst_nxn = 0.0
-    for size in (3, 4):
-        marg = Marginals.uniform(size, size)
-        for _ in range(25):
-            cost = rng.uniform(-1.0, 1.0, size=(size, size))
-            prior = clamp_prior(rng.uniform(0.0, 1.0, size=(size, size)) ** 3)
-            for lam2 in (0.01, 0.03, 1.0):
-                cfg = SolverConfig(lambda1=0.2, lambda2=lam2, max_iters=100_000)
-                res = guided_sinkhorn(cost, prior, marg, cfg)
-                assert res.converged
-                _collect_feasibility(res, marg, _FEASIBILITY_RECORDS)
-                clamped = clamp_prior(prior, cfg.prior_floor)
-                ref = mirror_descent_small(cost, clamped, marg.row, marg.col, 0.2, lam2)
-                worst_nxn = max(worst_nxn, float(np.max(np.abs(res.plan - ref))))
     assert worst_nxn <= 1e-5
 
     elapsed = time.perf_counter() - start
@@ -144,17 +88,7 @@ def test_c02_oracle_equivalence_guided():
 
 def test_c03_kernel_reduction():
     start = time.perf_counter()
-    rng = np.random.default_rng(103)
-    worst = 0.0
-    for _ in range(100):
-        size = int(rng.integers(2, 6))
-        cost = rng.uniform(-1.0, 1.0, size=(size, size))
-        prior = clamp_prior(rng.uniform(0.0, 1.0, size=(size, size)))
-        cfg = SolverConfig(lambda1=0.02, lambda2=0.03)
-        guided = guided_sinkhorn(cost, prior, cfg=cfg)
-        shifted = cost - cfg.lambda2 * np.log(clamp_prior(prior, cfg.prior_floor))
-        reduced = sinkhorn(shifted, cfg=SolverConfig(lambda1=cfg.lambda1 + cfg.lambda2))
-        worst = max(worst, float(np.max(np.abs(guided.plan - reduced.plan))))
+    worst = kernel_reduction(np.random.default_rng(103), 100)
     assert worst <= 1e-8
     elapsed = time.perf_counter() - start
     _report("criterion-03 guided kernel reduction", elapsed, f"worst {worst:.1e}")
@@ -173,52 +107,18 @@ def test_c05_limit_behaviors():
     start = time.perf_counter()
     rng = np.random.default_rng(105)
 
-    worst_zero = 0.0
-    for _ in range(20):
-        size = int(rng.integers(2, 6))
-        cost = rng.uniform(-1.0, 1.0, size=(size, size))
-        prior = clamp_prior(rng.uniform(0.0, 1.0, size=(size, size)))
-        plain = sinkhorn(cost, cfg=SolverConfig(lambda1=0.02))
-        guided = guided_sinkhorn(cost, prior, cfg=SolverConfig(lambda1=0.02, lambda2=0.0))
-        worst_zero = max(worst_zero, float(np.max(np.abs(plain.plan - guided.plan))))
+    worst_zero = zero_lambda2(rng, 20)
     assert worst_zero <= 1e-9
 
-    worst_dom = 0.0
-    for _ in range(10):
-        size = int(rng.integers(2, 5))
-        marg = Marginals.uniform(size, size)
-        cost = rng.uniform(-1.0, 1.0, size=(size, size))
-        prior = feasible_random_plan(rng, marg.row, marg.col)
-        res = guided_sinkhorn(cost, prior, marg, SolverConfig(lambda1=0.02, lambda2=1e3))
-        worst_dom = max(worst_dom, float(np.max(np.abs(res.plan - prior))))
+    worst_dom = prior_dominance(rng, 10)
     assert worst_dom <= 1e-3
 
-    worst_scale = 0.0
-    for _ in range(10):
-        size = int(rng.integers(2, 5))
-        cost = rng.uniform(-1.0, 1.0, size=(size, size))
-        prior = clamp_prior(rng.uniform(0.1, 1.0, size=(size, size)))
-        cfg = SolverConfig(lambda1=0.1, lambda2=0.5, tolerance=1e-11, max_iters=100_000)
-        base = guided_sinkhorn(cost, prior, cfg=cfg).plan
-        for factor in (1e-3, 1.0, 1e3):
-            scaled = guided_sinkhorn(cost, factor * prior, cfg=cfg).plan
-            worst_scale = max(worst_scale, float(np.max(np.abs(base - scaled))))
+    worst_scale = prior_scale_invariance(rng, 10)
     assert worst_scale <= 1e-9
 
-    worst_violation = -np.inf
-    for _ in range(20):
-        size = int(rng.integers(2, 4))
-        marg = Marginals.uniform(size, size)
-        cost = rng.uniform(-1.0, 1.0, size=(size, size))
-        prior = feasible_random_plan(rng, marg.row, marg.col)
-        kls = []
-        for lam2 in (0.0, 0.01, 0.1, 1.0, 10.0):
-            cfg = SolverConfig(lambda1=0.1, lambda2=lam2, max_iters=100_000)
-            res = guided_sinkhorn(cost, prior, marg, cfg)
-            assert res.converged
-            pos = res.plan > 0
-            kls.append(float(np.sum(res.plan[pos] * np.log(res.plan[pos] / prior[pos]))))
-        worst_violation = max(worst_violation, max(b - a for a, b in zip(kls, kls[1:])))
+    worst_violation, solves = kl_to_prior_falls(rng, 20)
+    for res, _ in solves:
+        assert res.converged
     assert worst_violation <= 1e-9
 
     elapsed = time.perf_counter() - start
@@ -237,21 +137,7 @@ def test_c06_prototype_regularizer():
         assert np.max(np.abs(np.linalg.norm(w, axis=1) - 1.0)) <= 1e-9
         assert abs(max_pairwise_cosine(w) - (-1.0 / (n - 1))) <= 1e-2
 
-    rng = np.random.default_rng(106)
-    checked = 0
-    worst_rel = 0.0
-    while checked < 20:
-        w = random_unit_rows(rng, 5, 4)
-        sims = w @ w.T
-        np.fill_diagonal(sims, -np.inf)
-        top2 = np.sort(sims, axis=1)[:, -2:]
-        if np.min(top2[:, 1] - top2[:, 0]) < 1e-3:
-            continue
-        checked += 1
-        analytic = prototype_loss_grad(w).ravel()
-        fd = finite_diff_grad(lambda v: prototype_loss(v.reshape(5, 4)), w.ravel())
-        rel = float(np.max(np.abs(analytic - fd))) / max(float(np.max(np.abs(fd))), 1e-12)
-        worst_rel = max(worst_rel, rel)
+    worst_rel = prototype_subgradient(np.random.default_rng(106), 20)
     assert worst_rel <= 1e-4
 
     elapsed = time.perf_counter() - start

@@ -4,6 +4,7 @@ import csv
 import inspect
 import statistics
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +15,7 @@ from goca.ot_core import SolverConfig
 from goca.prototypes import ProtoOptConfig
 from goca.runconfig import EvalConfig, RunConfig, dump_config, parse_config
 from goca.ssl_engine import place_prototypes, prototype_inputs
-
-from _util import c03_draws
+from goca.verify import kernel_reduction_draws
 
 TINY_CONFIG = """
 data.num_classes = 2
@@ -102,7 +102,7 @@ class TestSolve:
     def test_reports_newton_steps_of_a_polished_solve(self, tmp_path, capsys):
         # c03's sixth instance stalls at library defaults: scaling alone
         # reaches the 10,000-sweep cap, the Newton polish converges
-        cost, prior = list(c03_draws())[5]
+        cost, prior = list(kernel_reduction_draws(np.random.default_rng(103), 6))[5]
         write_matrix(tmp_path / "cost.mat", cost)
         write_matrix(tmp_path / "prior.mat", prior)
         assert main([
@@ -363,17 +363,6 @@ class TestGridAndAblate:
         )
         assert grid[0]["accuracy"] == sep_fused
 
-    def test_ablate_writes_all_modes(self, tmp_path, tiny_config):
-        out = tmp_path / "ablation.csv"
-        code = main(["ablate", "--config", tiny_config, "--seeds", "1", "--out", str(out)])
-        assert code == 0
-        rows = _read_csv(out)
-        modes = {row[1] for row in rows[1:]}
-        assert modes == {"sview", "avg", "sep", "goca"}
-        conditions = {(row[1], row[2]) for row in rows[1:]}
-        assert ("avg", "fused") in conditions
-        assert ("goca", "a") in conditions
-
     def test_parallel_jobs_match_serial(self):
         cfg = parse_config(TINY_CONFIG)
         serial = run_ablation(cfg, seeds=2, jobs=1)
@@ -421,15 +410,21 @@ class TestGridAndAblate:
                       if r["condition"] == "fused") for s in range(2)]
         assert grid[-1]["accuracy"] == statistics.median(fused)
 
+    _BAD_LAMBDA_LISTS = {
+        "": "needs at least one value",
+        " , ": "needs at least one value",
+        "0.1,abc": "entry 'abc' is not a number",
+    }
+
     @pytest.mark.parametrize("flag", ["--lambda1-list", "--lambda2-list"])
-    @pytest.mark.parametrize("raw", ["", " , "])
+    @pytest.mark.parametrize("raw", _BAD_LAMBDA_LISTS)
     def test_empty_lambda_list_exits_1_before_any_work(
         self, tmp_path, tiny_config, capsys, monkeypatch, flag, raw
     ):
         calls = self._count_placements(monkeypatch)
         out = tmp_path / "grid.csv"
         assert main(["lambda-grid", "--config", tiny_config, flag, raw, "--out", str(out)]) == 1
-        assert f"error: {flag} needs at least one value" in capsys.readouterr().err
+        assert f"error: {flag} {self._BAD_LAMBDA_LISTS[raw]}" in capsys.readouterr().err
         assert not out.exists()
         assert calls == []
 
@@ -494,13 +489,15 @@ class TestVerifyAndConfig:
         assert main(["verify", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        # tests/test_golden.py documents how to regenerate the golden
+        assert out == (Path(__file__).parent / "golden" / "verify_seed0.txt").read_text()
 
     def test_verify_failure_exits_3(self, monkeypatch, capsys):
         import goca.cli as cli_mod
 
         monkeypatch.setattr(
             cli_mod,
-            "_verification_battery",
+            "oracle_battery",
             lambda seed: [("doomed property", False, "worst 1e+00 vs tol 1e-09")],
         )
         assert main(["verify"]) == 3
@@ -524,7 +521,7 @@ class TestVerifyAndConfig:
         (tmp_path / "f.mat").write_text("2 2\n1 0\n0 1\n")
         (tmp_path / "l.txt").write_text("0\n1\n")
         drawn = []
-        monkeypatch.setattr(cli_mod, "_verification_battery", drawn.append)
+        monkeypatch.setattr(cli_mod, "oracle_battery", drawn.append)
         monkeypatch.setattr(cli_mod, "generate", drawn.append)
         assert main(command + ["--seed", "-1"]) == 1
         assert f"error: {message}" in capsys.readouterr().err

@@ -1,21 +1,19 @@
-"""Golden outputs: byte-for-byte parity of the command line at a small config.
+"""Golden outputs: byte-for-byte parity of the command line at ``golden/small.cfg``.
 
 ``ablate.csv`` is ``goca ablate --seeds 1`` and ``train_<mode>_metrics.csv``
-is the ``metrics.csv`` of ``goca train --mode <mode>``, both at
-``small.cfg``; ``verify_seed0.txt`` is the stdout of ``goca verify --seed 0``,
-compared in ``test_cli.TestVerifyAndConfig.test_verify_passes``.
-
-A change meant to move these outputs regenerates every file with
+the ``metrics.csv`` of ``goca train --mode <mode>``; ``verify_seed0.txt``,
+the stdout of ``goca verify --seed 0``, is compared by
+``test_cli.TestVerifyAndConfig.test_verify_passes``.  A change meant to
+move these outputs regenerates all of them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and records the diff with the reason for it.  An unexplained difference
-is a regression, not a reason to regenerate.
+and records the diff with its reason; an unexplained difference is a
+regression, not a reason to regenerate.
 """
 
 import contextlib
 import io
-import shutil
 import tempfile
 from pathlib import Path
 
@@ -25,45 +23,28 @@ from goca.cli import main
 from goca.ssl_engine import MODES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CONFIG = str(GOLDEN / "small.cfg")
+COMMANDS = {"ablate.csv": ["ablate", "--seeds", "1"]} | {
+    f"train_{mode}_metrics.csv": ["train", "--mode", mode] for mode in MODES
+}
 
 
-def run_ablate(out: Path) -> Path:
-    path = out / "ablate.csv"
-    assert main(["ablate", "--config", CONFIG, "--seeds", "1", "--out", str(path)]) == 0
-    return path
+def _fresh(name: str, tmp: Path) -> bytes:
+    """The output that golden file ``name`` pins, from a run into ``tmp``."""
+    out = tmp / name
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*COMMANDS[name], "--config", str(GOLDEN / "small.cfg"), "--out", str(out)]) == 0
+    return (out / "metrics.csv" if out.is_dir() else out).read_bytes()
 
 
-def run_train(mode: str, out: Path) -> Path:
-    assert main(["train", "--mode", mode, "--config", CONFIG, "--out", str(out / mode)]) == 0
-    return out / mode / "metrics.csv"
-
-
-def verify_stdout() -> str:
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        assert main(["verify", "--seed", "0"]) == 0
-    return out.getvalue()
-
-
-def test_ablate_csv(tmp_path):
-    assert run_ablate(tmp_path).read_bytes() == (GOLDEN / "ablate.csv").read_bytes()
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_train_metrics_csv(tmp_path, mode):
-    golden = GOLDEN / f"train_{mode}_metrics.csv"
-    assert run_train(mode, tmp_path).read_bytes() == golden.read_bytes()
-
-
-def regenerate() -> None:
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
-        with contextlib.redirect_stdout(io.StringIO()):
-            shutil.copyfile(run_ablate(out), GOLDEN / "ablate.csv")
-            for mode in MODES:
-                shutil.copyfile(run_train(mode, out), GOLDEN / f"train_{mode}_metrics.csv")
-    (GOLDEN / "verify_seed0.txt").write_text(verify_stdout())
+@pytest.mark.parametrize("name", COMMANDS)
+def test_matches_golden(tmp_path, name):
+    assert _fresh(name, tmp_path) == (GOLDEN / name).read_bytes()
 
 
 if __name__ == "__main__":
-    regenerate()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in COMMANDS:
+            (GOLDEN / name).write_bytes(_fresh(name, Path(tmp)))
+    with contextlib.redirect_stdout(io.StringIO()) as verify_out:
+        main(["verify", "--seed", "0"])
+    (GOLDEN / "verify_seed0.txt").write_text(verify_out.getvalue())

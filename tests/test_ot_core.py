@@ -17,9 +17,9 @@ from goca.ot_core import (
     sinkhorn,
     transport_objective,
 )
+from goca.verify import kernel_reduction_draws
 
 from _util import (
-    c03_draws,
     log_sinkhorn_reference,
     random_unit_rows,
     solve_reference,
@@ -455,7 +455,7 @@ class TestNewtonPolish:
 
     def test_c03_set_converges_and_is_otherwise_unchanged(self):
         capped = 0
-        for cost, prior in c03_draws():
+        for cost, prior in kernel_reduction_draws(np.random.default_rng(103), 100):
             size = cost.shape[0]
             cfg = SolverConfig()
             marg = Marginals.uniform(size, size)
@@ -490,7 +490,7 @@ class TestNewtonPolish:
         cfg = SolverConfig()
         total = sum(
             guided_sinkhorn(cost, prior, Marginals.uniform(*cost.shape), cfg).sweeps
-            for cost, prior in c03_draws()
+            for cost, prior in kernel_reduction_draws(np.random.default_rng(103), 100)
         )
         assert total <= 40_000
 
@@ -581,7 +581,7 @@ def _battery_draw():
 
 
 def _polished_c03_draw():
-    cost, prior = list(c03_draws())[5]
+    cost, prior = list(kernel_reduction_draws(np.random.default_rng(103), 6))[5]
     marg, cfg = Marginals.uniform(*cost.shape), SolverConfig()
     return guided_sinkhorn(cost, prior, marg, cfg), marg, cfg
 

@@ -18,13 +18,13 @@ from goca.prototypes import (
     prototype_loss,
     prototype_loss_grad,
 )
+from goca.verify import prototype_subgradient
 
 from _util import (
     _reference_grad,
     _reference_loss,
     _reference_unit_rows,
     random_unit_rows,
-    relative_max_error,
     sequential_prototypes_reference,
 )
 
@@ -110,12 +110,7 @@ class TestPrototypeGrad:
         assert measured == pytest.approx(predicted, abs=1e-5)
 
     def test_random_points_against_finite_differences(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            w = _non_degenerate_unit_rows(rng, 5, 4)
-            analytic = prototype_loss_grad(w).ravel()
-            fd = finite_diff_grad(lambda v: prototype_loss(v.reshape(5, 4)), w.ravel())
-            assert relative_max_error(analytic, fd) <= 1e-4
+        assert prototype_subgradient(np.random.default_rng(5), 20) <= 1e-4
 
 
 class TestProjectToSphere:
@@ -136,6 +131,13 @@ class TestProjectToSphere:
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError):
             project_to_sphere(np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected_by_index(self, bad):
+        with pytest.raises(ValueError, match="non-finite row onto the sphere; row 0 is"):
+            project_to_sphere(np.array([[bad, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="non-finite row onto the sphere; row 2 is"):
+            project_to_sphere(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, bad]]))
 
 
 class TestOptimizePrototypes:
