@@ -23,24 +23,29 @@ checked scalings and absorbs them into f and g.  The row residual at a
 check comes from u * (K v), which the next update needs anyway;
 columns are exact after each v update.  A plan counts as converged
 only when both residuals of the materialized plan meet the tolerance.
-The regularization is annealed: stages halve it from where the kernel
-exponent spread range(C) / scale is at most 4 down to lambda1, each
-warm-started from the previous stage's potentials.  A regularization
-so small that range(C) / regularization leaves the float64 range
-raises FloatingPointError before annealing, as does a non-finite plan.
+The regularization is annealed only where the kernel exponent spread
+range(C) / lambda1 exceeds 128: stages then halve it from where that
+spread is at most 128 down to lambda1, each warm-started from the
+previous stage's potentials.  Cosine costs have a range of at most 2,
+so at lambda1 >= 1/64, the default 0.02 included, a solve is a single
+stage.  A regularization so small that range(C) / regularization leaves
+the float64 range raises FloatingPointError before annealing, as does a
+non-finite plan.
 
-The final stage, the only one the caller's max_iters caps, may end in a
+The final stage, the only one the caller's max_iters caps (so for a
+single-stage solve the cap bounds all of its sweeps), may end in a
 Newton polish (Sinkhorn-Newton, Brauer et al., arXiv:1710.06635): damped
 Newton on the M + N - 1 dual potentials (the last column potential
 fixed), from the materialized plan.  It polishes at the first check
 where the row residual did not shrink over the last 10 sweeps, or
 shrinks at a rate that meets the tolerance only after more sweeps (M N
-each) than a Newton solve costs (4 (M + N)^3).  If that never fires, or
-its polish fails (singular Hessian, no descent, or its step cap spent),
-scaling runs on and the check at the cap polishes.  A polish that meets
-the tolerance ends the stage.  The rate needs two checks, so a cap of at
-most 10 sweeps is never polished.  Where scaling converges before either
-check polishes, the plan is bit-for-bit that of scaling alone.
+each) than a Newton solve costs (4 (M + N)^3).  A polish that fails
+(singular Hessian, no descent, or its step cap spent) is tried again
+once scaling has cut the row residual tenfold since, and the check at
+the cap polishes in any case.  A polish that meets the tolerance ends
+the stage.  The rate needs two checks, so a cap of at most 10 sweeps is
+never polished.  Where scaling converges before any check polishes, the
+plan is bit-for-bit that of scaling alone.
 """
 
 from __future__ import annotations
@@ -142,10 +147,13 @@ class SinkhornResult:
     plan is then the last iterate, which training code may still use.
     ``iterations`` counts the sweeps of the final (target-regularization)
     stage, the one the cap applies to; ``sweeps`` counts the sweeps of
-    all ``stages``, annealing stages included.  ``newton_steps`` counts
-    the steps of the Newton polish that finished the final stage after
-    its ``iterations`` sweeps; it is 0 when scaling alone converged or
-    the plan is capped.
+    all ``stages``, annealing stages included.  Annealing runs only where
+    range(C) / lambda1 exceeds 128, so most solves, every one at the
+    default lambda1 included, are a single stage that the cap bounds
+    whole: a cap of a few sweeps then returns a cold iterate, possibly
+    far off the marginals.  ``newton_steps`` counts the steps of the
+    Newton polish that finished the final stage after its ``iterations``
+    sweeps; it is 0 when scaling alone converged or the plan is capped.
     """
 
     plan: np.ndarray
@@ -221,7 +229,12 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 # Sinkhorn enters a 1/iteration residual regime on near-degenerate instances
 # when the regularization is small against the cost gaps; carrying rescaled
 # potentials across stages keeps every stage in its linear-rate basin.
-_START_SPREAD = 4.0
+# Each stage opens with an exact _absorb.  With the final stage polished
+# (see _NEWTON_STEPS), stages up to a spread of 128 cost more sweeps than
+# their warm start saves; beyond it cold starts stall: from a spread of
+# 192 on, one draw of the solver's property battery (seeds 0-39, lambda1
+# down to 1e-3) ends short of the tolerance.
+_START_SPREAD = 128.0
 _STAGE_ITER_CAP = 500
 
 # The residual is checked, and the scalings range-checked, every
@@ -234,12 +247,19 @@ _SCALING_RANGE = (1e-50, 1e50)
 # A Newton polish takes at most _NEWTON_STEPS steps; its line search
 # accepts a step once the dual objective falls by _ARMIJO times the
 # predicted decrease, and gives up below a step length of _MIN_STEP.
-_NEWTON_STEPS = 8
+# A cold single stage hands the polish a plan further from the optimum
+# than an annealed one: polishes that converge take up to 13 steps, and
+# under a cap of 16 some of criterion c03's tiny guided instances fail.
+_NEWTON_STEPS = 20
 # A final stage is polished once the sweeps its residual rate still needs
 # would cost more than a Newton solve, taken as _NEWTON_WORK * (M + N)^3
 # against M * N per sweep.  At training shape, 100 x 64, that is past
-# 2,700 sweeps, beyond the cap training runs at.
+# 2,700 sweeps, beyond training's cap of 2,000 sweeps, which with one
+# stage bounds all the sweeps of a training solve.
 _NEWTON_WORK = 4
+# After a failed polish, scaling runs on and polishes again once it has
+# cut the row residual by this factor.
+_RETRY_FALL = 10.0
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-10
 
@@ -359,10 +379,11 @@ def _scaling_stage(
     absorbed; scalings that leave _SCALING_RANGE are rolled back to the
     last checkpoint and absorbed into the potentials.  With ``polish``,
     the first check whose row residual rate makes a polish worth it (see
-    _worth_polishing) hands the plan to _newton_polish; if none does, or
-    that polish fails, scaling goes on and the cap check polishes.  Both
-    need the residual of the check before, so a stage capped within
-    one check block is never polished.
+    _worth_polishing) hands the plan to _newton_polish; after a failed
+    polish, the first check whose residual is _RETRY_FALL times smaller
+    does, and the cap check polishes in any case.  All need the residual
+    of the check before, so a stage capped within one check block is
+    never polished.
 
     Returns the column potentials including log v (without the shifts
     of a polish) and a SinkhornResult whose ``iterations`` are the
@@ -375,7 +396,7 @@ def _scaling_stage(
     checked_v = v
     sweeps = 1
     prev = None  # row residual at the last check
-    tried = False  # a failed polish is tried again only at the cap
+    retry_below = None  # after a failed polish, the residual that retries it
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # ndarray.dot has less call overhead than @ on these small operands
         kv = kernel.dot(v)
@@ -409,10 +430,14 @@ def _scaling_stage(
                 and res > tolerance
                 and (
                     sweeps >= max_iters
-                    or not tried and _worth_polishing(res, prev, tolerance, kernel.shape)
+                    or (
+                        _worth_polishing(res, prev, tolerance, kernel.shape)
+                        if retry_below is None
+                        else res <= retry_below
+                    )
                 )
             ):
-                tried = True
+                retry_below = res / _RETRY_FALL
                 polished = _newton_polish(u[:, None] * kernel * v[None, :], marginals, tolerance)
                 if polished is not None:
                     plan, steps = polished

@@ -16,10 +16,23 @@ import numpy as np
 
 from . import oracle
 from .guided_ot import clamp_prior, guided_sinkhorn
-from .ot_core import Marginals, SinkhornResult, SolverConfig, marginal_residual, sinkhorn
-from .prototypes import prototype_loss, prototype_loss_grad
+from .ot_core import (
+    Marginals,
+    SinkhornResult,
+    SolverConfig,
+    cost_from_features,
+    marginal_residual,
+    sinkhorn,
+)
+from .prototypes import project_to_sphere, prototype_loss, prototype_loss_grad
 
 Solve = tuple[SinkhornResult, Marginals]
+
+# Bound on the entropic gap of a 100 x 64 plan at the default tolerance
+# of 1e-8: the smallest power of ten at least twice the largest gap, 3.1e-8,
+# of 200 plain and guided plans drawn as training_shape_gap draws them
+# (generators seeded 61-65, 20 views each).
+TRAINING_SHAPE_GAP = 1e-7
 
 
 def feasible_random_plan(
@@ -102,6 +115,35 @@ def guided_vs_oracles(
                 ref = oracle.mirror_descent_small(cost, clamped, marg.row, marg.col, 0.2, lam2)
                 worst_nxn = max(worst_nxn, float(np.max(np.abs(res.plan - ref))))
     return worst_2x2, worst_cross, worst_nxn, solves
+
+
+def training_shape_gap(rng: np.random.Generator, draws: int) -> float:
+    """c01/c02 at training shape: the largest entropic gap of plain and
+    guided 100 x 64 plans at library defaults.
+
+    Each draw is a pair of views, 100 unit feature rows each, against one
+    set of 64 unit prototypes in 16-D; each view is solved plainly and
+    then guided by the other view's plain plan, as cross_guided_assign
+    does.  At this size the oracle is ``oracle.entropic_gap``.
+    """
+    cfg = SolverConfig()
+    marg = Marginals.uniform(100, 64)
+    protos = project_to_sphere(rng.standard_normal((64, 16)))
+    worst = 0.0
+    for _ in range(draws):
+        feats = [project_to_sphere(rng.standard_normal((100, 16))) for _ in range(2)]
+        costs = [cost_from_features(f, protos) for f in feats]
+        plains = [sinkhorn(cost, marg, cfg) for cost in costs]
+        for cost, plain, other in zip(costs, plains, plains[::-1]):
+            prior = clamp_prior(other.plan, cfg.prior_floor)
+            guided = guided_sinkhorn(cost, prior, marg, cfg)
+            gaps = (
+                oracle.entropic_gap(plain.plan, cost, cfg.lambda1, marg.row, marg.col)[0],
+                oracle.entropic_gap(
+                    guided.plan, cost, cfg.lambda1, marg.row, marg.col, prior, cfg.lambda2)[0],
+            )
+            worst = max(worst, *gaps)
+    return worst
 
 
 def kernel_reduction_draws(rng: np.random.Generator, draws: int):
@@ -227,6 +269,7 @@ def oracle_battery(seed: int) -> list[tuple[str, bool, str]]:
     scale = prior_scale_invariance(rng, 12)
     kl_rise, kl = kl_to_prior_falls(rng, 5)
     subgradient = prototype_subgradient(rng, 5)
+    training_gap = training_shape_gap(rng, 2)
     # every solve runs at the default tolerance, 1e-8, so this also fails
     # any solve that did not converge
     residual = max(max(marginal_residual(res.plan, marg)) for res, marg in plain + guided + kl)
@@ -243,5 +286,6 @@ def oracle_battery(seed: int) -> list[tuple[str, bool, str]]:
         ("c05 prior-scale invariance", scale, 1e-9),
         ("c05 KL to the prior falls as lambda2 grows", kl_rise, 1e-9),
         ("c06 prototype subgradient vs finite differences", subgradient, 1e-4),
+        ("c01/c02 100x64 plain and guided entropic gap", training_gap, TRAINING_SHAPE_GAP),
     ]
     return [(name, worst <= tol, f"worst {worst:.3e} vs tol {tol:.0e}") for name, worst, tol in checks]

@@ -93,9 +93,18 @@ class TestSolve:
     def test_reports_total_sweeps(self, tmp_path, capsys):
         cost_path = tmp_path / "cost.mat"
         write_matrix(cost_path, np.random.default_rng(3).uniform(-1, 1, size=(4, 3)))
-        assert main(["solve", "--cost", str(cost_path), "--out", str(tmp_path / "p.mat")]) == 0
+        out = tmp_path / "p.mat"
+        assert main(["solve", "--cost", str(cost_path), "--out", str(out)]) == 0
         fields = dict(part.split("=") for part in capsys.readouterr().out.split())
-        # the default lambda1 anneals through several stages before the counted one
+        # range(C) / lambda1 = 1.43 / 0.02 is within the starting spread of
+        # 128, so the default lambda1 is solved in one stage
+        assert int(fields["sweeps"]) == int(fields["iterations"]) > 0
+        assert fields["newton_steps"] == "0"
+        # at lambda1 = 0.005 the spread is 286: two annealing stages run
+        # before the counted one
+        args = ["solve", "--cost", str(cost_path), "--lambda1", "0.005", "--out", str(out)]
+        assert main(args) == 0
+        fields = dict(part.split("=") for part in capsys.readouterr().out.split())
         assert int(fields["sweeps"]) > int(fields["iterations"]) > 0
         assert fields["newton_steps"] == "0"
 

@@ -1,9 +1,12 @@
 """Self-checks of the brute-force verifiers."""
 
+import math
+
 import numpy as np
 import pytest
 
-from goca.oracle import finite_diff_grad, golden_section_2x2, mirror_descent_small
+from goca import oracle
+from goca.oracle import entropic_gap, finite_diff_grad, golden_section_2x2, mirror_descent_small
 from goca.ot_core import Marginals, SolverConfig, sinkhorn
 
 from _util import feasible_random_plan
@@ -116,6 +119,88 @@ class TestMirrorDescent:
     def test_rejects_large_instances(self):
         with pytest.raises(ValueError):
             mirror_descent_small(np.zeros((5, 5)), None, np.full(5, 0.2), np.full(5, 0.2), 0.5)
+
+
+def _plain_objective(plan, cost, reg):
+    pos = plan > 0
+    return float(np.sum(plan * cost)) + reg * float(np.sum(plan[pos] * np.log(plan[pos])))
+
+
+class TestEntropicGap:
+    def test_vanishes_at_the_golden_section_optimum(self):
+        # at lambda1 = 0.02 golden section leaves some off-diagonal entries
+        # at 4e-16 or 0 where the optimum has 1e-20: right in absolute
+        # terms, but the potentials read off them give a loose bound
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            cost = rng.uniform(-1, 1, size=(2, 2))
+            lam = float(rng.choice([0.1, 0.5]))
+            plan = golden_section_2x2(cost, None, UNIFORM2, UNIFORM2, lam)
+            gap, move = entropic_gap(plan, cost, lam, UNIFORM2, UNIFORM2)
+            assert abs(gap) <= 1e-12
+            assert move <= 1e-15
+
+    def test_bounds_the_suboptimality_of_the_rounded_plan(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            cost = rng.uniform(-1, 1, size=(2, 2))
+            best = golden_section_2x2(cost, None, UNIFORM2, UNIFORM2, 0.1)
+            optimum = _plain_objective(best, cost, 0.1)
+            for eps in (1e-6, 1e-4, 1e-2):
+                plan = best * np.exp(eps * rng.standard_normal((2, 2)))
+                gap, move = entropic_gap(plan, cost, 0.1, UNIFORM2, UNIFORM2)
+                rounded = oracle._round_to_marginals(plan, UNIFORM2, UNIFORM2)
+                assert np.allclose(rounded.sum(axis=1), UNIFORM2, rtol=0, atol=1e-15)
+                assert np.allclose(rounded.sum(axis=0), UNIFORM2, rtol=0, atol=1e-15)
+                assert move == np.max(np.abs(rounded - plan))
+                assert gap >= _plain_objective(rounded, cost, 0.1) - optimum - 1e-15
+
+    def test_grows_with_the_distance_from_the_optimum(self):
+        rng = np.random.default_rng(8)
+        cost = rng.uniform(-1, 1, size=(4, 4))
+        m4 = np.full(4, 0.25)
+        best = mirror_descent_small(cost, None, m4, m4, 0.1)
+        noise = rng.standard_normal((4, 4))
+        gaps = [entropic_gap(best * np.exp(eps * noise), cost, 0.1, m4, m4)[0]
+                for eps in (0.0, 1e-6, 1e-4, 1e-2)]
+        assert abs(gaps[0]) <= 1e-13
+        assert gaps == sorted(gaps)
+        assert gaps[-1] > 1e-6
+
+    def test_underflowed_entries_are_left_out_of_the_potentials(self):
+        # the 4 x 2 draw of test_small_lambda_plan_stays_finite below: at
+        # lambda1 = 0.0019 entries of the optimal plan underflow to 0
+        row = np.array([0.17, 0.17, 0.33, 0.33])
+        col = np.array([0.25, 0.75])
+        cost = np.array([[-1.0, -0.8], [0.0, -0.7], [-0.75, 0.7], [0.5, 0.5]])
+        plan = mirror_descent_small(cost, None, row, col, 0.0019)
+        assert np.any(plan == 0.0)
+        gap, move = entropic_gap(plan, cost, 0.0019, row, col)
+        assert math.isfinite(gap) and abs(gap) <= 1e-12
+
+    def test_a_plan_with_an_empty_row_has_no_certificate(self):
+        plan = np.full((3, 3), 1.0 / 6.0)
+        plan[1] = 0.0
+        gap, move = entropic_gap(plan, np.zeros((3, 3)), 0.1, UNIFORM3, UNIFORM3)
+        assert gap == math.inf
+        assert move == pytest.approx(1.0 / 9.0)
+
+    def test_guided_plan_is_certified_on_the_reduced_cost(self):
+        rng = np.random.default_rng(9)
+        cost = rng.uniform(-1, 1, size=(3, 3))
+        prior = rng.uniform(0.05, 1.0, size=(3, 3))
+        plan = mirror_descent_small(cost, prior, UNIFORM3, UNIFORM3, 0.2, 0.1)
+        guided = entropic_gap(plan, cost, 0.2, UNIFORM3, UNIFORM3, prior, 0.1)
+        reduced = entropic_gap(plan, cost - 0.1 * np.log(prior), 0.3, UNIFORM3, UNIFORM3)
+        assert guided == pytest.approx(reduced, rel=0, abs=1e-15)
+        assert abs(guided[0]) <= 1e-12
+        # the plain certificate at lambda1 alone rejects the guided optimum
+        assert entropic_gap(plan, cost, 0.2, UNIFORM3, UNIFORM3)[0] > 1e-4
+
+    @pytest.mark.parametrize("plan", [np.full((2, 3), 1.0 / 6.0), np.array([[0.5, -0.1], [0.1, 0.5]])])
+    def test_rejects_bad_plans(self, plan):
+        with pytest.raises(ValueError):
+            entropic_gap(plan, np.zeros((2, 2)), 0.1, UNIFORM2, UNIFORM2)
 
 
 class TestFiniteDiff:

@@ -7,7 +7,7 @@ import pytest
 
 from goca import ot_core
 from goca.guided_ot import clamp_prior, guided_sinkhorn
-from goca.oracle import golden_section_2x2, mirror_descent_small
+from goca.oracle import entropic_gap, golden_section_2x2, mirror_descent_small
 from goca.ot_core import (
     Marginals,
     SolverConfig,
@@ -17,7 +17,7 @@ from goca.ot_core import (
     sinkhorn,
     transport_objective,
 )
-from goca.verify import kernel_reduction_draws
+from goca.verify import TRAINING_SHAPE_GAP, kernel_reduction_draws
 
 from _util import (
     log_sinkhorn_reference,
@@ -396,6 +396,17 @@ def _assert_matches_converged_reference(ref, res, marg, cfg):
     assert np.max(np.abs(res.plan - ref.plan)) <= 1e-7
 
 
+# Bounds on the entropic gap at the default tolerance of 1e-8, each the
+# smallest power of ten at least twice the largest gap of a stated set:
+# 3.7e-7 over battery seeds 0-39 (960 draws, seed 36, draw 2, at
+# lambda1 = 1.3e-3), and 4.7e-10 over the c03 instances that scaling
+# alone leaves at the cap.  At training shape the bounds are
+# TRAINING_SHAPE_GAP and, at training's tolerance of 1e-6, 1e-5 (4.7e-6
+# over 200 draws; see test_training_shape_draws_are_certified).
+BATTERY_GAP = 1e-6
+C03_CAPPED_GAP = 1e-9
+
+
 def _assert_scaling_form(res, cost, prior, cfg):
     """log(plan) + C / scale is a sum of a row and a column term.
 
@@ -419,12 +430,19 @@ class TestPropertyBattery:
         for case, (cost, prior, marg, cfg) in enumerate(battery_draws(seed)):
             ref, res = _reference_and_polished(cost, prior, marg, cfg)
             assert np.all(np.isfinite(res.plan))
-            assert res.converged and ref.converged
-            _assert_matches_converged_reference(ref, res, marg, cfg)
+            assert res.converged
+            if ref.converged:
+                _assert_matches_converged_reference(ref, res, marg, cfg)
+            else:
+                # scaling alone stops at the cap; the gap below certifies
+                # the polished plan in place of a converged reference
+                _assert_polished(res, marg, cfg)
             floored, lambda2 = None, 0.0
             if prior is not None:
                 zero_priors += bool(np.any(prior == 0.0))
                 floored, lambda2 = clamp_prior(prior, cfg.prior_floor), cfg.lambda2
+            gap, _ = entropic_gap(res.plan, cost, cfg.lambda1, marg.row, marg.col, floored, lambda2)
+            assert gap <= BATTERY_GAP
             ref_cost = cost if floored is None else cost - lambda2 * np.log(floored)
             log_ref = log_sinkhorn_reference(ref_cost, marg.row, marg.col, cfg.lambda1 + lambda2)
             assert np.max(np.abs(res.plan - log_ref)) <= 1e-7
@@ -433,9 +451,36 @@ class TestPropertyBattery:
                 assert np.max(np.abs(res.plan - oracle)) <= 1e-5
         assert zero_priors > 0
 
+    @pytest.mark.parametrize("tolerance, max_iters, bound", [
+        (1e-8, 10_000, TRAINING_SHAPE_GAP),
+        (1e-6, 2_000, 1e-5),
+    ])
+    def test_training_shape_draws_are_certified(self, tolerance, max_iters, bound):
+        # 100 x 64 as a goca step makes them: plain, and guided by the other
+        # view's plain plan; at library defaults and at training's solver.
+        # The bounds come from seeds 61-65 of these draws (200 plans per
+        # tolerance, largest gaps 3.1e-8 and 4.7e-6); this is seed 67.
+        rng = np.random.default_rng(67)
+        protos = random_unit_rows(rng, 64, 16)
+        cfg = SolverConfig(tolerance=tolerance, max_iters=max_iters)
+        marg = Marginals.uniform(100, 64)
+        for _ in range(10):
+            cost_a = cost_from_features(random_unit_rows(rng, 100, 16), protos)
+            cost_b = cost_from_features(random_unit_rows(rng, 100, 16), protos)
+            prior = clamp_prior(sinkhorn(cost_b, marg, cfg).plan, cfg.prior_floor)
+            plain = sinkhorn(cost_a, marg, cfg)
+            guided = guided_sinkhorn(cost_a, prior, marg, cfg)
+            assert plain.converged and guided.converged
+            gaps = (
+                entropic_gap(plain.plan, cost_a, cfg.lambda1, marg.row, marg.col)[0],
+                entropic_gap(guided.plan, cost_a, cfg.lambda1, marg.row, marg.col,
+                             prior, cfg.lambda2)[0],
+            )
+            assert max(gaps) <= bound
+
     def test_plain_3x3_draw_that_reached_the_cap_converges(self):
         # seed 11, draw 8: lambda1 = 0.0158 and non-uniform marginals.
-        # Scaling alone needs 10,220 final-stage sweeps here, past the cap.
+        # Scaling alone needs 18,310 sweeps here, in its one stage, past the cap.
         cost, prior, marg, cfg = list(battery_draws(11))[8]
         assert prior is None and cost.shape == (3, 3)
         assert cfg.lambda1 == pytest.approx(0.0158, abs=1e-4)
@@ -467,6 +512,9 @@ class TestNewtonPolish:
             _assert_polished(res, marg, cfg)
             _assert_scaling_form(res, cost, prior, cfg)
             assert res.iterations < cfg.max_iters
+            gap, _ = entropic_gap(
+                res.plan, cost, cfg.lambda1, marg.row, marg.col, prior, cfg.lambda2)
+            assert gap <= C03_CAPPED_GAP
             if size == 2:
                 oracle = golden_section_2x2(
                     cost, prior, marg.row, marg.col, cfg.lambda1, cfg.lambda2)
@@ -476,11 +524,15 @@ class TestNewtonPolish:
                 # which stall on these instances as well: it runs its
                 # 20,000-pass cap (~0.9 s) on each of them, and its plan
                 # misses the marginals by up to 1.2e-5.  So it checks the
-                # first three (3 x 3 and 4 x 4), within its own residual.
+                # first three (3 x 3 and 4 x 4), within its own residual;
+                # the entropic gap above checks them all.
                 oracle, info = mirror_descent_small(
                     cost, prior, marg.row, marg.col, cfg.lambda1, cfg.lambda2, return_info=True)
                 assert np.max(np.abs(res.plan - oracle)) <= 1e-5 + info["residuals"][-1]
-        assert capped == 29
+        # Every instance is solved in one stage (range(C) / 0.05 is within
+        # the starting spread), from which scaling alone stops at the cap on
+        # 45: 13 of side 2, 28 of side 3-4 and 4 of side 5.
+        assert capped == 45
 
     def test_c03_set_sweeps(self):
         # The polish starts once a Newton solve is cheaper than the sweeps
@@ -522,26 +574,29 @@ class TestNewtonPolish:
             assert res.iterations == cfg.max_iters
             assert res.newton_steps > 0
 
-    def test_failed_polish_is_retried_at_the_cap(self, monkeypatch):
+    def test_failed_polish_is_retried_once_the_residual_falls(self, monkeypatch):
         # seed 28, draw 18 (32 x 27): the first polish starts at a row
-        # residual of 1.6e-4 with a near-singular Hessian and fails; the
-        # retry at the cap converges
+        # residual of 8.0e-4 with a near-singular Hessian and fails; the
+        # retry, once scaling has cut that residual tenfold, converges
+        # after 7,580 final-stage sweeps, well before the 10,000 cap
         cost, prior, marg, cfg = list(battery_draws(28))[18]
-        attempts = []
+        residuals, attempts = [], []
         polish = ot_core._newton_polish
 
-        def recording_polish(*args):
-            attempts.append(polish(*args))
+        def recording_polish(plan, marginals, tolerance):
+            residuals.append(marginal_residual(plan, marginals)[0])
+            attempts.append(polish(plan, marginals, tolerance))
             return attempts[-1]
 
         monkeypatch.setattr(ot_core, "_newton_polish", recording_polish)
         ref, res = _reference_and_polished(cost, prior, marg, cfg)
         assert not ref.converged
         assert [a is None for a in attempts] == [True, False]
-        assert res.iterations == cfg.max_iters
+        assert residuals[1] <= residuals[0] / ot_core._RETRY_FALL
+        assert res.iterations < cfg.max_iters
         _assert_polished(res, marg, cfg)
-        # the capped reference misses the row marginal by 1.4e-8
-        assert np.max(np.abs(res.plan - ref.plan)) <= 1e-7
+        assert prior is None
+        assert entropic_gap(res.plan, cost, cfg.lambda1, marg.row, marg.col)[0] <= BATTERY_GAP
 
     def test_failing_polish_falls_back_to_the_capped_iterate(self, monkeypatch):
         monkeypatch.setattr(ot_core, "_newton_polish", lambda *args: None)
@@ -562,11 +617,14 @@ class TestNewtonPolishFailures:
 
     def test_step_cap_spent(self, monkeypatch):
         rng = np.random.default_rng(0)
-        start = np.full((4, 5), 1.0 / 20) * np.exp(5 * rng.standard_normal((4, 5)))
+        # the damped phase takes more steps the further the start is off:
+        # at a log-scale spread of 5 it converges in 10 steps, at 20 in 29,
+        # past the shipped cap of 20
+        start = np.full((4, 5), 1.0 / 20) * np.exp(20 * rng.standard_normal((4, 5)))
         marg, tolerance = Marginals.uniform(4, 5), 1e-12
         cap = ot_core._NEWTON_STEPS
         assert ot_core._newton_polish(start, marg, tolerance) is None
-        # the same start converges given more steps, in 10
+        # the same start converges given more steps, in 29
         monkeypatch.setattr(ot_core, "_NEWTON_STEPS", 100)
         polished = ot_core._newton_polish(start, marg, tolerance)
         assert polished is not None
