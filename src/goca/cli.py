@@ -30,6 +30,7 @@ from .runconfig import ConfigError, RunConfig, dump_config, load_config
 from .ssl_engine import (
     MODES,
     TrainConfig,
+    _normalize_rows,
     extract_features,
     place_prototypes,
     prototype_inputs,
@@ -117,14 +118,10 @@ def _cmd_solve(args) -> int:
         max_iters=args.max_iters,
         tolerance=args.tolerance,
     )
-    if args.guided:
-        if args.prior is None:
-            print("error: --guided requires --prior", file=sys.stderr)
-            return EXIT_USAGE
-        prior = matrixio.read_matrix(args.prior)
-        result = guided_sinkhorn(cost, prior, cfg=cfg)
-    else:
+    if args.prior is None:
         result = sinkhorn(cost, cfg=cfg)
+    else:
+        result = guided_sinkhorn(cost, matrixio.read_matrix(args.prior), cfg=cfg)
     matrixio.write_matrix(args.out, result.plan)
     print(
         f"converged={result.converged} iterations={result.iterations} sweeps={result.sweeps} "
@@ -132,8 +129,7 @@ def _cmd_solve(args) -> int:
         f"row_residual={result.row_residual:.3e} col_residual={result.col_residual:.3e}"
     )
     if args.strict and not result.converged:
-        print("error: solver did not converge", file=sys.stderr)
-        return EXIT_NUMERIC
+        raise ArithmeticError("solver did not converge")
     return EXIT_OK
 
 
@@ -141,12 +137,19 @@ def _cmd_solve(args) -> int:
 # train / eval
 
 
-def _condition_scores(features_by_condition, labels, num_classes, eval_cfg):
-    """Repeated-k-means scores per test condition, in extraction order."""
-    return {
-        condition: evalmod.repeated_cluster_metrics(feats, labels, num_classes, eval_cfg)
-        for condition, feats in features_by_condition.items()
+def _train_and_score(cfg: RunConfig, train_cfg: TrainConfig, prototypes=None):
+    """``train`` on ``generate(cfg.data)``, then repeated-k-means scores per
+    test condition in extraction order; returns ``(TrainResult, scores)``."""
+    dataset = generate(cfg.data)
+    result = train(dataset, train_cfg, prototypes)
+    features = extract_features(result.params, result.mode, dataset)
+    scores = {
+        condition: evalmod.repeated_cluster_metrics(
+            feats, dataset.labels, cfg.data.num_classes, cfg.eval
+        )
+        for condition, feats in features.items()
     }
+    return result, scores
 
 
 _METRIC_HEADER = ["condition", "acc_mean", "acc_se", "nmi_mean", "nmi_se", "f1_mean", "f1_se"]
@@ -159,8 +162,7 @@ def _cmd_train(args) -> int:
         train_cfg = replace(train_cfg, mode=args.mode)
     if args.seed is not None:
         train_cfg = replace(train_cfg, seed=args.seed)
-    dataset = generate(cfg.data)
-    result = train(dataset, train_cfg)
+    result, scores = _train_and_score(cfg, train_cfg)
 
     os.makedirs(args.out, exist_ok=True)
     _write_csv(
@@ -178,8 +180,6 @@ def _cmd_train(args) -> int:
     else:
         matrixio.write_matrix(os.path.join(args.out, "prototypes.mat"), result.prototypes)
 
-    features = extract_features(result.params, result.mode, dataset)
-    scores = _condition_scores(features, dataset.labels, cfg.data.num_classes, cfg.eval)
     rows = [
         [
             condition,
@@ -201,21 +201,17 @@ def _cmd_eval(args) -> int:
     features = matrixio.read_matrix(args.features)
     labels = matrixio.read_labels(args.labels)
     if features.shape[0] != labels.shape[0]:
-        print("error: features and labels disagree on sample count", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("features and labels disagree on sample count")
     if args.queries is not None:
         if args.query_labels is None:
-            print("error: --queries requires --query-labels", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--queries requires --query-labels")
         queries = matrixio.read_matrix(args.queries)
         q_labels = matrixio.read_labels(args.query_labels)
         if queries.shape[1] != features.shape[1]:
-            print(
-                f"error: --queries has {queries.shape[1]} columns but --features has "
-                f"{features.shape[1]}; retrieval compares rows of one width",
-                file=sys.stderr,
+            raise ValueError(
+                f"--queries has {queries.shape[1]} columns but --features has "
+                f"{features.shape[1]}; retrieval compares rows of one width"
             )
-            return EXIT_USAGE
     k = args.k if args.k is not None else int(np.unique(labels).size)
     eval_cfg = evalmod.EvalConfig(repeats=args.repeats, seed=args.seed)
     rep = evalmod.repeated_cluster_metrics(features, labels, k, eval_cfg)
@@ -227,10 +223,9 @@ def _cmd_eval(args) -> int:
     if args.queries is not None:
         # retrieval is cosine-based, so rows are normalized here even when
         # the stored features are raw
-        def unit(rows_):
-            return rows_ / np.maximum(np.linalg.norm(rows_, axis=1, keepdims=True), 1e-12)
-
-        recall = evalmod.recall_at_k(unit(queries), unit(features), q_labels, labels, args.recall_k)
+        recall = evalmod.recall_at_k(
+            _normalize_rows(queries), _normalize_rows(features), q_labels, labels, args.recall_k
+        )
         rows.append([f"recall@{args.recall_k}", f"{recall:.6f}", "0.000000"])
     _write_csv(args.metrics, ["metric", "mean", "stderr"], rows)
     for row in rows:
@@ -253,12 +248,9 @@ def _train_and_eval(cfg: RunConfig, mode: str, seed_offset: int, placed=None) ->
     ``placed`` maps ``prototype_inputs`` entries to prototype sets placed
     beforehand; without it the run places its own.
     """
-    dataset = generate(cfg.data)
     train_cfg = _cell_config(cfg, mode, seed_offset)
     prototypes = None if placed is None else select_prototypes(train_cfg, placed)
-    result = train(dataset, train_cfg, prototypes)
-    features = extract_features(result.params, mode, dataset)
-    scores = _condition_scores(features, dataset.labels, cfg.data.num_classes, cfg.eval)
+    _, scores = _train_and_score(cfg, train_cfg, prototypes)
     return [
         {
             "seed": seed_offset,
@@ -451,8 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one assignment instance from matrix files")
     p.add_argument("--cost", required=True)
-    p.add_argument("--guided", action="store_true")
-    p.add_argument("--prior")
+    p.add_argument("--prior", help="guide the solve by this prior plan")
     p.add_argument("--lambda1", type=float, default=SolverConfig.lambda1)
     p.add_argument("--lambda2", type=float, default=SolverConfig.lambda2)
     p.add_argument("--tolerance", type=float, default=SolverConfig.tolerance)

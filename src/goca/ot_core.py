@@ -79,6 +79,16 @@ def reject_non_finite(config) -> None:
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 
+def require_unit_rows(arr: np.ndarray, name: str, atol: float) -> None:
+    """Raise ValueError naming the first row of ``arr`` whose norm is
+    more than ``atol`` away from 1."""
+    off = np.abs(np.linalg.norm(arr, axis=1) - 1.0)
+    # written so that a NaN norm fails it too
+    if not np.max(off) <= atol:
+        row = int(np.argmin(off <= atol))
+        raise ValueError(f"{name} rows must be unit-norm; row {row} is off by {off[row]}")
+
+
 @dataclass(frozen=True)
 class Marginals:
     """Prescribed row mass psi and column mass omega of the plan."""
@@ -181,12 +191,8 @@ def cost_from_features(features: np.ndarray, prototypes: np.ndarray) -> np.ndarr
             f"dimension mismatch: features are {feats.shape[1]}-D, "
             f"prototypes are {protos.shape[1]}-D"
         )
-    for name, arr in (("feature", feats), ("prototype", protos)):
-        off = np.abs(np.linalg.norm(arr, axis=1) - 1.0)
-        # written so that a NaN norm fails it too
-        if not np.max(off) <= _UNIT_NORM_ATOL:
-            row = int(np.argmin(off <= _UNIT_NORM_ATOL))
-            raise ValueError(f"{name} rows must be unit-norm; row {row} is off by {off[row]}")
+    require_unit_rows(feats, "feature", _UNIT_NORM_ATOL)
+    require_unit_rows(protos, "prototype", _UNIT_NORM_ATOL)
     return -(feats @ protos.T)
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ot_core import reject_non_finite
+from .ot_core import reject_non_finite, require_unit_rows
 
 __all__ = [
     "ProtoOptConfig",
@@ -73,12 +73,8 @@ def _checked(prototypes: np.ndarray) -> np.ndarray:
     w = np.asarray(prototypes, dtype=float)
     if w.ndim != 2 or w.shape[0] < 2:
         raise ValueError("prototypes must be a matrix with at least 2 rows")
-    off = np.abs(np.linalg.norm(w, axis=1) - 1.0)
-    # loose enough that finite-difference probes off the sphere stay valid;
-    # written so that a NaN norm fails it too
-    if not np.max(off) <= 1e-4:
-        row = int(np.argmin(off <= 1e-4))
-        raise ValueError(f"prototype rows must be unit-norm; row {row} is off by {off[row]}")
+    # loose enough that finite-difference probes off the sphere stay valid
+    require_unit_rows(w, "prototype", 1e-4)
     return w
 
 

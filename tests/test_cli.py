@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from goca.cli import build_parser, main, run_ablation, run_lambda_grid
+from goca.guided_ot import guided_sinkhorn
 from goca.matrixio import read_matrix, write_matrix
 from goca.ot_core import SolverConfig
 from goca.prototypes import ProtoOptConfig
@@ -115,21 +116,13 @@ class TestSolve:
         write_matrix(tmp_path / "cost.mat", cost)
         write_matrix(tmp_path / "prior.mat", prior)
         assert main([
-            "solve", "--cost", str(tmp_path / "cost.mat"), "--guided",
-            "--prior", str(tmp_path / "prior.mat"), "--strict", "--out", str(tmp_path / "p.mat"),
+            "solve", "--cost", str(tmp_path / "cost.mat"), "--prior", str(tmp_path / "prior.mat"),
+            "--strict", "--out", str(tmp_path / "p.mat"),
         ]) == 0
         fields = dict(part.split("=") for part in capsys.readouterr().out.split())
         assert fields["converged"] == "True"
         assert int(fields["newton_steps"]) > 0
         assert int(fields["iterations"]) < 10_000
-
-    def test_guided_requires_prior(self, tmp_path):
-        cost_path = tmp_path / "cost.mat"
-        write_matrix(cost_path, np.zeros((2, 2)))
-        code = main([
-            "solve", "--cost", str(cost_path), "--guided", "--out", str(tmp_path / "p.mat"),
-        ])
-        assert code == 1
 
     def test_guided_solve(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -139,13 +132,17 @@ class TestSolve:
         write_matrix(prior_path, rng.uniform(0.1, 1.0, size=(3, 3)))
         out = tmp_path / "plan.mat"
         code = main([
-            "solve", "--cost", str(cost_path), "--guided", "--prior", str(prior_path),
+            "solve", "--cost", str(cost_path), "--prior", str(prior_path),
             "--lambda1", "0.1", "--lambda2", "0.05", "--out", str(out),
         ])
         assert code == 0
-        assert read_matrix(out).shape == (3, 3)
+        # a prior alone makes the solve guided
+        cfg = SolverConfig(lambda1=0.1, lambda2=0.05)
+        expected = guided_sinkhorn(read_matrix(cost_path), read_matrix(prior_path), cfg=cfg).plan
+        write_matrix(tmp_path / "expected.mat", expected)
+        assert np.array_equal(read_matrix(out), read_matrix(tmp_path / "expected.mat"))
 
-    def test_strict_non_convergence_exits_2(self, tmp_path):
+    def test_strict_non_convergence_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(2)
         cost_path = tmp_path / "cost.mat"
         write_matrix(cost_path, rng.uniform(-1, 1, size=(3, 3)))
@@ -155,6 +152,7 @@ class TestSolve:
             "--strict", "--out", str(tmp_path / "p.mat"),
         ])
         assert code == 2
+        assert capsys.readouterr().err == "error: solver did not converge\n"
 
     def test_non_finite_plan_exits_2_with_message(self, tmp_path, capsys):
         cost_path = tmp_path / "cost.mat"
@@ -200,9 +198,11 @@ class TestSolve:
     def test_unknown_flag_exits_1_with_message(self, tmp_path, capsys):
         cost_path = tmp_path / "cost.mat"
         write_matrix(cost_path, np.zeros((2, 2)))
-        code = main(["solve", "--cost", str(cost_path), "--plain", "--out", str(tmp_path / "p.mat")])
-        assert code == 1
-        assert "goca: error: unrecognized arguments: --plain" in capsys.readouterr().err
+        # --guided is gone: a prior alone makes a solve guided
+        for flag in ("--plain", "--guided"):
+            code = main(["solve", "--cost", str(cost_path), flag, "--out", str(tmp_path / "p.mat")])
+            assert code == 1
+            assert f"goca: error: unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestTrainAndEval:
@@ -297,7 +297,7 @@ class TestTrainAndEval:
         assert "error: --queries requires --query-labels" in capsys.readouterr().err
         assert not metrics.exists()
 
-    def test_eval_rejects_misaligned_labels(self, tmp_path, tiny_config):
+    def test_eval_rejects_misaligned_labels(self, tmp_path, tiny_config, capsys):
         data_dir = tmp_path / "data"
         main(["gen-data", "--config", tiny_config, "--out", str(data_dir)])
         bad_labels = tmp_path / "bad.txt"
@@ -307,6 +307,7 @@ class TestTrainAndEval:
             "--labels", str(bad_labels), "--metrics", str(tmp_path / "m.csv"),
         ])
         assert code == 1
+        assert capsys.readouterr().err == "error: features and labels disagree on sample count\n"
 
     def test_eval_rejects_rows_past_the_header(self, tmp_path, capsys):
         features = tmp_path / "f.mat"
