@@ -114,10 +114,13 @@ def _cmd_solve(args) -> int:
     cost = matrixio.read_matrix(args.cost)
     cfg = SolverConfig(
         lambda1=args.lambda1,
-        lambda2=args.lambda2,
+        lambda2=SolverConfig.lambda2 if args.lambda2 is None else args.lambda2,
         max_iters=args.max_iters,
         tolerance=args.tolerance,
     )
+    # checked after the config, so that a non-finite value is named as such
+    if args.lambda2 is not None and args.prior is None:
+        raise ValueError("--lambda2 requires --prior; a plain solve has no KL term")
     if args.prior is None:
         result = sinkhorn(cost, cfg=cfg)
     else:
@@ -202,7 +205,11 @@ def _cmd_eval(args) -> int:
     labels = matrixio.read_labels(args.labels)
     if features.shape[0] != labels.shape[0]:
         raise ValueError("features and labels disagree on sample count")
-    if args.queries is not None:
+    if args.queries is None:
+        for flag, value in (("--query-labels", args.query_labels), ("--recall-k", args.recall_k)):
+            if value is not None:
+                raise ValueError(f"{flag} requires --queries")
+    else:
         if args.query_labels is None:
             raise ValueError("--queries requires --query-labels")
         queries = matrixio.read_matrix(args.queries)
@@ -223,10 +230,11 @@ def _cmd_eval(args) -> int:
     if args.queries is not None:
         # retrieval is cosine-based, so rows are normalized here even when
         # the stored features are raw
+        recall_k = 1 if args.recall_k is None else args.recall_k
         recall = evalmod.recall_at_k(
-            _normalize_rows(queries), _normalize_rows(features), q_labels, labels, args.recall_k
+            _normalize_rows(queries), _normalize_rows(features), q_labels, labels, recall_k
         )
-        rows.append([f"recall@{args.recall_k}", f"{recall:.6f}", "0.000000"])
+        rows.append([f"recall@{recall_k}", f"{recall:.6f}", "0.000000"])
     _write_csv(args.metrics, ["metric", "mean", "stderr"], rows)
     for row in rows:
         print(f"{row[0]} = {row[1]} (se {row[2]})")
@@ -445,7 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost", required=True)
     p.add_argument("--prior", help="guide the solve by this prior plan")
     p.add_argument("--lambda1", type=float, default=SolverConfig.lambda1)
-    p.add_argument("--lambda2", type=float, default=SolverConfig.lambda2)
+    p.add_argument(
+        "--lambda2", type=float,
+        help=f"weight of the KL pull toward --prior (default {SolverConfig.lambda2})",
+    )
     p.add_argument("--tolerance", type=float, default=SolverConfig.tolerance)
     p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     p.add_argument("--strict", action="store_true")
@@ -464,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--queries")
     p.add_argument("--query-labels")
-    p.add_argument("--recall-k", type=int, default=1)
+    p.add_argument("--recall-k", type=int, help="neighbors retrieved per query (default 1)")
     p.add_argument("--k", type=int, help="number of clusters (default: number of label values)")
     p.add_argument("--repeats", type=int, default=evalmod.EvalConfig.repeats)
     p.add_argument("--seed", type=int, default=evalmod.EvalConfig.seed)

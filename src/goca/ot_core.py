@@ -18,10 +18,10 @@ neither under- nor overflows.  A stage opens with one exact
 log-sum-exp row/column sweep and then scales the kernel with those
 potentials absorbed, exp(-C / lambda1 + f + g), whose entries are at
 most 1.  Every 10 sweeps, and at the cap, the loop checks its
-scalings: if u or v has left [1e-50, 1e50] it rolls back to the last
-checked scalings and absorbs them into f and g.  The row residual at a
-check comes from u * (K v), which the next update needs anyway;
-columns are exact after each v update.  A plan counts as converged
+scalings, u and v in one pass: if either has left [1e-50, 1e50] it
+rolls back to the last checked scalings and absorbs them into f and
+g.  The row residual at a check comes from u * (K v), which the next
+update needs anyway; columns are exact after each v update.  A plan counts as converged
 only when both residuals of the materialized plan meet the tolerance.
 The regularization is annealed only where the kernel exponent spread
 range(C) / lambda1 exceeds 128: stages then halve it from where that
@@ -44,12 +44,16 @@ each) than a Newton solve costs (4 (M + N)^3).  A polish that fails
 once scaling has cut the row residual tenfold since, and the check at
 the cap polishes in any case.  A polish that meets the tolerance ends
 the stage.  The rate needs two checks, so a cap of at most 10 sweeps is
-never polished.  Where scaling converges before any check polishes, the
-plan is bit-for-bit that of scaling alone.
+never polished.  Each Newton step solves with the Hessian refilled in
+one preallocated matrix and tests convergence on the row and column
+sums that the next step's gradient and Hessian reuse.  Where scaling
+converges before any check polishes, the plan is bit-for-bit that of
+scaling alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -112,11 +116,14 @@ class Marginals:
                 raise ValueError(f"{name} marginal must sum to 1 within 1e-12")
 
     @classmethod
+    @functools.lru_cache(maxsize=64)
     def uniform(cls, num_rows: int, num_cols: int) -> "Marginals":
-        return cls(
-            np.full(num_rows, 1.0 / num_rows),
-            np.full(num_cols, 1.0 / num_cols),
-        )
+        """Uniform marginals, built and validated once per shape and
+        shared by every caller, so their arrays are read-only."""
+        row = np.full(num_rows, 1.0 / num_rows)
+        col = np.full(num_cols, 1.0 / num_cols)
+        row.flags.writeable = col.flags.writeable = False
+        return cls(row, col)
 
 
 @dataclass(frozen=True)
@@ -146,6 +153,10 @@ class SolverConfig:
             raise ValueError("tolerance must be positive")
         if self.prior_floor <= 0.0:
             raise ValueError("prior_floor must be positive")
+
+
+# SolverConfig is frozen, so one validated default serves every solve
+_DEFAULT_CONFIG = SolverConfig()
 
 
 @dataclass(frozen=True)
@@ -224,11 +235,6 @@ def marginal_residual(plan: np.ndarray, marginals: Marginals) -> tuple[float, fl
     return row_res, col_res
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    return np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
-
-
 # Regularization annealing: the scaling loop warm-starts from stages whose
 # regularization is halved down to the target, starting where the kernel
 # exponent spread range(cost)/scale is at most _START_SPREAD.  Cold-started
@@ -292,12 +298,17 @@ def _absorb(
 
     Returns the kernel exp(log_kernel + f + g') with the updated row and
     column potentials absorbed, so its columns sum to the column
-    marginal, and the new column potentials g'.
+    marginal, and the new column potentials g'.  Both log-sum-exp
+    passes work in place in one M x N buffer, which becomes the kernel.
     """
-    f = np.log(marginals.row) - _logsumexp(log_kernel + g[None, :], axis=1)
-    shifted = log_kernel + f[:, None]
-    peak = np.max(shifted, axis=0)
-    kernel = np.exp(shifted - peak)
+    work = log_kernel + g
+    row_peak = work.max(axis=1, keepdims=True)
+    work -= row_peak
+    f = np.log(marginals.row) - (np.log(np.exp(work, out=work).sum(axis=1)) + row_peak[:, 0])
+    np.add(log_kernel, f[:, None], out=work)
+    peak = work.max(axis=0)
+    work -= peak
+    kernel = np.exp(work, out=work)
     col_scale = marginals.col / kernel.sum(axis=0)  # column sums are >= 1
     kernel *= col_scale
     return kernel, np.log(col_scale) - peak
@@ -332,23 +343,33 @@ def _newton_polish(plan: np.ndarray, marginals: Marginals, tolerance: float):
     sum(P * exp(df_i + dg_j)) - a . df - b . dg, whose Hessian at P is
     [[diag(P 1), P'], [P'^T, diag(P^T 1)']] with ' dropping the last
     column, and backtracks until the objective falls by at least
-    _ARMIJO times the predicted decrease.
+    _ARMIJO times the predicted decrease.  The Hessian is refilled in
+    place each step; its zero blocks stay zero.  The row and column sums
+    of each new plan both test convergence and give the next step.
 
     Returns (plan, steps) once both residuals of the plan meet
     ``tolerance``, or None when the Hessian is singular, a step finds
     no descent or _NEWTON_STEPS run out.
     """
     row, col = marginals.row, marginals.col
-    m = row.size
+    m, n = plan.shape
+    hessian = np.zeros((m + n - 1, m + n - 1))
+    diagonal = hessian.reshape(-1)[:: m + n]  # a view of the diagonal
+    step_g = np.zeros(n)  # the last column potential stays fixed
+    rows, cols = plan.sum(axis=1), plan.sum(axis=0)
+    row_gap, col_gap = rows - row, cols - col
     for steps in range(1, _NEWTON_STEPS + 1):
-        rows, cols = plan.sum(axis=1), plan.sum(axis=0)
-        grad = np.concatenate([rows - row, cols[:-1] - col[:-1]])
-        hessian = np.block([[np.diag(rows), plan[:, :-1]], [plan[:, :-1].T, np.diag(cols[:-1])]])
+        grad = np.concatenate([row_gap, col_gap[:-1]])
+        diagonal[:m] = rows
+        diagonal[m:] = cols[:-1]
+        hessian[:m, m:] = plan[:, :-1]
+        hessian[m:, :m] = plan[:, :-1].T
         try:
             delta = np.linalg.solve(hessian, -grad)
         except np.linalg.LinAlgError:
             return None
-        step_f, step_g = delta[:m], np.append(delta[m:], 0.0)
+        step_f = delta[:m]
+        step_g[:-1] = delta[m:]
         slope = float(grad.dot(delta))
         if not slope < 0.0:
             return None
@@ -357,14 +378,17 @@ def _newton_polish(plan: np.ndarray, marginals: Marginals, tolerance: float):
         while True:
             exponent = t * step_f[:, None] + t * step_g[None, :]
             # expm1 keeps the objective change exact near the optimum
-            change = float(np.sum(plan * np.expm1(exponent))) - t * linear
+            change = float((plan * np.expm1(exponent)).sum()) - t * linear
             if change <= _ARMIJO * t * slope:
                 break
             t *= 0.5
             if t < _MIN_STEP:
                 return None
         plan = plan * np.exp(exponent)
-        if max(marginal_residual(plan, marginals)) <= tolerance:
+        rows, cols = plan.sum(axis=1), plan.sum(axis=0)
+        row_gap, col_gap = rows - row, cols - col
+        # marginal_residual's arithmetic, on gaps the next step reuses
+        if max(float(np.abs(row_gap).max()), float(np.abs(col_gap).max())) <= tolerance:
             return plan, steps
     return None
 
@@ -396,7 +420,8 @@ def _scaling_stage(
     stage's sweeps, with ``newton_steps`` set when a polish ended it.
     """
     row, col = marginals.row, marginals.col
-    log_kernel = -effective_cost / scale
+    # one pass over the cost; negating the divisor is as exact as negating C
+    log_kernel = effective_cost / -scale
     kernel, g = _absorb(log_kernel, marginals, g)
     u, v = np.ones(row.size), np.ones(col.size)
     checked_v = v
@@ -413,7 +438,7 @@ def _scaling_stage(
                 v = col / u.dot(kernel)
                 kv = kernel.dot(v)
             sweeps = checkpoint
-            if not (_in_range(u) and _in_range(v)):
+            if not _in_range(np.concatenate((u, v))):
                 kernel, g = _absorb(log_kernel, marginals, g + np.log(checked_v))
                 u, v = np.ones(row.size), np.ones(col.size)
                 kv = kernel.dot(v)
@@ -422,8 +447,9 @@ def _scaling_stage(
             # columns are exact after each v update; rows sum to u * (K v)
             res = float(np.abs(u * kv - row).max())
             if sweeps >= max_iters or res <= tolerance:
-                plan = u[:, None] * kernel * v[None, :]
-                if not np.all(np.isfinite(plan)):
+                plan = u[:, None] * kernel
+                plan *= v
+                if not np.isfinite(plan).all():
                     raise FloatingPointError(_NON_FINITE_PLAN.format(scale))
                 row_res, col_res = marginal_residual(plan, marginals)
                 converged = max(row_res, col_res) <= tolerance
@@ -464,7 +490,7 @@ def _solve(
     if effective_cost.shape[0] == 1 or effective_cost.shape[1] == 1:
         return _forced_plan(marginals, cfg.tolerance)
     g = np.zeros(marginals.col.size)
-    cost_range = float(np.max(effective_cost) - np.min(effective_cost))
+    cost_range = float(effective_cost.max() - effective_cost.min())
     if not math.isfinite(cost_range / scale):
         raise FloatingPointError(_NON_FINITE_PLAN.format(scale))
     stages = _anneal_schedule(scale, cost_range)
@@ -497,7 +523,7 @@ def _validate_problem(
         marginals = Marginals.uniform(m, n)
     if marginals.row.size != m or marginals.col.size != n:
         raise ValueError("marginals do not match the cost matrix shape")
-    return c, marginals, SolverConfig() if cfg is None else cfg
+    return c, marginals, _DEFAULT_CONFIG if cfg is None else cfg
 
 
 def _forced_plan(marginals: Marginals, tolerance: float) -> SinkhornResult:

@@ -8,16 +8,19 @@ import numpy as np
 
 from goca.eval import ClusterMetrics
 from goca.ot_core import (
+    _ARMIJO,
     _CHECK_EVERY,
+    _MIN_STEP,
+    _NEWTON_STEPS,
     _NON_FINITE_PLAN,
     _STAGE_ITER_CAP,
     Marginals,
     SinkhornResult,
     SolverConfig,
-    _absorb,
     _anneal_schedule,
     _forced_plan,
     _in_range,
+    marginal_residual,
 )
 from goca.verify import feasible_random_plan  # re-exported for the tests
 
@@ -96,6 +99,25 @@ def lloyd_reference(x: np.ndarray, k: int, rng: np.random.Generator, max_iters: 
     return labels
 
 
+def absorb_reference(
+    log_kernel: np.ndarray, marginals: Marginals, g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``goca.ot_core._absorb`` as it was before it worked in one buffer:
+    one exact log-domain sweep from column potentials ``g``, returning
+    the absorbed kernel and the new column potentials.  The library
+    must return exactly (``np.array_equal``) these arrays."""
+    a = log_kernel + g[None, :]
+    m = np.max(a, axis=1, keepdims=True)
+    lse = np.log(np.sum(np.exp(a - m), axis=1)) + np.squeeze(m, axis=1)
+    f = np.log(marginals.row) - lse
+    shifted = log_kernel + f[:, None]
+    peak = np.max(shifted, axis=0)
+    kernel = np.exp(shifted - peak)
+    col_scale = marginals.col / kernel.sum(axis=0)  # column sums are >= 1
+    kernel *= col_scale
+    return kernel, np.log(col_scale) - peak
+
+
 def _scaling_stage_reference(
     effective_cost: np.ndarray,
     scale: float,
@@ -116,7 +138,7 @@ def _scaling_stage_reference(
     """
     row, col = marginals.row, marginals.col
     log_kernel = -effective_cost / scale
-    kernel, g = _absorb(log_kernel, marginals, g)
+    kernel, g = absorb_reference(log_kernel, marginals, g)
     u, v = np.ones(row.size), np.ones(col.size)
     checked_v = v
     sweeps = 1
@@ -131,7 +153,7 @@ def _scaling_stage_reference(
                 kv = kernel.dot(v)
             sweeps = checkpoint
             if not (_in_range(u) and _in_range(v)):
-                kernel, g = _absorb(log_kernel, marginals, g + np.log(checked_v))
+                kernel, g = absorb_reference(log_kernel, marginals, g + np.log(checked_v))
                 u, v = np.ones(row.size), np.ones(col.size)
                 kv = kernel.dot(v)
                 sweeps += 1
@@ -179,6 +201,46 @@ def solve_reference(
     return SinkhornResult(
         plan, converged, iterations, row_res, col_res, sweeps + iterations, len(stages)
     )
+
+
+def newton_polish_reference(plan: np.ndarray, marginals: Marginals, tolerance: float):
+    """``goca.ot_core._newton_polish`` as it was before its Hessian was
+    refilled in place and its convergence test reused the next step's sums.
+
+    Builds the Hessian with ``np.block`` and two ``np.diag`` each step and
+    tests convergence with ``marginal_residual``.  On every plan a solve
+    hands it, the library polish must return exactly (``np.array_equal``)
+    this plan with the same step count, or None where this does.
+    """
+    row, col = marginals.row, marginals.col
+    m = row.size
+    for steps in range(1, _NEWTON_STEPS + 1):
+        rows, cols = plan.sum(axis=1), plan.sum(axis=0)
+        grad = np.concatenate([rows - row, cols[:-1] - col[:-1]])
+        hessian = np.block([[np.diag(rows), plan[:, :-1]], [plan[:, :-1].T, np.diag(cols[:-1])]])
+        try:
+            delta = np.linalg.solve(hessian, -grad)
+        except np.linalg.LinAlgError:
+            return None
+        step_f, step_g = delta[:m], np.append(delta[m:], 0.0)
+        slope = float(grad.dot(delta))
+        if not slope < 0.0:
+            return None
+        linear = row.dot(step_f) + col.dot(step_g)
+        t = 1.0
+        while True:
+            exponent = t * step_f[:, None] + t * step_g[None, :]
+            # expm1 keeps the objective change exact near the optimum
+            change = float(np.sum(plan * np.expm1(exponent))) - t * linear
+            if change <= _ARMIJO * t * slope:
+                break
+            t *= 0.5
+            if t < _MIN_STEP:
+                return None
+        plan = plan * np.exp(exponent)
+        if max(marginal_residual(plan, marginals)) <= tolerance:
+            return plan, steps
+    return None
 
 
 def _entropy_of_counts(counts: np.ndarray) -> float:

@@ -195,6 +195,15 @@ class TestSolve:
         assert f"error: {flag[2:]} must be finite, got {float(value)}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_lambda2_without_prior_exits_1(self, tmp_path, capsys):
+        # a plain solve has no KL term, so the flag would be dropped unread
+        cost_path = tmp_path / "cost.mat"
+        write_matrix(cost_path, np.zeros((2, 2)))
+        out = tmp_path / "p.mat"
+        assert main(["solve", "--cost", str(cost_path), "--lambda2", "0.5", "--out", str(out)]) == 1
+        assert "error: --lambda2 requires --prior" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_exits_1_with_message(self, tmp_path, capsys):
         cost_path = tmp_path / "cost.mat"
         write_matrix(cost_path, np.zeros((2, 2)))
@@ -295,6 +304,22 @@ class TestTrainAndEval:
         ])
         assert code == 1
         assert "error: --queries requires --query-labels" in capsys.readouterr().err
+        assert not metrics.exists()
+
+    # rejected before any query file is read
+    @pytest.mark.parametrize("flag, value", [("--query-labels", "ql.txt"), ("--recall-k", "3")])
+    def test_eval_retrieval_flags_require_queries(
+        self, tmp_path, tiny_config, capsys, flag, value
+    ):
+        data_dir = tmp_path / "data"
+        main(["gen-data", "--config", tiny_config, "--out", str(data_dir)])
+        metrics = tmp_path / "m.csv"
+        code = main([
+            "eval", "--features", str(data_dir / "view_b.mat"),
+            "--labels", str(data_dir / "labels.txt"), flag, value, "--metrics", str(metrics),
+        ])
+        assert code == 1
+        assert f"error: {flag} requires --queries" in capsys.readouterr().err
         assert not metrics.exists()
 
     def test_eval_rejects_misaligned_labels(self, tmp_path, tiny_config, capsys):
@@ -558,8 +583,11 @@ class TestVerifyAndConfig:
         parser = build_parser()
         solve = parser.parse_args(["solve", "--cost", "c.mat", "--out", "p.mat"])
         solver = SolverConfig()
-        assert (solve.lambda1, solve.lambda2, solve.tolerance, solve.max_iters) == (
-            solver.lambda1, solver.lambda2, solver.tolerance, solver.max_iters)
+        assert (solve.lambda1, solve.tolerance, solve.max_iters) == (
+            solver.lambda1, solver.tolerance, solver.max_iters)
+        # unset, so that a plain solve can reject it; a guided solve reads
+        # SolverConfig.lambda2 in its place
+        assert solve.lambda2 is None
         protos = parser.parse_args(
             ["optimize-prototypes", "--n", "4", "--dim", "3", "--out", "w.mat"])
         proto = ProtoOptConfig()

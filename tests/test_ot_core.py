@@ -20,7 +20,9 @@ from goca.ot_core import (
 from goca.verify import TRAINING_SHAPE_GAP, kernel_reduction_draws
 
 from _util import (
+    absorb_reference,
     log_sinkhorn_reference,
+    newton_polish_reference,
     random_unit_rows,
     solve_reference,
     zero_sum_perturbation,
@@ -300,8 +302,8 @@ class TestScalingLoop:
         absorb = ot_core._absorb
 
         def counting_absorb(*args):
-            absorbed.append(args)
-            return absorb(*args)
+            absorbed.append((args, absorb(*args)))
+            return absorbed[-1][1]
 
         monkeypatch.setattr(ot_core, "_absorb", counting_absorb)
         monkeypatch.setattr(ot_core, "_anneal_schedule", lambda scale, cost_range: [scale])
@@ -310,6 +312,9 @@ class TestScalingLoop:
         res = sinkhorn(cost, cfg=SolverConfig(lambda1=1e-3))
         assert res.stages == 1
         assert len(absorbed) > 1  # stage entry plus at least one absorption
+        for args, (kernel, g) in absorbed:
+            ref_kernel, ref_g = absorb_reference(*args)
+            assert np.array_equal(kernel, ref_kernel) and np.array_equal(g, ref_g)
         assert np.all(np.isfinite(res.plan))
         assert res.sweeps >= res.iterations
         assert res.converged
@@ -606,6 +611,59 @@ class TestNewtonPolish:
         _assert_unpolished_parity(ref, res)
 
 
+class TestNewtonPolishParity:
+    """The library polish against ``_util.newton_polish_reference``, the
+    polish before its Hessian was refilled in place: on every plan a
+    solve hands it, the same (plan, steps) bit for bit, or None for both.
+    The parity tests above pin only unpolished plans."""
+
+    @staticmethod
+    def _solve_recording(monkeypatch, draws):
+        """Each draw's result, and (plan, marginals, tolerance, outcome) of
+        every polish the solves ran, in order."""
+        calls = []
+        polish = ot_core._newton_polish
+
+        def recording_polish(plan, marginals, tolerance):
+            calls.append((plan, marginals, tolerance, polish(plan, marginals, tolerance)))
+            return calls[-1][3]
+
+        monkeypatch.setattr(ot_core, "_newton_polish", recording_polish)
+        return [_solve_draw(*draw) for draw in draws], calls
+
+    @staticmethod
+    def _assert_reference_parity(results, calls):
+        for plan, marginals, tolerance, outcome in calls:
+            # under the floating-point state the scaling stage polishes in
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                expected = newton_polish_reference(plan, marginals, tolerance)
+            assert (outcome is None) == (expected is None)
+            if outcome is not None:
+                assert np.array_equal(outcome[0], expected[0])
+                assert outcome[1] == expected[1]
+        # the successful polishes are the polished results, in order
+        finished = [outcome for *_, outcome in calls if outcome is not None]
+        polished = [res for res in results if res.newton_steps > 0]
+        assert len(finished) == len(polished)
+        for (plan, steps), res in zip(finished, polished):
+            assert res.plan is plan and res.newton_steps == steps
+
+    def test_c03_set(self, monkeypatch):
+        draws = [
+            (cost, prior, Marginals.uniform(*cost.shape), SolverConfig())
+            for cost, prior in kernel_reduction_draws(np.random.default_rng(103), 100)
+        ]
+        results, calls = self._solve_recording(monkeypatch, draws)
+        assert sum(res.newton_steps > 0 for res in results) == 86
+        self._assert_reference_parity(results, calls)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_battery(self, monkeypatch, seed):
+        results, calls = self._solve_recording(monkeypatch, battery_draws(seed))
+        assert any(res.newton_steps > 0 for res in results)
+        self._assert_reference_parity(results, calls)
+
+
 class TestNewtonPolishFailures:
     """``_newton_polish`` returns None where it cannot finish, without a
     RuntimeWarning (which the test configuration turns into an error)."""
@@ -700,6 +758,16 @@ class TestConfigValidation:
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_uniform_marginals_are_shared_and_read_only(self):
+        # every solve without marginals shares one instance per shape, so
+        # none may write to it
+        marg = Marginals.uniform(3, 4)
+        assert Marginals.uniform(3, 4) is marg
+        assert np.array_equal(marg.row, np.full(3, 1.0 / 3))
+        for vec in (marg.row, marg.col):
+            with pytest.raises(ValueError, match="read-only"):
+                vec[0] = 1.0
 
     def test_marginals_validation(self):
         with pytest.raises(ValueError):
