@@ -140,9 +140,20 @@ def _cmd_solve(args) -> int:
 # train / eval
 
 
-def _train_and_score(cfg: RunConfig, train_cfg: TrainConfig, prototypes=None):
-    """``train`` on ``generate(cfg.data)``, then repeated-k-means scores per
-    test condition in extraction order; returns ``(TrainResult, scores)``."""
+def _cell_config(cfg: RunConfig, mode: str, seed_offset: int) -> TrainConfig:
+    if seed_offset < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed_offset}")
+    proto = replace(cfg.proto, seed=cfg.proto.seed + seed_offset)
+    return replace(cfg.train, mode=mode, seed=cfg.train.seed + seed_offset, proto=proto)
+
+
+def _run_cell(cfg: RunConfig, mode: str, seed_offset: int, placed=None):
+    """``train`` on ``generate(cfg.data)`` at ``_cell_config``'s seeds, then
+    repeated-k-means scores per test condition in extraction order; returns
+    ``(TrainResult, scores)``.  ``placed`` maps ``prototype_inputs`` entries to
+    sets placed beforehand; without it the run places its own."""
+    train_cfg = _cell_config(cfg, mode, seed_offset)
+    prototypes = None if placed is None else select_prototypes(train_cfg, placed)
     dataset = generate(cfg.data)
     result = train(dataset, train_cfg, prototypes)
     features = extract_features(result.params, result.mode, dataset)
@@ -160,12 +171,7 @@ _METRIC_HEADER = ["condition", "acc_mean", "acc_se", "nmi_mean", "nmi_se", "f1_m
 
 def _cmd_train(args) -> int:
     cfg = _load_run_config(args.config)
-    train_cfg = cfg.train
-    if args.mode is not None:
-        train_cfg = replace(train_cfg, mode=args.mode)
-    if args.seed is not None:
-        train_cfg = replace(train_cfg, seed=args.seed)
-    result, scores = _train_and_score(cfg, train_cfg)
+    result, scores = _run_cell(cfg, args.mode or cfg.train.mode, args.seed or 0)
 
     os.makedirs(args.out, exist_ok=True)
     _write_csv(
@@ -245,20 +251,9 @@ def _cmd_eval(args) -> int:
 # ablate / lambda-grid
 
 
-def _cell_config(cfg: RunConfig, mode: str, seed_offset: int) -> TrainConfig:
-    proto = replace(cfg.proto, seed=cfg.proto.seed + seed_offset)
-    return replace(cfg.train, mode=mode, seed=cfg.train.seed + seed_offset, proto=proto)
-
-
 def _train_and_eval(cfg: RunConfig, mode: str, seed_offset: int, placed=None) -> list[dict]:
-    """One training run followed by repeated-k-means scoring per condition.
-
-    ``placed`` maps ``prototype_inputs`` entries to prototype sets placed
-    beforehand; without it the run places its own.
-    """
-    train_cfg = _cell_config(cfg, mode, seed_offset)
-    prototypes = None if placed is None else select_prototypes(train_cfg, placed)
-    _, scores = _train_and_score(cfg, train_cfg, prototypes)
+    """The scores of ``_run_cell`` as one row per test condition."""
+    _, scores = _run_cell(cfg, mode, seed_offset, placed)
     return [
         {
             "seed": seed_offset,

@@ -146,6 +146,8 @@ def init_params(
     rng: np.random.Generator,
 ) -> ParamDict:
     """Seeded encoder parameters; shared-head modes share one projection."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     params: ParamDict = {}
     params["a.w1"], params["a.b1"] = _linear_init(rng, hidden_dim, in_dim_a)
     params["b.w1"], params["b.b1"] = _linear_init(rng, hidden_dim, in_dim_b)
@@ -268,8 +270,6 @@ def _step(
     else:
         branches = {"a": ("a",), "b": ("b",)}
     if cfg.mode == "sview":
-        if not isinstance(prototypes, (tuple, list)) or len(prototypes) != 2:
-            raise ValueError("sview mode needs one prototype set per view")
         protos = {"a": np.asarray(prototypes[0]), "b": np.asarray(prototypes[1])}
     else:
         protos = dict.fromkeys(branches, np.asarray(prototypes))
@@ -405,9 +405,16 @@ def train(dataset, cfg: TrainConfig, prototypes=None) -> TrainResult:
         prototypes = select_prototypes(
             cfg, {inputs: place_prototypes(inputs) for inputs in prototype_inputs(cfg)}
         )
-    for proto in prototypes if isinstance(prototypes, tuple) else (prototypes,):
+    sets = tuple(prototypes) if isinstance(prototypes, (tuple, list)) else (prototypes,)
+    expected = len(prototype_inputs(cfg))
+    if len(sets) != expected:
+        raise ValueError(
+            f"{cfg.mode} mode trains against {expected} prototype set(s), got {len(sets)}"
+        )
+    for proto in sets:
         if np.asarray(proto).shape[1] != cfg.feature_dim:
             raise ValueError("prototype dimension does not match feature_dim")
+    prototypes = sets if expected > 1 else sets[0]
 
     rng = np.random.default_rng(cfg.seed)
     params = init_params(
@@ -460,6 +467,8 @@ def extract_features(params: ParamDict, mode: str, dataset) -> dict[str, np.ndar
     The fused features are the L2-renormalized mean of the two views'
     unit features; avg mode has the single fused branch only.
     """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     view_a = np.asarray(dataset.view_a, dtype=float)
     view_b = np.asarray(dataset.view_b, dtype=float)
     if mode == "avg":

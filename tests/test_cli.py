@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, file formats."""
 
+import argparse
 import csv
 import inspect
 import statistics
@@ -15,7 +16,7 @@ from goca.matrixio import read_matrix, write_matrix
 from goca.ot_core import SolverConfig
 from goca.prototypes import ProtoOptConfig
 from goca.runconfig import EvalConfig, RunConfig, dump_config, parse_config
-from goca.ssl_engine import place_prototypes, prototype_inputs
+from goca.ssl_engine import MODES, place_prototypes, prototype_inputs
 from goca.verify import kernel_reduction_draws
 
 TINY_CONFIG = """
@@ -239,6 +240,22 @@ class TestTrainAndEval:
         for i, name in enumerate(["prototypes_a.mat", "prototypes_b.mat"]):
             assert np.array_equal(read_matrix(out / name), place_prototypes(inputs[i]))
         assert not (out / "prototypes.mat").exists()
+
+    def test_train_seed_writes_the_ablation_row_of_that_seed(self, tmp_path, tiny_config):
+        ablation = tmp_path / "ablation.csv"
+        assert main(["ablate", "--config", tiny_config, "--seeds", "2", "--out", str(ablation)]) == 0
+        with open(ablation, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for mode in MODES:
+            out = tmp_path / mode
+            code = main(["train", "--mode", mode, "--seed", "1", "--config", tiny_config,
+                         "--out", str(out)])
+            assert code == 0
+            with open(out / "metrics.csv", newline="") as fh:
+                metrics = [[r["condition"], r["acc_mean"], r["acc_se"], r["nmi_mean"], r["f1_mean"]]
+                           for r in csv.DictReader(fh)]
+            assert metrics == [[r["condition"], r["accuracy"], r["accuracy_se"], r["nmi"], r["f1"]]
+                               for r in rows if (r["seed"], r["mode"]) == ("1", mode)]
 
     def test_diverging_training_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "diverge.cfg"
@@ -546,6 +563,8 @@ class TestVerifyAndConfig:
          "seed must be nonnegative, got -1"),
         (["eval", "--features", "f.mat", "--labels", "l.txt", "--metrics", "m.csv"],
          "seed must be nonnegative, got -1"),
+        # a negative offset to positive config seeds is rejected too
+        (["train", "--config", "seeded.cfg", "--out", "run"], "seed must be nonnegative, got -1"),
     ])
     def test_negative_seed_exits_1_naming_the_seed(
         self, tmp_path, monkeypatch, capsys, command, message
@@ -555,13 +574,14 @@ class TestVerifyAndConfig:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "f.mat").write_text("2 2\n1 0\n0 1\n")
         (tmp_path / "l.txt").write_text("0\n1\n")
+        (tmp_path / "seeded.cfg").write_text("train.seed = 5\nproto.seed = 5\n")
         drawn = []
         monkeypatch.setattr(cli_mod, "oracle_battery", drawn.append)
         monkeypatch.setattr(cli_mod, "generate", drawn.append)
         assert main(command + ["--seed", "-1"]) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert drawn == []
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.mat", "l.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.mat", "l.txt", "seeded.cfg"]
 
     def test_dump_config_round_trip(self, capsys):
         assert main(["dump-config"]) == 0
@@ -606,3 +626,98 @@ class TestVerifyAndConfig:
         bad = tmp_path / "bad.cfg"
         bad.write_text("train.bogus = 1\n")
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+
+
+class TestEveryFlagIsRead:
+    """Walks ``build_parser()``: every optional flag, set alone, changes the
+    command's output (exit code, stdout and the files it writes), or is a
+    dependent flag that exits 1 naming what it requires, or is output-neutral.
+    A flag added without a probe here fails the walk, so that none is
+    dropped unread."""
+
+    DEPENDENT = {"--lambda2", "--queries", "--query-labels", "--recall-k"}
+    NEUTRAL = {"--jobs"}
+    # each subcommand's required flags, plus what makes a probe cheap or
+    # observable: short runs, and a capped solve that does not converge
+    # (for --strict); paths are relative to a fresh directory per run
+    BASE = {
+        "gen-data": ["--config", "tiny.cfg", "--out", "data"],
+        "optimize-prototypes": ["--n", "4", "--dim", "3", "--steps", "100", "--out", "w.mat"],
+        "solve": ["--cost", "cost.mat", "--max-iters", "5", "--out", "plan.mat"],
+        "train": ["--config", "tiny.cfg", "--out", "run"],
+        "eval": ["--features", "f.mat", "--labels", "l.txt", "--metrics", "m.csv"],
+        "lambda-grid": ["--config", "tiny.cfg", "--lambda1-list", "0.1", "--lambda2-list", "0.03",
+                        "--out", "grid.csv"],
+        "ablate": ["--config", "tiny.cfg", "--seeds", "1", "--out", "rows.csv"],
+        "verify": [],
+        "dump-config": ["--config", "tiny.cfg"],
+    }
+    # the value each flag is set to; a flag already in BASE takes it in place
+    # of its base value, and a switch (None) is added bare
+    PROBE = {
+        "--config": "other.cfg", "--seed": "1", "--mode": "sview",
+        "--steps": "50", "--lr": "0.5", "--restarts": "1", "--report": None,
+        "--prior": "prior.mat", "--lambda1": "0.1", "--lambda2": "0.5", "--tolerance": "1.0",
+        "--max-iters": "50", "--strict": None,
+        "--queries": "f.mat", "--query-labels": "l.txt", "--recall-k": "2", "--k": "3",
+        "--repeats": "2",
+        "--lambda1-list": "0.2", "--lambda2-list": "0.0", "--seeds": "2",
+    }
+
+    @staticmethod
+    def _optional_flags():
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for command, subparser in sub.choices.items():
+            for action in subparser._actions:
+                if action.option_strings and action.dest != "help" and not action.required:
+                    yield command, action.option_strings[0]
+
+    @staticmethod
+    def _run(run_dir, argv, monkeypatch, capsys):
+        rng = np.random.default_rng(0)
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        (run_dir / "tiny.cfg").write_text(TINY_CONFIG)
+        (run_dir / "other.cfg").write_text(TINY_CONFIG + "data.seed = 1\n")
+        write_matrix(run_dir / "cost.mat", rng.uniform(-1, 1, size=(3, 4)))
+        write_matrix(run_dir / "prior.mat", rng.uniform(0.1, 1.0, size=(3, 4)))
+        write_matrix(run_dir / "f.mat", rng.standard_normal((24, 2)))
+        (run_dir / "l.txt").write_text("0\n1\n" * 12)
+        capsys.readouterr()
+        code = main(argv)
+        out, err = capsys.readouterr()
+        files = {p.relative_to(run_dir).as_posix(): p.read_bytes()
+                 for p in sorted(run_dir.rglob("*")) if p.is_file()}
+        return (code, out, files), err
+
+    def test_every_optional_flag_changes_the_output_or_is_listed(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import goca.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "oracle_battery", lambda seed: [(f"seed {seed}", True, "")])
+        base = {}
+        walked = set()
+        for i, (command, flag) in enumerate(self._optional_flags()):
+            walked.add(flag)
+            if flag in self.NEUTRAL:
+                continue
+            assert flag in self.PROBE, f"{command} {flag} has no probe"
+            if command not in base:
+                argv = [command, *self.BASE[command]]
+                base[command], _ = self._run(tmp_path / command, argv, monkeypatch, capsys)
+                assert base[command][0] == 0, command
+            args = list(self.BASE[command])
+            value = self.PROBE[flag]
+            if flag in args:
+                args[args.index(flag) + 1] = value
+            else:
+                args += [flag] if value is None else [flag, value]
+            run_dir = tmp_path / f"probe{i}"
+            output, err = self._run(run_dir, [command, *args], monkeypatch, capsys)
+            if flag in self.DEPENDENT:
+                assert output[0] == 1 and "requires" in err, f"{command} {flag}"
+            else:
+                assert output != base[command], f"{command} {flag} left the output unchanged"
+        assert walked == set(self.PROBE) | self.NEUTRAL

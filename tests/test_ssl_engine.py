@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -441,6 +442,35 @@ class TestTrain:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="feature_dim"):
             train(data, cfg, prototypes=random_unit_rows(rng, 4, 5))
+
+    @pytest.mark.parametrize("mode, sets, message", [
+        ("sep", "tuple", "sep mode trains against 1 prototype set(s), got 2"),
+        ("goca", "list", "goca mode trains against 1 prototype set(s), got 2"),
+        ("sview", "one", "sview mode trains against 2 prototype set(s), got 1"),
+    ])
+    def test_wrong_prototype_set_count_rejected_before_any_step(
+        self, monkeypatch, mode, sets, message
+    ):
+        data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
+                                    distractor_dim=3, num_distractor_modes=4, seed=6))
+        rng = np.random.default_rng(0)
+        pair = (random_unit_rows(rng, 4, 8), random_unit_rows(rng, 4, 8))
+        prototypes = {"tuple": pair, "list": list(pair), "one": pair[0]}[sets]
+        monkeypatch.setattr(engine, "_step", lambda *args: pytest.fail("a step ran"))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train(data, _train_cfg(mode), prototypes)
+
+    def test_unknown_mode_rejected_naming_the_modes(self):
+        data = generate(SynthConfig(num_classes=2, samples_per_class=5, signal_dim=4,
+                                    distractor_dim=3, num_distractor_modes=4, seed=6))
+        rng = np.random.default_rng(0)
+        dims = (data.view_a.shape[1], data.view_b.shape[1], 6, 8)
+        params = init_params("sep", *dims, rng)
+        message = re.escape(f"mode must be one of {MODES}, got 'bogus'")
+        with pytest.raises(ValueError, match=message):
+            init_params("bogus", *dims, rng)
+        with pytest.raises(ValueError, match=message):
+            extract_features(params, "bogus", data)
 
     def test_extract_features_conditions(self):
         data = generate(SynthConfig(num_classes=2, samples_per_class=15, signal_dim=4,
