@@ -34,7 +34,6 @@ from .ssl_engine import (
     extract_features,
     place_prototypes,
     prototype_inputs,
-    select_prototypes,
     train,
 )
 from .synth_data import generate
@@ -150,10 +149,10 @@ def _cell_config(cfg: RunConfig, mode: str, seed_offset: int) -> TrainConfig:
 def _run_cell(cfg: RunConfig, mode: str, seed_offset: int, placed=None):
     """``train`` on ``generate(cfg.data)`` at ``_cell_config``'s seeds, then
     repeated-k-means scores per test condition in extraction order; returns
-    ``(TrainResult, scores)``.  ``placed`` maps ``prototype_inputs`` entries to
+    ``(TrainResult, scores)``.  ``placed`` maps ``prototype_inputs`` keys to
     sets placed beforehand; without it the run places its own."""
     train_cfg = _cell_config(cfg, mode, seed_offset)
-    prototypes = None if placed is None else select_prototypes(train_cfg, placed)
+    prototypes = None if placed is None else placed[prototype_inputs(train_cfg)]
     dataset = generate(cfg.data)
     result = train(dataset, train_cfg, prototypes)
     features = extract_features(result.params, result.mode, dataset)
@@ -183,11 +182,7 @@ def _cmd_train(args) -> int:
         name = key.replace(".", "_")
         mat = value if value.ndim == 2 else value[None, :]
         matrixio.write_matrix(os.path.join(args.out, f"enc_{name}.mat"), mat)
-    if isinstance(result.prototypes, tuple):
-        matrixio.write_matrix(os.path.join(args.out, "prototypes_a.mat"), result.prototypes[0])
-        matrixio.write_matrix(os.path.join(args.out, "prototypes_b.mat"), result.prototypes[1])
-    else:
-        matrixio.write_matrix(os.path.join(args.out, "prototypes.mat"), result.prototypes)
+    matrixio.write_matrix(os.path.join(args.out, "prototypes.mat"), result.prototypes)
 
     rows = [
         [
@@ -284,11 +279,11 @@ def _check_seeds(seeds: int) -> None:
 def _run_cells(cells: list[tuple[RunConfig, str, int]], jobs: int) -> list[list[dict]]:
     """``_train_and_eval`` of every ``(cfg, mode, seed_offset)`` cell, in order.
 
-    Each distinct prototype set the cells train against is placed once
-    and handed to every cell; with several workers the placements run
-    in the pool too.
+    Each distinct prototype set the cells train against (one per seed
+    offset) is placed once and shared by every cell that trains against
+    it; with several workers the placements run in the pool too.
     """
-    inputs = list(dict.fromkeys(i for cell in cells for i in prototype_inputs(_cell_config(*cell))))
+    inputs = list(dict.fromkeys(prototype_inputs(_cell_config(*cell)) for cell in cells))
     workers = _pool_size(jobs, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -9,15 +9,15 @@ other augmentation's softmax prototype scores, summed over branches.
 Targets are treated as constants: no gradient flows through the
 assignment solver.
 
-One step body serves all four modes.  The mode fixes only which
-backbones feed each branch (their hidden activations are averaged),
-which prototype set each branch scores against, and the target rule:
+One step body serves all four modes, and every branch of every mode
+scores against the run's one frozen prototype set.  The mode fixes only
+which backbones feed each branch (their hidden activations are
+averaged), which head projects them, and the target rule:
 
-    sview  branches a and b, each with its own backbone, head and
-           prototypes; a plain plan per branch
+    sview  branches a and b, each with its own backbone and head: two
+           independent models; a plain plan per branch
     avg    one branch fed by both backbones, shared head; a plain plan
-    sep    branches a and b, shared head and prototypes; a plain plan
-           per branch
+    sep    branches a and b, shared head; a plain plan per branch
     goca   as sep, but each view's plan is guided by the other view's
            plain plan on the same batch (``cross_guided_assign``)
 
@@ -30,7 +30,7 @@ each target row is a probability row.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,7 +52,6 @@ __all__ = [
     "baseline_step",
     "prototype_inputs",
     "place_prototypes",
-    "select_prototypes",
     "train",
     "extract_features",
 ]
@@ -128,7 +127,7 @@ class StepResult:
 class TrainResult:
     mode: str
     params: ParamDict
-    prototypes: np.ndarray | tuple[np.ndarray, np.ndarray]
+    prototypes: np.ndarray
     trace: list[float]
 
 
@@ -259,7 +258,7 @@ def swapped_loss(
 def _step(
     batch: AugmentedBatch,
     params: ParamDict,
-    prototypes,
+    prototypes: np.ndarray,
     cfg: TrainConfig,
     targets: dict[str, np.ndarray] | None,
 ) -> StepResult:
@@ -269,10 +268,7 @@ def _step(
         branches = {"avg": ("a", "b")}
     else:
         branches = {"a": ("a",), "b": ("b",)}
-    if cfg.mode == "sview":
-        protos = {"a": np.asarray(prototypes[0]), "b": np.asarray(prototypes[1])}
-    else:
-        protos = dict.fromkeys(branches, np.asarray(prototypes))
+    protos = np.asarray(prototypes)
 
     features, caches = {}, {}
     for branch, views in branches.items():
@@ -287,11 +283,11 @@ def _step(
         if cfg.mode == "goca":
             for slot in ("t", "s"):
                 results[f"a.{slot}"], results[f"b.{slot}"] = cross_guided_assign(
-                    features[f"a.{slot}"], features[f"b.{slot}"], protos["a"], cfg=cfg.solver
+                    features[f"a.{slot}"], features[f"b.{slot}"], protos, cfg=cfg.solver
                 )
         else:
             for key, feats in features.items():
-                cost = cost_from_features(feats, protos[key.split(".")[0]])
+                cost = cost_from_features(feats, protos)
                 results[key] = sinkhorn(cost, cfg=cfg.solver)
         # plans have rows summing to 1/M; targets are probability rows
         targets = {key: features[key].shape[0] * res.plan for key, res in results.items()}
@@ -302,8 +298,8 @@ def _step(
     for branch in branches:
         key_t, key_s = f"{branch}.t", f"{branch}.s"
         f_t, f_s = features[key_t], features[key_s]
-        g_t = prototype_scores(f_t, protos[branch], cfg.temperature)
-        g_s = prototype_scores(f_s, protos[branch], cfg.temperature)
+        g_t = prototype_scores(f_t, protos, cfg.temperature)
+        g_s = prototype_scores(f_s, protos, cfg.temperature)
         try:
             loss += swapped_loss(targets[key_t], g_s, targets[key_s], g_t)
         except ValueError as exc:
@@ -315,8 +311,8 @@ def _step(
                 f"solver.max_iters = {cfg.solver.max_iters}"
             ) from exc
         scale = 1.0 / (f_t.shape[0] * cfg.temperature)
-        _backprop(caches[key_s], scale * (g_s - targets[key_t]) @ protos[branch], params, grads)
-        _backprop(caches[key_t], scale * (g_t - targets[key_s]) @ protos[branch], params, grads)
+        _backprop(caches[key_s], scale * (g_s - targets[key_t]) @ protos, params, grads)
+        _backprop(caches[key_t], scale * (g_t - targets[key_s]) @ protos, params, grads)
     return StepResult(loss, grads, targets, converged)
 
 
@@ -340,7 +336,7 @@ def goca_step(
 def baseline_step(
     batch: AugmentedBatch,
     params: ParamDict,
-    prototypes,
+    prototypes: np.ndarray,
     cfg: TrainConfig,
     targets: dict[str, np.ndarray] | None = None,
 ) -> StepResult:
@@ -363,32 +359,20 @@ def _augment(x: np.ndarray, rng: np.random.Generator, cfg: TrainConfig) -> np.nd
     return out * mask
 
 
-def prototype_inputs(cfg: TrainConfig) -> tuple[tuple[int, int, ProtoOptConfig], ...]:
-    """``optimize_prototypes`` arguments of each prototype set ``cfg`` trains against.
-
-    sview trains against one set per view, view b's placed with the next
-    seed; every other mode against one shared set.
-    """
-    protos = (cfg.proto,)
-    if cfg.mode == "sview":
-        protos += (replace(cfg.proto, seed=cfg.proto.seed + 1),)
-    return tuple((cfg.num_prototypes, cfg.feature_dim, proto) for proto in protos)
+def prototype_inputs(cfg: TrainConfig) -> tuple[int, int, ProtoOptConfig]:
+    """``optimize_prototypes`` arguments of the one prototype set ``cfg``
+    trains against, whatever its mode: the set's placement key."""
+    return (cfg.num_prototypes, cfg.feature_dim, cfg.proto)
 
 
 def place_prototypes(inputs: tuple[int, int, ProtoOptConfig]) -> np.ndarray:
-    """One entry of ``prototype_inputs`` placed."""
+    """The set of one ``prototype_inputs`` key, placed."""
     return optimize_prototypes(*inputs)
 
 
-def select_prototypes(cfg: TrainConfig, placed: dict) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """The ``prototypes`` argument of ``train`` for ``cfg``, taken from
-    ``placed``, which maps each of ``prototype_inputs(cfg)`` to its placement."""
-    sets = tuple(placed[inputs] for inputs in prototype_inputs(cfg))
-    return sets if cfg.mode == "sview" else sets[0]
-
-
 def train(dataset, cfg: TrainConfig, prototypes=None) -> TrainResult:
-    """Optimize prototypes once, then run shuffled minibatch SGD.
+    """Place the prototype set unless ``prototypes`` gives it, then run
+    shuffled minibatch SGD against it.
 
     ``dataset`` must expose ``view_a`` and ``view_b`` row-aligned
     arrays.  Only full batches are used.  Deterministic given the seed.
@@ -402,19 +386,16 @@ def train(dataset, cfg: TrainConfig, prototypes=None) -> TrainResult:
         raise ValueError("batch_size exceeds the dataset size")
 
     if prototypes is None:
-        prototypes = select_prototypes(
-            cfg, {inputs: place_prototypes(inputs) for inputs in prototype_inputs(cfg)}
-        )
-    sets = tuple(prototypes) if isinstance(prototypes, (tuple, list)) else (prototypes,)
-    expected = len(prototype_inputs(cfg))
-    if len(sets) != expected:
-        raise ValueError(
-            f"{cfg.mode} mode trains against {expected} prototype set(s), got {len(sets)}"
-        )
-    for proto in sets:
-        if np.asarray(proto).shape[1] != cfg.feature_dim:
-            raise ValueError("prototype dimension does not match feature_dim")
-    prototypes = sets if expected > 1 else sets[0]
+        prototypes = place_prototypes(prototype_inputs(cfg))
+    expected = (
+        f"{cfg.mode} mode trains against one prototype array of shape "
+        f"(n, feature_dim) = (n, {cfg.feature_dim})"
+    )
+    if isinstance(prototypes, (tuple, list)):
+        raise ValueError(f"{expected}, got a {type(prototypes).__name__} of {len(prototypes)}")
+    prototypes = np.asarray(prototypes)
+    if prototypes.ndim != 2 or prototypes.shape[1] != cfg.feature_dim:
+        raise ValueError(f"{expected}, got shape {prototypes.shape}")
 
     rng = np.random.default_rng(cfg.seed)
     params = init_params(

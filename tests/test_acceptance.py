@@ -150,8 +150,6 @@ def _tiny_instance(mode, seed):
     rng = np.random.default_rng(seed)
     params = init_params(mode, 7, 6, 5, 8, rng)
     protos = random_unit_rows(rng, 4, 8)
-    if mode == "sview":
-        protos = (protos, random_unit_rows(rng, 4, 8))
     batch = AugmentedBatch(
         a_t=rng.standard_normal((8, 7)),
         a_s=rng.standard_normal((8, 7)),

@@ -232,14 +232,14 @@ class TestTrainAndEval:
         assert metrics[0][0] == "condition"
         assert {row[0] for row in metrics[1:]} == {"a", "b", "fused"}
 
-    def test_sview_train_writes_one_prototype_set_per_view(self, tmp_path, tiny_config):
+    def test_sview_train_writes_the_one_prototype_set(self, tmp_path, tiny_config):
         out = tmp_path / "run"
         assert main(["train", "--mode", "sview", "--config", tiny_config, "--out", str(out)]) == 0
         train_cfg = replace(parse_config(TINY_CONFIG).train, mode="sview")
-        inputs = prototype_inputs(train_cfg)
-        for i, name in enumerate(["prototypes_a.mat", "prototypes_b.mat"]):
-            assert np.array_equal(read_matrix(out / name), place_prototypes(inputs[i]))
-        assert not (out / "prototypes.mat").exists()
+        placed = place_prototypes(prototype_inputs(train_cfg))
+        assert np.array_equal(read_matrix(out / "prototypes.mat"), placed)
+        for name in ("prototypes_a.mat", "prototypes_b.mat"):
+            assert not (out / name).exists()
 
     def test_train_seed_writes_the_ablation_row_of_that_seed(self, tmp_path, tiny_config):
         ablation = tmp_path / "ablation.csv"
@@ -441,13 +441,31 @@ class TestGridAndAblate:
         cfg = parse_config(TINY_CONFIG)
         calls = self._count_placements(monkeypatch)
         rows = run_ablation(cfg, seeds=2)
-        # proto seeds 0 and 1 for seed 0 (sview's view b takes seed + 1), 1 and 2 for seed 1
-        assert [args[2].seed for args in calls] == [0, 1, 2]
+        # one set per seed offset, at proto seeds 0 and 1, for all four modes
+        assert [args[2].seed for args in calls] == [0, 1]
         calls.clear()
         own = [row for s in range(2) for mode in ("sview", "avg", "sep", "goca")
                for row in _train_and_eval(cfg, mode, s)]
-        assert len(calls) == 10
+        assert len(calls) == 8
         assert rows == own
+
+    def test_every_mode_of_a_seed_trains_against_the_one_placed_array(self, monkeypatch):
+        import goca.cli as cli
+
+        handed = {}
+        real_train = cli.train
+
+        def spy(dataset, cfg, prototypes=None):
+            handed[cfg.mode] = prototypes
+            return real_train(dataset, cfg, prototypes)
+
+        monkeypatch.setattr(cli, "train", spy)
+        cfg = parse_config(TINY_CONFIG)
+        run_ablation(cfg, seeds=1)
+        assert list(handed) == list(MODES)
+        assert all(handed[mode] is handed["goca"] for mode in MODES)
+        placed = place_prototypes(prototype_inputs(cli._cell_config(cfg, "goca", 0)))
+        assert np.array_equal(handed["goca"], placed)
 
     def test_lambda_grid_places_prototypes_once_per_seed(self, monkeypatch):
         from goca.cli import _train_and_eval

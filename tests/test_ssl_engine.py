@@ -27,7 +27,6 @@ from goca.ssl_engine import (
     place_prototypes,
     prototype_inputs,
     prototype_scores,
-    select_prototypes,
     swapped_loss,
     train,
 )
@@ -86,8 +85,6 @@ def _tiny_setup(mode, seed=0):
     rng = np.random.default_rng(seed)
     params = init_params(mode, 7, 6, 5, 8, rng)
     protos = random_unit_rows(rng, 4, 8)
-    if mode == "sview":
-        protos = (protos, random_unit_rows(rng, 4, 8))
     batch = _tiny_batch(rng)
     return params, protos, batch
 
@@ -218,7 +215,7 @@ class TestSelfConsistentFixedPoint:
     def test_sview_loss_at_floor(self):
         params, protos, batch = self._setup("sview")
         cfg = _fast_cfg("sview")
-        result = baseline_step(batch, params, (protos, protos), cfg)
+        result = baseline_step(batch, params, protos, cfg)
         assert result.loss == pytest.approx(4.0 * math.log(4.0), abs=1e-6)
 
     def test_avg_loss_at_floor(self):
@@ -245,6 +242,22 @@ class TestStepGradients:
         fd = finite_diff_grad(loss_at, vec, step=1e-5)
         scale = max(float(np.max(np.abs(fd))), 1e-12)
         assert float(np.max(np.abs(analytic - fd))) / scale <= 1e-4
+
+    def test_sview_view_b_inputs_leave_view_a_gradients_alone(self):
+        # both sview branches score against the one frozen set, which gets
+        # no gradient, so view b's inputs reach none of view a's parameters
+        params, protos, batch = _tiny_setup("sview", seed=11)
+        cfg = _fast_cfg("sview")
+        rng = np.random.default_rng(12)
+        other = replace(batch, b_t=rng.standard_normal(batch.b_t.shape),
+                        b_s=rng.standard_normal(batch.b_s.shape))
+        first = baseline_step(batch, params, protos, cfg)
+        second = baseline_step(other, params, protos, cfg)
+        a_keys = [key for key in params if key.startswith("a.")]
+        assert a_keys == ["a.w1", "a.b1", "a.w2", "a.b2"]
+        for key in a_keys:
+            assert np.array_equal(first.grads[key], second.grads[key])
+        assert not np.array_equal(first.grads["b.w2"], second.grads["b.w2"])
 
     def test_stop_gradient_contract(self):
         params, protos, batch = _tiny_setup("goca", seed=9)
@@ -425,13 +438,10 @@ class TestTrain:
         monkeypatch.setattr(ot_core, "_newton_polish", polish)
         run = RunConfig()
         data = generate(run.data)
-        placed = {}
+        prototypes = place_prototypes(prototype_inputs(run.train))
         for mode in MODES:
             cfg = replace(run.train, mode=mode, epochs=2)
-            for inputs in prototype_inputs(cfg):
-                if inputs not in placed:
-                    placed[inputs] = place_prototypes(inputs)
-            result = train(data, cfg, select_prototypes(cfg, placed))
+            result = train(data, cfg, prototypes)
             assert len(result.trace) == 2 * len(data) // cfg.batch_size
 
     def test_dimension_mismatch_rejected(self):
@@ -444,9 +454,11 @@ class TestTrain:
             train(data, cfg, prototypes=random_unit_rows(rng, 4, 5))
 
     @pytest.mark.parametrize("mode, sets, message", [
-        ("sep", "tuple", "sep mode trains against 1 prototype set(s), got 2"),
-        ("goca", "list", "goca mode trains against 1 prototype set(s), got 2"),
-        ("sview", "one", "sview mode trains against 2 prototype set(s), got 1"),
+        (mode, sets, f"{mode} mode trains against one prototype array of shape "
+                     f"(n, feature_dim) = (n, 8), got {got}")
+        for sets, got in (("tuple", "a tuple of 2"), ("list", "a list of 2"),
+                          ("wide", "shape (4, 9)"))
+        for mode in MODES
     ])
     def test_wrong_prototype_set_count_rejected_before_any_step(
         self, monkeypatch, mode, sets, message
@@ -455,7 +467,7 @@ class TestTrain:
                                     distractor_dim=3, num_distractor_modes=4, seed=6))
         rng = np.random.default_rng(0)
         pair = (random_unit_rows(rng, 4, 8), random_unit_rows(rng, 4, 8))
-        prototypes = {"tuple": pair, "list": list(pair), "one": pair[0]}[sets]
+        prototypes = {"tuple": pair, "list": list(pair), "wide": random_unit_rows(rng, 4, 9)}[sets]
         monkeypatch.setattr(engine, "_step", lambda *args: pytest.fail("a step ran"))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             train(data, _train_cfg(mode), prototypes)
