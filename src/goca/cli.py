@@ -15,7 +15,6 @@ import csv
 import os
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from itertools import repeat
 
@@ -37,7 +36,6 @@ from .ssl_engine import (
     train,
 )
 from .synth_data import generate
-from .verify import oracle_battery
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -286,6 +284,9 @@ def _run_cells(cells: list[tuple[RunConfig, str, int]], jobs: int) -> list[list[
     inputs = list(dict.fromkeys(prototype_inputs(_cell_config(*cell)) for cell in cells))
     workers = _pool_size(jobs, len(cells))
     if workers > 1:
+        # imported here: the multiprocessing stack costs every other run start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             placed = dict(zip(inputs, pool.map(place_prototypes, inputs)))
             return list(pool.map(_train_and_eval, *zip(*cells), repeat(placed)))
@@ -400,6 +401,9 @@ def _cmd_lambda_grid(args) -> int:
 def _cmd_verify(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")
+    # imported here: the oracle battery costs every other command start-up time
+    from .verify import oracle_battery
+
     checks = oracle_battery(args.seed)
     failures = 0
     for name, passed, detail in checks:

@@ -37,6 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .ot_core import _UNIT_NORM_ATOL, require_unit_rows
+
 __all__ = [
     "EvalConfig",
     "ClusterMetrics",
@@ -299,17 +301,25 @@ def recall_at_k(
     k: int,
 ) -> float:
     """Fraction of queries with a same-class item among their K cosine
-    nearest database rows."""
+    nearest database rows.
+
+    Both row sets must be unit-norm, so that dot products rank by cosine;
+    ``ValueError`` names the first row that is not.
+    """
     q = np.asarray(queries, dtype=float)
     db = np.asarray(database, dtype=float)
     q_labels = np.asarray(query_labels)
     d_labels = np.asarray(db_labels)
     if k < 1 or k > db.shape[0]:
         raise ValueError("need 1 <= k <= database size")
+    if q.shape[0] < 1:
+        raise ValueError("need at least one query")
     if q.shape[0] != q_labels.shape[0] or db.shape[0] != d_labels.shape[0]:
         raise ValueError("labels must align with their feature arrays")
     if q.shape[-1] != db.shape[-1]:
         raise ValueError(f"queries have {q.shape[-1]} columns but the database has {db.shape[-1]}")
+    require_unit_rows(q, "query", _UNIT_NORM_ATOL)
+    require_unit_rows(db, "database", _UNIT_NORM_ATOL)
     sims = q @ db.T
     neighbors = np.argsort(-sims, axis=1, kind="stable")[:, :k]
     hits = np.any(d_labels[neighbors] == q_labels[:, None], axis=1)

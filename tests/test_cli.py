@@ -267,6 +267,14 @@ class TestTrainAndEval:
         assert "error: sep training stopped at step 1: encoder output norm is not finite" \
             in capsys.readouterr().err
 
+    def test_non_finite_loss_exits_2_writing_nothing(self, tmp_path, tiny_config, monkeypatch,
+                                                      capsys):
+        monkeypatch.setattr("goca.ssl_engine.swapped_loss", lambda *args: float("nan"))
+        out = tmp_path / "run"
+        assert main(["train", "--mode", "goca", "--config", tiny_config, "--out", str(out)]) == 2
+        assert "error: goca training stopped at step 0: loss is nan" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line, message", [
         ("train.temperature = nan", "temperature must be finite, got nan"),
         ("train.hidden_dim = 0", "hidden_dim must be at least 1"),
@@ -388,6 +396,24 @@ class TestTrainAndEval:
         assert code == 1
         err = capsys.readouterr().err
         assert "error: --queries has 6 columns but --features has 12" in err
+        assert not metrics.exists()
+
+    def test_eval_zero_query_row_exits_1_naming_the_row(self, tmp_path, capsys):
+        # normalizing leaves an all-zero row at norm 0, which no cosine ranks
+        features = tmp_path / "f.mat"
+        write_matrix(features, np.vstack([np.eye(3), [1.0, 1.0, 0.0]]))
+        queries = tmp_path / "q.mat"
+        write_matrix(queries, np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0]]))
+        labels = tmp_path / "l.txt"
+        labels.write_text("0\n1\n0\n1\n")
+        query_labels = tmp_path / "ql.txt"
+        query_labels.write_text("0\n1\n")
+        metrics = tmp_path / "m.csv"
+        code = main(["eval", "--features", str(features), "--labels", str(labels),
+                     "--queries", str(queries), "--query-labels", str(query_labels),
+                     "--k", "2", "--metrics", str(metrics)])
+        assert code == 1
+        assert "error: query rows must be unit-norm; row 1 is off by 1.0" in capsys.readouterr().err
         assert not metrics.exists()
 
 
@@ -563,11 +589,8 @@ class TestVerifyAndConfig:
         assert out == (Path(__file__).parent / "golden" / "verify_seed0.txt").read_text()
 
     def test_verify_failure_exits_3(self, monkeypatch, capsys):
-        import goca.cli as cli_mod
-
         monkeypatch.setattr(
-            cli_mod,
-            "oracle_battery",
+            "goca.verify.oracle_battery",
             lambda seed: [("doomed property", False, "worst 1e+00 vs tol 1e-09")],
         )
         assert main(["verify"]) == 3
@@ -594,7 +617,7 @@ class TestVerifyAndConfig:
         (tmp_path / "l.txt").write_text("0\n1\n")
         (tmp_path / "seeded.cfg").write_text("train.seed = 5\nproto.seed = 5\n")
         drawn = []
-        monkeypatch.setattr(cli_mod, "oracle_battery", drawn.append)
+        monkeypatch.setattr("goca.verify.oracle_battery", drawn.append)
         monkeypatch.setattr(cli_mod, "generate", drawn.append)
         assert main(command + ["--seed", "-1"]) == 1
         assert f"error: {message}" in capsys.readouterr().err
@@ -644,6 +667,20 @@ class TestVerifyAndConfig:
         bad = tmp_path / "bad.cfg"
         bad.write_text("train.bogus = 1\n")
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("line, message", [
+        ("train.epochs 3", "line 1: expected 'key = value', got 'train.epochs 3'"),
+        ("data.class_scale = 0.0", "class_scale must be positive"),
+        ("eval.repeats = 0", "repeats must be positive"),
+    ])
+    def test_dump_config_of_a_bad_config_exits_1_with_the_message(
+        self, tmp_path, capsys, line, message
+    ):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(line + "\n")
+        assert main(["dump-config", "--config", str(bad)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"config error: {message}\n")
 
 
 class TestEveryFlagIsRead:
@@ -712,9 +749,7 @@ class TestEveryFlagIsRead:
     def test_every_optional_flag_changes_the_output_or_is_listed(
         self, tmp_path, monkeypatch, capsys
     ):
-        import goca.cli as cli_mod
-
-        monkeypatch.setattr(cli_mod, "oracle_battery", lambda seed: [(f"seed {seed}", True, "")])
+        monkeypatch.setattr("goca.verify.oracle_battery", lambda seed: [(f"seed {seed}", True, "")])
         base = {}
         walked = set()
         for i, (command, flag) in enumerate(self._optional_flags()):

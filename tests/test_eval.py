@@ -1,6 +1,7 @@
 """Clustering and retrieval metrics against hand-built oracles."""
 
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from goca.eval import (
     repeated_cluster_metrics,
     within_cluster_ss,
 )
+from goca.runconfig import ConfigError, parse_config
 
 from _util import lloyd_reference, majority_vote_reference, nmi_reference, random_unit_rows
 
@@ -244,14 +246,38 @@ class TestRecallAtK:
                 random_unit_rows(rng, 3, 6), random_unit_rows(rng, 4, 12), np.zeros(3), np.zeros(4), 1
             )
 
+    @pytest.mark.parametrize("side, row, scale", [
+        ("query", 2, 2.0), ("database", 1, 0.0), ("query", 0, np.nan),
+    ])
+    def test_non_unit_row_rejected_naming_it(self, side, row, scale):
+        # dot products rank by cosine only on unit rows
+        rng = np.random.default_rng(12)
+        rows = {"query": random_unit_rows(rng, 3, 4), "database": random_unit_rows(rng, 5, 4)}
+        rows[side][row] *= scale
+        with pytest.raises(ValueError, match=f"{side} rows must be unit-norm; row {row} is off by"):
+            recall_at_k(rows["query"], rows["database"], np.zeros(3), np.zeros(5), 1)
+
     def test_k_larger_than_database_rejected(self):
         rng = np.random.default_rng(9)
         db = random_unit_rows(rng, 4, 3)
         with pytest.raises(ValueError):
             recall_at_k(db, db, np.zeros(4), np.zeros(4), 5)
 
+    def test_empty_query_set_rejected(self):
+        db = np.eye(3)
+        with pytest.raises(ValueError, match="^need at least one query$"):
+            recall_at_k(np.empty((0, 3)), db, np.empty(0), np.arange(3), 1)
+
 
 class TestRepeatedMetrics:
+    @pytest.mark.parametrize("line, message", [
+        ("eval.repeats = 0", "repeats must be positive"),
+        ("eval.kmeans_restarts = 0", "kmeans_restarts must be positive"),
+    ])
+    def test_config_rejects_invalid_value(self, line, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(line + "\n")
+
     def test_mean_and_stderr_shapes(self):
         rng = np.random.default_rng(10)
         feats = np.concatenate(

@@ -1,6 +1,7 @@
 """Prior-guided assignment: prior clamping, objective, solver, cross-view wiring."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,12 @@ class TestGuidedSinkhorn:
         prior = clamp_prior(rng.uniform(0.0, 1.0, size=(3, 3)) ** 5)
         res = guided_sinkhorn(cost, prior, cfg=SolverConfig(lambda1=0.1, lambda2=0.2))
         assert np.all(res.plan > 0.0)
+
+    @pytest.mark.parametrize("prior_shape", [(4, 3), (3, 5), (12,)])
+    def test_prior_of_another_shape_rejected_naming_both(self, prior_shape):
+        message = f"shape mismatch: cost (3, 4) vs prior {prior_shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            guided_sinkhorn(np.zeros((3, 4)), np.full(prior_shape, 0.5))
 
 
 class TestGuidedInvariants:

@@ -1,8 +1,12 @@
-"""Every name a package module imports is used there or re-exported, and
-every name it exports exists."""
+"""Every name a package module imports is used there or re-exported, every
+name it exports exists, and the CLI loads at start-up only what every
+command needs."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +51,18 @@ def test_every_export_resolves(path):
     module = importlib.import_module(name)
     stale = [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
     assert stale == []
+
+
+def test_cli_import_leaves_out_what_only_some_commands_use():
+    # the oracle battery serves `goca verify` alone and the process pool
+    # `--jobs > 1` alone; loading them would slow every command's start-up
+    src = Path(goca.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = (
+        "import sys, goca.cli; "
+        "print(sorted({'goca.verify', 'goca.oracle', 'multiprocessing'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

@@ -1,6 +1,7 @@
 """Plain entropic assignment: examples, invariants, oracle agreement."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -774,3 +775,15 @@ class TestConfigValidation:
             Marginals(np.array([0.5, 0.6]), np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             Marginals(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Marginals(np.full((2, 2), 0.25), np.full(2, 0.5)), "marginals must be vectors"),
+        (lambda: Marginals(np.full(2, 0.5), 1.0), "marginals must be vectors"),
+        (lambda: Marginals(np.empty(0), np.full(2, 0.5)), "marginals must be non-empty"),
+        (lambda: Marginals(np.full(2, 0.5), np.empty(0)), "marginals must be non-empty"),
+        (lambda: sinkhorn(np.zeros(4)), "cost must be a 2-D matrix"),
+        (lambda: sinkhorn(np.zeros((1, 2, 2))), "cost must be a 2-D matrix"),
+    ])
+    def test_rejects_malformed_marginals_or_cost(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()

@@ -1,5 +1,7 @@
 """Run-config parsing, validation and canonical round trips."""
 
+import re
+
 import pytest
 
 from goca.runconfig import ConfigError, RunConfig, dump_config, parse_config
@@ -28,6 +30,14 @@ class TestParse:
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("train.epochs = 1\ntrain.epochs = 2\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("train.epochs 3\n", "line 1: expected 'key = value', got 'train.epochs 3'"),
+        ("# header\n\nsolver.lambda1\n", "line 3: expected 'key = value', got 'solver.lambda1'"),
+    ])
+    def test_line_without_equals_rejected_naming_the_line(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(text)
 
     def test_bad_value_type_rejected(self):
         with pytest.raises(ConfigError, match="invalid int"):

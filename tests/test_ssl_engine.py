@@ -12,7 +12,7 @@ import goca.ot_core as ot_core
 from goca.oracle import finite_diff_grad
 from goca.ot_core import SolverConfig
 from goca.prototypes import ProtoOptConfig
-from goca.runconfig import RunConfig
+from goca.runconfig import ConfigError, RunConfig, parse_config
 import goca.ssl_engine as engine
 from goca.ssl_engine import (
     MODES,
@@ -363,6 +363,21 @@ class TestAugment:
         assert np.array_equal(_augment(x, np.random.default_rng(5), cfg), expected)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("line, message", [
+        ("train.mode = fancy", f"mode must be one of {MODES}"),
+        ("train.batch_size = 1", "batch_size must be at least 2"),
+        ("train.temperature = 0.0", "temperature must be positive"),
+        ("train.epochs = -1", "epochs must be nonnegative"),
+        ("train.num_prototypes = 1", "need at least 2 prototypes"),
+        ("train.aug_dropout = 1.0", "aug_dropout must lie in [0, 1)"),
+        ("train.aug_dropout = -0.1", "aug_dropout must lie in [0, 1)"),
+    ])
+    def test_config_rejects_invalid_value(self, line, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(line + "\n")
+
+
 class TestTrain:
     def test_zero_epochs_leaves_encoders_at_initialization(self):
         data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
@@ -407,6 +422,13 @@ class TestTrain:
             with pytest.raises(FloatingPointError,
                                match=f"^{mode} training stopped at step 1: .* parameters diverged"):
                 train(data, cfg)
+
+    def test_non_finite_loss_stops_naming_mode_and_step(self, monkeypatch):
+        data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
+                                    distractor_dim=3, num_distractor_modes=4, seed=6))
+        monkeypatch.setattr(engine, "swapped_loss", lambda *args: math.nan)
+        with pytest.raises(FloatingPointError, match="^goca training stopped at step 0: loss is nan$"):
+            train(data, _train_cfg("goca"))
 
     @pytest.mark.parametrize("mode", MODES)
     def test_non_converged_steps_warn_once_naming_mode_and_step(self, mode, caplog):
