@@ -16,25 +16,17 @@ import os
 import statistics
 import sys
 from dataclasses import replace
-from itertools import repeat
+from itertools import chain
 
 import numpy as np
 
 from . import eval as evalmod
-from . import matrixio
+from . import matrixio, ssl_engine
 from .guided_ot import guided_sinkhorn
 from .ot_core import SolverConfig, sinkhorn
 from .prototypes import ProtoOptConfig, max_pairwise_cosine, optimize_prototypes, prototype_loss
 from .runconfig import ConfigError, RunConfig, dump_config, load_config
-from .ssl_engine import (
-    MODES,
-    TrainConfig,
-    _normalize_rows,
-    extract_features,
-    place_prototypes,
-    prototype_inputs,
-    train,
-)
+from .ssl_engine import MODES, TrainConfig, _normalize_rows, extract_features, train
 from .synth_data import generate
 
 EXIT_OK = 0
@@ -144,13 +136,12 @@ def _cell_config(cfg: RunConfig, mode: str, seed_offset: int) -> TrainConfig:
     return replace(cfg.train, mode=mode, seed=cfg.train.seed + seed_offset, proto=proto)
 
 
-def _run_cell(cfg: RunConfig, mode: str, seed_offset: int, placed=None):
-    """``train`` on ``generate(cfg.data)`` at ``_cell_config``'s seeds, then
+def _run_cell(cfg: RunConfig, mode: str, seed_offset: int, prototypes=None):
+    """``train`` on ``generate(cfg.data)`` at ``_cell_config``'s seeds against
+    ``prototypes`` (without them the run places its own), then
     repeated-k-means scores per test condition in extraction order; returns
-    ``(TrainResult, scores)``.  ``placed`` maps ``prototype_inputs`` keys to
-    sets placed beforehand; without it the run places its own."""
+    ``(TrainResult, scores)``."""
     train_cfg = _cell_config(cfg, mode, seed_offset)
-    prototypes = None if placed is None else placed[prototype_inputs(train_cfg)]
     dataset = generate(cfg.data)
     result = train(dataset, train_cfg, prototypes)
     features = extract_features(result.params, result.mode, dataset)
@@ -164,6 +155,11 @@ def _run_cell(cfg: RunConfig, mode: str, seed_offset: int, placed=None):
 
 
 _METRIC_HEADER = ["condition", "acc_mean", "acc_se", "nmi_mean", "nmi_se", "f1_mean", "f1_se"]
+
+
+def _mean_and_se(rep: evalmod.RepeatedMetrics) -> list[tuple[str, str]]:
+    """``(mean, stderr)`` of accuracy, NMI and F1, in that order, to six decimals."""
+    return [(f"{mean:.6f}", f"{se:.6f}") for mean, se in zip(rep.mean, rep.stderr)]
 
 
 def _cmd_train(args) -> int:
@@ -182,18 +178,7 @@ def _cmd_train(args) -> int:
         matrixio.write_matrix(os.path.join(args.out, f"enc_{name}.mat"), mat)
     matrixio.write_matrix(os.path.join(args.out, "prototypes.mat"), result.prototypes)
 
-    rows = [
-        [
-            condition,
-            f"{rep.mean.accuracy:.6f}",
-            f"{rep.stderr.accuracy:.6f}",
-            f"{rep.mean.nmi:.6f}",
-            f"{rep.stderr.nmi:.6f}",
-            f"{rep.mean.f1:.6f}",
-            f"{rep.stderr.f1:.6f}",
-        ]
-        for condition, rep in scores.items()
-    ]
+    rows = [[cond, *chain.from_iterable(_mean_and_se(rep))] for cond, rep in scores.items()]
     _write_csv(os.path.join(args.out, "metrics.csv"), _METRIC_HEADER, rows)
     print(f"trained mode={result.mode} for {len(result.trace)} steps; wrote {args.out}")
     return EXIT_OK
@@ -221,11 +206,7 @@ def _cmd_eval(args) -> int:
     k = args.k if args.k is not None else int(np.unique(labels).size)
     eval_cfg = evalmod.EvalConfig(repeats=args.repeats, seed=args.seed)
     rep = evalmod.repeated_cluster_metrics(features, labels, k, eval_cfg)
-    rows = [
-        ["accuracy", f"{rep.mean.accuracy:.6f}", f"{rep.stderr.accuracy:.6f}"],
-        ["nmi", f"{rep.mean.nmi:.6f}", f"{rep.stderr.nmi:.6f}"],
-        ["f1", f"{rep.mean.f1:.6f}", f"{rep.stderr.f1:.6f}"],
-    ]
+    rows = [[name, *pair] for name, pair in zip(rep.mean._fields, _mean_and_se(rep))]
     if args.queries is not None:
         # retrieval is cosine-based, so rows are normalized here even when
         # the stored features are raw
@@ -244,9 +225,9 @@ def _cmd_eval(args) -> int:
 # ablate / lambda-grid
 
 
-def _train_and_eval(cfg: RunConfig, mode: str, seed_offset: int, placed=None) -> list[dict]:
+def _train_and_eval(cfg: RunConfig, mode: str, seed_offset: int, prototypes=None) -> list[dict]:
     """The scores of ``_run_cell`` as one row per test condition."""
-    _, scores = _run_cell(cfg, mode, seed_offset, placed)
+    _, scores = _run_cell(cfg, mode, seed_offset, prototypes)
     return [
         {
             "seed": seed_offset,
@@ -278,20 +259,23 @@ def _run_cells(cells: list[tuple[RunConfig, str, int]], jobs: int) -> list[list[
     """``_train_and_eval`` of every ``(cfg, mode, seed_offset)`` cell, in order.
 
     Each distinct prototype set the cells train against (one per seed
-    offset) is placed once and shared by every cell that trains against
-    it; with several workers the placements run in the pool too.
+    offset) is placed once, by ``ssl_engine.optimize_prototypes``, and
+    handed to every cell that trains against it; with several workers the
+    placements run in the pool too.
     """
-    inputs = list(dict.fromkeys(prototype_inputs(_cell_config(*cell)) for cell in cells))
+    configs = [_cell_config(*cell) for cell in cells]
+    keys = [(c.num_prototypes, c.feature_dim, c.proto) for c in configs]
+    distinct = list(dict.fromkeys(keys))
     workers = _pool_size(jobs, len(cells))
     if workers > 1:
         # imported here: the multiprocessing stack costs every other run start-up time
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            placed = dict(zip(inputs, pool.map(place_prototypes, inputs)))
-            return list(pool.map(_train_and_eval, *zip(*cells), repeat(placed)))
-    placed = {i: place_prototypes(i) for i in inputs}
-    return [_train_and_eval(*cell, placed) for cell in cells]
+            placed = dict(zip(distinct, pool.map(ssl_engine.optimize_prototypes, *zip(*distinct))))
+            return list(pool.map(_train_and_eval, *zip(*cells), [placed[key] for key in keys]))
+    placed = {key: ssl_engine.optimize_prototypes(*key) for key in distinct}
+    return [_train_and_eval(*cell, placed[key]) for cell, key in zip(cells, keys)]
 
 
 def run_ablation(cfg: RunConfig, seeds: int = 5, jobs: int = 1) -> list[dict]:

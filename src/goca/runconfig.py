@@ -2,11 +2,13 @@
 
 A config file holds ``section.field = value`` lines; blank lines and
 ``#`` comments are ignored.  Unknown or duplicate keys are errors, and
-values are validated by the owning config dataclasses at load time.
-``RunConfig`` composes the per-module configs, each the only copy of
-its defaults; missing keys take those defaults, which double as the
-locked synthetic benchmark.  Dumping writes every key in canonical
-order, so a dumped config reloads and re-dumps byte-identically.
+values are validated by the owning config dataclasses at load time;
+``RunConfig`` checks the one rule that spans two sections, the batch
+size against the data set size.  It composes the per-module configs,
+each the only copy of its defaults; missing keys take those defaults,
+which double as the locked synthetic benchmark.  Dumping writes every
+key in canonical order, so a dumped config reloads and re-dumps
+byte-identically.
 """
 
 from __future__ import annotations
@@ -41,6 +43,15 @@ class RunConfig:
     data: SynthConfig = field(default_factory=SynthConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
+
+    def __post_init__(self):
+        samples = self.data.num_classes * self.data.samples_per_class
+        if self.train.batch_size > samples:
+            raise ConfigError(
+                f"train.batch_size = {self.train.batch_size} exceeds the {samples} samples of "
+                f"data.num_classes x data.samples_per_class = "
+                f"{self.data.num_classes} x {self.data.samples_per_class}"
+            )
 
     @property
     def proto(self) -> ProtoOptConfig:

@@ -50,8 +50,6 @@ __all__ = [
     "swapped_loss",
     "goca_step",
     "baseline_step",
-    "prototype_inputs",
-    "place_prototypes",
     "train",
     "extract_features",
 ]
@@ -99,6 +97,8 @@ class TrainConfig:
             raise ValueError("hidden_dim must be at least 1")
         if self.num_prototypes < 2:
             raise ValueError("need at least 2 prototypes")
+        if self.feature_dim < 2:
+            raise ValueError(f"feature_dim must be at least 2, got {self.feature_dim}")
         if not 0.0 <= self.aug_dropout < 1.0:
             raise ValueError("aug_dropout must lie in [0, 1)")
         if self.seed < 0:
@@ -359,17 +359,6 @@ def _augment(x: np.ndarray, rng: np.random.Generator, cfg: TrainConfig) -> np.nd
     return out * mask
 
 
-def prototype_inputs(cfg: TrainConfig) -> tuple[int, int, ProtoOptConfig]:
-    """``optimize_prototypes`` arguments of the one prototype set ``cfg``
-    trains against, whatever its mode: the set's placement key."""
-    return (cfg.num_prototypes, cfg.feature_dim, cfg.proto)
-
-
-def place_prototypes(inputs: tuple[int, int, ProtoOptConfig]) -> np.ndarray:
-    """The set of one ``prototype_inputs`` key, placed."""
-    return optimize_prototypes(*inputs)
-
-
 def train(dataset, cfg: TrainConfig, prototypes=None) -> TrainResult:
     """Place the prototype set unless ``prototypes`` gives it, then run
     shuffled minibatch SGD against it.
@@ -383,10 +372,10 @@ def train(dataset, cfg: TrainConfig, prototypes=None) -> TrainResult:
         raise ValueError("views must be row-aligned")
     num_samples = view_a.shape[0]
     if num_samples < cfg.batch_size:
-        raise ValueError("batch_size exceeds the dataset size")
+        raise ValueError(f"batch_size {cfg.batch_size} exceeds the dataset size {num_samples}")
 
     if prototypes is None:
-        prototypes = place_prototypes(prototype_inputs(cfg))
+        prototypes = optimize_prototypes(cfg.num_prototypes, cfg.feature_dim, cfg.proto)
     expected = (
         f"{cfg.mode} mode trains against one prototype array of shape "
         f"(n, feature_dim) = (n, {cfg.feature_dim})"
@@ -415,10 +404,7 @@ def train(dataset, cfg: TrainConfig, prototypes=None) -> TrainResult:
             )
             step = len(trace)
             try:
-                if cfg.mode == "goca":
-                    result = goca_step(batch, params, prototypes, cfg)
-                else:
-                    result = baseline_step(batch, params, prototypes, cfg)
+                result = (goca_step if cfg.mode == "goca" else baseline_step)(batch, params, prototypes, cfg)
             except FloatingPointError as exc:
                 message = f"{cfg.mode} training stopped at step {step}: {exc}"
                 raise FloatingPointError(message) from exc

@@ -14,9 +14,9 @@ from goca.cli import build_parser, main, run_ablation, run_lambda_grid
 from goca.guided_ot import guided_sinkhorn
 from goca.matrixio import read_matrix, write_matrix
 from goca.ot_core import SolverConfig
-from goca.prototypes import ProtoOptConfig
+from goca.prototypes import ProtoOptConfig, optimize_prototypes
 from goca.runconfig import EvalConfig, RunConfig, dump_config, parse_config
-from goca.ssl_engine import MODES, place_prototypes, prototype_inputs
+from goca.ssl_engine import MODES
 from goca.verify import kernel_reduction_draws
 
 TINY_CONFIG = """
@@ -236,7 +236,7 @@ class TestTrainAndEval:
         out = tmp_path / "run"
         assert main(["train", "--mode", "sview", "--config", tiny_config, "--out", str(out)]) == 0
         train_cfg = replace(parse_config(TINY_CONFIG).train, mode="sview")
-        placed = place_prototypes(prototype_inputs(train_cfg))
+        placed = optimize_prototypes(train_cfg.num_prototypes, train_cfg.feature_dim, train_cfg.proto)
         assert np.array_equal(read_matrix(out / "prototypes.mat"), placed)
         for name in ("prototypes_a.mat", "prototypes_b.mat"):
             assert not (out / name).exists()
@@ -482,16 +482,20 @@ class TestGridAndAblate:
         real_train = cli.train
 
         def spy(dataset, cfg, prototypes=None):
-            handed[cfg.mode] = prototypes
+            # TINY_CONFIG keeps train.seed at 0, so a cell's seed is its offset
+            handed[cfg.seed, cfg.mode] = prototypes
             return real_train(dataset, cfg, prototypes)
 
         monkeypatch.setattr(cli, "train", spy)
         cfg = parse_config(TINY_CONFIG)
-        run_ablation(cfg, seeds=1)
-        assert list(handed) == list(MODES)
-        assert all(handed[mode] is handed["goca"] for mode in MODES)
-        placed = place_prototypes(prototype_inputs(cli._cell_config(cfg, "goca", 0)))
-        assert np.array_equal(handed["goca"], placed)
+        run_ablation(cfg, seeds=2)
+        assert list(handed) == [(s, mode) for s in range(2) for mode in MODES]
+        for s in range(2):
+            assert all(handed[s, mode] is handed[s, "goca"] for mode in MODES)
+            c = cli._cell_config(cfg, "goca", s)
+            placed = optimize_prototypes(c.num_prototypes, c.feature_dim, c.proto)
+            assert np.array_equal(handed[s, "goca"], placed)
+        assert not np.array_equal(handed[0, "goca"], handed[1, "goca"])
 
     def test_lambda_grid_places_prototypes_once_per_seed(self, monkeypatch):
         from goca.cli import _train_and_eval
@@ -534,6 +538,23 @@ class TestGridAndAblate:
         assert "error: --seeds must be at least 1, got 0" in capsys.readouterr().err
         assert not out.exists()
         assert calls == []
+
+    @pytest.mark.parametrize("command", [["ablate", "--seeds", "2"], ["dump-config"]])
+    def test_batch_larger_than_the_data_set_is_a_config_error_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        calls = self._count_placements(monkeypatch)
+        config = tmp_path / "big_batch.cfg"
+        config.write_text(TINY_CONFIG.replace("train.batch_size = 10", "train.batch_size = 41"))
+        out = tmp_path / "rows.csv"
+        outputs = ["--out", str(out)] if command[0] == "ablate" else []
+        assert main([*command, "--config", str(config), *outputs]) == 1
+        assert capsys.readouterr().err == (
+            "config error: train.batch_size = 41 exceeds the 40 samples of "
+            "data.num_classes x data.samples_per_class = 2 x 20\n"
+        )
+        assert calls == []
+        assert not out.exists()
 
     def test_run_functions_reject_seeds_below_one(self):
         cfg = parse_config(TINY_CONFIG)

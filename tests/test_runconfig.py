@@ -56,6 +56,8 @@ class TestParse:
         ("solver.tolerance = nan", "tolerance must be finite"),
         ("solver.lambda2 = inf", "lambda2 must be finite"),
         ("train.hidden_dim = 0", "hidden_dim must be at least 1"),
+        ("train.feature_dim = 0", "feature_dim must be at least 2, got 0"),
+        ("train.feature_dim = 1", "feature_dim must be at least 2, got 1"),
     ])
     def test_non_finite_float_or_zero_hidden_dim_rejected(self, line, message):
         with pytest.raises(ConfigError, match=message):

@@ -11,7 +11,7 @@ import pytest
 import goca.ot_core as ot_core
 from goca.oracle import finite_diff_grad
 from goca.ot_core import SolverConfig
-from goca.prototypes import ProtoOptConfig
+from goca.prototypes import ProtoOptConfig, optimize_prototypes
 from goca.runconfig import ConfigError, RunConfig, parse_config
 import goca.ssl_engine as engine
 from goca.ssl_engine import (
@@ -24,8 +24,6 @@ from goca.ssl_engine import (
     extract_features,
     goca_step,
     init_params,
-    place_prototypes,
-    prototype_inputs,
     prototype_scores,
     swapped_loss,
     train,
@@ -460,7 +458,7 @@ class TestTrain:
         monkeypatch.setattr(ot_core, "_newton_polish", polish)
         run = RunConfig()
         data = generate(run.data)
-        prototypes = place_prototypes(prototype_inputs(run.train))
+        prototypes = optimize_prototypes(run.train.num_prototypes, run.train.feature_dim, run.train.proto)
         for mode in MODES:
             cfg = replace(run.train, mode=mode, epochs=2)
             result = train(data, cfg, prototypes)
@@ -474,6 +472,13 @@ class TestTrain:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="feature_dim"):
             train(data, cfg, prototypes=random_unit_rows(rng, 4, 5))
+
+    def test_batch_larger_than_the_data_set_rejected_naming_both_sizes(self):
+        data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
+                                    distractor_dim=3, num_distractor_modes=4, seed=6))
+        cfg = replace(_train_cfg("sep"), batch_size=41)
+        with pytest.raises(ValueError, match="^batch_size 41 exceeds the dataset size 40$"):
+            train(data, cfg, prototypes=random_unit_rows(np.random.default_rng(0), 4, 8))
 
     @pytest.mark.parametrize("mode, sets, message", [
         (mode, sets, f"{mode} mode trains against one prototype array of shape "
