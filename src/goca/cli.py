@@ -11,6 +11,7 @@ matrices use the plain-text matrix format.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import statistics
@@ -255,6 +256,12 @@ def _check_seeds(seeds: int) -> None:
         raise ValueError(f"--seeds must be at least 1, got {seeds}")
 
 
+def _place_prototypes(count: int, dim: int, cfg: ProtoOptConfig):
+    # looks the binding up at call time: a pool pickles functions by name,
+    # which fails for a wrapper installed on ``ssl_engine.optimize_prototypes``
+    return ssl_engine.optimize_prototypes(count, dim, cfg)
+
+
 def _run_cells(cells: list[tuple[RunConfig, str, int]], jobs: int) -> list[list[dict]]:
     """``_train_and_eval`` of every ``(cfg, mode, seed_offset)`` cell, in order.
 
@@ -267,15 +274,15 @@ def _run_cells(cells: list[tuple[RunConfig, str, int]], jobs: int) -> list[list[
     keys = [(c.num_prototypes, c.feature_dim, c.proto) for c in configs]
     distinct = list(dict.fromkeys(keys))
     workers = _pool_size(jobs, len(cells))
-    if workers > 1:
-        # imported here: the multiprocessing stack costs every other run start-up time
-        from concurrent.futures import ProcessPoolExecutor
+    with contextlib.ExitStack() as stack:
+        run = map
+        if workers > 1:
+            # imported here: the multiprocessing stack costs every other run start-up time
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            placed = dict(zip(distinct, pool.map(ssl_engine.optimize_prototypes, *zip(*distinct))))
-            return list(pool.map(_train_and_eval, *zip(*cells), [placed[key] for key in keys]))
-    placed = {key: ssl_engine.optimize_prototypes(*key) for key in distinct}
-    return [_train_and_eval(*cell, placed[key]) for cell, key in zip(cells, keys)]
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        placed = dict(zip(distinct, run(_place_prototypes, *zip(*distinct))))
+        return list(run(_train_and_eval, *zip(*cells), [placed[key] for key in keys]))
 
 
 def run_ablation(cfg: RunConfig, seeds: int = 5, jobs: int = 1) -> list[dict]:

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ot_core import _UNIT_NORM_ATOL, require_unit_rows
+from .ot_core import _UNIT_NORM_ATOL, check_config, require_unit_rows
 
 __all__ = [
     "EvalConfig",
@@ -61,12 +61,7 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.repeats < 1:
-            raise ValueError("repeats must be positive")
-        if self.kmeans_restarts < 1:
-            raise ValueError("kmeans_restarts must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        check_config(self, {"repeats": 1, "kmeans_restarts": 1, "seed": 0})
 
 
 class ClusterMetrics(NamedTuple):
@@ -311,7 +306,7 @@ def recall_at_k(
     q_labels = np.asarray(query_labels)
     d_labels = np.asarray(db_labels)
     if k < 1 or k > db.shape[0]:
-        raise ValueError("need 1 <= k <= database size")
+        raise ValueError(f"k must lie in [1, database size = {db.shape[0]}], got {k}")
     if q.shape[0] < 1:
         raise ValueError("need at least one query")
     if q.shape[0] != q_labels.shape[0] or db.shape[0] != d_labels.shape[0]:

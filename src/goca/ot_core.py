@@ -74,13 +74,24 @@ __all__ = [
 _UNIT_NORM_ATOL = 1e-6
 
 
-def reject_non_finite(config) -> None:
+def check_config(config, bounds: dict[str, int | str]) -> None:
     """Raise ValueError naming the first float field of the dataclass
-    instance ``config`` that is NaN or infinite."""
+    instance ``config`` that is NaN or infinite, then the first field of
+    ``bounds`` outside its bound, which is ``"positive"`` or an int N for
+    at least N (read as nonnegative for 0).  The message reads
+    ``<field> must be <rule>, got <value>``."""
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
+    for name, bound in bounds.items():
+        value = getattr(config, name)
+        if bound == "positive":
+            ok, rule = value > 0, bound
+        else:
+            ok, rule = value >= bound, "nonnegative" if bound == 0 else f"at least {bound}"
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 def require_unit_rows(arr: np.ndarray, name: str, atol: float) -> None:
@@ -142,17 +153,10 @@ class SolverConfig:
     prior_floor: float = 1e-12
 
     def __post_init__(self):
-        reject_non_finite(self)
-        if self.lambda1 <= 0.0:
-            raise ValueError("lambda1 must be positive")
-        if self.lambda2 < 0.0:
-            raise ValueError("lambda2 must be nonnegative")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.prior_floor <= 0.0:
-            raise ValueError("prior_floor must be positive")
+        check_config(self, {
+            "lambda1": "positive", "lambda2": 0, "max_iters": 1,
+            "tolerance": "positive", "prior_floor": "positive",
+        })
 
 
 # SolverConfig is frozen, so one validated default serves every solve

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ot_core import reject_non_finite, require_unit_rows
+from .ot_core import check_config, require_unit_rows
 
 __all__ = [
     "ProtoOptConfig",
@@ -56,17 +56,10 @@ class ProtoOptConfig:
     seed: int = 0
 
     def __post_init__(self):
-        reject_non_finite(self)
-        if self.steps < 1:
-            raise ValueError("steps must be at least 1")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if self.final_learning_rate <= 0.0:
-            raise ValueError("final_learning_rate must be positive")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        check_config(self, {
+            "steps": 1, "learning_rate": "positive", "final_learning_rate": "positive",
+            "restarts": 1, "seed": 0,
+        })
 
 
 def _checked(prototypes: np.ndarray) -> np.ndarray:

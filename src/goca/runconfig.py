@@ -2,7 +2,9 @@
 
 A config file holds ``section.field = value`` lines; blank lines and
 ``#`` comments are ignored.  Unknown or duplicate keys are errors, and
-values are validated by the owning config dataclasses at load time;
+values are validated by the owning config dataclasses at load time
+(``ot_core.check_config``), so that every invalid value raises
+``ConfigError`` reading ``<section>.<key> must <rule>, got <value>``;
 ``RunConfig`` checks the one rule that spans two sections, the batch
 size against the data set size.  It composes the per-module configs,
 each the only copy of its defaults; missing keys take those defaults,
@@ -120,15 +122,17 @@ def parse_config(text: str) -> RunConfig:
         values[section][f.name] = _parse_value(raw, f.type, key)
 
     base = RunConfig()
-    try:
-        data = dataclasses.replace(base.data, **values["data"])
-        proto = dataclasses.replace(base.proto, **values["proto"])
-        solver = dataclasses.replace(base.solver, **values["solver"])
-        train = dataclasses.replace(base.train, **values["train"], solver=solver, proto=proto)
-        eval_cfg = dataclasses.replace(base.eval, **values["eval"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return RunConfig(data=data, train=train, eval=eval_cfg)
+    built: dict[str, object] = {}
+    # one section at a time, so that the error names the section of its key;
+    # train is built after the proto and solver sections it holds
+    for section, overrides in values.items():
+        if section == "train":
+            overrides = {**overrides, "proto": built["proto"], "solver": built["solver"]}
+        try:
+            built[section] = dataclasses.replace(getattr(base, section), **overrides)
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{exc}") from None
+    return RunConfig(data=built["data"], train=built["train"], eval=built["eval"])
 
 
 def dump_config(cfg: RunConfig) -> str:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .guided_ot import cross_guided_assign
-from .ot_core import SolverConfig, cost_from_features, reject_non_finite, sinkhorn
+from .ot_core import SolverConfig, check_config, cost_from_features, sinkhorn
 from .prototypes import ProtoOptConfig, optimize_prototypes
 
 __all__ = [
@@ -84,25 +84,14 @@ class TrainConfig:
     proto: ProtoOptConfig = field(default_factory=ProtoOptConfig)
 
     def __post_init__(self):
-        reject_non_finite(self)
+        check_config(self, {
+            "epochs": 0, "batch_size": 2, "temperature": "positive", "learning_rate": "positive",
+            "hidden_dim": 1, "feature_dim": 2, "num_prototypes": 2, "aug_noise": 0, "seed": 0,
+        })
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be at least 2")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
-        if self.hidden_dim < 1:
-            raise ValueError("hidden_dim must be at least 1")
-        if self.num_prototypes < 2:
-            raise ValueError("need at least 2 prototypes")
-        if self.feature_dim < 2:
-            raise ValueError(f"feature_dim must be at least 2, got {self.feature_dim}")
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 0.0 <= self.aug_dropout < 1.0:
-            raise ValueError("aug_dropout must lie in [0, 1)")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+            raise ValueError(f"aug_dropout must lie in [0, 1), got {self.aug_dropout}")
 
 
 @dataclass

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ot_core import reject_non_finite
+from .ot_core import check_config
 
 __all__ = ["SynthConfig", "SynthDataset", "generate"]
 
@@ -37,23 +37,15 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        reject_non_finite(self)
-        if self.num_classes < 2:
-            raise ValueError("need at least 2 classes")
-        if self.samples_per_class < 1:
-            raise ValueError("samples_per_class must be positive")
-        if self.signal_dim < 1 or self.distractor_dim < 1:
-            raise ValueError("dimensions must be positive")
+        check_config(self, {
+            "num_classes": 2, "samples_per_class": 1, "signal_dim": 1, "distractor_dim": 1,
+            "num_distractor_modes": 1, "distractor_strength": 0, "view_a_noise": 0,
+            "view_b_noise": 0, "class_scale": "positive", "seed": 0,
+        })
         if self.num_classes > self.signal_dim:
-            raise ValueError("num_classes may not exceed signal_dim (orthonormal centroids)")
-        if self.num_distractor_modes < 1:
-            raise ValueError("need at least one distractor mode")
-        if min(self.distractor_strength, self.view_a_noise, self.view_b_noise) < 0.0:
-            raise ValueError("strengths and noise levels must be nonnegative")
-        if self.class_scale <= 0.0:
-            raise ValueError("class_scale must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+            raise ValueError(
+                f"num_classes must be at most signal_dim = {self.signal_dim}, got {self.num_classes}"
+            )
 
 
 @dataclass

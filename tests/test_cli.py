@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import functools
 import inspect
 import statistics
 from dataclasses import replace
@@ -276,10 +277,10 @@ class TestTrainAndEval:
         assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [
-        ("train.temperature = nan", "temperature must be finite, got nan"),
-        ("train.hidden_dim = 0", "hidden_dim must be at least 1"),
-        ("proto.learning_rate = nan", "learning_rate must be finite, got nan"),
-        ("data.view_b_noise = nan", "view_b_noise must be finite, got nan"),
+        ("train.temperature = nan", "train.temperature must be finite, got nan"),
+        ("train.hidden_dim = 0", "train.hidden_dim must be at least 1, got 0"),
+        ("proto.learning_rate = nan", "proto.learning_rate must be finite, got nan"),
+        ("data.view_b_noise = nan", "data.view_b_noise must be finite, got nan"),
     ])
     def test_invalid_train_value_exits_1_at_load(self, tmp_path, capsys, line, message):
         bad = tmp_path / "bad.cfg"
@@ -329,6 +330,24 @@ class TestTrainAndEval:
         ])
         assert code == 1
         assert "error: --queries requires --query-labels" in capsys.readouterr().err
+        assert not metrics.exists()
+
+    @pytest.mark.parametrize("k", ["0", "7"])
+    def test_eval_recall_k_out_of_range_exits_1_naming_k_and_the_database_size(
+        self, tmp_path, capsys, k
+    ):
+        features = tmp_path / "f.mat"
+        write_matrix(features, np.tile(np.eye(2), (3, 1)))
+        labels = tmp_path / "l.txt"
+        labels.write_text("0\n1\n" * 3)
+        metrics = tmp_path / "m.csv"
+        code = main([
+            "eval", "--features", str(features), "--labels", str(labels),
+            "--queries", str(features), "--query-labels", str(labels),
+            "--recall-k", k, "--repeats", "1", "--metrics", str(metrics),
+        ])
+        assert code == 1
+        assert f"error: k must lie in [1, database size = 6], got {k}\n" in capsys.readouterr().err
         assert not metrics.exists()
 
     # rejected before any query file is read
@@ -441,9 +460,17 @@ class TestGridAndAblate:
         )
         assert grid[0]["accuracy"] == sep_fused
 
-    def test_parallel_jobs_match_serial(self):
+    def test_parallel_jobs_match_serial(self, monkeypatch):
+        import goca.ssl_engine as engine
+
         cfg = parse_config(TINY_CONFIG)
         serial = run_ablation(cfg, seeds=2, jobs=1)
+        # the pool runs even through a wrapper on the placement binding, as
+        # a tracer installs, which cannot be pickled by name
+        place = engine.optimize_prototypes
+        monkeypatch.setattr(engine, "optimize_prototypes", functools.wraps(place)(
+            lambda *args: place(*args)))
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
         parallel = run_ablation(cfg, seeds=2, jobs=2)
         assert serial == parallel
 
@@ -691,8 +718,8 @@ class TestVerifyAndConfig:
 
     @pytest.mark.parametrize("line, message", [
         ("train.epochs 3", "line 1: expected 'key = value', got 'train.epochs 3'"),
-        ("data.class_scale = 0.0", "class_scale must be positive"),
-        ("eval.repeats = 0", "repeats must be positive"),
+        ("data.class_scale = 0.0", "data.class_scale must be positive, got 0.0"),
+        ("eval.repeats = 0", "eval.repeats must be at least 1, got 0"),
     ])
     def test_dump_config_of_a_bad_config_exits_1_with_the_message(
         self, tmp_path, capsys, line, message

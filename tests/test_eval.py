@@ -17,7 +17,6 @@ from goca.eval import (
     repeated_cluster_metrics,
     within_cluster_ss,
 )
-from goca.runconfig import ConfigError, parse_config
 
 from _util import lloyd_reference, majority_vote_reference, nmi_reference, random_unit_rows
 
@@ -260,8 +259,9 @@ class TestRecallAtK:
     def test_k_larger_than_database_rejected(self):
         rng = np.random.default_rng(9)
         db = random_unit_rows(rng, 4, 3)
-        with pytest.raises(ValueError):
-            recall_at_k(db, db, np.zeros(4), np.zeros(4), 5)
+        for k in (0, 5):
+            with pytest.raises(ValueError, match=rf"^k must lie in \[1, database size = 4\], got {k}$"):
+                recall_at_k(db, db, np.zeros(4), np.zeros(4), k)
 
     def test_empty_query_set_rejected(self):
         db = np.eye(3)
@@ -270,14 +270,6 @@ class TestRecallAtK:
 
 
 class TestRepeatedMetrics:
-    @pytest.mark.parametrize("line, message", [
-        ("eval.repeats = 0", "repeats must be positive"),
-        ("eval.kmeans_restarts = 0", "kmeans_restarts must be positive"),
-    ])
-    def test_config_rejects_invalid_value(self, line, message):
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            parse_config(line + "\n")
-
     def test_mean_and_stderr_shapes(self):
         rng = np.random.default_rng(10)
         feats = np.concatenate(

@@ -66,3 +66,27 @@ def test_cli_import_leaves_out_what_only_some_commands_use():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_every_config_class_checks_its_fields():
+    # check_config rejects non-finite floats and out-of-bound values; a
+    # config class whose __post_init__ skips it would accept them unchecked
+    found, unchecked = set(), []
+    for path in MODULES:
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name.endswith("Config")
+                    and cls.name != "RunConfig"
+                    and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)):
+                continue
+            found.add(cls.name)
+            calls = {
+                node.func.id
+                for fn in cls.body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            }
+            if "check_config" not in calls:
+                unchecked.append(f"{path.name}: {cls.name}")
+    assert unchecked == []
+    assert {"SynthConfig", "SolverConfig", "ProtoOptConfig", "TrainConfig", "EvalConfig"} <= found

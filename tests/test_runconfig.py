@@ -6,6 +6,76 @@ import pytest
 
 from goca.runconfig import ConfigError, RunConfig, dump_config, parse_config
 
+_DEFAULTS = RunConfig()
+
+
+def _read(cfg: RunConfig, key: str):
+    section, name = key.split(".")
+    return getattr(getattr(cfg, section), name)
+
+
+_KEYS = [line.split(" = ")[0] for line in dump_config(_DEFAULTS).splitlines()]
+_NUMERIC_KEYS = [key for key in _KEYS if not isinstance(_read(_DEFAULTS, key), str)]
+_FLOAT_KEYS = [key for key in _KEYS if isinstance(_read(_DEFAULTS, key), float)]
+
+# (key, last accepted value, first rejected value, the rejection's message);
+# 5e-324 is the smallest positive float.  A key may have a row per boundary.
+_BOUNDS = [
+    ("data.num_classes", "2", "1", "data.num_classes must be at least 2, got 1"),
+    ("data.num_classes", "6", "7", "data.num_classes must be at most signal_dim = 6, got 7"),
+    ("data.samples_per_class", "1", "0", "data.samples_per_class must be at least 1, got 0"),
+    ("data.signal_dim", "4", "3", "data.num_classes must be at most signal_dim = 3, got 4"),
+    ("data.signal_dim", "4", "0", "data.signal_dim must be at least 1, got 0"),
+    ("data.distractor_dim", "1", "0", "data.distractor_dim must be at least 1, got 0"),
+    ("data.num_distractor_modes", "1", "0",
+     "data.num_distractor_modes must be at least 1, got 0"),
+    ("data.distractor_strength", "0.0", "-1.0",
+     "data.distractor_strength must be nonnegative, got -1.0"),
+    ("data.view_a_noise", "0.0", "-0.1", "data.view_a_noise must be nonnegative, got -0.1"),
+    ("data.view_b_noise", "0.0", "-0.1", "data.view_b_noise must be nonnegative, got -0.1"),
+    ("data.class_scale", "5e-324", "0.0", "data.class_scale must be positive, got 0.0"),
+    ("data.seed", "0", "-1", "data.seed must be nonnegative, got -1"),
+    ("proto.steps", "1", "0", "proto.steps must be at least 1, got 0"),
+    ("proto.learning_rate", "5e-324", "0.0", "proto.learning_rate must be positive, got 0.0"),
+    ("proto.final_learning_rate", "5e-324", "-1e-3",
+     "proto.final_learning_rate must be positive, got -0.001"),
+    ("proto.restarts", "1", "0", "proto.restarts must be at least 1, got 0"),
+    ("proto.seed", "0", "-1", "proto.seed must be nonnegative, got -1"),
+    ("solver.lambda1", "5e-324", "0.0", "solver.lambda1 must be positive, got 0.0"),
+    ("solver.lambda1", "5e-324", "-0.5", "solver.lambda1 must be positive, got -0.5"),
+    ("solver.lambda2", "0.0", "-5e-324", "solver.lambda2 must be nonnegative, got -5e-324"),
+    ("solver.max_iters", "1", "0", "solver.max_iters must be at least 1, got 0"),
+    ("solver.tolerance", "5e-324", "0.0", "solver.tolerance must be positive, got 0.0"),
+    ("solver.prior_floor", "5e-324", "0.0", "solver.prior_floor must be positive, got 0.0"),
+    ("train.mode", "goca", "fancy",
+     "train.mode must be one of ('sview', 'avg', 'sep', 'goca'), got 'fancy'"),
+    ("train.epochs", "0", "-1", "train.epochs must be nonnegative, got -1"),
+    ("train.batch_size", "2", "1", "train.batch_size must be at least 2, got 1"),
+    ("train.batch_size", "800", "801",
+     "train.batch_size = 801 exceeds the 800 samples of "
+     "data.num_classes x data.samples_per_class = 4 x 200"),
+    ("train.temperature", "5e-324", "0.0", "train.temperature must be positive, got 0.0"),
+    ("train.learning_rate", "5e-324", "0.0", "train.learning_rate must be positive, got 0.0"),
+    ("train.learning_rate", "5e-324", "-0.1", "train.learning_rate must be positive, got -0.1"),
+    ("train.hidden_dim", "1", "0", "train.hidden_dim must be at least 1, got 0"),
+    ("train.feature_dim", "2", "1", "train.feature_dim must be at least 2, got 1"),
+    ("train.feature_dim", "2", "0", "train.feature_dim must be at least 2, got 0"),
+    ("train.num_prototypes", "2", "1", "train.num_prototypes must be at least 2, got 1"),
+    ("train.aug_noise", "0.0", "-1.0", "train.aug_noise must be nonnegative, got -1.0"),
+    ("train.aug_dropout", "0.0", "-0.1", "train.aug_dropout must lie in [0, 1), got -0.1"),
+    ("train.aug_dropout", "0.9999999999999999", "1.0",
+     "train.aug_dropout must lie in [0, 1), got 1.0"),
+    ("train.seed", "0", "-1", "train.seed must be nonnegative, got -1"),
+    ("eval.repeats", "1", "0", "eval.repeats must be at least 1, got 0"),
+    ("eval.kmeans_restarts", "1", "0", "eval.kmeans_restarts must be at least 1, got 0"),
+    ("eval.seed", "0", "-1", "eval.seed must be nonnegative, got -1"),
+]
+_EACH_BOUND = pytest.mark.parametrize(
+    "key, accepted, rejected, message", _BOUNDS, ids=[f"{row[0]}={row[2]}" for row in _BOUNDS]
+)
+# lines a row needs besides its own: one sample per class takes a batch of 4
+_CONTEXT = {"data.samples_per_class": "train.batch_size = 4\n"}
+
 
 class TestParse:
     def test_empty_text_gives_defaults(self):
@@ -49,25 +119,6 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config("train.mode = fancy\n")
 
-    @pytest.mark.parametrize("line, message", [
-        ("train.temperature = nan", "temperature must be finite"),
-        ("train.learning_rate = inf", "learning_rate must be finite"),
-        ("train.aug_noise = -inf", "aug_noise must be finite"),
-        ("solver.tolerance = nan", "tolerance must be finite"),
-        ("solver.lambda2 = inf", "lambda2 must be finite"),
-        ("train.hidden_dim = 0", "hidden_dim must be at least 1"),
-        ("train.feature_dim = 0", "feature_dim must be at least 2, got 0"),
-        ("train.feature_dim = 1", "feature_dim must be at least 2, got 1"),
-    ])
-    def test_non_finite_float_or_zero_hidden_dim_rejected(self, line, message):
-        with pytest.raises(ConfigError, match=message):
-            parse_config(line + "\n")
-
-    @pytest.mark.parametrize("section", ["data", "proto", "train", "eval"])
-    def test_negative_seed_rejected_naming_seed(self, section):
-        with pytest.raises(ConfigError, match="^seed must be nonnegative, got -1$"):
-            parse_config(f"{section}.seed = -1\n")
-
     def test_solver_and_proto_read_through_train(self):
         cfg = parse_config("proto.seed = 4\nsolver.lambda1 = 0.05\n")
         assert cfg.proto is cfg.train.proto and cfg.proto.seed == 4
@@ -105,3 +156,27 @@ class TestRoundTrip:
         assert cfg.solver.lambda1 == 0.02
         assert cfg.solver.lambda2 == 0.03
         assert cfg.train.solver.lambda1 == 0.02
+
+
+class TestBounds:
+    @_EACH_BOUND
+    def test_accepts_and_rejects(self, key, accepted, rejected, message):
+        context = _CONTEXT.get(key, "")
+        cfg = parse_config(f"{context}{key} = {accepted}\n")
+        assert _read(cfg, key) == type(_read(_DEFAULTS, key))(accepted)
+        with pytest.raises(ConfigError):
+            parse_config(f"{context}{key} = {rejected}\n")
+
+    @_EACH_BOUND
+    def test_rejection_message(self, key, accepted, rejected, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(f"{_CONTEXT.get(key, '')}{key} = {rejected}\n")
+
+    @pytest.mark.parametrize("key", _FLOAT_KEYS)
+    def test_non_finite_rejected(self, key):
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be finite, got {value}$"):
+                parse_config(f"{key} = {value}\n")
+
+    def test_every_numeric_key_has_a_row(self):
+        assert sorted(set(_NUMERIC_KEYS) - {row[0] for row in _BOUNDS}) == []
