@@ -28,7 +28,7 @@ from .ot_core import SolverConfig, sinkhorn
 from .prototypes import ProtoOptConfig, max_pairwise_cosine, optimize_prototypes, prototype_loss
 from .runconfig import ConfigError, RunConfig, dump_config, load_config
 from .ssl_engine import MODES, TrainConfig, _normalize_rows, extract_features, train
-from .synth_data import generate
+from .synth_data import SynthConfig, generate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -42,6 +42,30 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+# command -> (config class, {flag: field}) of the flags that mirror a config field; an unset
+# flag keeps the base config's value (the class default, or the loaded data config for gen-data)
+_MIRRORED = {
+    "gen-data": (SynthConfig, {"--seed": "seed"}),
+    "optimize-prototypes": (ProtoOptConfig, {"--steps": "steps", "--lr": "learning_rate",
+                                             "--restarts": "restarts", "--seed": "seed"}),
+    "solve": (SolverConfig, {"--lambda1": "lambda1", "--lambda2": "lambda2",
+                             "--tolerance": "tolerance", "--max-iters": "max_iters"}),
+    "eval": (evalmod.EvalConfig, {"--repeats": "repeats", "--seed": "seed"}),
+}
+
+
+def _flag_config(args, base=None):
+    """``base`` (by default the command's config class) with each mirrored flag that is set."""
+    cls, flags = _MIRRORED[args.command]
+    named = {name: flag for flag, name in flags.items() if getattr(args, name) is not None}
+    try:
+        return replace(base or cls(), **{name: getattr(args, name) for name in named})
+    except ValueError as exc:
+        # only a set flag can fail check_config, whose message starts with the field
+        name, _, rule = str(exc).partition(" ")
+        raise ValueError(f"{named[name]} {rule}") from None
 
 
 def _load_run_config(path: str | None) -> RunConfig:
@@ -62,8 +86,7 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _cmd_gen_data(args) -> int:
-    cfg = _load_run_config(args.config)
-    data_cfg = cfg.data if args.seed is None else replace(cfg.data, seed=args.seed)
+    data_cfg = _flag_config(args, _load_run_config(args.config).data)
     dataset = generate(data_cfg)
     os.makedirs(args.out, exist_ok=True)
     matrixio.write_matrix(os.path.join(args.out, "view_a.mat"), dataset.view_a)
@@ -81,13 +104,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_optimize_prototypes(args) -> int:
-    cfg = ProtoOptConfig(
-        steps=args.steps,
-        learning_rate=args.lr,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
-    prototypes = optimize_prototypes(args.n, args.dim, cfg)
+    prototypes = optimize_prototypes(args.n, args.dim, _flag_config(args))
     matrixio.write_matrix(args.out, prototypes)
     if args.report:
         print(f"loss = {prototype_loss(prototypes):.6f}")
@@ -102,12 +119,7 @@ def _cmd_optimize_prototypes(args) -> int:
 
 def _cmd_solve(args) -> int:
     cost = matrixio.read_matrix(args.cost)
-    cfg = SolverConfig(
-        lambda1=args.lambda1,
-        lambda2=SolverConfig.lambda2 if args.lambda2 is None else args.lambda2,
-        max_iters=args.max_iters,
-        tolerance=args.tolerance,
-    )
+    cfg = _flag_config(args)
     # checked after the config, so that a non-finite value is named as such
     if args.lambda2 is not None and args.prior is None:
         raise ValueError("--lambda2 requires --prior; a plain solve has no KL term")
@@ -132,7 +144,7 @@ def _cmd_solve(args) -> int:
 
 def _cell_config(cfg: RunConfig, mode: str, seed_offset: int) -> TrainConfig:
     if seed_offset < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed_offset}")
+        raise ValueError(f"--seed must be nonnegative, got {seed_offset}")
     proto = replace(cfg.proto, seed=cfg.proto.seed + seed_offset)
     return replace(cfg.train, mode=mode, seed=cfg.train.seed + seed_offset, proto=proto)
 
@@ -205,8 +217,7 @@ def _cmd_eval(args) -> int:
                 f"{features.shape[1]}; retrieval compares rows of one width"
             )
     k = args.k if args.k is not None else int(np.unique(labels).size)
-    eval_cfg = evalmod.EvalConfig(repeats=args.repeats, seed=args.seed)
-    rep = evalmod.repeated_cluster_metrics(features, labels, k, eval_cfg)
+    rep = evalmod.repeated_cluster_metrics(features, labels, k, _flag_config(args))
     rows = [[name, *pair] for name, pair in zip(rep.mean._fields, _mean_and_se(rep))]
     if args.queries is not None:
         # retrieval is cosine-based, so rows are normalized here even when
@@ -419,17 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate the synthetic two-view benchmark")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("optimize-prototypes", help="place maximally separated unit prototypes")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--steps", type=int, default=ProtoOptConfig.steps)
-    p.add_argument("--lr", type=float, default=ProtoOptConfig.learning_rate)
-    p.add_argument("--restarts", type=int, default=ProtoOptConfig.restarts)
-    p.add_argument("--seed", type=int, default=ProtoOptConfig.seed)
     p.add_argument("--out", required=True)
     p.add_argument("--report", action="store_true")
     p.set_defaults(func=_cmd_optimize_prototypes)
@@ -437,13 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one assignment instance from matrix files")
     p.add_argument("--cost", required=True)
     p.add_argument("--prior", help="guide the solve by this prior plan")
-    p.add_argument("--lambda1", type=float, default=SolverConfig.lambda1)
-    p.add_argument(
-        "--lambda2", type=float,
-        help=f"weight of the KL pull toward --prior (default {SolverConfig.lambda2})",
-    )
-    p.add_argument("--tolerance", type=float, default=SolverConfig.tolerance)
-    p.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_solve)
@@ -462,8 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-labels")
     p.add_argument("--recall-k", type=int, help="neighbors retrieved per query (default 1)")
     p.add_argument("--k", type=int, help="number of clusters (default: number of label values)")
-    p.add_argument("--repeats", type=int, default=evalmod.EvalConfig.repeats)
-    p.add_argument("--seed", type=int, default=evalmod.EvalConfig.seed)
     p.add_argument("--metrics", required=True)
     p.set_defaults(func=_cmd_eval)
 
@@ -491,6 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.set_defaults(func=lambda args: (print(dump_config(_load_run_config(args.config)), end=""), EXIT_OK)[1])
 
+    for command, (cls, flags) in _MIRRORED.items():
+        for flag, name in flags.items():
+            sub.choices[command].add_argument(flag, dest=name, type=type(getattr(cls, name)))
     return parser
 
 

@@ -205,7 +205,9 @@ def optimize_prototypes(count: int, dim: int, cfg: ProtoOptConfig | None = None)
     Ties between restarts go to the lowest restart index.
     """
     if count < 2 or dim < 2:
-        raise ValueError("need at least 2 prototypes in at least 2 dimensions")
+        raise ValueError(
+            f"need at least 2 prototypes in at least 2 dimensions, got {count} in {dim}"
+        )
     if cfg is None:
         cfg = ProtoOptConfig()
     rngs = [np.random.default_rng((cfg.seed, restart)) for restart in range(cfg.restarts)]

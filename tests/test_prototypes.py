@@ -182,9 +182,9 @@ class TestOptimizePrototypes:
         assert np.array_equal(a, b)
 
     def test_rejects_tiny_problems(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"at least 2 dimensions, got 1 in 4$"):
             optimize_prototypes(1, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"at least 2 dimensions, got 4 in 1$"):
             optimize_prototypes(4, 1)
 
 
