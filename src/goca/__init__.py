@@ -36,12 +36,11 @@ from .ssl_engine import (
     AugmentedBatch,
     TrainConfig,
     TrainResult,
-    baseline_step,
     encode,
     extract_features,
-    goca_step,
     init_params,
     prototype_scores,
+    step,
     swapped_loss,
     train,
 )
@@ -75,8 +74,7 @@ __all__ = [
     "encode",
     "prototype_scores",
     "swapped_loss",
-    "goca_step",
-    "baseline_step",
+    "step",
     "train",
     "extract_features",
     "SynthConfig",

@@ -216,16 +216,16 @@ def _cmd_eval(args) -> int:
                 f"--queries has {queries.shape[1]} columns but --features has "
                 f"{features.shape[1]}; retrieval compares rows of one width"
             )
-    k = args.k if args.k is not None else int(np.unique(labels).size)
-    rep = evalmod.repeated_cluster_metrics(features, labels, k, _flag_config(args))
-    rows = [[name, *pair] for name, pair in zip(rep.mean._fields, _mean_and_se(rep))]
-    if args.queries is not None:
-        # retrieval is cosine-based, so rows are normalized here even when
-        # the stored features are raw
+        # checked before any k-means run; retrieval is cosine-based, so rows
+        # are normalized here even when the stored features are raw
         recall_k = 1 if args.recall_k is None else args.recall_k
         recall = evalmod.recall_at_k(
             _normalize_rows(queries), _normalize_rows(features), q_labels, labels, recall_k
         )
+    k = args.k if args.k is not None else int(np.unique(labels).size)
+    rep = evalmod.repeated_cluster_metrics(features, labels, k, _flag_config(args))
+    rows = [[name, *pair] for name, pair in zip(rep.mean._fields, _mean_and_se(rep))]
+    if args.queries is not None:
         rows.append([f"recall@{recall_k}", f"{recall:.6f}", "0.000000"])
     _write_csv(args.metrics, ["metric", "mean", "stderr"], rows)
     for row in rows:
@@ -365,21 +365,26 @@ def run_lambda_grid(
     ]
 
 
-def _parse_float_list(raw: str, flag: str) -> list[float]:
+def _parse_float_list(raw: str, flag: str, name: str) -> list[float]:
     values = []
     for part in filter(str.strip, raw.split(",")):
         try:
             values.append(float(part))
         except ValueError:
             raise ValueError(f"{flag} entry {part.strip()!r} is not a number") from None
+        try:
+            SolverConfig(**{name: values[-1]})
+        except ValueError as exc:
+            # each entry is a SolverConfig field; report it by the flag
+            raise ValueError(f"{flag} {str(exc).partition(' ')[2]}") from None
     if not values:
         raise ValueError(f"{flag} needs at least one value")
     return values
 
 
 def _cmd_lambda_grid(args) -> int:
-    l1s = _parse_float_list(args.lambda1_list, "--lambda1-list")
-    l2s = _parse_float_list(args.lambda2_list, "--lambda2-list")
+    l1s = _parse_float_list(args.lambda1_list, "--lambda1-list", "lambda1")
+    l2s = _parse_float_list(args.lambda2_list, "--lambda2-list", "lambda2")
     cfg = _load_run_config(args.config)
     rows = run_lambda_grid(cfg, l1s, l2s, seeds=args.seeds, jobs=args.jobs)
     _write_csv(

@@ -9,10 +9,11 @@ other augmentation's softmax prototype scores, summed over branches.
 Targets are treated as constants: no gradient flows through the
 assignment solver.
 
-One step body serves all four modes, and every branch of every mode
-scores against the run's one frozen prototype set.  The mode fixes only
-which backbones feed each branch (their hidden activations are
-averaged), which head projects them, and the target rule:
+One step function, ``step``, serves all four modes, and every branch
+of every mode scores against the run's one frozen prototype set.  The
+mode fixes only which backbones feed each branch (their hidden
+activations are averaged), which head projects them, and the target
+rule:
 
     sview  branches a and b, each with its own backbone and head: two
            independent models; a plain plan per branch
@@ -21,10 +22,9 @@ averaged), which head projects them, and the target rule:
     goca   as sep, but each view's plan is guided by the other view's
            plain plan on the same batch (``cross_guided_assign``)
 
-``goca_step`` runs goca steps and ``baseline_step`` the other modes;
-``train`` calls one of them per batch.  Solver plans have rows summing
-to 1/M; they are multiplied by M before entering the cross-entropy so
-each target row is a probability row.
+``train`` calls ``step`` once per batch.  Solver plans have rows
+summing to 1/M; they are multiplied by M before entering the
+cross-entropy so each target row is a probability row.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ __all__ = [
     "encode",
     "prototype_scores",
     "swapped_loss",
-    "goca_step",
-    "baseline_step",
+    "step",
     "train",
     "extract_features",
 ]
@@ -139,11 +138,8 @@ def init_params(
     params: ParamDict = {}
     params["a.w1"], params["a.b1"] = _linear_init(rng, hidden_dim, in_dim_a)
     params["b.w1"], params["b.b1"] = _linear_init(rng, hidden_dim, in_dim_b)
-    if mode == "sview":
-        params["a.w2"], params["a.b2"] = _linear_init(rng, feature_dim, hidden_dim)
-        params["b.w2"], params["b.b2"] = _linear_init(rng, feature_dim, hidden_dim)
-    else:
-        params["shared.w2"], params["shared.b2"] = _linear_init(rng, feature_dim, hidden_dim)
+    for head in ("a", "b") if mode == "sview" else ("shared",):
+        params[f"{head}.w2"], params[f"{head}.b2"] = _linear_init(rng, feature_dim, hidden_dim)
     return params
 
 
@@ -244,15 +240,20 @@ def swapped_loss(
     return float(total / m)
 
 
-def _step(
+def step(
     batch: AugmentedBatch,
     params: ParamDict,
     prototypes: np.ndarray,
     cfg: TrainConfig,
-    targets: dict[str, np.ndarray] | None,
+    targets: dict[str, np.ndarray] | None = None,
 ) -> StepResult:
-    """Encode every branch, solve its targets by the mode's rule, and
-    backpropagate the swapped loss; targets are keyed ``<branch>.<slot>``."""
+    """One step of any mode: encode every branch, solve its targets by the
+    mode's rule, and backpropagate the swapped loss; targets are keyed
+    ``<branch>.<slot>``.
+
+    Pass precomputed ``targets`` to hold the assignments fixed, e.g. for
+    finite-difference gradient checks.
+    """
     if cfg.mode == "avg":
         branches = {"avg": ("a", "b")}
     else:
@@ -305,34 +306,8 @@ def _step(
     return StepResult(loss, grads, targets, converged)
 
 
-def goca_step(
-    batch: AugmentedBatch,
-    params: ParamDict,
-    prototypes: np.ndarray,
-    cfg: TrainConfig,
-    targets: dict[str, np.ndarray] | None = None,
-) -> StepResult:
-    """One guided two-view step: encode, assign with cross-view priors, backprop.
-
-    Pass precomputed ``targets`` to hold the assignments fixed, e.g. for
-    finite-difference gradient checks.
-    """
-    if cfg.mode != "goca":
-        raise ValueError(f"goca_step does not handle mode {cfg.mode!r}")
-    return _step(batch, params, prototypes, cfg, targets)
-
-
-def baseline_step(
-    batch: AugmentedBatch,
-    params: ParamDict,
-    prototypes: np.ndarray,
-    cfg: TrainConfig,
-    targets: dict[str, np.ndarray] | None = None,
-) -> StepResult:
-    """One sview, avg or sep step; see module docstring for the modes."""
-    if cfg.mode == "goca":
-        raise ValueError(f"baseline_step does not handle mode {cfg.mode!r}")
-    return _step(batch, params, prototypes, cfg, targets)
+# perfbench/tracer.py wraps these two names; train calls through them
+goca_step = baseline_step = step
 
 
 def _augment(x: np.ndarray, rng: np.random.Generator, cfg: TrainConfig) -> np.ndarray:
@@ -391,20 +366,20 @@ def train(dataset, cfg: TrainConfig, prototypes=None) -> TrainResult:
                 b_t=_augment(view_b[idx], rng, cfg),
                 b_s=_augment(view_b[idx], rng, cfg),
             )
-            step = len(trace)
+            index = len(trace)
             try:
                 result = (goca_step if cfg.mode == "goca" else baseline_step)(batch, params, prototypes, cfg)
             except FloatingPointError as exc:
-                message = f"{cfg.mode} training stopped at step {step}: {exc}"
+                message = f"{cfg.mode} training stopped at step {index}: {exc}"
                 raise FloatingPointError(message) from exc
             if result.solver_converged is False:
                 logger.warning(
                     "%s training step %d: assignment did not converge; using last iterate",
-                    cfg.mode, step,
+                    cfg.mode, index,
                 )
             if not np.isfinite(result.loss):
                 raise FloatingPointError(
-                    f"{cfg.mode} training stopped at step {step}: loss is {result.loss}"
+                    f"{cfg.mode} training stopped at step {index}: loss is {result.loss}"
                 )
             for key in params:
                 params[key] -= cfg.learning_rate * result.grads[key]

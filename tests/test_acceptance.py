@@ -22,9 +22,8 @@ from goca.runconfig import RunConfig
 from goca.ssl_engine import (
     AugmentedBatch,
     TrainConfig,
-    baseline_step,
-    goca_step,
     init_params,
+    step,
     swapped_loss,
     train,
 )
@@ -180,7 +179,6 @@ def test_c07_loss_and_gradient_checks():
             temperature=0.5,
             solver=SolverConfig(lambda1=0.5, lambda2=0.1, tolerance=1e-10, max_iters=20_000),
         )
-        step = goca_step if mode == "goca" else baseline_step
         base = step(batch, params, protos, cfg)
         keys = sorted(params)
         analytic = np.concatenate([base.grads[k].ravel() for k in keys])
@@ -208,7 +206,7 @@ def test_c07_loss_and_gradient_checks():
             temperature=0.5,
             solver=SolverConfig(lambda1=0.5, lambda2=0.1, tolerance=tolerance, max_iters=200_000),
         )
-        results.append(goca_step(batch, params, protos, cfg))
+        results.append(step(batch, params, protos, cfg))
     loss_drift = abs(results[0].loss - results[1].loss)
     grad_drift = float(np.max(np.abs(
         _vec(results[0].grads) - _vec(results[1].grads)

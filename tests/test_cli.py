@@ -559,6 +559,14 @@ _ERROR_ROWS = [
            1, f"error: {flag} {message}")
       for flag in ("--lambda1-list", "--lambda2-list")
       for name, (raw, message) in _BAD_LAMBDA_LISTS.items()],
+    # an entry outside its solver field's bound is reported by the flag
+    *[_row(f"grid{flag[:-5]}-{name}", f"lambda-grid --config tiny.cfg {flag} {raw} --out grid.csv",
+           1, f"error: {flag} {message}")
+      for flag, name, raw, message in [
+          ("--lambda1-list", "0", "0", "must be positive, got 0.0"),
+          ("--lambda1-list", "nan", "0.02,nan", "must be finite, got nan"),
+          ("--lambda2-list", "neg", "-0.5", "must be nonnegative, got -0.5"),
+      ]],
     *[_row(f"{command}-seeds-0", f"{command} --config tiny.cfg --seeds 0 --out rows.csv", 1,
            "error: --seeds must be at least 1, got 0") for command in ("ablate", "lambda-grid")],
     _row("ablate-jobs-x", "ablate --jobs x --out rows.csv", 1,
@@ -623,6 +631,17 @@ class TestErrors:
         else:
             assert (out, written) == ("", [])
         assert work == [] or code != 1, work
+
+    def test_bad_recall_k_fails_before_any_k_means_run(self, tmp_path, monkeypatch, capsys):
+        # without --repeats 1 a late check would wait for every k-means repeat
+        monkeypatch.chdir(tmp_path)
+        write_matrix(tmp_path / "f.mat", _ERROR_MATRICES["f.mat"])
+        (tmp_path / "l.txt").write_text(_ERROR_FILES["l.txt"])
+        monkeypatch.setattr("goca.cli.evalmod.repeated_cluster_metrics",
+                            lambda *args: pytest.fail("k-means ran"))
+        argv = f"{_EVAL} --queries f.mat --query-labels l.txt --recall-k 7 --metrics m.csv"
+        assert main(shlex.split(argv)) == 1
+        assert capsys.readouterr().err == "error: k must lie in [1, database size = 6], got 7\n"
 
 
 class TestEveryFlagIsRead:

@@ -19,12 +19,11 @@ from goca.ssl_engine import (
     AugmentedBatch,
     TrainConfig,
     _augment,
-    baseline_step,
     encode,
     extract_features,
-    goca_step,
     init_params,
     prototype_scores,
+    step,
     swapped_loss,
     train,
 )
@@ -205,7 +204,7 @@ class TestSelfConsistentFixedPoint:
     def test_goca_loss_at_floor(self):
         params, protos, batch = self._setup("goca")
         cfg = _fast_cfg("goca")
-        result = goca_step(batch, params, protos, cfg)
+        result = step(batch, params, protos, cfg)
         assert result.loss == pytest.approx(4.0 * math.log(4.0), abs=1e-6)
         for grad in result.grads.values():
             assert np.max(np.abs(grad)) <= 1e-9
@@ -213,13 +212,13 @@ class TestSelfConsistentFixedPoint:
     def test_sview_loss_at_floor(self):
         params, protos, batch = self._setup("sview")
         cfg = _fast_cfg("sview")
-        result = baseline_step(batch, params, protos, cfg)
+        result = step(batch, params, protos, cfg)
         assert result.loss == pytest.approx(4.0 * math.log(4.0), abs=1e-6)
 
     def test_avg_loss_at_floor(self):
         params, protos, batch = self._setup("avg")
         cfg = _fast_cfg("avg")
-        result = baseline_step(batch, params, protos, cfg)
+        result = step(batch, params, protos, cfg)
         assert result.loss == pytest.approx(2.0 * math.log(4.0), abs=1e-6)
 
 
@@ -228,7 +227,6 @@ class TestStepGradients:
     def test_matches_finite_differences(self, mode):
         params, protos, batch = _tiny_setup(mode, seed=8)
         cfg = _fast_cfg(mode)
-        step = goca_step if mode == "goca" else baseline_step
         base = step(batch, params, protos, cfg)
         vec, keys = _params_to_vec(params)
         analytic = _grad_vec(base.grads, keys)
@@ -249,8 +247,8 @@ class TestStepGradients:
         rng = np.random.default_rng(12)
         other = replace(batch, b_t=rng.standard_normal(batch.b_t.shape),
                         b_s=rng.standard_normal(batch.b_s.shape))
-        first = baseline_step(batch, params, protos, cfg)
-        second = baseline_step(other, params, protos, cfg)
+        first = step(batch, params, protos, cfg)
+        second = step(other, params, protos, cfg)
         a_keys = [key for key in params if key.startswith("a.")]
         assert a_keys == ["a.w1", "a.b1", "a.w2", "a.b2"]
         for key in a_keys:
@@ -265,7 +263,7 @@ class TestStepGradients:
                 "goca",
                 solver=SolverConfig(lambda1=0.5, lambda2=0.1, tolerance=tolerance, max_iters=200_000),
             )
-            results.append(goca_step(batch, params, protos, cfg))
+            results.append(step(batch, params, protos, cfg))
         first, second = results
         assert abs(first.loss - second.loss) < 1e-8
         _, keys = _params_to_vec(params)
@@ -274,12 +272,9 @@ class TestStepGradients:
 
 
 class TestStepEntryPoints:
-    def test_each_rejects_the_other_modes(self):
-        params, protos, batch = _tiny_setup("sep", seed=15)
-        with pytest.raises(ValueError, match="goca_step does not handle mode 'sep'"):
-            goca_step(batch, params, protos, _fast_cfg("sep"))
-        with pytest.raises(ValueError, match="baseline_step does not handle mode 'goca'"):
-            baseline_step(batch, params, protos, _fast_cfg("goca"))
+    def test_mode_bindings_are_the_one_step(self):
+        # span tracing wraps the two bindings, so they must stay the step train runs
+        assert engine.goca_step is engine.baseline_step is engine.step
 
     @pytest.mark.parametrize("mode", MODES)
     def test_train_calls_its_mode_binding_once_per_batch(self, mode, monkeypatch):
@@ -306,8 +301,8 @@ class TestModeCollapse:
     def test_goca_with_zero_lambda2_is_bitwise_sep_step(self):
         params, protos, batch = _tiny_setup("sep", seed=10)
         solver = SolverConfig(lambda1=0.1, lambda2=0.0, tolerance=1e-9, max_iters=50_000)
-        goca_res = goca_step(batch, dict(params), protos, _fast_cfg("goca", solver=solver))
-        sep_res = baseline_step(batch, dict(params), protos, _fast_cfg("sep", solver=solver))
+        goca_res = step(batch, dict(params), protos, _fast_cfg("goca", solver=solver))
+        sep_res = step(batch, dict(params), protos, _fast_cfg("sep", solver=solver))
         assert goca_res.loss == sep_res.loss
         for key in params:
             assert np.array_equal(goca_res.grads[key], sep_res.grads[key])
@@ -350,7 +345,7 @@ class TestAugment:
         params = init_params("goca", 6, 6, cfg.hidden_dim, cfg.feature_dim,
                              np.random.default_rng(2))
         protos = random_unit_rows(np.random.default_rng(3), 4, cfg.feature_dim)
-        result = goca_step(AugmentedBatch(**views), params, protos, cfg)
+        result = step(AugmentedBatch(**views), params, protos, cfg)
         assert np.isfinite(result.loss)
 
     def test_draw_without_dropped_rows_is_unchanged(self):
@@ -480,7 +475,9 @@ class TestTrain:
         rng = np.random.default_rng(0)
         pair = (random_unit_rows(rng, 4, 8), random_unit_rows(rng, 4, 8))
         prototypes = {"tuple": pair, "list": list(pair), "wide": random_unit_rows(rng, 4, 9)}[sets]
-        monkeypatch.setattr(engine, "_step", lambda *args: pytest.fail("a step ran"))
+        # train runs step through its mode binding, so patch all three names
+        for name in ("step", "goca_step", "baseline_step"):
+            monkeypatch.setattr(engine, name, lambda *args: pytest.fail("a step ran"))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             train(data, _train_cfg(mode), prototypes)
 
