@@ -24,10 +24,10 @@ import numpy as np
 from . import eval as evalmod
 from . import matrixio, ssl_engine
 from .guided_ot import guided_sinkhorn
-from .ot_core import SolverConfig, sinkhorn
+from .ot_core import SolverConfig, sinkhorn, unit_rows
 from .prototypes import ProtoOptConfig, max_pairwise_cosine, optimize_prototypes, prototype_loss
 from .runconfig import ConfigError, RunConfig, dump_config, load_config
-from .ssl_engine import MODES, TrainConfig, _normalize_rows, extract_features, train
+from .ssl_engine import MODES, TrainConfig, extract_features, train
 from .synth_data import SynthConfig, generate
 
 EXIT_OK = 0
@@ -219,9 +219,8 @@ def _cmd_eval(args) -> int:
         # checked before any k-means run; retrieval is cosine-based, so rows
         # are normalized here even when the stored features are raw
         recall_k = 1 if args.recall_k is None else args.recall_k
-        recall = evalmod.recall_at_k(
-            _normalize_rows(queries), _normalize_rows(features), q_labels, labels, recall_k
-        )
+        recall = evalmod.recall_at_k(unit_rows(queries, "query")[0],
+                                     unit_rows(features, "database")[0], q_labels, labels, recall_k)
     k = args.k if args.k is not None else int(np.unique(labels).size)
     rep = evalmod.repeated_cluster_metrics(features, labels, k, _flag_config(args))
     rows = [[name, *pair] for name, pair in zip(rep.mean._fields, _mean_and_se(rep))]

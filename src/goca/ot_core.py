@@ -68,6 +68,7 @@ __all__ = [
     "transport_objective",
     "marginal_residual",
     "sinkhorn",
+    "unit_rows",
 ]
 
 # Tolerance for the unit-norm precondition on feature/prototype rows.
@@ -102,6 +103,21 @@ def require_unit_rows(arr: np.ndarray, name: str, atol: float) -> None:
     if not np.max(off) <= atol:
         row = int(np.argmin(off <= atol))
         raise ValueError(f"{name} rows must be unit-norm; row {row} is off by {off[row]}")
+
+
+def unit_rows(arr: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (last axis) of ``arr`` over their L2 norms, bit-equal to ``arr /
+    np.linalg.norm(arr, axis=-1, keepdims=True)``, and the norms (axis kept).
+    A zero norm raises ValueError and a non-finite one FloatingPointError,
+    naming ``name``, the first such row (flat over leading axes) and its norm."""
+    # np.linalg.norm's own arithmetic for real input, without its dispatch
+    norms = np.sqrt(np.add.reduce(arr * arr, axis=-1, keepdims=True))
+    if not (norms.all() and np.isfinite(norms).all()):
+        flat = norms.ravel()
+        row = int(np.argmin((flat != 0) & np.isfinite(flat)))
+        message = f"cannot scale {name} row {row} to unit length: its norm is {flat[row]}"
+        raise (ValueError if flat[row] == 0 else FloatingPointError)(message)
+    return arr / norms, norms
 
 
 @dataclass(frozen=True)

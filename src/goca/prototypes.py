@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ot_core import check_config, require_unit_rows
+from .ot_core import check_config, require_unit_rows, unit_rows
 
 __all__ = [
     "ProtoOptConfig",
@@ -69,14 +69,6 @@ def _checked(prototypes: np.ndarray) -> np.ndarray:
     # loose enough that finite-difference probes off the sphere stay valid
     require_unit_rows(w, "prototype", 1e-4)
     return w
-
-
-def _unit_rows(w: np.ndarray) -> np.ndarray:
-    # np.linalg.norm's own arithmetic for real input, without its dispatch
-    norms = np.sqrt(np.add.reduce(w * w, axis=-1, keepdims=True))
-    if not norms.all():
-        raise ValueError("cannot project a zero row onto the sphere")
-    return w / norms
 
 
 class _StackIndex:
@@ -150,8 +142,8 @@ def prototype_loss_grad(prototypes: np.ndarray) -> np.ndarray:
 
 
 def project_to_sphere(raw: np.ndarray) -> np.ndarray:
-    """Rescale each row to unit L2 norm; idempotent, zero and non-finite
-    rows are an error."""
+    """Rescale each row to unit L2 norm; idempotent up to rounding.  A row
+    with a non-finite entry or a zero or overflowing norm is an error."""
     w = np.asarray(raw, dtype=float)
     if w.ndim != 2:
         raise ValueError("expected a 2-D matrix")
@@ -159,7 +151,7 @@ def project_to_sphere(raw: np.ndarray) -> np.ndarray:
     if not finite.all():
         row = int(np.argmin(finite))
         raise ValueError(f"cannot project a non-finite row onto the sphere; row {row} is {w[row]}")
-    return _unit_rows(w)
+    return unit_rows(w, "input")[0]
 
 
 def max_pairwise_cosine(prototypes: np.ndarray) -> float:
@@ -176,7 +168,7 @@ def _descend(rngs: list[np.random.Generator], count: int, dim: int, cfg: ProtoOp
     restart's best iterate (R, N, D), its loss (R,) and its loss trace
     (R, steps + 1), whose first column is the loss of the start.
     """
-    w = _unit_rows(np.stack([rng.standard_normal((count, dim)) for rng in rngs]))
+    w, _ = unit_rows(np.stack([rng.standard_normal((count, dim)) for rng in rngs]), "prototype")
     index = _StackIndex(w.shape)
     loss, nearest = _loss_and_nearest(w, index)
     trace = np.empty((len(rngs), cfg.steps + 1))
@@ -188,7 +180,7 @@ def _descend(rngs: list[np.random.Generator], count: int, dim: int, cfg: ProtoOp
         lr = cfg.final_learning_rate + 0.5 * (cfg.learning_rate - cfg.final_learning_rate) * (
             1.0 + math.cos(math.pi * step / span)
         )
-        w = _unit_rows(w - lr * _subgradient(w, nearest, index))
+        w, _ = unit_rows(w - lr * _subgradient(w, nearest, index), "prototype")
         loss, nearest = _loss_and_nearest(w, index)
         trace[:, step + 1] = loss
         improved = loss < best_loss

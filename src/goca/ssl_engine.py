@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .guided_ot import cross_guided_assign
-from .ot_core import SolverConfig, check_config, cost_from_features, sinkhorn
+from .ot_core import SolverConfig, check_config, cost_from_features, sinkhorn, unit_rows
 from .prototypes import ProtoOptConfig, optimize_prototypes
 
 __all__ = [
@@ -149,11 +149,10 @@ def _head_key(params: ParamDict, view: str) -> str:
 
 def _unit_features(z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of the projection output scaled to unit norm, and the norms used."""
-    norms = np.linalg.norm(z2, axis=1, keepdims=True)
-    if not np.all(np.isfinite(norms)):
-        raise FloatingPointError("encoder output norm is not finite: the parameters diverged")
-    norms = np.maximum(norms, 1e-30)
-    return z2 / norms, norms
+    try:
+        return unit_rows(z2, "encoder output")
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{exc}: the parameters diverged") from exc
 
 
 def encode(params: ParamDict, views, inputs):
@@ -387,11 +386,6 @@ def train(dataset, cfg: TrainConfig, prototypes=None) -> TrainResult:
     return TrainResult(cfg.mode, params, prototypes, trace)
 
 
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-12)
-    return x / norms
-
-
 def extract_features(params: ParamDict, mode: str, dataset) -> dict[str, np.ndarray]:
     """Unaugmented test features per condition: per view plus fused average.
 
@@ -407,5 +401,5 @@ def extract_features(params: ParamDict, mode: str, dataset) -> dict[str, np.ndar
         return {"fused": fused}
     feats_a, _ = encode(params, "a", view_a)
     feats_b, _ = encode(params, "b", view_b)
-    fused = _normalize_rows(0.5 * (feats_a + feats_b))
+    fused, _ = unit_rows(0.5 * (feats_a + feats_b), "fused feature")
     return {"a": feats_a, "b": feats_b, "fused": fused}

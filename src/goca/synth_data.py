@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ot_core import check_config
+from .ot_core import check_config, unit_rows
 
 __all__ = ["SynthConfig", "SynthDataset", "generate"]
 
@@ -71,7 +71,7 @@ def generate(cfg: SynthConfig) -> SynthDataset:
     centroids = cfg.class_scale * basis.T
 
     modes = rng.standard_normal((cfg.num_distractor_modes, cfg.distractor_dim))
-    modes /= np.linalg.norm(modes, axis=1, keepdims=True)
+    modes, _ = unit_rows(modes, "distractor mode")
 
     labels = np.repeat(np.arange(cfg.num_classes), cfg.samples_per_class)
     mode_idx = rng.integers(0, cfg.num_distractor_modes, size=total)

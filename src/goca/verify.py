@@ -238,8 +238,7 @@ def prototype_subgradient(rng: np.random.Generator, draws: int) -> float:
     checked = 0
     worst = 0.0
     while checked < draws:
-        w = rng.standard_normal((5, 4))
-        w = w / np.linalg.norm(w, axis=1, keepdims=True)
+        w = project_to_sphere(rng.standard_normal((5, 4)))
         sims = w @ w.T
         np.fill_diagonal(sims, -np.inf)
         top2 = np.sort(sims, axis=1)[:, -2:]

@@ -238,6 +238,17 @@ class TestTrainAndEval:
         # every query is its own nearest neighbor
         assert float(rows[4][1]) == 1.0
 
+    def test_eval_scores_a_tiny_query_row(self, tmp_path, capsys):
+        # a norm of 1e-13 is finite and nonzero, so the row has a unit direction
+        write_matrix(tmp_path / "f.mat", np.vstack([np.eye(3), [1.0, 1.0, 0.0]]))
+        write_matrix(tmp_path / "q.mat", np.array([[1e-13, 0.0, 0.0]]))
+        (tmp_path / "l.txt").write_text("0\n1\n0\n1\n")
+        (tmp_path / "ql.txt").write_text("0\n")
+        argv = (f"eval --features {tmp_path / 'f.mat'} --labels {tmp_path / 'l.txt'} "
+                f"--queries {tmp_path / 'q.mat'} --query-labels {tmp_path / 'ql.txt'} --k 2 "
+                f"--repeats 1 --metrics {tmp_path / 'm.csv'}")
+        assert main(shlex.split(argv)) == 0
+        assert capsys.readouterr().out.endswith("recall@1 = 1.000000 (se 0.000000)\n")
 
 
 class TestGridAndAblate:
@@ -467,6 +478,7 @@ _ERROR_MATRICES = {
     "q2x6.mat": np.eye(2, 6),
     "f4x3.mat": np.vstack([np.eye(3), [1.0, 1.0, 0.0]]),
     "q_zero.mat": np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0]]),
+    "q_huge.mat": np.array([[1.0, 2.0, 0.0], [1e200, 1e200, 0.0]]),
 }
 
 
@@ -516,8 +528,8 @@ _ERROR_ROWS = [
     _row("protos-n-1", "optimize-prototypes --n 1 --dim 3 --out w.mat", 1,
          "error: need at least 2 prototypes in at least 2 dimensions, got 1 in 3"),
     _row("train-diverging", "train --mode sep --config diverge.cfg --out run", 2,
-         "error: sep training stopped at step 1: encoder output norm is not finite: "
-         "the parameters diverged",
+         "error: sep training stopped at step 1: cannot scale encoder output row 0 to unit "
+         "length: its norm is inf: the parameters diverged",
          pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                     "ignore:invalid value encountered:RuntimeWarning")),
     _row("train-capped", "train --mode avg --config capped.cfg --out run", 2,
@@ -549,10 +561,15 @@ _ERROR_ROWS = [
          "--query-labels l2.txt --k 2 --metrics m.csv", 1,
          "error: --queries has 6 columns but --features has 12; retrieval compares rows of one "
          "width"),
-    # normalizing leaves an all-zero row at norm 0, which no cosine ranks
+    # an all-zero row has no unit direction, which no cosine ranks, and an
+    # overflowing norm is a numeric failure
     _row("eval-zero-query", "eval --features f4x3.mat --labels l4.txt --queries q_zero.mat "
          "--query-labels l2.txt --k 2 --metrics m.csv", 1,
-         "error: query rows must be unit-norm; row 1 is off by 1.0"),
+         "error: cannot scale query row 1 to unit length: its norm is 0.0"),
+    _row("eval-huge-query", "eval --features f4x3.mat --labels l4.txt --queries q_huge.mat "
+         "--query-labels l2.txt --k 2 --metrics m.csv", 2,
+         "error: cannot scale query row 1 to unit length: its norm is inf",
+         pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")),
     _row("eval-repeats-0", f"{_EVAL} --repeats 0 --metrics m.csv", 1,
          "error: --repeats must be at least 1, got 0"),
     *[_row(f"grid{flag[:-5]}-{name}", f"lambda-grid --config tiny.cfg {flag} {raw} --out grid.csv",

@@ -90,3 +90,22 @@ def test_every_config_class_checks_its_fields():
                 unchecked.append(f"{path.name}: {cls.name}")
     assert unchecked == []
     assert {"SynthConfig", "SolverConfig", "ProtoOptConfig", "TrainConfig", "EvalConfig"} <= found
+
+
+def test_cli_uses_only_public_names_of_the_package():
+    # the CLI runs on the library's public surface; a private helper it
+    # reaches into has no caller the library's own tests and docs cover
+    tree = ast.parse((Path(goca.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("goca")):
+            private += [f"{node.lineno}: {alias.name}" for alias in node.names
+                        if alias.name.startswith("_")]
+            if node.module is None or node.module == "goca":
+                modules |= {alias.asname or alias.name for alias in node.names}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            private.append(f"{node.lineno}: {node.value.id}.{node.attr}")
+    assert modules >= {"evalmod", "matrixio", "ssl_engine"}
+    assert private == []

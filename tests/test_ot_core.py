@@ -74,6 +74,46 @@ class TestCostFromFeatures:
         assert np.all(np.abs(c) <= 1.0 + 1e-12)
 
 
+class TestUnitRows:
+    """Every row with a finite nonzero norm is scaled to unit length; the
+    first row without one is named with its norm."""
+
+    @pytest.mark.parametrize("rows, error, message", [
+        ([[1.0, 0.0], [0.0, 0.0]], ValueError, "row 1 to unit length: its norm is 0.0"),
+        ([[1e200, 1e200]], FloatingPointError, "row 0 to unit length: its norm is inf"),
+        ([[1.0, 0.0], [np.nan, 1.0]], FloatingPointError, "row 1 to unit length: its norm is nan"),
+        ([[1.0, 0.0], [1.0, np.inf]], FloatingPointError, "row 1 to unit length: its norm is inf"),
+        ([[1.0, 0.0], [-np.inf, 1.0]], FloatingPointError, "row 1 to unit length: its norm is inf"),
+        # the first bad row decides the error
+        ([[0.0, 0.0], [np.nan, 0.0]], ValueError, "row 0 to unit length: its norm is 0.0"),
+        ([[np.nan, 0.0], [0.0, 0.0]], FloatingPointError, "row 0 to unit length: its norm is nan"),
+    ], ids=["zero", "overflow", "nan", "inf", "-inf", "zero-then-nan", "nan-then-zero"])
+    def test_rejects_a_row_without_a_unit_direction(self, rows, error, message):
+        # 1e200 squared overflows; the error, not numpy's warning, reports it
+        with np.errstate(over="ignore"):
+            with pytest.raises(error, match=f"^cannot scale probe {re.escape(message)}$"):
+                ot_core.unit_rows(np.array(rows), "probe")
+
+    def test_names_the_flat_row_of_a_stack(self):
+        stack = np.ones((3, 4, 2))
+        stack[1, 2] = 0.0
+        with pytest.raises(ValueError, match="^cannot scale probe row 6 to unit length"):
+            ot_core.unit_rows(stack, "probe")
+
+    def test_tiny_row_has_a_unit_direction(self):
+        unit, norms = ot_core.unit_rows(np.array([[1e-13, 0.0]]), "probe")
+        assert unit.tolist() == [[1.0, 0.0]]
+        assert norms.tolist() == [[1e-13]]
+
+    @pytest.mark.parametrize("shape", [(7, 5), (64, 16), (3, 6, 4), (5, 64, 16)])
+    def test_bit_equal_to_dividing_by_linalg_norm(self, shape):
+        x = np.random.default_rng(len(shape) * 100 + shape[-1]).standard_normal(shape)
+        norms = np.linalg.norm(x, axis=-1, keepdims=True)
+        unit, got = ot_core.unit_rows(x, "probe")
+        assert np.array_equal(unit, x / norms)
+        assert np.array_equal(got, norms)
+
+
 class TestEntropy:
     def test_uniform_2x2(self):
         assert entropy(np.full((2, 2), 0.25)) == pytest.approx(math.log(4.0), abs=1e-12)

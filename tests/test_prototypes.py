@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from goca.oracle import finite_diff_grad
+from goca.ot_core import unit_rows
 from goca.prototypes import (
     ProtoOptConfig,
     _descend,
     _loss_and_nearest,
     _subgradient,
-    _unit_rows,
     max_pairwise_cosine,
     optimize_prototypes,
     project_to_sphere,
@@ -131,6 +131,12 @@ class TestProjectToSphere:
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError):
             project_to_sphere(np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+    def test_overflowing_row_rejected(self):
+        # finite entries whose squared sum overflows leave no unit direction
+        with np.errstate(over="ignore"):
+            with pytest.raises(FloatingPointError, match="^cannot scale input row 0 .* is inf$"):
+                project_to_sphere(np.array([[1e200, 1e200], [1.0, 0.0]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_rejected_by_index(self, bad):
@@ -259,7 +265,7 @@ class TestStepKernelsBitwise:
         for count, dim in ((2, 2), (5, 3), (64, 16)):
             raw = rng.standard_normal((sets, count, dim))
             expected = np.stack([_reference_unit_rows(m) for m in raw])
-            assert np.array_equal(_unit_rows(raw), expected)
+            assert np.array_equal(unit_rows(raw, "prototype")[0], expected)
 
     @pytest.mark.parametrize("sets", [1, 3, 10])
     def test_loss_and_nearest(self, sets):
