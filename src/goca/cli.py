@@ -27,7 +27,7 @@ from .guided_ot import guided_sinkhorn
 from .ot_core import SolverConfig, sinkhorn, unit_rows
 from .prototypes import ProtoOptConfig, max_pairwise_cosine, optimize_prototypes, prototype_loss
 from .runconfig import ConfigError, RunConfig, dump_config, load_config
-from .ssl_engine import MODES, TrainConfig, extract_features, train
+from .ssl_engine import MODES, TrainConfig, TrainResult, extract_features, train
 from .synth_data import SynthConfig, generate
 
 EXIT_OK = 0
@@ -149,11 +149,10 @@ def _cell_config(cfg: RunConfig, mode: str, seed_offset: int) -> TrainConfig:
     return replace(cfg.train, mode=mode, seed=cfg.train.seed + seed_offset, proto=proto)
 
 
-def _run_cell(cfg: RunConfig, mode: str, seed_offset: int, prototypes=None):
+def _run_cell(cfg: RunConfig, mode: str, seed_offset: int, prototypes):
     """``train`` on ``generate(cfg.data)`` at ``_cell_config``'s seeds against
-    ``prototypes`` (without them the run places its own), then
-    repeated-k-means scores per test condition in extraction order; returns
-    ``(TrainResult, scores)``."""
+    ``prototypes``, then repeated-k-means scores per test condition in
+    extraction order; returns ``(TrainResult, scores)``."""
     train_cfg = _cell_config(cfg, mode, seed_offset)
     dataset = generate(cfg.data)
     result = train(dataset, train_cfg, prototypes)
@@ -177,7 +176,7 @@ def _mean_and_se(rep: evalmod.RepeatedMetrics) -> list[tuple[str, str]]:
 
 def _cmd_train(args) -> int:
     cfg = _load_run_config(args.config)
-    result, scores = _run_cell(cfg, args.mode or cfg.train.mode, args.seed or 0)
+    [(result, scores)] = _run_cells([(cfg, args.mode or cfg.train.mode, args.seed or 0)], 1)
 
     os.makedirs(args.out, exist_ok=True)
     _write_csv(
@@ -216,11 +215,12 @@ def _cmd_eval(args) -> int:
                 f"--queries has {queries.shape[1]} columns but --features has "
                 f"{features.shape[1]}; retrieval compares rows of one width"
             )
-        # checked before any k-means run; retrieval is cosine-based, so rows
-        # are normalized here even when the stored features are raw
+        # checked before any k-means run; retrieval is cosine-based, so rows are normalized
+        # here even when the stored features are raw, and unit_rows names a norm that overflows
         recall_k = 1 if args.recall_k is None else args.recall_k
-        recall = evalmod.recall_at_k(unit_rows(queries, "query")[0],
-                                     unit_rows(features, "database")[0], q_labels, labels, recall_k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            recall = evalmod.recall_at_k(unit_rows(queries, "query")[0],
+                                         unit_rows(features, "database")[0], q_labels, labels, recall_k)
     k = args.k if args.k is not None else int(np.unique(labels).size)
     rep = evalmod.repeated_cluster_metrics(features, labels, k, _flag_config(args))
     rows = [[name, *pair] for name, pair in zip(rep.mean._fields, _mean_and_se(rep))]
@@ -234,23 +234,6 @@ def _cmd_eval(args) -> int:
 
 # ---------------------------------------------------------------------------
 # ablate / lambda-grid
-
-
-def _train_and_eval(cfg: RunConfig, mode: str, seed_offset: int, prototypes=None) -> list[dict]:
-    """The scores of ``_run_cell`` as one row per test condition."""
-    _, scores = _run_cell(cfg, mode, seed_offset, prototypes)
-    return [
-        {
-            "seed": seed_offset,
-            "mode": mode,
-            "condition": condition,
-            "accuracy": rep.mean.accuracy,
-            "accuracy_se": rep.stderr.accuracy,
-            "nmi": rep.mean.nmi,
-            "f1": rep.mean.f1,
-        }
-        for condition, rep in scores.items()
-    ]
 
 
 def _pool_size(jobs: int, cells: int) -> int:
@@ -272,8 +255,8 @@ def _place_prototypes(count: int, dim: int, cfg: ProtoOptConfig):
     return ssl_engine.optimize_prototypes(count, dim, cfg)
 
 
-def _run_cells(cells: list[tuple[RunConfig, str, int]], jobs: int) -> list[list[dict]]:
-    """``_train_and_eval`` of every ``(cfg, mode, seed_offset)`` cell, in order.
+def _run_cells(cells: list[tuple[RunConfig, str, int]], jobs: int) -> list[tuple[TrainResult, dict]]:
+    """``_run_cell`` of every ``(cfg, mode, seed_offset)`` cell, in order.
 
     Each distinct prototype set the cells train against (one per seed
     offset) is placed once, by ``ssl_engine.optimize_prototypes``, and
@@ -292,14 +275,19 @@ def _run_cells(cells: list[tuple[RunConfig, str, int]], jobs: int) -> list[list[
 
             run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         placed = dict(zip(distinct, run(_place_prototypes, *zip(*distinct))))
-        return list(run(_train_and_eval, *zip(*cells), [placed[key] for key in keys]))
+        return list(run(_run_cell, *zip(*cells), [placed[key] for key in keys]))
 
 
 def run_ablation(cfg: RunConfig, seeds: int = 5, jobs: int = 1) -> list[dict]:
     """Train every mode on identical data/seeds and score all test conditions."""
     _check_seeds(seeds)
     cells = [(cfg, mode, s) for s in range(seeds) for mode in MODES]
-    return [row for rows in _run_cells(cells, jobs) for row in rows]
+    return [
+        {"seed": s, "mode": mode, "condition": condition, "accuracy": rep.mean.accuracy,
+         "accuracy_se": rep.stderr.accuracy, "nmi": rep.mean.nmi, "f1": rep.mean.f1}
+        for (_, mode, s), (_, scores) in zip(cells, _run_cells(cells, jobs))
+        for condition, rep in scores.items()
+    ]
 
 
 def ablation_medians(rows: list[dict]) -> dict[tuple[str, str], float]:
@@ -354,10 +342,7 @@ def run_lambda_grid(
         solver = replace(cfg.solver, lambda1=l1, lambda2=l2)
         cell_cfg = replace(cfg, train=replace(cfg.train, solver=solver))
         cells += [(cell_cfg, "goca", s) for s in range(seeds)]
-    fused = [
-        next(r["accuracy"] for r in rows if r["condition"] == "fused")
-        for rows in _run_cells(cells, jobs)
-    ]
+    fused = [scores["fused"].mean.accuracy for _, scores in _run_cells(cells, jobs)]
     return [
         {"lambda1": l1, "lambda2": l2, "accuracy": statistics.median(fused[i * seeds : (i + 1) * seeds])}
         for i, (l1, l2) in enumerate(pairs)

@@ -202,7 +202,7 @@ def _checked_features(features: np.ndarray, k: int) -> np.ndarray:
 def _starts(n: int, k: int, seed, restarts: int) -> np.ndarray:
     """Initial centroid rows (restarts, k) of each restart, drawn from one ``default_rng(seed)``."""
     rng = np.random.default_rng(seed)
-    return np.array([rng.choice(n, size=k, replace=False) for _ in range(max(restarts, 1))])
+    return np.array([rng.choice(n, size=k, replace=False) for _ in range(restarts)])
 
 
 def _best_run(x: np.ndarray, runs: np.ndarray) -> np.ndarray:
@@ -217,15 +217,16 @@ def kmeans(
     k: int,
     seed=0,
     restarts: int = 10,
-    max_iters: int = _MAX_ITERS,
 ) -> np.ndarray:
     """Best-of-restarts Lloyd's iterations; returns cluster labels.
 
-    Raises ``ValueError`` for non-finite features and for ``k`` above the
-    number of distinct rows.
+    Raises ``ValueError`` for fewer than one restart, non-finite features
+    and ``k`` above the number of distinct rows.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     x = _checked_features(features, k)
-    return _best_run(x, _lloyd(x, _starts(x.shape[0], k, seed, restarts), max_iters))
+    return _best_run(x, _lloyd(x, _starts(x.shape[0], k, seed, restarts), _MAX_ITERS))
 
 
 def _entropy_of_counts(counts: np.ndarray) -> float:

@@ -150,7 +150,9 @@ def _head_key(params: ParamDict, view: str) -> str:
 def _unit_features(z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of the projection output scaled to unit norm, and the norms used."""
     try:
-        return unit_rows(z2, "encoder output")
+        # unit_rows names a norm that overflows, so numpy's warning would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return unit_rows(z2, "encoder output")
     except FloatingPointError as exc:
         raise FloatingPointError(f"{exc}: the parameters diverged") from exc
 
@@ -339,15 +341,12 @@ def train(dataset, cfg: TrainConfig, prototypes=None) -> TrainResult:
 
     if prototypes is None:
         prototypes = optimize_prototypes(cfg.num_prototypes, cfg.feature_dim, cfg.proto)
-    expected = (
-        f"{cfg.mode} mode trains against one prototype array of shape "
-        f"(n, feature_dim) = (n, {cfg.feature_dim})"
-    )
-    if isinstance(prototypes, (tuple, list)):
-        raise ValueError(f"{expected}, got a {type(prototypes).__name__} of {len(prototypes)}")
     prototypes = np.asarray(prototypes)
     if prototypes.ndim != 2 or prototypes.shape[1] != cfg.feature_dim:
-        raise ValueError(f"{expected}, got shape {prototypes.shape}")
+        raise ValueError(
+            f"{cfg.mode} mode trains against one prototype array of shape "
+            f"(n, feature_dim) = (n, {cfg.feature_dim}), got shape {prototypes.shape}"
+        )
 
     rng = np.random.default_rng(cfg.seed)
     params = init_params(

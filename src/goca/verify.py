@@ -147,7 +147,7 @@ def training_shape_gap(rng: np.random.Generator, draws: int) -> float:
 
 
 def kernel_reduction_draws(rng: np.random.Generator, draws: int):
-    """c03's (cost, prior) pairs: square, side 2 to 5, prior clamped at the default floor."""
+    """c03's and c05's (cost, prior) pairs: square, side 2 to 5, prior clamped at the default floor."""
     for _ in range(draws):
         size = int(rng.integers(2, 6))
         cost = rng.uniform(-1.0, 1.0, size=(size, size))
@@ -171,10 +171,7 @@ def kernel_reduction(rng: np.random.Generator, draws: int) -> float:
 def zero_lambda2(rng: np.random.Generator, draws: int) -> float:
     """c05: guided plans at lambda2 = 0 against plain plans, side 2 to 5."""
     worst = 0.0
-    for _ in range(draws):
-        size = int(rng.integers(2, 6))
-        cost = rng.uniform(-1.0, 1.0, size=(size, size))
-        prior = clamp_prior(rng.uniform(0.0, 1.0, size=(size, size)))
+    for cost, prior in kernel_reduction_draws(rng, draws):
         plain = sinkhorn(cost, cfg=SolverConfig(lambda1=0.02))
         guided = guided_sinkhorn(cost, prior, cfg=SolverConfig(lambda1=0.02, lambda2=0.0))
         worst = max(worst, float(np.max(np.abs(plain.plan - guided.plan))))

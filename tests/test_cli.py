@@ -4,8 +4,11 @@ import argparse
 import csv
 import functools
 import inspect
+import os
 import shlex
 import statistics
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -303,19 +306,39 @@ class TestGridAndAblate:
         monkeypatch.setattr(engine, "optimize_prototypes", counted)
         return calls
 
-    def test_ablation_places_each_distinct_prototype_set_once(self, monkeypatch):
-        from goca.cli import _train_and_eval
+    @staticmethod
+    def _own_cell(cfg, mode, s):
+        """``_run_cell`` of one cell against a set placed for it alone."""
+        import goca.cli as cli
 
+        c = cli._cell_config(cfg, mode, s)
+        placed = cli._place_prototypes(c.num_prototypes, c.feature_dim, c.proto)
+        return cli._run_cell(cfg, mode, s, placed)
+
+    def test_ablation_places_each_distinct_prototype_set_once(self, monkeypatch):
         cfg = parse_config(TINY_CONFIG)
         calls = self._count_placements(monkeypatch)
         rows = run_ablation(cfg, seeds=2)
         # one set per seed offset, at proto seeds 0 and 1, for all four modes
         assert [args[2].seed for args in calls] == [0, 1]
         calls.clear()
-        own = [row for s in range(2) for mode in ("sview", "avg", "sep", "goca")
-               for row in _train_and_eval(cfg, mode, s)]
+        own = [{"seed": s, "mode": mode, "condition": condition, "accuracy": rep.mean.accuracy,
+                "accuracy_se": rep.stderr.accuracy, "nmi": rep.mean.nmi, "f1": rep.mean.f1}
+               for s in range(2) for mode in ("sview", "avg", "sep", "goca")
+               for condition, rep in self._own_cell(cfg, mode, s)[1].items()]
         assert len(calls) == 8
         assert rows == own
+        assert [list(row) for row in rows] == [list(row) for row in own]
+
+    def test_train_places_exactly_one_set(self, tmp_path, tiny_config, monkeypatch):
+        from goca.cli import _cell_config
+
+        calls = self._count_placements(monkeypatch)
+        assert main(["train", "--mode", "sep", "--config", tiny_config,
+                     "--out", str(tmp_path / "run")]) == 0
+        # placed by the cell path with the arguments train itself would pass
+        c = _cell_config(parse_config(TINY_CONFIG), "sep", 0)
+        assert calls == [(c.num_prototypes, c.feature_dim, c.proto)]
 
     def test_every_mode_of_a_seed_trains_against_the_one_placed_array(self, monkeypatch):
         import goca.cli as cli
@@ -340,16 +363,13 @@ class TestGridAndAblate:
         assert not np.array_equal(handed[0, "goca"], handed[1, "goca"])
 
     def test_lambda_grid_places_prototypes_once_per_seed(self, monkeypatch):
-        from goca.cli import _train_and_eval
-
         cfg = parse_config(TINY_CONFIG)
         calls = self._count_placements(monkeypatch)
         grid = run_lambda_grid(cfg, [0.1, 0.2], [0.0, 0.03], seeds=2)
         assert [args[2].seed for args in calls] == [0, 1]
         solver = replace(cfg.solver, lambda1=0.2, lambda2=0.03)
         last_cell = replace(cfg, train=replace(cfg.train, solver=solver))
-        fused = [next(r["accuracy"] for r in _train_and_eval(last_cell, "goca", s)
-                      if r["condition"] == "fused") for s in range(2)]
+        fused = [self._own_cell(last_cell, "goca", s)[1]["fused"].mean.accuracy for s in range(2)]
         assert grid[-1]["accuracy"] == statistics.median(fused)
 
     def test_run_functions_reject_seeds_below_one(self):
@@ -381,12 +401,10 @@ class TestGridAndAblate:
             _pool_size(0, 20)
 
     def test_single_cell_grid_equals_single_train_run(self):
-        from goca.cli import _train_and_eval
-
         cfg = parse_config(TINY_CONFIG)
         grid = run_lambda_grid(cfg, [cfg.solver.lambda1], [cfg.solver.lambda2], seeds=1)
-        rows = _train_and_eval(cfg, "goca", 0)
-        fused = next(r["accuracy"] for r in rows if r["condition"] == "fused")
+        _, scores = self._own_cell(cfg, "goca", 0)
+        fused = scores["fused"].mean.accuracy
         assert grid[0]["accuracy"] == fused
 
 
@@ -529,9 +547,7 @@ _ERROR_ROWS = [
          "error: need at least 2 prototypes in at least 2 dimensions, got 1 in 3"),
     _row("train-diverging", "train --mode sep --config diverge.cfg --out run", 2,
          "error: sep training stopped at step 1: cannot scale encoder output row 0 to unit "
-         "length: its norm is inf: the parameters diverged",
-         pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                    "ignore:invalid value encountered:RuntimeWarning")),
+         "length: its norm is inf: the parameters diverged"),
     _row("train-capped", "train --mode avg --config capped.cfg --out run", 2,
          "error: avg training stopped at step 0: targets_t rows must sum to 1 (rescale plans "
          "by M); the assignment did not converge within solver.max_iters = 1"),
@@ -568,8 +584,7 @@ _ERROR_ROWS = [
          "error: cannot scale query row 1 to unit length: its norm is 0.0"),
     _row("eval-huge-query", "eval --features f4x3.mat --labels l4.txt --queries q_huge.mat "
          "--query-labels l2.txt --k 2 --metrics m.csv", 2,
-         "error: cannot scale query row 1 to unit length: its norm is inf",
-         pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")),
+         "error: cannot scale query row 1 to unit length: its norm is inf"),
     _row("eval-repeats-0", f"{_EVAL} --repeats 0 --metrics m.csv", 1,
          "error: --repeats must be at least 1, got 0"),
     *[_row(f"grid{flag[:-5]}-{name}", f"lambda-grid --config tiny.cfg {flag} {raw} --out grid.csv",
@@ -620,6 +635,13 @@ class TestErrors:
         return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
                 for p in sorted(root.rglob("*"))}
 
+    @staticmethod
+    def _write_inputs(root):
+        for name, text in _ERROR_FILES.items():
+            (root / name).write_text(text)
+        for name, matrix in _ERROR_MATRICES.items():
+            write_matrix(root / name, matrix)
+
     @pytest.mark.parametrize("argv, code, stderr", _ERROR_ROWS)
     def test_exit_code_and_stderr(self, tmp_path, monkeypatch, capsys, argv, code, stderr):
         import goca.cli as cli
@@ -627,10 +649,7 @@ class TestErrors:
         import goca.verify as verify
 
         monkeypatch.chdir(tmp_path)
-        for name, text in _ERROR_FILES.items():
-            (tmp_path / name).write_text(text)
-        for name, matrix in _ERROR_MATRICES.items():
-            write_matrix(tmp_path / name, matrix)
+        self._write_inputs(tmp_path)
         before = self._tree(tmp_path)
         work = []
         for module, name in ((cli, "generate"), (engine, "optimize_prototypes"),
@@ -648,6 +667,19 @@ class TestErrors:
         else:
             assert (out, written) == ("", [])
         assert work == [] or code != 1, work
+
+    @pytest.mark.parametrize("argv, code, stderr", [
+        row for row in _ERROR_ROWS if row.id in ("train-diverging", "eval-huge-query")])
+    def test_overflow_prints_only_the_error_line(self, tmp_path, argv, code, stderr):
+        # a fresh interpreter keeps numpy's default warning filter, which would
+        # print an overflow warning and its source line above the error line
+        self._write_inputs(tmp_path)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = "import sys; from goca.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", stderr + "\n")
 
     def test_bad_recall_k_fails_before_any_k_means_run(self, tmp_path, monkeypatch, capsys):
         # without --repeats 1 a late check would wait for every k-means repeat

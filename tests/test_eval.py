@@ -321,6 +321,18 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="got k = 0"):
             kmeans(np.eye(3), 0)
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_restarts_below_one_are_rejected(self, restarts):
+        points = np.random.default_rng(0).standard_normal((10, 2))
+        with pytest.raises(ValueError, match=f"^restarts must be at least 1, got {restarts}$"):
+            kmeans(points, 2, restarts=restarts)
+
+    def test_iteration_cap_is_not_a_parameter(self):
+        # a cap of 0 iterations labelled every row -1; the fixed cap serves every caller
+        points = np.random.default_rng(0).standard_normal((10, 2))
+        with pytest.raises(TypeError, match="max_iters"):
+            kmeans(points, 2, max_iters=0)
+
 
 _BATTERY_KINDS = ("grid", "duplicates", "scaled", "far_groups")
 _BATTERY_REPEATS = 20

@@ -109,3 +109,25 @@ def test_cli_uses_only_public_names_of_the_package():
             private.append(f"{node.lineno}: {node.value.id}.{node.attr}")
     assert modules >= {"evalmod", "matrixio", "ssl_engine"}
     assert private == []
+
+
+def test_cli_runs_every_cell_through_one_path():
+    # a cell trains only in _run_cell, and only _run_cells runs cells, so
+    # every command that trains places its prototype sets the same way
+    tree = ast.parse((Path(goca.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    found, stray = set(), []
+    for fn in tree.body:
+        owner = getattr(fn, "name", None)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", None) == "train" or getattr(func, "attr", None) == "train":
+                    found.add("train")
+                    if owner != "_run_cell":
+                        stray.append(f"{node.lineno}: train called in {owner}")
+            elif isinstance(node, ast.Name) and node.id == "_run_cell":
+                found.add("_run_cell")
+                if owner != "_run_cells":
+                    stray.append(f"{node.lineno}: _run_cell named in {owner}")
+    assert found == {"train", "_run_cell"}
+    assert stray == []

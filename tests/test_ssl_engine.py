@@ -463,7 +463,7 @@ class TestTrain:
     @pytest.mark.parametrize("mode, sets, message", [
         (mode, sets, f"{mode} mode trains against one prototype array of shape "
                      f"(n, feature_dim) = (n, 8), got {got}")
-        for sets, got in (("tuple", "a tuple of 2"), ("list", "a list of 2"),
+        for sets, got in (("tuple", "shape (2, 4, 8)"), ("list", "shape (2, 4, 8)"),
                           ("wide", "shape (4, 9)"))
         for mode in MODES
     ])
@@ -480,6 +480,17 @@ class TestTrain:
             monkeypatch.setattr(engine, name, lambda *args: pytest.fail("a step ran"))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             train(data, _train_cfg(mode), prototypes)
+
+    def test_prototypes_as_a_nested_list_train_as_the_array(self):
+        data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
+                                    distractor_dim=3, num_distractor_modes=4, seed=6))
+        protos = random_unit_rows(np.random.default_rng(0), 4, 8)
+        cfg = replace(_train_cfg("goca"), epochs=1)
+        listed, arrayed = train(data, cfg, protos.tolist()), train(data, cfg, protos)
+        assert listed.trace == arrayed.trace
+        assert np.array_equal(listed.prototypes, protos)
+        for key, value in arrayed.params.items():
+            assert np.array_equal(listed.params[key], value), key
 
     def test_unknown_mode_rejected_naming_the_modes(self):
         data = generate(SynthConfig(num_classes=2, samples_per_class=5, signal_dim=4,
