@@ -12,8 +12,8 @@ D = diag(u) K diag(v) with the elementwise-positive guided kernel
     K = exp((-C + lambda2 * log prior) / (lambda1 + lambda2))
       = prior^(lambda2 / (lambda1 + lambda2)) * exp(-C / (lambda1 + lambda2)),
 
-and the same alternating row/column scaling applies.  Prior entries are
-floored at ``prior_floor`` before logs are taken; the solution is
+and the same alternating row/column scaling applies.  Logs are taken of
+prior entries floored at ``SolverConfig.prior_floor``; the solution is
 invariant to the prior's total mass, so priors need not be normalized.
 
 The cross-view wiring solves each view plainly first, then re-solves it
@@ -60,12 +60,11 @@ def guided_objective(
     prior: np.ndarray,
     lambda1: float,
     lambda2: float,
-    prior_floor: float = SolverConfig.prior_floor,
 ) -> float:
     """<D, C> - lambda1 * h(D) + lambda2 * KL(D | prior)."""
     d = np.asarray(plan, dtype=float)
     c = np.asarray(cost, dtype=float)
-    p = clamp_prior(prior, prior_floor)
+    p = clamp_prior(prior)
     if d.shape != c.shape or d.shape != p.shape:
         raise ValueError("plan, cost and prior shapes must match")
     pos = d > 0.0
@@ -81,7 +80,7 @@ def guided_sinkhorn(
 ) -> SinkhornResult:
     """Minimize the guided objective over U by scaling the guided kernel."""
     c, marginals, cfg = _validate_problem(cost, marginals, cfg)
-    p = clamp_prior(prior, cfg.prior_floor)
+    p = clamp_prior(prior)
     if p.shape != c.shape:
         raise ValueError(f"shape mismatch: cost {c.shape} vs prior {p.shape}")
     # _solve, not sinkhorn, so that a wrapper of sinkhorn counts plain solves only

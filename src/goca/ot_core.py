@@ -34,19 +34,18 @@ non-finite plan.
 
 The final stage, the only one the caller's max_iters caps (so for a
 single-stage solve the cap bounds all of its sweeps), may end in a
-Newton polish (Sinkhorn-Newton, Brauer et al., arXiv:1710.06635): damped
-Newton on the M + N - 1 dual potentials (the last column potential
-fixed), from the materialized plan.  It polishes at the first check
-where the row residual did not shrink over the last 10 sweeps, or
+Newton polish (Sinkhorn-Newton, Brauer et al., arXiv:1710.06635):
+damped Newton on the M + N - 1 dual potentials (the last column
+potential fixed), from the materialized plan.  Two checks polish: the
+first where the row residual did not shrink over the last 10 sweeps, or
 shrinks at a rate that meets the tolerance only after more sweeps (M N
-each) than a Newton solve costs (4 (M + N)^3).  A polish that fails
-(singular Hessian, no descent, or its step cap spent) is tried again
-once scaling has cut the row residual tenfold since, and the check at
-the cap polishes in any case.  A polish that meets the tolerance ends
-the stage.  The rate needs two checks, so a cap of at most 10 sweeps is
-never polished.  Each Newton step solves with the Hessian refilled in
-one preallocated matrix and tests convergence on the row and column
-sums that the next step's gradient and Hessian reuse.  Where scaling
+each) than a Newton solve costs (4 (M + N)^3), and the check at the
+cap, also after a polish that failed (singular Hessian, no descent, or
+its step cap spent).  A polish that meets the tolerance ends the stage.
+The rate needs two checks, so a cap of at most 10 sweeps is never
+polished.  Each Newton step solves with the Hessian refilled in one
+preallocated matrix and tests convergence on the row and column sums
+that the next step's gradient and Hessian reuse.  Where scaling
 converges before any check polishes, the plan is bit-for-bit that of
 scaling alone.
 """
@@ -56,6 +55,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -158,7 +158,8 @@ class SolverConfig:
     """Solver knobs: regularization, iteration cap and stopping rule.
 
     ``tolerance`` bounds the L-infinity marginal residual of the
-    returned plan; ``prior_floor`` clamps prior entries before logs are
+    returned plan.  ``prior_floor``, a class constant rather than a
+    field, is the floor prior entries are clamped to before logs are
     taken in the guided variant.
     """
 
@@ -166,12 +167,11 @@ class SolverConfig:
     lambda2: float = 0.03
     max_iters: int = 10_000
     tolerance: float = 1e-8
-    prior_floor: float = 1e-12
+    prior_floor: ClassVar[float] = 1e-12
 
     def __post_init__(self):
         check_config(self, {
-            "lambda1": "positive", "lambda2": 0, "max_iters": 1,
-            "tolerance": "positive", "prior_floor": "positive",
+            "lambda1": "positive", "lambda2": 0, "max_iters": 1, "tolerance": "positive",
         })
 
 
@@ -289,9 +289,6 @@ _NEWTON_STEPS = 20
 # 2,700 sweeps, beyond training's cap of 2,000 sweeps, which with one
 # stage bounds all the sweeps of a training solve.
 _NEWTON_WORK = 4
-# After a failed polish, scaling runs on and polishes again once it has
-# cut the row residual by this factor.
-_RETRY_FALL = 10.0
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-10
 
@@ -429,11 +426,10 @@ def _scaling_stage(
     absorbed; scalings that leave _SCALING_RANGE are rolled back to the
     last checkpoint and absorbed into the potentials.  With ``polish``,
     the first check whose row residual rate makes a polish worth it (see
-    _worth_polishing) hands the plan to _newton_polish; after a failed
-    polish, the first check whose residual is _RETRY_FALL times smaller
-    does, and the cap check polishes in any case.  All need the residual
-    of the check before, so a stage capped within one check block is
-    never polished.
+    _worth_polishing) hands the plan to _newton_polish, and the cap check
+    polishes in any case, also after that polish failed.  Both need the
+    residual of the check before, so a stage capped within one check
+    block is never polished.
 
     Returns the column potentials including log v (without the shifts
     of a polish) and a SinkhornResult whose ``iterations`` are the
@@ -447,7 +443,7 @@ def _scaling_stage(
     checked_v = v
     sweeps = 1
     prev = None  # row residual at the last check
-    retry_below = None  # after a failed polish, the residual that retries it
+    rate_polished = False  # whether _worth_polishing has fired
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # ndarray.dot has less call overhead than @ on these small operands
         kv = kernel.dot(v)
@@ -482,14 +478,10 @@ def _scaling_stage(
                 and res > tolerance
                 and (
                     sweeps >= max_iters
-                    or (
-                        _worth_polishing(res, prev, tolerance, kernel.shape)
-                        if retry_below is None
-                        else res <= retry_below
-                    )
+                    or (not rate_polished and _worth_polishing(res, prev, tolerance, kernel.shape))
                 )
             ):
-                retry_below = res / _RETRY_FALL
+                rate_polished = True
                 polished = _newton_polish(u[:, None] * kernel * v[None, :], marginals, tolerance)
                 if polished is not None:
                     plan, steps = polished

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .guided_ot import cross_guided_assign
-from .ot_core import SolverConfig, check_config, cost_from_features, sinkhorn, unit_rows
+from .ot_core import SinkhornResult, SolverConfig, check_config, cost_from_features, sinkhorn, unit_rows
 from .prototypes import ProtoOptConfig, optimize_prototypes
 
 __all__ = [
@@ -108,7 +108,12 @@ class StepResult:
     loss: float
     grads: ParamDict
     targets: dict[str, np.ndarray]
-    solver_converged: bool | None
+    solves: dict[str, SinkhornResult]  # keyed like targets; empty when targets were passed
+
+    @property
+    def solver_converged(self) -> bool | None:
+        """None without solves, else whether every solve converged."""
+        return all(res.converged for res in self.solves.values()) if self.solves else None
 
 
 @dataclass
@@ -268,21 +273,19 @@ def step(
             key = f"{branch}.{slot}"
             features[key], caches[key] = encode(params, views, inputs)
 
-    converged: bool | None = None
+    solves: dict[str, SinkhornResult] = {}
     if targets is None:
-        results = {}
         if cfg.mode == "goca":
             for slot in ("t", "s"):
-                results[f"a.{slot}"], results[f"b.{slot}"] = cross_guided_assign(
+                solves[f"a.{slot}"], solves[f"b.{slot}"] = cross_guided_assign(
                     features[f"a.{slot}"], features[f"b.{slot}"], protos, cfg=cfg.solver
                 )
         else:
             for key, feats in features.items():
                 cost = cost_from_features(feats, protos)
-                results[key] = sinkhorn(cost, cfg=cfg.solver)
+                solves[key] = sinkhorn(cost, cfg=cfg.solver)
         # plans have rows summing to 1/M; targets are probability rows
-        targets = {key: features[key].shape[0] * res.plan for key, res in results.items()}
-        converged = all(res.converged for res in results.values())
+        targets = {key: features[key].shape[0] * res.plan for key, res in solves.items()}
 
     grads = {key: np.zeros_like(value) for key, value in params.items()}
     loss = 0.0
@@ -294,7 +297,7 @@ def step(
         try:
             loss += swapped_loss(targets[key_t], g_s, targets[key_s], g_t)
         except ValueError as exc:
-            if converged is not False:
+            if all(res.converged for res in solves.values()):
                 raise
             # the targets are plans the solver left off the marginals at its cap
             raise FloatingPointError(
@@ -304,7 +307,7 @@ def step(
         scale = 1.0 / (f_t.shape[0] * cfg.temperature)
         _backprop(caches[key_s], scale * (g_s - targets[key_t]) @ protos, params, grads)
         _backprop(caches[key_t], scale * (g_t - targets[key_s]) @ protos, params, grads)
-    return StepResult(loss, grads, targets, converged)
+    return StepResult(loss, grads, targets, solves)
 
 
 # perfbench/tracer.py wraps these two names; train calls through them
@@ -382,6 +385,7 @@ def train(dataset, cfg: TrainConfig, prototypes=None) -> TrainResult:
             for key in params:
                 params[key] -= cfg.learning_rate * result.grads[key]
             trace.append(result.loss)
+            del result  # the step's plans are not kept while the next step runs
     return TrainResult(cfg.mode, params, prototypes, trace)
 
 

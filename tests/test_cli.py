@@ -481,6 +481,7 @@ _ERROR_FILES = {
     "no_equals.cfg": "train.epochs 3\n",
     "class_scale.cfg": "data.class_scale = 0.0\n",
     "repeats.cfg": "eval.repeats = 0\n",
+    "prior_floor.cfg": "solver.prior_floor = 1e-12\n",
     "nan_cost.mat": "2 2\n0 1\nnan 0\n",
     "past.mat": "2 2\n1 0\n0 1\n1 1\n",
     "dup.mat": "4 2\n1 0\n1 0\n0 1\n0 1\n",
@@ -612,6 +613,8 @@ _ERROR_ROWS = [
           ("no_equals", "line 1: expected 'key = value', got 'train.epochs 3'"),
           ("class_scale", "data.class_scale must be positive, got 0.0"),
           ("repeats", "eval.repeats must be at least 1, got 0"),
+          # the prior floor is a solver constant, not a config key
+          ("prior_floor", "line 1: unknown key 'solver.prior_floor'"),
       ]],
     _row("verify-seed", "verify --seed -1", 1, _SEED),
     _row("gen-data-seed", "gen-data --out data --seed -1", 1, _SEED),

@@ -46,7 +46,6 @@ _BOUNDS = [
     ("solver.lambda2", "0.0", "-5e-324", "solver.lambda2 must be nonnegative, got -5e-324"),
     ("solver.max_iters", "1", "0", "solver.max_iters must be at least 1, got 0"),
     ("solver.tolerance", "5e-324", "0.0", "solver.tolerance must be positive, got 0.0"),
-    ("solver.prior_floor", "5e-324", "0.0", "solver.prior_floor must be positive, got 0.0"),
     ("train.mode", "goca", "fancy",
      "train.mode must be one of ('sview', 'avg', 'sep', 'goca'), got 'fancy'"),
     ("train.epochs", "0", "-1", "train.epochs must be nonnegative, got -1"),
@@ -137,7 +136,6 @@ class TestRoundTrip:
             "data.distractor_strength",
             "proto.steps",
             "solver.lambda1",
-            "solver.prior_floor",
             "train.mode",
             "train.temperature",
             "eval.repeats",

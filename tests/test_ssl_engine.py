@@ -296,6 +296,24 @@ class TestStepEntryPoints:
         expected = "goca_step" if mode == "goca" else "baseline_step"
         assert calls == {name: steps if name == expected else 0 for name in calls}
 
+    @pytest.mark.parametrize("capped", [False, True])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_step_reports_the_solve_behind_each_target(self, mode, capped):
+        params, protos, batch = _tiny_setup(mode, seed=13)
+        cfg = _fast_cfg(mode)
+        if capped:
+            # an unreachable tolerance stops every solve at a 3-sweep cap
+            cfg = replace(cfg, solver=replace(cfg.solver, tolerance=1e-18, max_iters=3))
+        result = step(batch, params, protos, cfg)
+        assert result.solves.keys() == result.targets.keys()
+        rows = batch.a_t.shape[0]
+        for key, solve in result.solves.items():
+            assert np.array_equal(result.targets[key], rows * solve.plan)
+        assert result.solver_converged == all(s.converged for s in result.solves.values())
+        assert result.solver_converged is not capped
+        fixed = step(batch, params, protos, cfg, targets=result.targets)
+        assert fixed.solves == {} and fixed.solver_converged is None
+
 
 class TestModeCollapse:
     def test_goca_with_zero_lambda2_is_bitwise_sep_step(self):
