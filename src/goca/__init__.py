@@ -11,7 +11,6 @@ synthetic two-view benchmark at desk scale.
 from .guided_ot import (
     clamp_prior,
     cross_guided_assign,
-    guided_objective,
     guided_sinkhorn,
 )
 from .ot_core import (
@@ -19,10 +18,8 @@ from .ot_core import (
     SinkhornResult,
     SolverConfig,
     cost_from_features,
-    entropy,
     marginal_residual,
     sinkhorn,
-    transport_objective,
 )
 from .prototypes import (
     ProtoOptConfig,
@@ -53,12 +50,9 @@ __all__ = [
     "SolverConfig",
     "SinkhornResult",
     "cost_from_features",
-    "entropy",
-    "transport_objective",
     "marginal_residual",
     "sinkhorn",
     "clamp_prior",
-    "guided_objective",
     "guided_sinkhorn",
     "cross_guided_assign",
     "ProtoOptConfig",

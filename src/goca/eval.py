@@ -45,7 +45,6 @@ __all__ = [
     "RepeatedMetrics",
     "kmeans",
     "within_cluster_ss",
-    "normalized_mutual_info",
     "majority_vote_metrics",
     "recall_at_k",
     "repeated_cluster_metrics",
@@ -254,20 +253,15 @@ def _nmi(table: np.ndarray) -> float:
     return float(np.clip(2.0 * mutual / denom, 0.0, 1.0))
 
 
-def _paired_labels(a, b, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Two label vectors of equal, nonzero length, as arrays."""
+def _paired_labels(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster and truth vectors of equal, nonzero length, as arrays."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
-        raise ValueError(f"{what} vectors must have equal length")
+        raise ValueError("cluster and truth vectors must have equal length")
     if a.size == 0:
-        raise ValueError(f"{what} vectors are empty")
+        raise ValueError("cluster and truth vectors are empty")
     return a, b
-
-
-def normalized_mutual_info(a: np.ndarray, b: np.ndarray) -> float:
-    """2 I(a; b) / (H(a) + H(b)); 1.0 for two trivial identical partitions."""
-    return _nmi(_contingency(*_paired_labels(a, b, "label")))
 
 
 def majority_vote_metrics(clusters: np.ndarray, truth: np.ndarray) -> ClusterMetrics:
@@ -276,7 +270,7 @@ def majority_vote_metrics(clusters: np.ndarray, truth: np.ndarray) -> ClusterMet
     Majority ties go to the lowest class id.  F1 is macro-averaged over
     the classes present in the ground truth.  One count table gives all three.
     """
-    table = _contingency(*_paired_labels(clusters, truth, "cluster and truth"))
+    table = _contingency(*_paired_labels(clusters, truth))
     classes = table.shape[1]
     majority = table.argmax(axis=1)  # the first maximum: the lowest class id
     hits = table.max(axis=1)

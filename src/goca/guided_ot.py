@@ -32,13 +32,11 @@ from .ot_core import (
     _solve,
     _validate_problem,
     cost_from_features,
-    entropy,
     sinkhorn,
 )
 
 __all__ = [
     "clamp_prior",
-    "guided_objective",
     "guided_sinkhorn",
     "cross_guided_assign",
 ]
@@ -52,24 +50,6 @@ def clamp_prior(prior: np.ndarray, floor: float = SolverConfig.prior_floor) -> n
     if np.any(p < 0.0):
         raise ValueError("prior entries must be nonnegative")
     return np.maximum(p, floor)
-
-
-def guided_objective(
-    plan: np.ndarray,
-    cost: np.ndarray,
-    prior: np.ndarray,
-    lambda1: float,
-    lambda2: float,
-) -> float:
-    """<D, C> - lambda1 * h(D) + lambda2 * KL(D | prior)."""
-    d = np.asarray(plan, dtype=float)
-    c = np.asarray(cost, dtype=float)
-    p = clamp_prior(prior)
-    if d.shape != c.shape or d.shape != p.shape:
-        raise ValueError("plan, cost and prior shapes must match")
-    pos = d > 0.0
-    kl = float(np.sum(d[pos] * np.log(d[pos] / p[pos])))
-    return float(np.sum(d * c)) - lambda1 * entropy(d) + lambda2 * kl
 
 
 def guided_sinkhorn(

@@ -1,16 +1,18 @@
 """Independent brute-force verifiers for the transport solvers.
 
 Everything here is kept numerically and textually independent of the
-production solver modules: nothing imports from them, objectives are
-accumulated by direct summation, and minimizers are found by
+production solver modules: nothing imports from them, and objectives
+are accumulated by direct summation.  The module holds
 
-* one-dimensional golden-section search for 2 x 2 plans, which have a
-  single degree of freedom once the marginals are fixed, and
+* the plain and guided entropic objective (``entropic_objective``),
+* one-dimensional golden-section search for the minimizer over 2 x 2
+  plans, which have a single degree of freedom once the marginals are
+  fixed (``golden_section_2x2``),
 * damped entropic mirror descent with alternating exact Bregman
   projections onto the row- and column-marginal sets, for plans up to
-  4 x 4,
-
-and plans of any size are certified by a duality gap (``entropic_gap``).
+  4 x 4 (``mirror_descent_small``),
+* a duality gap that certifies plans of any size (``entropic_gap``), and
+* a central-difference gradient (``finite_diff_grad``).
 
 Priors are taken as given (strictly positive); callers apply whatever
 flooring the solver under test applies, so both sides minimize the same
@@ -23,9 +25,52 @@ import math
 
 import numpy as np
 
-__all__ = ["golden_section_2x2", "mirror_descent_small", "entropic_gap", "finite_diff_grad"]
+__all__ = [
+    "entropic_objective",
+    "golden_section_2x2",
+    "mirror_descent_small",
+    "entropic_gap",
+    "finite_diff_grad",
+]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# mirror_descent_small's outer-step cap, projection residual target and
+# objective stall threshold
+_MAX_OUTER = 20_000
+_FEASIBILITY_TOL = 1e-12
+_STALL_TOL = 1e-14
+
+
+def entropic_objective(
+    plan: np.ndarray,
+    cost: np.ndarray,
+    lambda1: float,
+    prior: np.ndarray | None = None,
+    lambda2: float = 0.0,
+) -> float:
+    """<D, C> - lambda1 * h(D) + lambda2 * KL(D | prior), with 0 log 0 = 0.
+
+    h(D) = -sum d log d.  The KL term is summed only when a prior is given
+    and lambda2 is nonzero.
+    """
+    d = np.asarray(plan, dtype=float)
+    c = np.asarray(cost, dtype=float)
+    if d.shape != c.shape:
+        raise ValueError(f"shape mismatch: plan {d.shape} vs cost {c.shape}")
+    if np.any(d < 0.0):
+        raise ValueError("plan entries must be nonnegative")
+    pos = d > 0.0
+    entropy = float(-np.sum(d[pos] * np.log(d[pos])))
+    total = float(np.sum(d * c)) - lambda1 * entropy
+    if prior is not None and lambda2 != 0.0:
+        p = np.asarray(prior, dtype=float)
+        if p.shape != d.shape:
+            raise ValueError(f"shape mismatch: plan {d.shape} vs prior {p.shape}")
+        if np.any(p <= 0.0):
+            raise ValueError("prior entries must be strictly positive")
+        total += lambda2 * float(np.sum(d[pos] * np.log(d[pos] / p[pos])))
+    return total
 
 
 def _xlogx(value: float) -> float:
@@ -175,9 +220,6 @@ def mirror_descent_small(
     col_marginal: np.ndarray,
     lambda1: float,
     lambda2: float = 0.0,
-    max_outer: int = 20_000,
-    feasibility_tol: float = 1e-12,
-    stall_tol: float = 1e-14,
     return_info: bool = False,
 ):
     """Entropic mirror descent on the (guided) objective over U.
@@ -186,8 +228,9 @@ def mirror_descent_small(
     exp(-eta * gradient) with eta = 0.5 / (lambda1 + lambda2), then
     restores feasibility by alternating exact KL projections onto the
     row- and column-marginal sets until the residual drops below
-    ``feasibility_tol``.  Stops once the objective stalls below
-    ``stall_tol`` and consecutive log plans agree to 1e-12.
+    ``_FEASIBILITY_TOL``.  Stops once the objective stalls below
+    ``_STALL_TOL`` and consecutive log plans agree to 1e-12, or after
+    ``_MAX_OUTER`` steps.
     """
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2 or max(c.shape) > 4:
@@ -206,24 +249,24 @@ def mirror_descent_small(
     log_plan = np.log(np.outer(psi, omega))
     prev_obj = np.inf
     residuals = []
-    outer_done = max_outer
-    for outer in range(1, max_outer + 1):
+    outer_done = _MAX_OUTER
+    for outer in range(1, _MAX_OUTER + 1):
         previous = log_plan
         log_plan = (1.0 - eta * scale) * log_plan - eta * effective_cost - eta * scale
         # a few projection passes per step keep the iterate near-feasible;
-        # the endgame polish below runs them to feasibility_tol
+        # the endgame polish below runs them to _FEASIBILITY_TOL
         log_plan, residual = _project_onto_marginals(
-            log_plan, psi, omega, feasibility_tol, max_passes=3
+            log_plan, psi, omega, _FEASIBILITY_TOL, max_passes=3
         )
         residuals.append(residual)
         plan = np.exp(log_plan)
         obj = float(np.sum(plan * effective_cost) + scale * np.sum(plan * log_plan))
         drift = float(np.max(np.abs(log_plan - previous)))
-        if abs(obj - prev_obj) < stall_tol and drift <= 1e-12:
+        if abs(obj - prev_obj) < _STALL_TOL and drift <= 1e-12:
             outer_done = outer
             break
         prev_obj = obj
-    log_plan, residual = _project_onto_marginals(log_plan, psi, omega, feasibility_tol)
+    log_plan, residual = _project_onto_marginals(log_plan, psi, omega, _FEASIBILITY_TOL)
     residuals.append(residual)
     plan = np.exp(log_plan)
     if return_info:

@@ -64,8 +64,6 @@ __all__ = [
     "SolverConfig",
     "SinkhornResult",
     "cost_from_features",
-    "entropy",
-    "transport_objective",
     "marginal_residual",
     "sinkhorn",
     "unit_rows",
@@ -225,24 +223,6 @@ def cost_from_features(features: np.ndarray, prototypes: np.ndarray) -> np.ndarr
     require_unit_rows(feats, "feature", _UNIT_NORM_ATOL)
     require_unit_rows(protos, "prototype", _UNIT_NORM_ATOL)
     return -(feats @ protos.T)
-
-
-def entropy(plan: np.ndarray) -> float:
-    """h(D) = -sum d log d with 0 log 0 taken as 0."""
-    d = np.asarray(plan, dtype=float)
-    if np.any(d < 0.0):
-        raise ValueError("entropy requires nonnegative entries")
-    pos = d[d > 0.0]
-    return float(-np.sum(pos * np.log(pos)))
-
-
-def transport_objective(plan: np.ndarray, cost: np.ndarray, lambda1: float) -> float:
-    """<D, C> - lambda1 * h(D)."""
-    d = np.asarray(plan, dtype=float)
-    c = np.asarray(cost, dtype=float)
-    if d.shape != c.shape:
-        raise ValueError(f"shape mismatch: plan {d.shape} vs cost {c.shape}")
-    return float(np.sum(d * c)) - lambda1 * entropy(d)
 
 
 def marginal_residual(plan: np.ndarray, marginals: Marginals) -> tuple[float, float]:
@@ -502,7 +482,8 @@ def _solve(
     if effective_cost.shape[0] == 1 or effective_cost.shape[1] == 1:
         return _forced_plan(marginals, cfg.tolerance)
     g = np.zeros(marginals.col.size)
-    cost_range = float(effective_cost.max() - effective_cost.min())
+    # Python floats, so that a range past float64 becomes inf without numpy's warning
+    cost_range = float(effective_cost.max()) - float(effective_cost.min())
     if not math.isfinite(cost_range / scale):
         raise FloatingPointError(_NON_FINITE_PLAN.format(scale))
     stages = _anneal_schedule(scale, cost_range)

@@ -202,7 +202,7 @@ def _backprop(cache: dict, d_features: np.ndarray, params: ParamDict, grads: Par
         grads[f"{view}.b1"] += dz1.sum(axis=0)
 
 
-def prototype_scores(features: np.ndarray, prototypes: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+def prototype_scores(features: np.ndarray, prototypes: np.ndarray, temperature: float) -> np.ndarray:
     """Row softmax of feature-prototype similarities; rows sum to 1."""
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")

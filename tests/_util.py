@@ -249,7 +249,7 @@ def _entropy_of_counts(counts: np.ndarray) -> float:
 
 
 def nmi_reference(a: np.ndarray, b: np.ndarray) -> float:
-    """``goca.eval.normalized_mutual_info`` as it was before its count table was shared."""
+    """The ``nmi`` field of ``goca.eval.majority_vote_metrics``, from a count table built here."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:

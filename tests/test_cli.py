@@ -483,6 +483,8 @@ _ERROR_FILES = {
     "repeats.cfg": "eval.repeats = 0\n",
     "prior_floor.cfg": "solver.prior_floor = 1e-12\n",
     "nan_cost.mat": "2 2\n0 1\nnan 0\n",
+    "huge_cost.mat": "2 2\n1e308 -1e308\n0 0\n",
+    "prior2.mat": "2 2\n1 1\n1 1\n",
     "past.mat": "2 2\n1 0\n0 1\n1 1\n",
     "dup.mat": "4 2\n1 0\n1 0\n0 1\n0 1\n",
     "l.txt": "0\n1\n" * 3,
@@ -518,6 +520,13 @@ _ERROR_ROWS = [
          "--strict --out p.mat", 2, "error: solver did not converge"),
     _row("solve-nan-cost", "solve --cost nan_cost.mat --out p.mat", 1,
          "error: nan_cost.mat: row 1 has a non-finite value"),
+    # finite costs whose range overflows: the cost range check fails, not numpy
+    _row("solve-huge-cost", "solve --cost huge_cost.mat --out p.mat", 2,
+         "error: transport plan is not finite at regularization 0.02: cost / regularization "
+         "leaves the float64 range"),
+    _row("solve-huge-cost-prior", "solve --cost huge_cost.mat --prior prior2.mat --out p.mat", 2,
+         "error: transport plan is not finite at regularization 0.05: cost / regularization "
+         "leaves the float64 range"),
     _row("solve-lambda1-nan", "solve --cost cost.mat --lambda1 nan --out p.mat", 1,
          "error: --lambda1 must be finite, got nan"),
     _row("solve-lambda1-0", "solve --cost cost.mat --lambda1 0 --out p.mat", 1,
@@ -672,7 +681,8 @@ class TestErrors:
         assert work == [] or code != 1, work
 
     @pytest.mark.parametrize("argv, code, stderr", [
-        row for row in _ERROR_ROWS if row.id in ("train-diverging", "eval-huge-query")])
+        row for row in _ERROR_ROWS if row.id in (
+            "train-diverging", "eval-huge-query", "solve-huge-cost", "solve-huge-cost-prior")])
     def test_overflow_prints_only_the_error_line(self, tmp_path, argv, code, stderr):
         # a fresh interpreter keeps numpy's default warning filter, which would
         # print an overflow warning and its source line above the error line

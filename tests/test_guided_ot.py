@@ -9,11 +9,10 @@ import pytest
 from goca.guided_ot import (
     clamp_prior,
     cross_guided_assign,
-    guided_objective,
     guided_sinkhorn,
 )
-from goca.oracle import golden_section_2x2, mirror_descent_small
-from goca.ot_core import Marginals, SolverConfig, sinkhorn, transport_objective
+from goca.oracle import entropic_objective, golden_section_2x2, mirror_descent_small
+from goca.ot_core import Marginals, SolverConfig, sinkhorn
 
 from _util import feasible_random_plan, random_unit_rows
 
@@ -33,7 +32,7 @@ class TestGuidedObjective:
     def test_zero_when_plan_equals_prior_and_no_entropy(self):
         marg = Marginals.uniform(2, 2)
         plan = np.full((2, 2), 0.25)
-        value = guided_objective(plan, np.zeros((2, 2)), plan, lambda1=1e-300, lambda2=0.7)
+        value = entropic_objective(plan, np.zeros((2, 2)), 1e-300, prior=plan, lambda2=0.7)
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_lambda2_zero_reduces_to_transport_objective(self):
@@ -41,8 +40,8 @@ class TestGuidedObjective:
         plan = feasible_random_plan(rng, np.full(3, 1 / 3), np.full(3, 1 / 3))
         cost = rng.uniform(-1, 1, size=(3, 3))
         prior = rng.uniform(0.1, 1.0, size=(3, 3))
-        assert guided_objective(plan, cost, prior, 0.4, 0.0) == pytest.approx(
-            transport_objective(plan, cost, 0.4), abs=1e-14
+        assert entropic_objective(plan, cost, 0.4, prior, 0.0) == pytest.approx(
+            entropic_objective(plan, cost, 0.4), abs=1e-14
         )
 
     def test_matches_direct_summation(self):
@@ -54,7 +53,7 @@ class TestGuidedObjective:
             d * c + 0.02 * d * math.log(d) + 0.03 * d * math.log(d / p)
             for d, c, p in zip(plan.ravel(), cost.ravel(), prior.ravel())
         )
-        assert guided_objective(plan, cost, prior, 0.02, 0.03) == pytest.approx(
+        assert entropic_objective(plan, cost, 0.02, prior, 0.03) == pytest.approx(
             expected, abs=1e-12
         )
 

@@ -53,6 +53,19 @@ def test_every_export_resolves(path):
     assert stale == []
 
 
+def test_oracle_imports_no_solver_code():
+    # the oracle is the independent side of the solver contract: it
+    # checks the solvers only if it shares none of their code
+    tree = ast.parse((Path(goca.__file__).parent / "oracle.py").read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+    assert modules == {"__future__", "math", "numpy"}
+
+
 def test_cli_import_leaves_out_what_only_some_commands_use():
     # the oracle battery serves `goca verify` alone and the process pool
     # `--jobs > 1` alone; loading them would slow every command's start-up

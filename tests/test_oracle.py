@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from goca import oracle
-from goca.oracle import entropic_gap, finite_diff_grad, golden_section_2x2, mirror_descent_small
+from goca.oracle import (
+    entropic_gap,
+    entropic_objective,
+    finite_diff_grad,
+    golden_section_2x2,
+    mirror_descent_small,
+)
 from goca.ot_core import Marginals, SolverConfig, sinkhorn
 
 from _util import feasible_random_plan
@@ -121,9 +127,19 @@ class TestMirrorDescent:
             mirror_descent_small(np.zeros((5, 5)), None, np.full(5, 0.2), np.full(5, 0.2), 0.5)
 
 
-def _plain_objective(plan, cost, reg):
-    pos = plan > 0
-    return float(np.sum(plan * cost)) + reg * float(np.sum(plan[pos] * np.log(plan[pos])))
+class TestEntropicObjective:
+    @pytest.mark.parametrize("plan, cost, prior, message", [
+        (np.array([[0.6, -0.1], [0.0, 0.5]]), np.zeros((2, 2)), None,
+         "^plan entries must be nonnegative$"),
+        (np.full((2, 2), 0.25), np.zeros((2, 3)), None,
+         r"^shape mismatch: plan \(2, 2\) vs cost \(2, 3\)$"),
+        # the prior is taken as given, so a zero entry is rejected, not floored
+        (np.full((2, 2), 0.25), np.zeros((2, 2)), np.array([[0.5, 0.0], [0.25, 0.25]]),
+         "^prior entries must be strictly positive$"),
+    ], ids=["negative-plan", "shape-mismatch", "zero-prior"])
+    def test_rejects(self, plan, cost, prior, message):
+        with pytest.raises(ValueError, match=message):
+            entropic_objective(plan, cost, 0.1, prior, 0.2)
 
 
 class TestEntropicGap:
@@ -145,7 +161,7 @@ class TestEntropicGap:
         for _ in range(20):
             cost = rng.uniform(-1, 1, size=(2, 2))
             best = golden_section_2x2(cost, None, UNIFORM2, UNIFORM2, 0.1)
-            optimum = _plain_objective(best, cost, 0.1)
+            optimum = entropic_objective(best, cost, 0.1)
             for eps in (1e-6, 1e-4, 1e-2):
                 plan = best * np.exp(eps * rng.standard_normal((2, 2)))
                 gap, move = entropic_gap(plan, cost, 0.1, UNIFORM2, UNIFORM2)
@@ -153,7 +169,7 @@ class TestEntropicGap:
                 assert np.allclose(rounded.sum(axis=1), UNIFORM2, rtol=0, atol=1e-15)
                 assert np.allclose(rounded.sum(axis=0), UNIFORM2, rtol=0, atol=1e-15)
                 assert move == np.max(np.abs(rounded - plan))
-                assert gap >= _plain_objective(rounded, cost, 0.1) - optimum - 1e-15
+                assert gap >= entropic_objective(rounded, cost, 0.1) - optimum - 1e-15
 
     def test_grows_with_the_distance_from_the_optimum(self):
         rng = np.random.default_rng(8)

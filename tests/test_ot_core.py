@@ -8,15 +8,13 @@ import pytest
 
 from goca import ot_core
 from goca.guided_ot import clamp_prior, guided_sinkhorn
-from goca.oracle import entropic_gap, golden_section_2x2, mirror_descent_small
+from goca.oracle import entropic_gap, entropic_objective, golden_section_2x2, mirror_descent_small
 from goca.ot_core import (
     Marginals,
     SolverConfig,
     cost_from_features,
-    entropy,
     marginal_residual,
     sinkhorn,
-    transport_objective,
 )
 from goca.verify import TRAINING_SHAPE_GAP, kernel_reduction_draws
 
@@ -116,30 +114,36 @@ class TestUnitRows:
 
 class TestEntropy:
     def test_uniform_2x2(self):
-        assert entropy(np.full((2, 2), 0.25)) == pytest.approx(math.log(4.0), abs=1e-12)
+        d = np.full((2, 2), 0.25)
+        assert -entropic_objective(d, np.zeros((2, 2)), 1.0) == pytest.approx(
+            math.log(4.0), abs=1e-12
+        )
 
     def test_degenerate_point_mass(self):
-        assert entropy(np.array([[1.0, 0.0], [0.0, 0.0]])) == 0.0
+        d = np.array([[1.0, 0.0], [0.0, 0.0]])
+        assert -entropic_objective(d, np.zeros((2, 2)), 1.0) == 0.0
 
     def test_matches_direct_summation(self):
         d = np.array([[0.4, 0.1], [0.1, 0.4]])
         # frozen from the direct summation -sum d log d
-        assert entropy(d) == pytest.approx(1.1935496040981332, abs=1e-15)
+        assert -entropic_objective(d, np.zeros((2, 2)), 1.0) == pytest.approx(
+            1.1935496040981332, abs=1e-15
+        )
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            entropy(np.array([[-0.1, 1.1]]))
+            entropic_objective(np.array([[-0.1, 1.1]]), np.zeros((1, 2)), 1.0)
 
 
 class TestTransportObjective:
     def test_zero_cost_uniform(self):
         d = np.full((2, 2), 0.25)
-        assert transport_objective(d, np.zeros((2, 2)), 1.0) == pytest.approx(-math.log(4.0))
+        assert entropic_objective(d, np.zeros((2, 2)), 1.0) == pytest.approx(-math.log(4.0))
 
     def test_plain_inner_product(self):
         d = np.full((2, 2), 0.25)
         c = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert transport_objective(d, c, 0.0) == pytest.approx(0.5)
+        assert entropic_objective(d, c, 0.0) == pytest.approx(0.5)
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(7)
@@ -149,7 +153,7 @@ class TestTransportObjective:
         expected = math.fsum((d * c).ravel()) - 0.7 * math.fsum(
             -v * math.log(v) for v in d.ravel()
         )
-        assert transport_objective(d, c, 0.7) == pytest.approx(expected, abs=1e-14)
+        assert entropic_objective(d, c, 0.7) == pytest.approx(expected, abs=1e-14)
 
 
 class TestMarginalResidual:
@@ -266,14 +270,14 @@ class TestSolverInvariants:
         cost = rng.uniform(-1, 1, size=(3, 3))
         cfg = SolverConfig(lambda1=0.3)
         res = sinkhorn(cost, cfg=cfg)
-        base = transport_objective(res.plan, cost, cfg.lambda1)
+        base = entropic_objective(res.plan, cost, cfg.lambda1)
         for _ in range(100):
             delta = zero_sum_perturbation(rng, 3, 3)
             eps = rng.uniform(1e-6, 1e-3)
             candidate = res.plan + eps * delta
             if np.any(candidate <= 0):
                 continue
-            assert base <= transport_objective(candidate, cost, cfg.lambda1) + 1e-9
+            assert base <= entropic_objective(candidate, cost, cfg.lambda1) + 1e-9
 
     def test_cost_shift_invariance(self):
         rng = np.random.default_rng(31)
