@@ -7,8 +7,8 @@ distance on unit vectors.  Everything is written directly in numpy so
 tie-breaking and normalization conventions stay pinned:
 
 * k-means assignment ties go to the lowest centroid index, empty
-  clusters are reseeded from the farthest point, and each restart draws
-  its starting rows from one ``default_rng(seed)``;
+  clusters are reseeded from the farthest point, and each run draws its
+  starting rows from one ``default_rng(seed)``;
 * NMI = 2 I(clusters; truth) / (H(clusters) + H(truth)), in [0, 1];
 * F1 is macro-averaged over the ground-truth classes;
 * one (cluster, class) count table per scored clustering gives the
@@ -16,10 +16,10 @@ tie-breaking and normalization conventions stay pinned:
 * neighbor ties in retrieval go to the lowest database index.
 
 The repeated-k-means helper reports the mean and standard error over
-independent repetitions; ``EvalConfig`` holds its settings.
+independent Lloyd runs; ``EvalConfig`` holds its settings.
 
-Every Lloyd run of one call (the restarts of ``kmeans``; each repeat's
-restarts in ``repeated_cluster_metrics``) goes through one stacked loop,
+Every Lloyd run of one call (the restarts of ``kmeans``, the repeats of
+``repeated_cluster_metrics``) goes through one stacked loop,
 a block of runs at a time.  Each run keeps its own start, iteration cap
 and stop when its labels no longer move, so its labels are the ones it
 would reach alone.  One GEMM per step ranks the centroids; a row whose
@@ -27,7 +27,9 @@ best centroid does not lead the others by more than that GEMM's rounding
 bound (the tie certificate in ``_nearest``) is ranked again with the
 exact ``((x - c)**2).sum(-1)``, so no label depends on BLAS rounding.  Cluster
 means are bit for bit ``x[labels == j].mean(axis=0)``.  Non-finite
-features, or more clusters than distinct rows, raise ``ValueError``.
+features, a row whose squared norm passes ``_MAX_SQ_NORM`` (past which
+distances may overflow), or more clusters than distinct rows, raise
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -56,11 +58,10 @@ class EvalConfig:
     """Settings of ``repeated_cluster_metrics``."""
 
     repeats: int = 50
-    kmeans_restarts: int = 1
     seed: int = 0
 
     def __post_init__(self):
-        check_config(self, {"repeats": 1, "kmeans_restarts": 1, "seed": 0})
+        check_config(self, {"repeats": 1, "seed": 0})
 
 
 class ClusterMetrics(NamedTuple):
@@ -80,6 +81,9 @@ class RepeatedMetrics(NamedTuple):
 _BLOCK_BYTES = 200 * 1024
 _MAX_ITERS = 300
 _U = np.finfo(float).eps / 2  # unit roundoff
+# Squared distances reach 4x the largest squared norm, and the GEMM ranking
+# in _nearest stays below that; a factor 2 to spare for rounding keeps both finite.
+_MAX_SQ_NORM = float(np.finfo(float).max) / 8
 
 
 def _sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -187,6 +191,14 @@ def _checked_features(features: np.ndarray, k: int) -> np.ndarray:
     bad = int(np.count_nonzero(~np.isfinite(x)))
     if bad:
         raise ValueError(f"features must be finite; {bad} of {x.size} values are NaN or infinite")
+    with np.errstate(over="ignore"):
+        sq_norms = (x * x).sum(axis=1)
+    over = np.flatnonzero(sq_norms > _MAX_SQ_NORM)
+    if over.size:
+        raise ValueError(
+            f"features row {over[0]} has squared norm {float(sq_norms[over[0]])!r}, above the "
+            f"{_MAX_SQ_NORM!r} that keeps k-means distances finite"
+        )
     if k < 1:
         raise ValueError(f"need k >= 1 clusters, got k = {k}")
     distinct = np.unique(x, axis=0).shape[0]
@@ -204,28 +216,23 @@ def _starts(n: int, k: int, seed, restarts: int) -> np.ndarray:
     return np.array([rng.choice(n, size=k, replace=False) for _ in range(restarts)])
 
 
-def _best_run(x: np.ndarray, runs: np.ndarray) -> np.ndarray:
-    """The run with the least within-cluster sum of squares, the first on ties."""
-    if len(runs) == 1:
-        return runs[0]
-    return runs[int(np.argmin([within_cluster_ss(x, labels) for labels in runs]))]
-
-
 def kmeans(
     features: np.ndarray,
     k: int,
     seed=0,
     restarts: int = 10,
 ) -> np.ndarray:
-    """Best-of-restarts Lloyd's iterations; returns cluster labels.
+    """Best-of-restarts Lloyd's iterations; returns the labels of the run
+    with the least within-cluster sum of squares, the first on ties.
 
-    Raises ``ValueError`` for fewer than one restart, non-finite features
-    and ``k`` above the number of distinct rows.
+    Raises ``ValueError`` for fewer than one restart, non-finite or
+    overflowing features and ``k`` above the number of distinct rows.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     x = _checked_features(features, k)
-    return _best_run(x, _lloyd(x, _starts(x.shape[0], k, seed, restarts), _MAX_ITERS))
+    runs = _lloyd(x, _starts(x.shape[0], k, seed, restarts), _MAX_ITERS)
+    return runs[int(np.argmin([within_cluster_ss(x, labels) for labels in runs]))]
 
 
 def _entropy_of_counts(counts: np.ndarray) -> float:
@@ -253,24 +260,19 @@ def _nmi(table: np.ndarray) -> float:
     return float(np.clip(2.0 * mutual / denom, 0.0, 1.0))
 
 
-def _paired_labels(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster and truth vectors of equal, nonzero length, as arrays."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError("cluster and truth vectors must have equal length")
-    if a.size == 0:
-        raise ValueError("cluster and truth vectors are empty")
-    return a, b
-
-
 def majority_vote_metrics(clusters: np.ndarray, truth: np.ndarray) -> ClusterMetrics:
     """Label each cluster by its majority ground-truth class, then score.
 
     Majority ties go to the lowest class id.  F1 is macro-averaged over
     the classes present in the ground truth.  One count table gives all three.
     """
-    table = _contingency(*_paired_labels(clusters, truth))
+    clusters = np.asarray(clusters)
+    truth = np.asarray(truth)
+    if clusters.shape != truth.shape:
+        raise ValueError("cluster and truth vectors must have equal length")
+    if clusters.size == 0:
+        raise ValueError("cluster and truth vectors are empty")
+    table = _contingency(clusters, truth)
     classes = table.shape[1]
     majority = table.argmax(axis=1)  # the first maximum: the lowest class id
     hits = table.max(axis=1)
@@ -323,21 +325,17 @@ def repeated_cluster_metrics(
     cfg: EvalConfig | None = None,
 ) -> RepeatedMetrics:
     """Mean and standard error of majority-vote metrics over ``cfg.repeats``
-    k-means runs into ``k`` clusters (default ``EvalConfig()``), the i-th
-    seeded ``(cfg.seed, i)`` with ``cfg.kmeans_restarts`` restarts, as
-    ``kmeans`` would run them; all runs share one stacked Lloyd loop.
+    Lloyd runs into ``k`` clusters (default ``EvalConfig()``), the i-th
+    seeded ``(cfg.seed, i)``, as ``kmeans(..., seed=(cfg.seed, i),
+    restarts=1)`` would run it; all runs share one stacked Lloyd loop.
 
     Raises ``ValueError`` as ``kmeans`` does.
     """
     cfg = EvalConfig() if cfg is None else cfg
     x = _checked_features(features, k)
-    per = cfg.kmeans_restarts
-    starts = [_starts(x.shape[0], k, (cfg.seed, i), per) for i in range(cfg.repeats)]
+    starts = [_starts(x.shape[0], k, (cfg.seed, i), 1) for i in range(cfg.repeats)]
     runs = _lloyd(x, np.concatenate(starts), _MAX_ITERS)
-    rows = [
-        majority_vote_metrics(_best_run(x, runs[i * per:(i + 1) * per]), truth)
-        for i in range(cfg.repeats)
-    ]
+    rows = [majority_vote_metrics(labels, truth) for labels in runs]
     arr = np.asarray(rows, dtype=float)
     means = arr.mean(axis=0)
     if cfg.repeats > 1:

@@ -46,20 +46,19 @@ __all__ = [
     "max_pairwise_cosine",
 ]
 
+# the learning rate at the last step of each descent's cosine schedule
+_FINAL_LEARNING_RATE = 1e-3
+
 
 @dataclass(frozen=True)
 class ProtoOptConfig:
     steps: int = 5000
     learning_rate: float = 0.1
-    final_learning_rate: float = 1e-3
     restarts: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        check_config(self, {
-            "steps": 1, "learning_rate": "positive", "final_learning_rate": "positive",
-            "restarts": 1, "seed": 0,
-        })
+        check_config(self, {"steps": 1, "learning_rate": "positive", "restarts": 1, "seed": 0})
 
 
 def _checked(prototypes: np.ndarray) -> np.ndarray:
@@ -177,7 +176,7 @@ def _descend(rngs: list[np.random.Generator], count: int, dim: int, cfg: ProtoOp
     best_loss = loss.copy()
     span = max(cfg.steps - 1, 1)
     for step in range(cfg.steps):
-        lr = cfg.final_learning_rate + 0.5 * (cfg.learning_rate - cfg.final_learning_rate) * (
+        lr = _FINAL_LEARNING_RATE + 0.5 * (cfg.learning_rate - _FINAL_LEARNING_RATE) * (
             1.0 + math.cos(math.pi * step / span)
         )
         w, _ = unit_rows(w - lr * _subgradient(w, nearest, index), "prototype")

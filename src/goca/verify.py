@@ -94,11 +94,10 @@ def guided_vs_oracles(
             cfg = SolverConfig(lambda1=lam1, lambda2=lam2, max_iters=100_000)
             res = guided_sinkhorn(cost, prior, marg2, cfg)
             solves.append((res, marg2))
-            clamped = clamp_prior(prior)
-            ref = oracle.golden_section_2x2(cost, clamped, marg2.row, marg2.col, lam1, lam2)
+            ref = oracle.golden_section_2x2(cost, prior, marg2.row, marg2.col, lam1, lam2)
             worst_2x2 = max(worst_2x2, float(np.max(np.abs(res.plan - ref))))
             if i % 10 == 0:
-                ref2 = oracle.mirror_descent_small(cost, clamped, marg2.row, marg2.col, lam1, lam2)
+                ref2 = oracle.mirror_descent_small(cost, prior, marg2.row, marg2.col, lam1, lam2)
                 worst_cross = max(worst_cross, float(np.max(np.abs(res.plan - ref2))))
 
     worst_nxn = 0.0
@@ -111,8 +110,7 @@ def guided_vs_oracles(
                 cfg = SolverConfig(lambda1=0.2, lambda2=lam2, max_iters=100_000)
                 res = guided_sinkhorn(cost, prior, marg, cfg)
                 solves.append((res, marg))
-                clamped = clamp_prior(prior)
-                ref = oracle.mirror_descent_small(cost, clamped, marg.row, marg.col, 0.2, lam2)
+                ref = oracle.mirror_descent_small(cost, prior, marg.row, marg.col, 0.2, lam2)
                 worst_nxn = max(worst_nxn, float(np.max(np.abs(res.plan - ref))))
     return worst_2x2, worst_cross, worst_nxn, solves
 
@@ -162,7 +160,7 @@ def kernel_reduction(rng: np.random.Generator, draws: int) -> float:
     for cost, prior in kernel_reduction_draws(rng, draws):
         cfg = SolverConfig(lambda1=0.02, lambda2=0.03)
         guided = guided_sinkhorn(cost, prior, cfg=cfg)
-        shifted = cost - cfg.lambda2 * np.log(clamp_prior(prior))
+        shifted = cost - cfg.lambda2 * np.log(prior)
         reduced = sinkhorn(shifted, cfg=SolverConfig(lambda1=cfg.lambda1 + cfg.lambda2))
         worst = max(worst, float(np.max(np.abs(guided.plan - reduced.plan))))
     return worst

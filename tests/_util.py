@@ -22,6 +22,7 @@ from goca.ot_core import (
     _in_range,
     marginal_residual,
 )
+from goca.prototypes import _FINAL_LEARNING_RATE
 from goca.verify import feasible_random_plan  # re-exported for the tests
 
 
@@ -327,7 +328,7 @@ def _reference_descend(rng: np.random.Generator, count: int, dim: int, cfg):
     best_loss = _reference_loss(w)
     span = max(cfg.steps - 1, 1)
     for step in range(cfg.steps):
-        lr = cfg.final_learning_rate + 0.5 * (cfg.learning_rate - cfg.final_learning_rate) * (
+        lr = _FINAL_LEARNING_RATE + 0.5 * (cfg.learning_rate - _FINAL_LEARNING_RATE) * (
             1.0 + math.cos(math.pi * step / span)
         )
         w = _reference_unit_rows(w - lr * _reference_grad(w))

@@ -482,6 +482,8 @@ _ERROR_FILES = {
     "class_scale.cfg": "data.class_scale = 0.0\n",
     "repeats.cfg": "eval.repeats = 0\n",
     "prior_floor.cfg": "solver.prior_floor = 1e-12\n",
+    "kmeans_restarts.cfg": "eval.kmeans_restarts = 1\n",
+    "final_lr.cfg": "proto.final_learning_rate = 0.001\n",
     "nan_cost.mat": "2 2\n0 1\nnan 0\n",
     "huge_cost.mat": "2 2\n1e308 -1e308\n0 0\n",
     "prior2.mat": "2 2\n1 1\n1 1\n",
@@ -580,6 +582,10 @@ _ERROR_ROWS = [
          "error: features and labels disagree on sample count"),
     _row("eval-past-header", "eval --features past.mat --labels l2.txt --metrics m.csv", 1,
          "error: past.mat: row 2 is past the 2 rows the header declares"),
+    # finite features whose squared distances would overflow
+    _row("eval-huge-features", "eval --features huge_cost.mat --labels l2.txt --metrics m.csv", 1,
+         "error: features row 0 has squared norm inf, above the 2.2471164185778946e+307 that "
+         "keeps k-means distances finite"),
     _row("eval-k-3", "eval --features dup.mat --labels l4dup.txt --metrics m.csv", 1,
          "error: k = 3 exceeds the 2 distinct rows of the 4 samples; k-means cannot fill that "
          "many clusters"),
@@ -622,8 +628,11 @@ _ERROR_ROWS = [
           ("no_equals", "line 1: expected 'key = value', got 'train.epochs 3'"),
           ("class_scale", "data.class_scale must be positive, got 0.0"),
           ("repeats", "eval.repeats must be at least 1, got 0"),
-          # the prior floor is a solver constant, not a config key
+          # the prior floor, the k-means restarts of a scoring repeat and the
+          # end of the placement schedule are constants, not config keys
           ("prior_floor", "line 1: unknown key 'solver.prior_floor'"),
+          ("kmeans_restarts", "line 1: unknown key 'eval.kmeans_restarts'"),
+          ("final_lr", "line 1: unknown key 'proto.final_learning_rate'"),
       ]],
     _row("verify-seed", "verify --seed -1", 1, _SEED),
     _row("gen-data-seed", "gen-data --out data --seed -1", 1, _SEED),
@@ -682,7 +691,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv, code, stderr", [
         row for row in _ERROR_ROWS if row.id in (
-            "train-diverging", "eval-huge-query", "solve-huge-cost", "solve-huge-cost-prior")])
+            "train-diverging", "eval-huge-query", "eval-huge-features", "solve-huge-cost",
+            "solve-huge-cost-prior")])
     def test_overflow_prints_only_the_error_line(self, tmp_path, argv, code, stderr):
         # a fresh interpreter keeps numpy's default warning filter, which would
         # print an overflow warning and its source line above the error line

@@ -316,6 +316,30 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="1 of 12 values are NaN or infinite"):
             repeated_cluster_metrics(points, np.zeros(6, dtype=int), 2, EvalConfig(repeats=2))
 
+    def test_squared_norm_bound_is_the_first_overflow_free_one(self):
+        # the largest coordinate whose square stays within the bound
+        top = float(np.sqrt(evalmod._MAX_SQ_NORM))
+        while top * top > evalmod._MAX_SQ_NORM:
+            top = np.nextafter(top, 0.0)
+        truth = np.array([0, 1, 1])
+        for sign in (1.0, -1.0):
+            # the two extreme rows lie 2 * top apart: their squared distance
+            # is half the largest float, and no step may warn
+            points = np.array([[0.0, 0.0], [sign * top, 0.0], [-sign * top, 0.0]])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                labels = kmeans(points, 2, seed=0)
+                rep = repeated_cluster_metrics(points, truth, 2, EvalConfig(repeats=4))
+            assert len(set(labels.tolist())) == 2
+            assert all(np.isfinite(rep.mean))
+            points[2, 0] = sign * np.nextafter(top, np.inf)
+            message = re.escape(f"features row 2 has squared norm {float(points[2, 0] ** 2)!r}, "
+                                f"above the {evalmod._MAX_SQ_NORM!r} that")
+            with pytest.raises(ValueError, match=f"^{message}"):
+                kmeans(points, 2, seed=0)
+            with pytest.raises(ValueError, match=f"^{message}"):
+                repeated_cluster_metrics(points, truth, 2, EvalConfig(repeats=4))
+
     def test_k_below_one_is_rejected(self):
         with pytest.raises(ValueError, match="got k = 0"):
             kmeans(np.eye(3), 0)
@@ -428,9 +452,9 @@ class TestStackedLloyd:
         rng = np.random.default_rng(12)
         truth = np.repeat(np.arange(3), 30)
         feats = rng.standard_normal((90, 5)) + 2.0 * np.eye(3, 5)[truth]
-        cfg = EvalConfig(repeats=6, seed=3, kmeans_restarts=2)
+        cfg = EvalConfig(repeats=6, seed=3)
         rows = [
-            majority_vote_metrics(_reference_kmeans(feats, 3, (3, i), 2), truth)
+            majority_vote_metrics(_reference_kmeans(feats, 3, (3, i), 1), truth)
             for i in range(cfg.repeats)
         ]
         arr = np.asarray(rows, dtype=float)
