@@ -69,6 +69,17 @@ _BOUNDS = [
 _EACH_BOUND = pytest.mark.parametrize(
     "key, accepted, rejected, message", _BOUNDS, ids=[f"{row[0]}={row[2]}" for row in _BOUNDS]
 )
+# settings fixed in the code as constants accept no value: the values their
+# bounds used to reject now fail as unknown keys
+_FIXED = [
+    ("eval.kmeans_restarts", None, "0", "line 1: unknown key 'eval.kmeans_restarts'"),
+    ("proto.final_learning_rate", None, "-1e-3",
+     "line 1: unknown key 'proto.final_learning_rate'"),
+]
+_EACH_REJECTION = pytest.mark.parametrize(
+    "key, accepted, rejected, message", _BOUNDS + _FIXED,
+    ids=[f"{row[0]}={row[2]}" for row in _BOUNDS + _FIXED],
+)
 # lines a row needs besides its own: one sample per class takes a batch of 4
 _CONTEXT = {"data.samples_per_class": "train.batch_size = 4\n"}
 
@@ -171,7 +182,7 @@ class TestBounds:
         with pytest.raises(ConfigError):
             parse_config(f"{context}{key} = {rejected}\n")
 
-    @_EACH_BOUND
+    @_EACH_REJECTION
     def test_rejection_message(self, key, accepted, rejected, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(f"{_CONTEXT.get(key, '')}{key} = {rejected}\n")
