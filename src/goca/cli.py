@@ -149,11 +149,11 @@ def _cell_config(cfg: RunConfig, mode: str, seed_offset: int) -> TrainConfig:
     return replace(cfg.train, mode=mode, seed=cfg.train.seed + seed_offset, proto=proto)
 
 
-def _run_cell(cfg: RunConfig, mode: str, seed_offset: int, prototypes):
-    """``train`` on ``generate(cfg.data)`` at ``_cell_config``'s seeds against
-    ``prototypes``, then repeated-k-means scores per test condition in
-    extraction order; returns ``(TrainResult, scores)``."""
-    train_cfg = _cell_config(cfg, mode, seed_offset)
+def _run_cell(cfg: RunConfig, train_cfg: TrainConfig, prototypes):
+    """``train`` under ``train_cfg``, the cell's ``_cell_config``, on
+    ``generate(cfg.data)`` against ``prototypes``, then repeated-k-means
+    scores under ``cfg.eval`` per test condition in extraction order;
+    returns ``(TrainResult, scores)``."""
     dataset = generate(cfg.data)
     result = train(dataset, train_cfg, prototypes)
     features = extract_features(result.params, result.mode, dataset)
@@ -216,11 +216,10 @@ def _cmd_eval(args) -> int:
                 f"{features.shape[1]}; retrieval compares rows of one width"
             )
         # checked before any k-means run; retrieval is cosine-based, so rows are normalized
-        # here even when the stored features are raw, and unit_rows names a norm that overflows
+        # here even when the stored features are raw
         recall_k = 1 if args.recall_k is None else args.recall_k
-        with np.errstate(over="ignore", invalid="ignore"):
-            recall = evalmod.recall_at_k(unit_rows(queries, "query")[0],
-                                         unit_rows(features, "database")[0], q_labels, labels, recall_k)
+        recall = evalmod.recall_at_k(unit_rows(queries, "query")[0],
+                                     unit_rows(features, "database")[0], q_labels, labels, recall_k)
     k = args.k if args.k is not None else int(np.unique(labels).size)
     rep = evalmod.repeated_cluster_metrics(features, labels, k, _flag_config(args))
     rows = [[name, *pair] for name, pair in zip(rep.mean._fields, _mean_and_se(rep))]
@@ -256,7 +255,8 @@ def _place_prototypes(count: int, dim: int, cfg: ProtoOptConfig):
 
 
 def _run_cells(cells: list[tuple[RunConfig, str, int]], jobs: int) -> list[tuple[TrainResult, dict]]:
-    """``_run_cell`` of every ``(cfg, mode, seed_offset)`` cell, in order.
+    """``_run_cell`` of every ``(cfg, mode, seed_offset)`` cell, in order,
+    under the cell's ``_cell_config``, derived here once per cell.
 
     Each distinct prototype set the cells train against (one per seed
     offset) is placed once, by ``ssl_engine.optimize_prototypes``, and
@@ -275,7 +275,7 @@ def _run_cells(cells: list[tuple[RunConfig, str, int]], jobs: int) -> list[tuple
 
             run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         placed = dict(zip(distinct, run(_place_prototypes, *zip(*distinct))))
-        return list(run(_run_cell, *zip(*cells), [placed[key] for key in keys]))
+        return list(run(_run_cell, [cfg for cfg, _, _ in cells], configs, [placed[key] for key in keys]))
 
 
 def run_ablation(cfg: RunConfig, seeds: int = 5, jobs: int = 1) -> list[dict]:
@@ -301,22 +301,8 @@ def ablation_medians(rows: list[dict]) -> dict[tuple[str, str], float]:
 def _cmd_ablate(args) -> int:
     cfg = _load_run_config(args.config)
     rows = run_ablation(cfg, seeds=args.seeds, jobs=args.jobs)
-    _write_csv(
-        args.out,
-        ["seed", "mode", "condition", "accuracy", "accuracy_se", "nmi", "f1"],
-        [
-            [
-                r["seed"],
-                r["mode"],
-                r["condition"],
-                f"{r['accuracy']:.6f}",
-                f"{r['accuracy_se']:.6f}",
-                f"{r['nmi']:.6f}",
-                f"{r['f1']:.6f}",
-            ]
-            for r in rows
-        ],
-    )
+    _write_csv(args.out, list(rows[0]),
+               [[f"{v:.6f}" if isinstance(v, float) else v for v in r.values()] for r in rows])
     for (mode, condition), acc in sorted(ablation_medians(rows).items()):
         print(f"{mode:>6} {condition:>6} median accuracy {acc:.4f}")
     print(f"wrote {args.out}")

@@ -232,7 +232,13 @@ def kmeans(
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     x = _checked_features(features, k)
     runs = _lloyd(x, _starts(x.shape[0], k, seed, restarts), _MAX_ITERS)
-    return runs[int(np.argmin([within_cluster_ss(x, labels) for labels in runs]))]
+    with np.errstate(over="ignore"):
+        sums = [within_cluster_ss(x, labels) for labels in runs]
+    if not np.isfinite(sums).all():
+        # a sum can reach n times the largest squared norm; scaled by 2**-2b with 2**b > n
+        # it stays finite, and a power-of-two scaling keeps the sums' order exact
+        sums = [within_cluster_ss(np.ldexp(x, -x.shape[0].bit_length()), labels) for labels in runs]
+    return runs[int(np.argmin(sums))]
 
 
 def _entropy_of_counts(counts: np.ndarray) -> float:

@@ -93,10 +93,18 @@ def check_config(config, bounds: dict[str, int | str]) -> None:
             raise ValueError(f"{name} must be {rule}, got {value}")
 
 
+def _row_norms(arr: np.ndarray) -> np.ndarray:
+    """L2 norms of the rows (last axis, kept), by np.linalg.norm's arithmetic for
+    real input without its dispatch.  A norm past the float range is inf and
+    raises no numpy warning: both callers name it in their own error."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.add.reduce(arr * arr, axis=-1, keepdims=True))
+
+
 def require_unit_rows(arr: np.ndarray, name: str, atol: float) -> None:
-    """Raise ValueError naming the first row of ``arr`` whose norm is
-    more than ``atol`` away from 1."""
-    off = np.abs(np.linalg.norm(arr, axis=1) - 1.0)
+    """Raise ValueError naming the first row of ``arr`` whose norm is more than
+    ``atol`` away from 1 (inf if it overflows); no caller needs an errstate."""
+    off = np.abs(_row_norms(arr)[:, 0] - 1.0)
     # written so that a NaN norm fails it too
     if not np.max(off) <= atol:
         row = int(np.argmin(off <= atol))
@@ -107,9 +115,9 @@ def unit_rows(arr: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Rows (last axis) of ``arr`` over their L2 norms, bit-equal to ``arr /
     np.linalg.norm(arr, axis=-1, keepdims=True)``, and the norms (axis kept).
     A zero norm raises ValueError and a non-finite one FloatingPointError,
-    naming ``name``, the first such row (flat over leading axes) and its norm."""
-    # np.linalg.norm's own arithmetic for real input, without its dispatch
-    norms = np.sqrt(np.add.reduce(arr * arr, axis=-1, keepdims=True))
+    naming ``name``, the first such row (flat over leading axes) and its norm
+    (inf if it overflows), with no warning, so no caller needs an errstate."""
+    norms = _row_norms(arr)
     if not (norms.all() and np.isfinite(norms).all()):
         flat = norms.ravel()
         row = int(np.argmin((flat != 0) & np.isfinite(flat)))

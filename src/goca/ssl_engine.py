@@ -155,9 +155,7 @@ def _head_key(params: ParamDict, view: str) -> str:
 def _unit_features(z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of the projection output scaled to unit norm, and the norms used."""
     try:
-        # unit_rows names a norm that overflows, so numpy's warning would only repeat it
-        with np.errstate(over="ignore", invalid="ignore"):
-            return unit_rows(z2, "encoder output")
+        return unit_rows(z2, "encoder output")
     except FloatingPointError as exc:
         raise FloatingPointError(f"{exc}: the parameters diverged") from exc
 

@@ -313,7 +313,7 @@ class TestGridAndAblate:
 
         c = cli._cell_config(cfg, mode, s)
         placed = cli._place_prototypes(c.num_prototypes, c.feature_dim, c.proto)
-        return cli._run_cell(cfg, mode, s, placed)
+        return cli._run_cell(cfg, c, placed)
 
     def test_ablation_places_each_distinct_prototype_set_once(self, monkeypatch):
         cfg = parse_config(TINY_CONFIG)

@@ -255,6 +255,11 @@ class TestRecallAtK:
         with pytest.raises(ValueError, match=f"{side} rows must be unit-norm; row {row} is off by"):
             recall_at_k(rows["query"], rows["database"], np.zeros(3), np.zeros(5), 1)
 
+    def test_row_whose_norm_overflows_rejected_naming_it(self):
+        # 1e200 squared overflows; the error, not numpy's warning, reports it
+        with pytest.raises(ValueError, match="^query rows must be unit-norm; row 0 is off by inf$"):
+            recall_at_k(np.array([[1e200, 0.0]]), np.eye(2), np.zeros(1), np.arange(2), 1)
+
     def test_k_larger_than_database_rejected(self):
         rng = np.random.default_rng(9)
         db = random_unit_rows(rng, 4, 3)
@@ -339,6 +344,25 @@ class TestInputChecks:
                 kmeans(points, 2, seed=0)
             with pytest.raises(ValueError, match=f"^{message}"):
                 repeated_cluster_metrics(points, truth, 2, EvalConfig(repeats=4))
+
+    def test_best_restart_is_chosen_without_overflow(self):
+        # every row is within the bound, but the one cluster's sum of
+        # squared deviations is twice the largest float
+        top = float(np.sqrt(evalmod._MAX_SQ_NORM))
+        points = np.array([[top], [-top]] * 8)
+        assert kmeans(points, 1, restarts=2).tolist() == [0] * 16
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_overflowing_sums_pick_the_run_a_scaled_copy_picks(self, seed):
+        # power-of-two scaling moves no label, so the copy, whose sums stay
+        # finite, names the run of least within-cluster sum (at seeds 0, 2
+        # and 3 not the first run)
+        x = np.random.default_rng(seed).standard_normal((200, 2))
+        x *= 0.99 * np.sqrt(evalmod._MAX_SQ_NORM) / np.max(np.linalg.norm(x, axis=1))
+        labels = kmeans(x, 3, seed=seed, restarts=4)
+        with np.errstate(over="ignore"):
+            assert within_cluster_ss(x, labels) == np.inf
+        assert np.array_equal(labels, kmeans(np.ldexp(x, -300), 3, seed=seed, restarts=4))
 
     def test_k_below_one_is_rejected(self):
         with pytest.raises(ValueError, match="got k = 0"):

@@ -144,3 +144,26 @@ def test_cli_runs_every_cell_through_one_path():
                     stray.append(f"{node.lineno}: _run_cell named in {owner}")
     assert found == {"train", "_run_cell"}
     assert stray == []
+
+
+def _called(node: ast.Call) -> str | None:
+    """The bare or attribute name a call calls, as in ``f(...)`` or ``np.f(...)``."""
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+
+def test_no_module_wraps_row_norms_in_errstate():
+    # unit_rows and require_unit_rows compute their norms under their own
+    # np.errstate and name an overflow in their error, so a caller needs
+    # none, and one would also silence whatever else its block computes
+    wrapped = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.With) and any(
+                isinstance(item.context_expr, ast.Call) and _called(item.context_expr) == "errstate"
+                for item in node.items
+            ):
+                wrapped += [f"{path.name}:{call.lineno}: {_called(call)}"
+                            for stmt in node.body for call in ast.walk(stmt)
+                            if isinstance(call, ast.Call)
+                            and _called(call) in ("unit_rows", "require_unit_rows")]
+    assert wrapped == []

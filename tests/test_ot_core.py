@@ -66,6 +66,11 @@ class TestCostFromFeatures:
         with pytest.raises(ValueError, match="prototype rows must be unit-norm; row 2"):
             cost_from_features(protos, feats)
 
+    def test_rejects_a_row_whose_norm_overflows(self):
+        # 1e200 squared overflows; the error, not numpy's warning, reports it
+        with pytest.raises(ValueError, match="^feature rows must be unit-norm; row 0 is off by inf$"):
+            cost_from_features(np.array([[1e200, 0.0]]), np.eye(2))
+
     def test_entries_in_range(self):
         rng = np.random.default_rng(11)
         c = cost_from_features(random_unit_rows(rng, 6, 4), random_unit_rows(rng, 5, 4))
@@ -88,9 +93,8 @@ class TestUnitRows:
     ], ids=["zero", "overflow", "nan", "inf", "-inf", "zero-then-nan", "nan-then-zero"])
     def test_rejects_a_row_without_a_unit_direction(self, rows, error, message):
         # 1e200 squared overflows; the error, not numpy's warning, reports it
-        with np.errstate(over="ignore"):
-            with pytest.raises(error, match=f"^cannot scale probe {re.escape(message)}$"):
-                ot_core.unit_rows(np.array(rows), "probe")
+        with pytest.raises(error, match=f"^cannot scale probe {re.escape(message)}$"):
+            ot_core.unit_rows(np.array(rows), "probe")
 
     def test_names_the_flat_row_of_a_stack(self):
         stack = np.ones((3, 4, 2))

@@ -134,9 +134,8 @@ class TestProjectToSphere:
 
     def test_overflowing_row_rejected(self):
         # finite entries whose squared sum overflows leave no unit direction
-        with np.errstate(over="ignore"):
-            with pytest.raises(FloatingPointError, match="^cannot scale input row 0 .* is inf$"):
-                project_to_sphere(np.array([[1e200, 1e200], [1.0, 0.0]]))
+        with pytest.raises(FloatingPointError, match="^cannot scale input row 0 .* is inf$"):
+            project_to_sphere(np.array([[1e200, 1e200], [1.0, 0.0]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_rejected_by_index(self, bad):

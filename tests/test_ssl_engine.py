@@ -414,10 +414,9 @@ class TestTrain:
                           proto=ProtoOptConfig(steps=50, restarts=1))
         # the first update scales the weights to ~1e200, so the next
         # step's feature norms overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(FloatingPointError,
-                               match=f"^{mode} training stopped at step 1: .* parameters diverged"):
-                train(data, cfg)
+        with pytest.raises(FloatingPointError,
+                           match=f"^{mode} training stopped at step 1: .* parameters diverged"):
+            train(data, cfg)
 
     def test_non_finite_loss_stops_naming_mode_and_step(self, monkeypatch):
         data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
