@@ -116,7 +116,7 @@ def _nearest(x: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.n
     g += c_sq[:, :, None]
     slack = (16 * d + 48) * (_U * (sq_norms + c_sq.max(axis=1)[:, None]) + 2.0**-1074)
     near = g <= (g.min(axis=1) + slack)[:, None, :]
-    labels = (near * np.arange(k)[:, None]).sum(axis=1)
+    labels = np.argmax(near, axis=1)
     run, row = np.nonzero(near.sum(axis=1) != 1)
     labels[run, row] = np.argmin(_sq_dists(x[row, None, :], centroids[run]), axis=1)
     return labels
@@ -306,6 +306,9 @@ def recall_at_k(
     """
     q = np.asarray(queries, dtype=float)
     db = np.asarray(database, dtype=float)
+    for name, arr in (("queries", q), ("database", db)):
+        if arr.ndim != 2:
+            raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     q_labels = np.asarray(query_labels)
     d_labels = np.asarray(db_labels)
     if k < 1 or k > db.shape[0]:

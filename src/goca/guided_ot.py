@@ -16,9 +16,9 @@ and the same alternating row/column scaling applies.  Logs are taken of
 prior entries floored at ``SolverConfig.prior_floor``; the solution is
 invariant to the prior's total mass, so priors need not be normalized.
 
-The cross-view wiring solves each view plainly first, then re-solves it
-guided by the *other* view's plain plan, against one shared prototype
-set.
+The cross-view wiring takes the two views' costs against one shared
+prototype set, as ``cost_from_features`` forms them, solves each view
+plainly first, then re-solves it guided by the *other* view's plain plan.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .ot_core import (
     SolverConfig,
     _solve,
     _validate_problem,
-    cost_from_features,
     sinkhorn,
 )
 
@@ -68,23 +67,19 @@ def guided_sinkhorn(
 
 
 def cross_guided_assign(
-    feats_a: np.ndarray,
-    feats_b: np.ndarray,
-    prototypes: np.ndarray,
+    cost_a: np.ndarray,
+    cost_b: np.ndarray,
     cfg: SolverConfig | None = None,
 ) -> tuple[SinkhornResult, SinkhornResult]:
-    """Assign two views against shared prototypes, each guided by the other.
+    """Assign two views, each guided by the other, from their costs against
+    one shared prototype set (one batch of M samples, so both are M x N).
 
     Per view, the plain plan of the *other* view on the same batch is the
     prior; priors are recomputed from scratch for every call.  All four
     solves use uniform marginals and ``cfg`` (``SolverConfig()`` if None).
     """
-    fa = np.asarray(feats_a, dtype=float)
-    fb = np.asarray(feats_b, dtype=float)
-    if fa.shape[0] != fb.shape[0]:
-        raise ValueError("both views must contain the same number of samples")
-    cost_a = cost_from_features(fa, prototypes)
-    cost_b = cost_from_features(fb, prototypes)
+    if np.shape(cost_a) != np.shape(cost_b):
+        raise ValueError(f"shape mismatch: cost_a {np.shape(cost_a)} vs cost_b {np.shape(cost_b)}")
     plain_a = sinkhorn(cost_a, cfg=cfg)
     plain_b = sinkhorn(cost_b, cfg=cfg)
     guided_a = guided_sinkhorn(cost_a, plain_b.plan, cfg=cfg)

@@ -142,7 +142,8 @@ class Marginals:
             raise ValueError("marginals must be vectors")
         if row.size < 1 or col.size < 1:
             raise ValueError("marginals must be non-empty")
-        if np.any(row <= 0.0) or np.any(col <= 0.0):
+        # written so that a NaN entry fails it too
+        if not (np.all(row > 0.0) and np.all(col > 0.0)):
             raise ValueError("marginal entries must be strictly positive")
         for name, vec in (("row", row), ("col", col)):
             if abs(float(vec.sum()) - 1.0) > 1e-12:

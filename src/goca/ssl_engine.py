@@ -200,15 +200,12 @@ def _backprop(cache: dict, d_features: np.ndarray, params: ParamDict, grads: Par
         grads[f"{view}.b1"] += dz1.sum(axis=0)
 
 
-def prototype_scores(features: np.ndarray, prototypes: np.ndarray, temperature: float) -> np.ndarray:
-    """Row softmax of feature-prototype similarities; rows sum to 1."""
-    if temperature <= 0.0:
+def prototype_scores(cost: np.ndarray, temperature: float) -> np.ndarray:
+    """Row softmax of ``cost / -temperature``: for a ``cost_from_features`` cost, bit
+    for bit that of the feature-prototype similarities over ``temperature``."""
+    if not temperature > 0.0:
         raise ValueError("temperature must be positive")
-    feats = np.asarray(features, dtype=float)
-    protos = np.asarray(prototypes, dtype=float)
-    if feats.shape[1] != protos.shape[1]:
-        raise ValueError("feature and prototype dimensions differ")
-    scores = (feats @ protos.T) / temperature
+    scores = cost / -temperature
     scores -= scores.max(axis=1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=1, keepdims=True)
@@ -251,12 +248,14 @@ def step(
     cfg: TrainConfig,
     targets: dict[str, np.ndarray] | None = None,
 ) -> StepResult:
-    """One step of any mode: encode every branch, solve its targets by the
-    mode's rule, and backpropagate the swapped loss; targets are keyed
-    ``<branch>.<slot>``.
+    """One step of any mode: encode every branch, form one cost per
+    ``<branch>.<slot>`` with ``cost_from_features``, solve its targets by
+    the mode's rule, and backpropagate the swapped loss.  The solver
+    (``sinkhorn``, or ``cross_guided_assign`` on both views' costs in goca)
+    and ``prototype_scores`` read that one array.
 
-    Pass precomputed ``targets`` to hold the assignments fixed, e.g. for
-    finite-difference gradient checks.
+    Pass precomputed ``targets``, keyed like the costs, to hold the
+    assignments fixed, e.g. for finite-difference gradient checks.
     """
     if cfg.mode == "avg":
         branches = {"avg": ("a", "b")}
@@ -264,34 +263,32 @@ def step(
         branches = {"a": ("a",), "b": ("b",)}
     protos = np.asarray(prototypes)
 
-    features, caches = {}, {}
+    costs, caches = {}, {}
     for branch, views in branches.items():
         for slot in ("t", "s"):
             inputs = tuple(getattr(batch, f"{view}_{slot}") for view in views)
             key = f"{branch}.{slot}"
-            features[key], caches[key] = encode(params, views, inputs)
+            features, caches[key] = encode(params, views, inputs)
+            costs[key] = cost_from_features(features, protos)
 
     solves: dict[str, SinkhornResult] = {}
     if targets is None:
         if cfg.mode == "goca":
             for slot in ("t", "s"):
                 solves[f"a.{slot}"], solves[f"b.{slot}"] = cross_guided_assign(
-                    features[f"a.{slot}"], features[f"b.{slot}"], protos, cfg=cfg.solver
+                    costs[f"a.{slot}"], costs[f"b.{slot}"], cfg=cfg.solver
                 )
         else:
-            for key, feats in features.items():
-                cost = cost_from_features(feats, protos)
-                solves[key] = sinkhorn(cost, cfg=cfg.solver)
+            solves = {key: sinkhorn(cost, cfg=cfg.solver) for key, cost in costs.items()}
         # plans have rows summing to 1/M; targets are probability rows
-        targets = {key: features[key].shape[0] * res.plan for key, res in solves.items()}
+        targets = {key: costs[key].shape[0] * res.plan for key, res in solves.items()}
 
     grads = {key: np.zeros_like(value) for key, value in params.items()}
     loss = 0.0
     for branch in branches:
         key_t, key_s = f"{branch}.t", f"{branch}.s"
-        f_t, f_s = features[key_t], features[key_s]
-        g_t = prototype_scores(f_t, protos, cfg.temperature)
-        g_s = prototype_scores(f_s, protos, cfg.temperature)
+        g_t = prototype_scores(costs[key_t], cfg.temperature)
+        g_s = prototype_scores(costs[key_s], cfg.temperature)
         try:
             loss += swapped_loss(targets[key_t], g_s, targets[key_s], g_t)
         except ValueError as exc:
@@ -302,7 +299,7 @@ def step(
                 f"{exc}; the assignment did not converge within "
                 f"solver.max_iters = {cfg.solver.max_iters}"
             ) from exc
-        scale = 1.0 / (f_t.shape[0] * cfg.temperature)
+        scale = 1.0 / (g_t.shape[0] * cfg.temperature)
         _backprop(caches[key_s], scale * (g_s - targets[key_t]) @ protos, params, grads)
         _backprop(caches[key_t], scale * (g_t - targets[key_s]) @ protos, params, grads)
     return StepResult(loss, grads, targets, solves)

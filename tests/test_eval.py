@@ -267,6 +267,15 @@ class TestRecallAtK:
             with pytest.raises(ValueError, match=rf"^k must lie in \[1, database size = 4\], got {k}$"):
                 recall_at_k(db, db, np.zeros(4), np.zeros(4), k)
 
+    @pytest.mark.parametrize("queries, database, message", [
+        (np.ones((2, 2, 2)) / np.sqrt(2), np.eye(2), r"^queries must be 2-D, got shape \(2, 2, 2\)$"),
+        (np.array([1.0, 0.0]), np.eye(2), r"^queries must be 2-D, got shape \(2,\)$"),
+        (np.eye(2), np.eye(2)[None], r"^database must be 2-D, got shape \(1, 2, 2\)$"),
+    ])
+    def test_non_2d_input_rejected_naming_its_shape(self, queries, database, message):
+        with pytest.raises(ValueError, match=message):
+            recall_at_k(queries, database, np.array([0, 1]), np.array([0, 1]), 1)
+
     def test_empty_query_set_rejected(self):
         db = np.eye(3)
         with pytest.raises(ValueError, match="^need at least one query$"):

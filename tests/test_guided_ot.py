@@ -12,7 +12,7 @@ from goca.guided_ot import (
     guided_sinkhorn,
 )
 from goca.oracle import entropic_objective, golden_section_2x2, mirror_descent_small
-from goca.ot_core import Marginals, SolverConfig, sinkhorn
+from goca.ot_core import Marginals, SolverConfig, cost_from_features, sinkhorn
 
 from _util import feasible_random_plan, random_unit_rows
 
@@ -158,7 +158,8 @@ class TestCrossGuidedAssign:
         rng = np.random.default_rng(12)
         feats = random_unit_rows(rng, 6, 5)
         protos = random_unit_rows(rng, 4, 5)
-        res_a, res_b = cross_guided_assign(feats, feats, protos)
+        cost = cost_from_features(feats, protos)
+        res_a, res_b = cross_guided_assign(cost, cost)
         assert np.max(np.abs(res_a.plan - res_b.plan)) <= 1e-9
 
     def test_lambda2_zero_gives_independent_plain_solutions(self):
@@ -167,11 +168,11 @@ class TestCrossGuidedAssign:
         feats_b = random_unit_rows(rng, 6, 5)
         protos = random_unit_rows(rng, 4, 5)
         cfg = SolverConfig(lambda1=0.1, lambda2=0.0)
-        res_a, res_b = cross_guided_assign(feats_a, feats_b, protos, cfg=cfg)
-        from goca.ot_core import cost_from_features
-
-        plain_a = sinkhorn(cost_from_features(feats_a, protos), cfg=cfg)
-        plain_b = sinkhorn(cost_from_features(feats_b, protos), cfg=cfg)
+        cost_a = cost_from_features(feats_a, protos)
+        cost_b = cost_from_features(feats_b, protos)
+        res_a, res_b = cross_guided_assign(cost_a, cost_b, cfg=cfg)
+        plain_a = sinkhorn(cost_a, cfg=cfg)
+        plain_b = sinkhorn(cost_b, cfg=cfg)
         assert np.max(np.abs(res_a.plan - plain_a.plan)) <= 1e-12
         assert np.max(np.abs(res_b.plan - plain_b.plan)) <= 1e-12
 
@@ -181,12 +182,10 @@ class TestCrossGuidedAssign:
         feats_b = random_unit_rows(rng, 4, 6)
         protos = random_unit_rows(rng, 3, 6)
         cfg = SolverConfig(lambda1=0.1, lambda2=0.05)
-        res_a, res_b = cross_guided_assign(feats_a, feats_b, protos, cfg=cfg)
-
-        from goca.ot_core import cost_from_features
-
         cost_a = cost_from_features(feats_a, protos)
         cost_b = cost_from_features(feats_b, protos)
+        res_a, res_b = cross_guided_assign(cost_a, cost_b, cfg=cfg)
+
         marg = Marginals.uniform(4, 3)
         prior_a = sinkhorn(cost_a, marg, cfg).plan
         prior_b = sinkhorn(cost_b, marg, cfg).plan
@@ -196,10 +195,12 @@ class TestCrossGuidedAssign:
         assert np.array_equal(res_b.plan, by_hand_b)
 
     def test_batch_size_mismatch_rejected(self):
+        # costs of unequal shape: the views' batches, or their prototype sets, differ
         rng = np.random.default_rng(15)
-        with pytest.raises(ValueError):
-            cross_guided_assign(
-                random_unit_rows(rng, 4, 5),
-                random_unit_rows(rng, 5, 5),
-                random_unit_rows(rng, 3, 5),
-            )
+        protos = random_unit_rows(rng, 3, 5)
+        cost_a = cost_from_features(random_unit_rows(rng, 4, 5), protos)
+        cost_b = cost_from_features(random_unit_rows(rng, 5, 5), protos)
+        with pytest.raises(ValueError, match=r"^shape mismatch: cost_a \(4, 3\) vs cost_b \(5, 3\)$"):
+            cross_guided_assign(cost_a, cost_b)
+        with pytest.raises(ValueError, match=r"^shape mismatch: cost_a \(4, 3\) vs cost_b \(4, 2\)$"):
+            cross_guided_assign(cost_a, cost_a[:, :2])

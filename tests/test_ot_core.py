@@ -831,6 +831,9 @@ class TestConfigValidation:
         (lambda: Marginals(np.full(2, 0.5), np.empty(0)), "marginals must be non-empty"),
         (lambda: sinkhorn(np.zeros(4)), "cost must be a 2-D matrix"),
         (lambda: sinkhorn(np.zeros((1, 2, 2))), "cost must be a 2-D matrix"),
+        # a NaN entry is rejected here, not later blamed on the cost by the solve
+        (lambda: Marginals(np.array([np.nan, 0.5]), np.full(2, 0.5)),
+         "marginal entries must be strictly positive"),
     ])
     def test_rejects_malformed_marginals_or_cost(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

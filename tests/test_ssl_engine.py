@@ -90,20 +90,20 @@ class TestPrototypeScores:
     def test_sharp_softmax_picks_aligned_prototype(self):
         protos = np.eye(2)
         feats = np.array([[1.0, 0.0]])
-        row = prototype_scores(feats, protos, temperature=0.01)
+        row = prototype_scores(ot_core.cost_from_features(feats, protos), temperature=0.01)
         assert row[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_equidistant_gives_uniform(self):
         protos = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         feats = np.array([[0.0, 0.0, 1.0]])
-        row = prototype_scores(feats, protos, temperature=0.3)
+        row = prototype_scores(ot_core.cost_from_features(feats, protos), temperature=0.3)
         assert np.allclose(row, 0.5, atol=1e-12)
 
     def test_matches_direct_softmax(self):
         rng = np.random.default_rng(0)
         feats = random_unit_rows(rng, 5, 6)
         protos = random_unit_rows(rng, 4, 6)
-        scores = prototype_scores(feats, protos, temperature=1.0)
+        scores = prototype_scores(ot_core.cost_from_features(feats, protos), temperature=1.0)
         sims = feats @ protos.T
         for i in range(5):
             denom = math.fsum(math.exp(s) for s in sims[i])
@@ -112,8 +112,42 @@ class TestPrototypeScores:
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
-        scores = prototype_scores(random_unit_rows(rng, 50, 8), random_unit_rows(rng, 16, 8), 0.1)
+        cost = ot_core.cost_from_features(random_unit_rows(rng, 50, 8), random_unit_rows(rng, 16, 8))
+        scores = prototype_scores(cost, 0.1)
         assert np.max(np.abs(scores.sum(axis=1) - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("temperature", [0.0, float("nan")])
+    def test_temperature_must_be_positive(self, temperature):
+        with pytest.raises(ValueError, match="^temperature must be positive$"):
+            prototype_scores(np.zeros((2, 3)), temperature)
+
+
+class TestOneCostPerBranchAndSlot:
+    @pytest.mark.parametrize("mode, expected", [("sview", 4), ("avg", 2), ("sep", 4), ("goca", 4)])
+    def test_solver_and_scores_read_the_same_costs(self, monkeypatch, mode, expected):
+        # one feature-prototype product per <branch>.<slot>, read by both consumers
+        made, solved, scored = [], [], []
+
+        def counted(*args):
+            cost = ot_core.cost_from_features(*args)
+            made.append(cost)
+            return cost
+
+        def recording(fn, seen):
+            def wrapper(*args, **kwargs):
+                seen.extend(arg for arg in args if isinstance(arg, np.ndarray))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(engine, "cost_from_features", counted)
+        monkeypatch.setattr(engine, "sinkhorn", recording(engine.sinkhorn, solved))
+        monkeypatch.setattr(engine, "cross_guided_assign", recording(engine.cross_guided_assign, solved))
+        monkeypatch.setattr(engine, "prototype_scores", recording(engine.prototype_scores, scored))
+        params, protos, batch = _tiny_setup(mode)
+        step(batch, params, protos, _fast_cfg(mode))
+        assert len(made) == expected
+        assert sorted(map(id, solved)) == sorted(map(id, made))
+        assert sorted(map(id, scored)) == sorted(map(id, made))
 
 
 class TestSwappedLoss:
