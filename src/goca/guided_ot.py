@@ -62,8 +62,12 @@ def guided_sinkhorn(
     p = clamp_prior(prior)
     if p.shape != c.shape:
         raise ValueError(f"shape mismatch: cost {c.shape} vs prior {p.shape}")
+    # a shift past float64 becomes inf, which _solve's cost range check
+    # reports as a FloatingPointError, not as numpy's overflow warning
+    with np.errstate(over="ignore"):
+        shifted = c - cfg.lambda2 * np.log(p)
     # _solve, not sinkhorn, so that a wrapper of sinkhorn counts plain solves only
-    return _solve(c - cfg.lambda2 * np.log(p), cfg.lambda1 + cfg.lambda2, marginals, cfg)
+    return _solve(shifted, cfg.lambda1 + cfg.lambda2, marginals, cfg)
 
 
 def cross_guided_assign(

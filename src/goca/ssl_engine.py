@@ -11,13 +11,14 @@ assignment solver.
 
 One step function, ``step``, serves all four modes, and every branch
 of every mode scores against the run's one frozen prototype set.  The
-mode fixes only which backbones feed each branch (their hidden
+mode fixes only which backbones feed each branch (``_branches``, the
+one check of a mode's name for every function here; their hidden
 activations are averaged), which head projects them, and the target
 rule:
 
     sview  branches a and b, each with its own backbone and head: two
            independent models; a plain plan per branch
-    avg    one branch fed by both backbones, shared head; a plain plan
+    avg    one branch, fused, of both backbones, shared head; a plain plan
     sep    branches a and b, shared head; a plain plan per branch
     goca   as sep, but each view's plan is guided by the other view's
            plain plan on the same batch (``cross_guided_assign``)
@@ -60,6 +61,14 @@ MODES = ("sview", "avg", "sep", "goca")
 ParamDict = dict[str, np.ndarray]
 
 
+def _branches(mode: str) -> dict[str, tuple[str, ...]]:
+    """Each branch of ``mode`` with the backbones feeding it.  avg's one
+    branch is named ``fused``, the condition it is scored as."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return {"fused": ("a", "b")} if mode == "avg" else {"a": ("a",), "b": ("b",)}
+
+
 def _training_solver() -> SolverConfig:
     # training tolerates capped, loosely converged assignment solves; the
     # strict library defaults are for standalone solving
@@ -87,8 +96,7 @@ class TrainConfig:
             "epochs": 0, "batch_size": 2, "temperature": "positive", "learning_rate": "positive",
             "hidden_dim": 1, "feature_dim": 2, "num_prototypes": 2, "aug_noise": 0, "seed": 0,
         })
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        _branches(self.mode)
         if not 0.0 <= self.aug_dropout < 1.0:
             raise ValueError(f"aug_dropout must lie in [0, 1), got {self.aug_dropout}")
 
@@ -138,26 +146,13 @@ def init_params(
     rng: np.random.Generator,
 ) -> ParamDict:
     """Seeded encoder parameters; shared-head modes share one projection."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    _branches(mode)
     params: ParamDict = {}
     params["a.w1"], params["a.b1"] = _linear_init(rng, hidden_dim, in_dim_a)
     params["b.w1"], params["b.b1"] = _linear_init(rng, hidden_dim, in_dim_b)
     for head in ("a", "b") if mode == "sview" else ("shared",):
         params[f"{head}.w2"], params[f"{head}.b2"] = _linear_init(rng, feature_dim, hidden_dim)
     return params
-
-
-def _head_key(params: ParamDict, view: str) -> str:
-    return view if f"{view}.w2" in params else "shared"
-
-
-def _unit_features(z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the projection output scaled to unit norm, and the norms used."""
-    try:
-        return unit_rows(z2, "encoder output")
-    except FloatingPointError as exc:
-        raise FloatingPointError(f"{exc}: the parameters diverged") from exc
 
 
 def encode(params: ParamDict, views, inputs):
@@ -179,8 +174,11 @@ def encode(params: ParamDict, views, inputs):
     weight = 1.0 / len(views)
     hidden = sum(hiddens[1:], hiddens[0])
     hidden *= weight
-    head = _head_key(params, views[0])
-    features, norms = _unit_features(hidden @ params[f"{head}.w2"].T + params[f"{head}.b2"])
+    head = views[0] if f"{views[0]}.w2" in params else "shared"
+    try:
+        features, norms = unit_rows(hidden @ params[f"{head}.w2"].T + params[f"{head}.b2"], "encoder output")
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{exc}: the parameters diverged") from exc
     cache = {"views": views, "x": xs, "hiddens": hiddens, "weight": weight, "hidden": hidden,
              "features": features, "norms": norms, "head": head}
     return features, cache
@@ -248,19 +246,17 @@ def step(
     cfg: TrainConfig,
     targets: dict[str, np.ndarray] | None = None,
 ) -> StepResult:
-    """One step of any mode: encode every branch, form one cost per
-    ``<branch>.<slot>`` with ``cost_from_features``, solve its targets by
-    the mode's rule, and backpropagate the swapped loss.  The solver
-    (``sinkhorn``, or ``cross_guided_assign`` on both views' costs in goca)
-    and ``prototype_scores`` read that one array.
+    """One step of any mode: encode each branch of ``_branches(cfg.mode)``,
+    form one cost per ``<branch>.<slot>`` (``fused.t`` in avg) with
+    ``cost_from_features``, solve its targets by the mode's rule, and
+    backpropagate the swapped loss.  The solver (``sinkhorn``, or
+    ``cross_guided_assign`` on both views' costs in goca) and
+    ``prototype_scores`` read that one array.
 
     Pass precomputed ``targets``, keyed like the costs, to hold the
     assignments fixed, e.g. for finite-difference gradient checks.
     """
-    if cfg.mode == "avg":
-        branches = {"avg": ("a", "b")}
-    else:
-        branches = {"a": ("a",), "b": ("b",)}
+    branches = _branches(cfg.mode)
     protos = np.asarray(prototypes)
 
     costs, caches = {}, {}
@@ -385,19 +381,13 @@ def train(dataset, cfg: TrainConfig, prototypes=None) -> TrainResult:
 
 
 def extract_features(params: ParamDict, mode: str, dataset) -> dict[str, np.ndarray]:
-    """Unaugmented test features per condition: per view plus fused average.
-
-    The fused features are the L2-renormalized mean of the two views'
-    unit features; avg mode has the single fused branch only.
+    """Unaugmented test features per condition: one per branch of
+    ``_branches(mode)``, and where a mode has two, the fused features,
+    the L2-renormalized mean of the two views' unit features.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    view_a = np.asarray(dataset.view_a, dtype=float)
-    view_b = np.asarray(dataset.view_b, dtype=float)
-    if mode == "avg":
-        fused, _ = encode(params, ("a", "b"), (view_a, view_b))
-        return {"fused": fused}
-    feats_a, _ = encode(params, "a", view_a)
-    feats_b, _ = encode(params, "b", view_b)
-    fused, _ = unit_rows(0.5 * (feats_a + feats_b), "fused feature")
-    return {"a": feats_a, "b": feats_b, "fused": fused}
+    feats = {}
+    for branch, views in _branches(mode).items():
+        feats[branch], _ = encode(params, views, [getattr(dataset, f"view_{view}") for view in views])
+    if len(feats) == 2:
+        feats["fused"], _ = unit_rows(0.5 * (feats["a"] + feats["b"]), "fused feature")
+    return feats

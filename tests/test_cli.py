@@ -472,6 +472,7 @@ _ERROR_FILES = {
     "tiny.cfg": TINY_CONFIG,
     "seeded.cfg": "train.seed = 5\nproto.seed = 5\n",
     "diverge.cfg": TINY_CONFIG + "train.learning_rate = 1e200\n",
+    "huge_lambda2.cfg": TINY_CONFIG + "solver.lambda2 = 1e308\n",
     "capped.cfg": TINY_CONFIG.replace("solver.max_iters = 500", "solver.max_iters = 1"),
     "big_batch.cfg": TINY_CONFIG.replace("train.batch_size = 10", "train.batch_size = 41"),
     "temperature.cfg": "train.temperature = nan\n",
@@ -487,6 +488,7 @@ _ERROR_FILES = {
     "nan_cost.mat": "2 2\n0 1\nnan 0\n",
     "huge_cost.mat": "2 2\n1e308 -1e308\n0 0\n",
     "prior2.mat": "2 2\n1 1\n1 1\n",
+    "c.mat": "2 2\n0.1 0.2\n0.3 0.4\n",
     "past.mat": "2 2\n1 0\n0 1\n1 1\n",
     "dup.mat": "4 2\n1 0\n1 0\n0 1\n0 1\n",
     "l.txt": "0\n1\n" * 3,
@@ -529,6 +531,10 @@ _ERROR_ROWS = [
     _row("solve-huge-cost-prior", "solve --cost huge_cost.mat --prior prior2.mat --out p.mat", 2,
          "error: transport plan is not finite at regularization 0.05: cost / regularization "
          "leaves the float64 range"),
+    # a prior shift past float64: the guided solve's cost range check fails, not numpy
+    _row("solve-huge-lambda2", "solve --cost c.mat --prior c.mat --lambda2 1e308 --out o.mat", 2,
+         "error: transport plan is not finite at regularization 1e+308: cost / regularization "
+         "leaves the float64 range"),
     _row("solve-lambda1-nan", "solve --cost cost.mat --lambda1 nan --out p.mat", 1,
          "error: --lambda1 must be finite, got nan"),
     _row("solve-lambda1-0", "solve --cost cost.mat --lambda1 0 --out p.mat", 1,
@@ -560,6 +566,9 @@ _ERROR_ROWS = [
     _row("train-diverging", "train --mode sep --config diverge.cfg --out run", 2,
          "error: sep training stopped at step 1: cannot scale encoder output row 0 to unit "
          "length: its norm is inf: the parameters diverged"),
+    _row("train-huge-lambda2", "train --mode goca --config huge_lambda2.cfg --out run", 2,
+         "error: goca training stopped at step 0: transport plan is not finite at regularization "
+         "1e+308: cost / regularization leaves the float64 range"),
     _row("train-capped", "train --mode avg --config capped.cfg --out run", 2,
          "error: avg training stopped at step 0: targets_t rows must sum to 1 (rescale plans "
          "by M); the assignment did not converge within solver.max_iters = 1"),
@@ -691,8 +700,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv, code, stderr", [
         row for row in _ERROR_ROWS if row.id in (
-            "train-diverging", "eval-huge-query", "eval-huge-features", "solve-huge-cost",
-            "solve-huge-cost-prior")])
+            "train-diverging", "train-huge-lambda2", "eval-huge-query", "eval-huge-features",
+            "solve-huge-cost", "solve-huge-cost-prior", "solve-huge-lambda2")])
     def test_overflow_prints_only_the_error_line(self, tmp_path, argv, code, stderr):
         # a fresh interpreter keeps numpy's default warning filter, which would
         # print an overflow warning and its source line above the error line

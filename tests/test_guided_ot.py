@@ -106,6 +106,14 @@ class TestGuidedSinkhorn:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             guided_sinkhorn(np.zeros((3, 4)), np.full(prior_shape, 0.5))
 
+    def test_prior_shift_past_float64_fails_by_its_message(self):
+        # lambda2 * log(prior) overflows; the suite turns a numpy overflow
+        # warning into an error, so only the solver's own check may fire
+        cost = np.array([[0.1, 0.2], [0.3, 0.4]])
+        message = "transport plan is not finite at regularization 1e+308"
+        with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}: "):
+            guided_sinkhorn(cost, cost, cfg=SolverConfig(lambda2=1e308))
+
 
 class TestGuidedInvariants:
     def test_kernel_reduction_equivalence(self):

@@ -167,3 +167,23 @@ def test_no_module_wraps_row_norms_in_errstate():
                             if isinstance(call, ast.Call)
                             and _called(call) in ("unit_rows", "require_unit_rows")]
     assert wrapped == []
+
+
+def test_only_the_branch_table_checks_a_mode_or_singles_out_avg():
+    # ssl_engine._branches is the one place that rejects an unknown mode and
+    # lays out avg's one fused branch; a second copy of either could drift
+    found = set()
+    for path in MODULES:
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Compare) and any(
+                    isinstance(side, ast.Constant) and side.value == "avg"
+                    for side in (node.left, *node.comparators)
+                ):
+                    found.add((f"{path.stem}.{fn.name}", "compares to avg"))
+                elif isinstance(node, ast.Raise) and "mode must be one of" in ast.unparse(node):
+                    found.add((f"{path.stem}.{fn.name}", "raises the mode error"))
+    assert found == {("ssl_engine._branches", "compares to avg"),
+                     ("ssl_engine._branches", "raises the mode error")}

@@ -616,6 +616,13 @@ class TestNewtonPolish:
                 assert ref.converged
                 _assert_unpolished_parity(ref, res)
 
+    def test_stalling_training_shape_stage_is_worth_polishing(self):
+        # residuals of a 100 x 64 training solve of the 8-epoch seed-1
+        # ablation: falling 1.7 % per check, they project 4,469 more
+        # sweeps, past the 2,757 a Newton solve is worth and past
+        # training's 2,000-sweep cap, so the stage is polished now
+        assert ot_core._worth_polishing(0.002177832692719841, 0.002215613566204938, 1e-6, (100, 64))
+
     def test_stage_is_polished_at_the_cap_when_the_work_rule_never_fires(self):
         # At 100 x 64 a Newton solve is worth 2,700+ sweeps, so under a
         # 100-sweep cap scaling runs to the cap and the polish starts there

@@ -4,6 +4,7 @@ import logging
 import math
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -148,6 +149,17 @@ class TestOneCostPerBranchAndSlot:
         assert len(made) == expected
         assert sorted(map(id, solved)) == sorted(map(id, made))
         assert sorted(map(id, scored)) == sorted(map(id, made))
+
+    @pytest.mark.parametrize("mode, branches", [
+        ("sview", ["a", "b"]), ("avg", ["fused"]), ("sep", ["a", "b"]), ("goca", ["a", "b"])])
+    def test_step_keys_each_branch_by_a_condition_extract_features_returns(self, mode, branches):
+        # avg's one branch is scored as the fused condition, so it is named for it
+        params, protos, batch = _tiny_setup(mode, seed=15)
+        result = step(batch, params, protos, _fast_cfg(mode))
+        keys = [f"{branch}.{slot}" for branch in branches for slot in ("t", "s")]
+        assert sorted(result.targets) == sorted(result.solves) == sorted(keys)
+        views = SimpleNamespace(view_a=batch.a_t, view_b=batch.b_t)
+        assert set(branches) <= set(extract_features(params, mode, views))
 
 
 class TestSwappedLoss:
@@ -479,10 +491,11 @@ class TestTrain:
         ]
 
     def test_training_at_defaults_never_polishes(self, monkeypatch):
-        # At 100 x 64 a polish pays off only once more than 2,700 sweeps
-        # are projected, past training's cap of 2,000, so every solve of
-        # a training run is scaling's alone and its outputs do not move
-        # with the polish.
+        # Pins seed 0 at 2 epochs: no solve of this run stalls enough for
+        # the rate rule to project past 2,757 sweeps at 100 x 64, so every
+        # solve is scaling's alone.  Stalling solves of longer runs and
+        # other seeds are polished (test_ot_core's
+        # test_stalling_training_shape_stage_is_worth_polishing).
         def polish(*args):
             pytest.fail("a training solve ran the Newton polish")
 
