@@ -30,7 +30,6 @@ from .prototypes import (
     prototype_loss_grad,
 )
 from .ssl_engine import (
-    AugmentedBatch,
     TrainConfig,
     TrainResult,
     encode,
@@ -63,7 +62,6 @@ __all__ = [
     "max_pairwise_cosine",
     "TrainConfig",
     "TrainResult",
-    "AugmentedBatch",
     "init_params",
     "encode",
     "prototype_scores",

@@ -39,13 +39,14 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
             ) from None
         if rows < 1 or cols < 1:
             raise ValueError(f"{path}: matrix dimensions must be positive")
-        out = np.empty((rows, cols), dtype=float)
+        # sized by the rows read, never by the header, which may claim any size
+        out = []
         for i in range(rows):
             parts = fh.readline().split()
             if len(parts) != cols:
                 raise ValueError(f"{path}: row {i} has {len(parts)} values, expected {cols}")
             try:
-                out[i] = [float(p) for p in parts]
+                out.append(np.array([float(p) for p in parts]))
             except ValueError:
                 raise ValueError(f"{path}: row {i} has a non-numeric value") from None
             if not np.all(np.isfinite(out[i])):
@@ -53,7 +54,7 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
         for extra, line in enumerate(fh, start=rows):
             if line.strip():
                 raise ValueError(f"{path}: row {extra} is past the {rows} rows the header declares")
-    return out
+    return np.stack(out)
 
 
 def write_labels(path: str | os.PathLike, labels: np.ndarray) -> None:

@@ -26,7 +26,6 @@ from .synth_data import SynthConfig
 
 __all__ = [
     "ConfigError",
-    "EvalConfig",
     "RunConfig",
     "parse_config",
     "dump_config",

@@ -2,19 +2,18 @@
 
 Each view has its own backbone (linear, tanh); a linear projection head
 with final L2 normalization turns backbone activations into features.
-A step encodes two augmentations (slots t and s) of every branch,
-solves transport-plan targets by the mode's target rule, and minimizes
-the swapped cross-entropy between one augmentation's targets and the
-other augmentation's softmax prototype scores, summed over branches.
-Targets are treated as constants: no gradient flows through the
-assignment solver.
+A step encodes every branch from two augmentations (slots t and s) of
+each view's inputs, keyed ``a.t``, ``a.s``, ``b.t`` and ``b.s``, solves
+transport-plan targets by the mode's rule, and minimizes the swapped
+cross-entropy of one augmentation's targets against the other's softmax
+prototype scores, summed over branches.  Targets are treated as
+constants: no gradient flows through the assignment solver.
 
 One step function, ``step``, serves all four modes, and every branch
 of every mode scores against the run's one frozen prototype set.  The
-mode fixes only which backbones feed each branch (``_branches``, the
-one check of a mode's name for every function here; their hidden
-activations are averaged), which head projects them, and the target
-rule:
+mode fixes only which backbones feed each branch (``_branches``, the one
+check of a mode's name for every function here; their hidden activations
+are averaged), which head projects them, and the target rule:
 
     sview  branches a and b, each with its own backbone and head: two
            independent models; a plain plan per branch
@@ -42,7 +41,6 @@ from .prototypes import ProtoOptConfig, optimize_prototypes
 __all__ = [
     "MODES",
     "TrainConfig",
-    "AugmentedBatch",
     "StepResult",
     "TrainResult",
     "init_params",
@@ -99,16 +97,6 @@ class TrainConfig:
         _branches(self.mode)
         if not 0.0 <= self.aug_dropout < 1.0:
             raise ValueError(f"aug_dropout must lie in [0, 1), got {self.aug_dropout}")
-
-
-@dataclass
-class AugmentedBatch:
-    """Two augmentations (slots t and s) of each view's raw inputs."""
-
-    a_t: np.ndarray
-    a_s: np.ndarray
-    b_t: np.ndarray
-    b_s: np.ndarray
 
 
 @dataclass
@@ -240,18 +228,18 @@ def swapped_loss(
 
 
 def step(
-    batch: AugmentedBatch,
+    batch: dict[str, np.ndarray],
     params: ParamDict,
     prototypes: np.ndarray,
     cfg: TrainConfig,
     targets: dict[str, np.ndarray] | None = None,
 ) -> StepResult:
-    """One step of any mode: encode each branch of ``_branches(cfg.mode)``,
-    form one cost per ``<branch>.<slot>`` (``fused.t`` in avg) with
-    ``cost_from_features``, solve its targets by the mode's rule, and
-    backpropagate the swapped loss.  The solver (``sinkhorn``, or
-    ``cross_guided_assign`` on both views' costs in goca) and
-    ``prototype_scores`` read that one array.
+    """One step of any mode: encode each branch of ``_branches(cfg.mode)`` from
+    ``batch``, keyed ``a.t``, ``a.s``, ``b.t`` and ``b.s``, form one cost per
+    ``<branch>.<slot>`` (``fused.t`` in avg) with ``cost_from_features``, solve
+    its targets by the mode's rule, and backpropagate the swapped loss.  The
+    solver (``sinkhorn``, or ``cross_guided_assign`` on both views' costs in
+    goca) and ``prototype_scores`` read that one array.
 
     Pass precomputed ``targets``, keyed like the costs, to hold the
     assignments fixed, e.g. for finite-difference gradient checks.
@@ -262,7 +250,7 @@ def step(
     costs, caches = {}, {}
     for branch, views in branches.items():
         for slot in ("t", "s"):
-            inputs = tuple(getattr(batch, f"{view}_{slot}") for view in views)
+            inputs = tuple(batch[f"{view}.{slot}"] for view in views)
             key = f"{branch}.{slot}"
             features, caches[key] = encode(params, views, inputs)
             costs[key] = cost_from_features(features, protos)
@@ -352,12 +340,9 @@ def train(dataset, cfg: TrainConfig, prototypes=None) -> TrainResult:
         order = rng.permutation(num_samples)
         for b in range(num_batches):
             idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            batch = AugmentedBatch(
-                a_t=_augment(view_a[idx], rng, cfg),
-                a_s=_augment(view_a[idx], rng, cfg),
-                b_t=_augment(view_b[idx], rng, cfg),
-                b_s=_augment(view_b[idx], rng, cfg),
-            )
+            # drawn in key order, a.t, a.s, b.t, b.s: the seeded bits depend on it
+            batch = {f"{view}.{slot}": _augment(x[idx], rng, cfg)
+                     for view, x in (("a", view_a), ("b", view_b)) for slot in ("t", "s")}
             index = len(trace)
             try:
                 result = (goca_step if cfg.mode == "goca" else baseline_step)(batch, params, prototypes, cfg)

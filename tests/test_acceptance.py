@@ -21,7 +21,6 @@ from goca.ot_core import SolverConfig, marginal_residual
 from goca.prototypes import ProtoOptConfig, max_pairwise_cosine, optimize_prototypes, prototype_loss
 from goca.runconfig import RunConfig
 from goca.ssl_engine import (
-    AugmentedBatch,
     TrainConfig,
     init_params,
     step,
@@ -159,12 +158,12 @@ def _tiny_instance(mode, seed):
     rng = np.random.default_rng(seed)
     params = init_params(mode, 7, 6, 5, 8, rng)
     protos = random_unit_rows(rng, 4, 8)
-    batch = AugmentedBatch(
-        a_t=rng.standard_normal((8, 7)),
-        a_s=rng.standard_normal((8, 7)),
-        b_t=rng.standard_normal((8, 6)),
-        b_s=rng.standard_normal((8, 6)),
-    )
+    batch = {
+        "a.t": rng.standard_normal((8, 7)),
+        "a.s": rng.standard_normal((8, 7)),
+        "b.t": rng.standard_normal((8, 6)),
+        "b.s": rng.standard_normal((8, 6)),
+    }
     return params, protos, batch
 
 

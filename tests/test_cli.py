@@ -489,6 +489,7 @@ _ERROR_FILES = {
     "huge_cost.mat": "2 2\n1e308 -1e308\n0 0\n",
     "prior2.mat": "2 2\n1 1\n1 1\n",
     "c.mat": "2 2\n0.1 0.2\n0.3 0.4\n",
+    "huge.mat": "1000000000 1000000000\n0.1 0.2\n",
     "past.mat": "2 2\n1 0\n0 1\n1 1\n",
     "dup.mat": "4 2\n1 0\n1 0\n0 1\n0 1\n",
     "l.txt": "0\n1\n" * 3,
@@ -535,6 +536,11 @@ _ERROR_ROWS = [
     _row("solve-huge-lambda2", "solve --cost c.mat --prior c.mat --lambda2 1e308 --out o.mat", 2,
          "error: transport plan is not finite at regularization 1e+308: cost / regularization "
          "leaves the float64 range"),
+    # a header whose size overflows memory: the reader fails on the rows it has
+    *[_row(f"{command.split()[0]}-huge-header", command, 1,
+           "error: huge.mat: row 0 has 2 values, expected 1000000000")
+      for command in ("solve --cost huge.mat --out o.mat",
+                      "eval --features huge.mat --labels l2.txt --metrics m.csv")],
     _row("solve-lambda1-nan", "solve --cost cost.mat --lambda1 nan --out p.mat", 1,
          "error: --lambda1 must be finite, got nan"),
     _row("solve-lambda1-0", "solve --cost cost.mat --lambda1 0 --out p.mat", 1,
@@ -701,7 +707,8 @@ class TestErrors:
     @pytest.mark.parametrize("argv, code, stderr", [
         row for row in _ERROR_ROWS if row.id in (
             "train-diverging", "train-huge-lambda2", "eval-huge-query", "eval-huge-features",
-            "solve-huge-cost", "solve-huge-cost-prior", "solve-huge-lambda2")])
+            "solve-huge-cost", "solve-huge-cost-prior", "solve-huge-lambda2",
+            "solve-huge-header")])
     def test_overflow_prints_only_the_error_line(self, tmp_path, argv, code, stderr):
         # a fresh interpreter keeps numpy's default warning filter, which would
         # print an overflow warning and its source line above the error line

@@ -1,6 +1,5 @@
-"""Prior-guided assignment: prior clamping, objective, solver, cross-view wiring."""
+"""Prior-guided assignment: prior clamping, solver, cross-view wiring."""
 
-import math
 import re
 
 import numpy as np
@@ -11,7 +10,7 @@ from goca.guided_ot import (
     cross_guided_assign,
     guided_sinkhorn,
 )
-from goca.oracle import entropic_objective, golden_section_2x2, mirror_descent_small
+from goca.oracle import golden_section_2x2, mirror_descent_small
 from goca.ot_core import Marginals, SolverConfig, cost_from_features, sinkhorn
 
 from _util import feasible_random_plan, random_unit_rows
@@ -26,36 +25,6 @@ class TestClampPrior:
     def test_rejects_negative_prior(self):
         with pytest.raises(ValueError):
             clamp_prior(np.array([[-0.1, 0.5], [0.5, 0.1]]))
-
-
-class TestGuidedObjective:
-    def test_zero_when_plan_equals_prior_and_no_entropy(self):
-        marg = Marginals.uniform(2, 2)
-        plan = np.full((2, 2), 0.25)
-        value = entropic_objective(plan, np.zeros((2, 2)), 1e-300, prior=plan, lambda2=0.7)
-        assert value == pytest.approx(0.0, abs=1e-12)
-
-    def test_lambda2_zero_reduces_to_transport_objective(self):
-        rng = np.random.default_rng(3)
-        plan = feasible_random_plan(rng, np.full(3, 1 / 3), np.full(3, 1 / 3))
-        cost = rng.uniform(-1, 1, size=(3, 3))
-        prior = rng.uniform(0.1, 1.0, size=(3, 3))
-        assert entropic_objective(plan, cost, 0.4, prior, 0.0) == pytest.approx(
-            entropic_objective(plan, cost, 0.4), abs=1e-14
-        )
-
-    def test_matches_direct_summation(self):
-        rng = np.random.default_rng(4)
-        plan = feasible_random_plan(rng, np.full(3, 1 / 3), np.full(3, 1 / 3))
-        cost = rng.uniform(-1, 1, size=(3, 3))
-        prior = rng.uniform(0.1, 1.0, size=(3, 3))
-        expected = math.fsum(
-            d * c + 0.02 * d * math.log(d) + 0.03 * d * math.log(d / p)
-            for d, c, p in zip(plan.ravel(), cost.ravel(), prior.ravel())
-        )
-        assert entropic_objective(plan, cost, 0.02, prior, 0.03) == pytest.approx(
-            expected, abs=1e-12
-        )
 
 
 class TestGuidedSinkhorn:

@@ -69,6 +69,15 @@ def test_rejects_rows_past_the_declared_count(tmp_path):
         read_matrix(path)
 
 
+def test_header_size_is_never_allocated(tmp_path):
+    # 1e9 x 1e9 float64 entries would need 6.94 EiB; the first short row
+    # is reported instead
+    path = tmp_path / "huge.mat"
+    path.write_text("1000000000 1000000000\n0.1 0.2\n")
+    with pytest.raises(ValueError, match=r"huge\.mat: row 0 has 2 values, expected 1000000000$"):
+        read_matrix(path)
+
+
 def test_trailing_blank_lines_are_accepted(tmp_path):
     path = tmp_path / "m.mat"
     path.write_text("1 2\n1 2\n\n  \n")

@@ -142,6 +142,36 @@ class TestEntropicObjective:
             entropic_objective(plan, cost, 0.1, prior, 0.2)
 
 
+class TestObjectiveWithPrior:
+    def test_zero_when_plan_equals_prior_and_no_entropy(self):
+        marg = Marginals.uniform(2, 2)
+        plan = np.full((2, 2), 0.25)
+        value = entropic_objective(plan, np.zeros((2, 2)), 1e-300, prior=plan, lambda2=0.7)
+        assert value == pytest.approx(0.0, abs=1e-12)
+
+    def test_lambda2_zero_reduces_to_the_plain_objective(self):
+        rng = np.random.default_rng(3)
+        plan = feasible_random_plan(rng, np.full(3, 1 / 3), np.full(3, 1 / 3))
+        cost = rng.uniform(-1, 1, size=(3, 3))
+        prior = rng.uniform(0.1, 1.0, size=(3, 3))
+        assert entropic_objective(plan, cost, 0.4, prior, 0.0) == pytest.approx(
+            entropic_objective(plan, cost, 0.4), abs=1e-14
+        )
+
+    def test_matches_direct_summation(self):
+        rng = np.random.default_rng(4)
+        plan = feasible_random_plan(rng, np.full(3, 1 / 3), np.full(3, 1 / 3))
+        cost = rng.uniform(-1, 1, size=(3, 3))
+        prior = rng.uniform(0.1, 1.0, size=(3, 3))
+        expected = math.fsum(
+            d * c + 0.02 * d * math.log(d) + 0.03 * d * math.log(d / p)
+            for d, c, p in zip(plan.ravel(), cost.ravel(), prior.ravel())
+        )
+        assert entropic_objective(plan, cost, 0.02, prior, 0.03) == pytest.approx(
+            expected, abs=1e-12
+        )
+
+
 class TestEntropicGap:
     def test_vanishes_at_the_golden_section_optimum(self):
         # at lambda1 = 0.02 golden section leaves some off-diagonal entries

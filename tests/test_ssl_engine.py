@@ -17,7 +17,6 @@ from goca.runconfig import RunConfig
 import goca.ssl_engine as engine
 from goca.ssl_engine import (
     MODES,
-    AugmentedBatch,
     TrainConfig,
     _augment,
     encode,
@@ -71,12 +70,12 @@ def _train_cfg(mode, **solver):
 
 
 def _tiny_batch(rng, m=8, in_a=7, in_b=6):
-    return AugmentedBatch(
-        a_t=rng.standard_normal((m, in_a)),
-        a_s=rng.standard_normal((m, in_a)),
-        b_t=rng.standard_normal((m, in_b)),
-        b_s=rng.standard_normal((m, in_b)),
-    )
+    return {
+        "a.t": rng.standard_normal((m, in_a)),
+        "a.s": rng.standard_normal((m, in_a)),
+        "b.t": rng.standard_normal((m, in_b)),
+        "b.s": rng.standard_normal((m, in_b)),
+    }
 
 
 def _tiny_setup(mode, seed=0):
@@ -158,7 +157,7 @@ class TestOneCostPerBranchAndSlot:
         result = step(batch, params, protos, _fast_cfg(mode))
         keys = [f"{branch}.{slot}" for branch in branches for slot in ("t", "s")]
         assert sorted(result.targets) == sorted(result.solves) == sorted(keys)
-        views = SimpleNamespace(view_a=batch.a_t, view_b=batch.b_t)
+        views = SimpleNamespace(view_a=batch["a.t"], view_b=batch["b.t"])
         assert set(branches) <= set(extract_features(params, mode, views))
 
 
@@ -291,8 +290,8 @@ class TestStepGradients:
         params, protos, batch = _tiny_setup("sview", seed=11)
         cfg = _fast_cfg("sview")
         rng = np.random.default_rng(12)
-        other = replace(batch, b_t=rng.standard_normal(batch.b_t.shape),
-                        b_s=rng.standard_normal(batch.b_s.shape))
+        other = {**batch, "b.t": rng.standard_normal(batch["b.t"].shape),
+                 "b.s": rng.standard_normal(batch["b.s"].shape)}
         first = step(batch, params, protos, cfg)
         second = step(other, params, protos, cfg)
         a_keys = [key for key in params if key.startswith("a.")]
@@ -342,6 +341,26 @@ class TestStepEntryPoints:
         expected = "goca_step" if mode == "goca" else "baseline_step"
         assert calls == {name: steps if name == expected else 0 for name in calls}
 
+    @pytest.mark.parametrize("mode", ["avg", "goca"])
+    def test_train_hands_each_step_its_batch_keyed_view_then_slot(self, mode, monkeypatch):
+        # one mode per branch layout: avg's fused branch reads both views at
+        # each slot, goca's branches a and b one view each
+        batches = []
+        for name in ("goca_step", "baseline_step"):
+            def recorded(batch, *args, _step=getattr(engine, name), **kwargs):
+                batches.append(batch)
+                return _step(batch, *args, **kwargs)
+
+            monkeypatch.setattr(engine, name, recorded)
+        data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
+                                    distractor_dim=3, num_distractor_modes=4, seed=16))
+        cfg = _train_cfg(mode)
+        train(data, cfg)
+        assert len(batches) == cfg.epochs * (len(data) // cfg.batch_size)
+        for batch in batches:
+            assert type(batch) is dict
+            assert list(batch) == ["a.t", "a.s", "b.t", "b.s"]
+
     @pytest.mark.parametrize("capped", [False, True])
     @pytest.mark.parametrize("mode", MODES)
     def test_step_reports_the_solve_behind_each_target(self, mode, capped):
@@ -352,7 +371,7 @@ class TestStepEntryPoints:
             cfg = replace(cfg, solver=replace(cfg.solver, tolerance=1e-18, max_iters=3))
         result = step(batch, params, protos, cfg)
         assert result.solves.keys() == result.targets.keys()
-        rows = batch.a_t.shape[0]
+        rows = batch["a.t"].shape[0]
         for key, solve in result.solves.items():
             assert np.array_equal(result.targets[key], rows * solve.plan)
         assert result.solver_converged == all(s.converged for s in result.solves.values())
@@ -402,14 +421,14 @@ class TestAugment:
         assert not np.all(np.any(unguarded != 0.0, axis=1))  # the draw hits the event
         views = {}
         rng = np.random.default_rng(1)
-        for slot in ("a_t", "a_s", "b_t", "b_s"):
+        for slot in ("a.t", "a.s", "b.t", "b.s"):
             views[slot] = _augment(x, rng, cfg)
             assert np.all(np.any(views[slot] != 0.0, axis=1))
         # a fresh encoder (zero biases) must still give unit features to assign
         params = init_params("goca", 6, 6, cfg.hidden_dim, cfg.feature_dim,
                              np.random.default_rng(2))
         protos = random_unit_rows(np.random.default_rng(3), 4, cfg.feature_dim)
-        result = step(AugmentedBatch(**views), params, protos, cfg)
+        result = step(views, params, protos, cfg)
         assert np.isfinite(result.loss)
 
     def test_draw_without_dropped_rows_is_unchanged(self):
