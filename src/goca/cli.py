@@ -2,9 +2,9 @@
 
 Subcommands: gen-data, optimize-prototypes, solve, train, eval,
 lambda-grid, ablate, verify.  Exit codes: 0 success, 1 usage/config
-error, 2 numeric failure (non-convergence with --strict, or a
-floating-point failure such as a non-finite plan), 3 verification
-failure.  All tabular output is CSV with a header row and
+error or an allocation that fails, 2 numeric failure (non-convergence
+with --strict, or a floating-point failure such as a non-finite plan),
+3 verification failure.  All tabular output is CSV with a header row and
 matrices use the plain-text matrix format.
 """
 
@@ -24,7 +24,7 @@ import numpy as np
 from . import eval as evalmod
 from . import matrixio, ssl_engine
 from .guided_ot import guided_sinkhorn
-from .ot_core import SolverConfig, sinkhorn, unit_rows
+from .ot_core import SolverConfig, sinkhorn
 from .prototypes import ProtoOptConfig, max_pairwise_cosine, optimize_prototypes, prototype_loss
 from .runconfig import ConfigError, RunConfig, dump_config, load_config
 from .ssl_engine import MODES, TrainConfig, TrainResult, extract_features, train
@@ -215,11 +215,9 @@ def _cmd_eval(args) -> int:
                 f"--queries has {queries.shape[1]} columns but --features has "
                 f"{features.shape[1]}; retrieval compares rows of one width"
             )
-        # checked before any k-means run; retrieval is cosine-based, so rows are normalized
-        # here even when the stored features are raw
+        # checked before any k-means run; recall_at_k ranks the raw rows by cosine
         recall_k = 1 if args.recall_k is None else args.recall_k
-        recall = evalmod.recall_at_k(unit_rows(queries, "query")[0],
-                                     unit_rows(features, "database")[0], q_labels, labels, recall_k)
+        recall = evalmod.recall_at_k(queries, features, q_labels, labels, recall_k)
     k = args.k if args.k is not None else int(np.unique(labels).size)
     rep = evalmod.repeated_cluster_metrics(features, labels, k, _flag_config(args))
     rows = [[name, *pair] for name, pair in zip(rep.mean._fields, _mean_and_se(rep))]
@@ -482,6 +480,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # an allocation numpy refuses, such as a huge --steps
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)

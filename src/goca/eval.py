@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ot_core import _UNIT_NORM_ATOL, check_config, require_unit_rows
+from .ot_core import check_config, unit_rows
 
 __all__ = [
     "EvalConfig",
@@ -301,8 +301,9 @@ def recall_at_k(
     """Fraction of queries with a same-class item among their K cosine
     nearest database rows.
 
-    Both row sets must be unit-norm, so that dot products rank by cosine;
-    ``ValueError`` names the first row that is not.
+    Both row sets are scaled to unit rows here, so that dot products rank
+    by cosine.  A row with no direction raises, naming it and its norm:
+    a zero norm ``ValueError``, a NaN or overflowing one ``FloatingPointError``.
     """
     q = np.asarray(queries, dtype=float)
     db = np.asarray(database, dtype=float)
@@ -319,9 +320,7 @@ def recall_at_k(
         raise ValueError("labels must align with their feature arrays")
     if q.shape[-1] != db.shape[-1]:
         raise ValueError(f"queries have {q.shape[-1]} columns but the database has {db.shape[-1]}")
-    require_unit_rows(q, "query", _UNIT_NORM_ATOL)
-    require_unit_rows(db, "database", _UNIT_NORM_ATOL)
-    sims = q @ db.T
+    sims = unit_rows(q, "query")[0] @ unit_rows(db, "database")[0].T
     neighbors = np.argsort(-sims, axis=1, kind="stable")[:, :k]
     hits = np.any(d_labels[neighbors] == q_labels[:, None], axis=1)
     return float(np.mean(hits))

@@ -4,7 +4,7 @@ Matrix format: a header line ``M N`` followed by M rows of N finite
 decimal numbers separated by whitespace, and nothing after them but
 blank lines.  Values are written with 17 significant
 digits so a write/read round trip reproduces float64 values exactly.
-Label files hold one integer per line.
+Label files hold one 64-bit integer per line.
 """
 
 from __future__ import annotations
@@ -76,4 +76,7 @@ def read_labels(path: str | os.PathLike) -> np.ndarray:
                 values.append(int(line))
             except ValueError:
                 raise ValueError(f"{path}: line {lineno} is not an integer: {line.strip()!r}") from None
+            if not -(2**63) <= values[-1] < 2**63:
+                raise ValueError(
+                    f"{path}: line {lineno} is outside the 64-bit integer range: {line.strip()!r}")
     return np.asarray(values, dtype=int)

@@ -188,18 +188,17 @@ def _project_onto_marginals(
     omega: np.ndarray,
     tol: float,
     max_passes: int = 20_000,
-):
+) -> np.ndarray:
     """Alternating exact KL projections onto the row- and column-marginal sets.
 
     Each row (column) normalization is the exact Bregman projection onto
     its constraint set; passes alternate until the joint residual reaches
     ``tol``.  The normalizations are log-sum-exp shifts of the log plan,
     so entries that underflow in the plain domain neither stall nor blow
-    up the scaling.
+    up the scaling.  Returns the projected log plan.
     """
     log_psi = np.log(psi)
     log_omega = np.log(omega)
-    residual = np.inf
     for _ in range(max_passes):
         log_plan = log_plan + (log_psi[:, None] - _log_sum_exp(log_plan, 1))
         log_plan = log_plan + (log_omega[None, :] - _log_sum_exp(log_plan, 0))
@@ -210,7 +209,7 @@ def _project_onto_marginals(
         )
         if residual <= tol:
             break
-    return log_plan, residual
+    return log_plan
 
 
 def mirror_descent_small(
@@ -220,8 +219,7 @@ def mirror_descent_small(
     col_marginal: np.ndarray,
     lambda1: float,
     lambda2: float = 0.0,
-    return_info: bool = False,
-):
+) -> np.ndarray:
     """Entropic mirror descent on the (guided) objective over U.
 
     Works on the log plan.  Each outer step multiplies in
@@ -248,30 +246,19 @@ def mirror_descent_small(
 
     log_plan = np.log(np.outer(psi, omega))
     prev_obj = np.inf
-    residuals = []
-    outer_done = _MAX_OUTER
-    for outer in range(1, _MAX_OUTER + 1):
+    for _ in range(_MAX_OUTER):
         previous = log_plan
         log_plan = (1.0 - eta * scale) * log_plan - eta * effective_cost - eta * scale
         # a few projection passes per step keep the iterate near-feasible;
         # the endgame polish below runs them to _FEASIBILITY_TOL
-        log_plan, residual = _project_onto_marginals(
-            log_plan, psi, omega, _FEASIBILITY_TOL, max_passes=3
-        )
-        residuals.append(residual)
+        log_plan = _project_onto_marginals(log_plan, psi, omega, _FEASIBILITY_TOL, max_passes=3)
         plan = np.exp(log_plan)
         obj = float(np.sum(plan * effective_cost) + scale * np.sum(plan * log_plan))
         drift = float(np.max(np.abs(log_plan - previous)))
         if abs(obj - prev_obj) < _STALL_TOL and drift <= 1e-12:
-            outer_done = outer
             break
         prev_obj = obj
-    log_plan, residual = _project_onto_marginals(log_plan, psi, omega, _FEASIBILITY_TOL)
-    residuals.append(residual)
-    plan = np.exp(log_plan)
-    if return_info:
-        return plan, {"outer_iterations": outer_done, "residuals": residuals}
-    return plan
+    return np.exp(_project_onto_marginals(log_plan, psi, omega, _FEASIBILITY_TOL))
 
 
 def _round_to_marginals(plan: np.ndarray, psi: np.ndarray, omega: np.ndarray) -> np.ndarray:

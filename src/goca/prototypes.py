@@ -86,9 +86,7 @@ class _StackIndex:
         self.columns = np.tile(np.arange(dim), sets * count)  # column of each entry
 
 
-def _loss_and_nearest(
-    stack: np.ndarray, index: _StackIndex | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _loss_and_nearest(stack: np.ndarray, index: _StackIndex) -> tuple[np.ndarray, np.ndarray]:
     """Loss and nearest other row of each set in an (R, N, D) stack.
 
     One Gram matrix per set gives both.  The nearest row is the lowest
@@ -96,8 +94,6 @@ def _loss_and_nearest(
     term is the larger of that cosine and its own shifted diagonal
     entry G_ii - 2, which is exactly the row max of W W^T - 2 I.
     """
-    if index is None:
-        index = _StackIndex(stack.shape)
     sets, count, _ = stack.shape
     gram = np.matmul(stack, np.ascontiguousarray(stack.transpose(0, 2, 1)))
     flat = gram.ravel()
@@ -110,12 +106,8 @@ def _loss_and_nearest(
     return np.add.reduce(terms, axis=1) / count, nearest
 
 
-def _subgradient(
-    stack: np.ndarray, nearest: np.ndarray, index: _StackIndex | None = None
-) -> np.ndarray:
+def _subgradient(stack: np.ndarray, nearest: np.ndarray, index: _StackIndex) -> np.ndarray:
     """Loss subgradient of each set in an (R, N, D) stack, given ``_loss_and_nearest``'s rows."""
-    if index is None:
-        index = _StackIndex(stack.shape)
     count, dim = stack.shape[1:]
     rows = nearest.ravel() + index.set_rows
     grad = stack.reshape(-1, dim).take(rows, axis=0)
@@ -129,15 +121,17 @@ def _subgradient(
 
 def prototype_loss(prototypes: np.ndarray) -> float:
     """Mean over rows of the largest off-diagonal cosine."""
-    loss, _ = _loss_and_nearest(_checked(prototypes)[None])
+    stack = _checked(prototypes)[None]
+    loss, _ = _loss_and_nearest(stack, _StackIndex(stack.shape))
     return float(loss[0])
 
 
 def prototype_loss_grad(prototypes: np.ndarray) -> np.ndarray:
     """Subgradient of prototype_loss; row argmax ties break at the lowest index."""
     stack = _checked(prototypes)[None]
-    _, nearest = _loss_and_nearest(stack)
-    return _subgradient(stack, nearest)[0]
+    index = _StackIndex(stack.shape)
+    _, nearest = _loss_and_nearest(stack, index)
+    return _subgradient(stack, nearest, index)[0]
 
 
 def project_to_sphere(raw: np.ndarray) -> np.ndarray:

@@ -31,6 +31,15 @@ def random_unit_rows(rng: np.random.Generator, rows: int, dim: int) -> np.ndarra
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+def marginal_miss(plan: np.ndarray, psi: np.ndarray, omega: np.ndarray) -> float:
+    """Joint marginal residual of a mirror-descent plan, by the expression
+    its feasibility projection stops on."""
+    return max(
+        float(np.max(np.abs(plan.sum(axis=1) - psi))),
+        float(np.max(np.abs(plan.sum(axis=0) - omega))),
+    )
+
+
 def zero_sum_perturbation(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Random matrix with zero row and column sums (a feasible direction)."""
     delta = np.zeros((rows, cols))

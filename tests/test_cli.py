@@ -496,6 +496,7 @@ _ERROR_FILES = {
     "l2.txt": "0\n1\n",
     "l4.txt": "0\n1\n0\n1\n",
     "l4dup.txt": "0\n1\n2\n2\n",
+    "big.txt": "99999999999999999999\n0\n",
 }
 _ERROR_MATRICES = {
     "cost.mat": np.random.default_rng(4).uniform(-1, 1, size=(3, 4)),
@@ -595,6 +596,14 @@ _ERROR_ROWS = [
       for flag, value in [("--query-labels", "ql.txt"), ("--recall-k", "3")]],
     _row("eval-misaligned", "eval --features f.mat --labels l2.txt --metrics m.csv", 1,
          "error: features and labels disagree on sample count"),
+    # a label past int64 is bad input at its line, not a numeric failure
+    *[_row(name, command, 1,
+           "error: big.txt: line 1 is outside the 64-bit integer range: '99999999999999999999'")
+      for name, command in [
+          ("eval-big-label", "eval --features f.mat --labels big.txt --k 1 --metrics m.csv"),
+          ("eval-big-query-label",
+           f"{_EVAL} --queries f.mat --query-labels big.txt --metrics m.csv"),
+      ]],
     _row("eval-past-header", "eval --features past.mat --labels l2.txt --metrics m.csv", 1,
          "error: past.mat: row 2 is past the 2 rows the header declares"),
     # finite features whose squared distances would overflow
@@ -719,6 +728,25 @@ class TestErrors:
         proc = subprocess.run([sys.executable, "-c", probe, *argv], cwd=tmp_path, env=env,
                               capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", stderr + "\n")
+
+    REFUSAL = ("Unable to allocate 3.64 TiB for an array with shape (5, 100000000001) and data "
+               "type float64")
+
+    @pytest.mark.parametrize("text, line", [(REFUSAL, REFUSAL), ("", "out of memory")],
+                             ids=["numpy-text", "no-text"])
+    def test_refused_allocation_prints_one_error_line(self, tmp_path, monkeypatch, capsys,
+                                                      text, line):
+        # a real refusal depends on the kernel's overcommit policy; the callee
+        # stands in for numpy's _ArrayMemoryError, a MemoryError
+        def refuse(*args):
+            raise MemoryError(text)
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("goca.cli.optimize_prototypes", refuse)
+        argv = "optimize-prototypes --n 3 --dim 2 --steps 100000000000 --out p.mat"
+        assert main(shlex.split(argv)) == 1
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_recall_k_fails_before_any_k_means_run(self, tmp_path, monkeypatch, capsys):
         # without --repeats 1 a late check would wait for every k-means repeat

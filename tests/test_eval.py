@@ -244,20 +244,34 @@ class TestRecallAtK:
                 random_unit_rows(rng, 3, 6), random_unit_rows(rng, 4, 12), np.zeros(3), np.zeros(4), 1
             )
 
-    @pytest.mark.parametrize("side, row, scale", [
-        ("query", 2, 2.0), ("database", 1, 0.0), ("query", 0, np.nan),
-    ])
+    def test_non_unit_rows_rank_as_their_unit_rows(self):
+        # recall_at_k scales both row sets itself, so any length ranks by cosine
+        rng = np.random.default_rng(13)
+        queries = random_unit_rows(rng, 10, 4)
+        db = random_unit_rows(rng, 10, 4)
+        q_labels = rng.integers(0, 3, size=10)
+        db_labels = rng.integers(0, 3, size=10)
+        q_scale = rng.uniform(0.1, 10.0, size=(10, 1))
+        db_scale = rng.uniform(0.1, 10.0, size=(10, 1))
+        for k in (1, 3):
+            assert recall_at_k(queries * q_scale, db * db_scale, q_labels, db_labels, k) == (
+                recall_at_k(queries, db, q_labels, db_labels, k))
+
+    @pytest.mark.parametrize("side, row, scale", [("database", 1, 0.0), ("query", 0, np.nan)])
     def test_non_unit_row_rejected_naming_it(self, side, row, scale):
-        # dot products rank by cosine only on unit rows
+        # a zero or NaN row has no direction for a cosine to rank
         rng = np.random.default_rng(12)
         rows = {"query": random_unit_rows(rng, 3, 4), "database": random_unit_rows(rng, 5, 4)}
         rows[side][row] *= scale
-        with pytest.raises(ValueError, match=f"{side} rows must be unit-norm; row {row} is off by"):
+        error = ValueError if scale == 0.0 else FloatingPointError
+        with pytest.raises(error, match=f"^cannot scale {side} row {row} to unit length: its norm is "
+                                        f"{abs(scale)}$"):
             recall_at_k(rows["query"], rows["database"], np.zeros(3), np.zeros(5), 1)
 
     def test_row_whose_norm_overflows_rejected_naming_it(self):
         # 1e200 squared overflows; the error, not numpy's warning, reports it
-        with pytest.raises(ValueError, match="^query rows must be unit-norm; row 0 is off by inf$"):
+        with pytest.raises(FloatingPointError,
+                           match="^cannot scale query row 0 to unit length: its norm is inf$"):
             recall_at_k(np.array([[1e200, 0.0]]), np.eye(2), np.zeros(1), np.arange(2), 1)
 
     def test_k_larger_than_database_rejected(self):

@@ -1,5 +1,6 @@
 """Every name a package module imports is used there or re-exported, every
-name it exports exists, and the CLI loads at start-up only what every
+name it exports exists, no module borrows another's private names (save
+the guided solver's two), and the CLI loads at start-up only what every
 command needs."""
 
 import ast
@@ -103,6 +104,19 @@ def test_every_config_class_checks_its_fields():
                 unchecked.append(f"{path.name}: {cls.name}")
     assert unchecked == []
     assert {"SynthConfig", "SolverConfig", "ProtoOptConfig", "TrainConfig", "EvalConfig"} <= found
+
+
+def test_modules_import_no_private_names_from_each_other():
+    # a private name belongs to its module; a second module that imports it
+    # owns part of its job.  The guided solver is the plain solver's loop run
+    # on a shifted cost, so it shares that loop and its problem checks.
+    allowed = {("guided_ot.py", "_solve"), ("guided_ot.py", "_validate_problem")}
+    private = [(path.name, alias.name)
+               for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names if alias.name.startswith("_")]
+    assert sorted(set(private) - allowed) == []
 
 
 def test_cli_uses_only_public_names_of_the_package():

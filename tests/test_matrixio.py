@@ -90,3 +90,19 @@ def test_rejects_non_integer_label_naming_file_and_line(tmp_path, entry):
     path.write_text(f"0\n\n1\n{entry}\n")
     with pytest.raises(ValueError, match=rf"labels\.txt: line 4 is not an integer: '{entry}'$"):
         read_labels(path)
+
+
+@pytest.mark.parametrize("entry", ["9223372036854775808", "-9223372036854775809",
+                                   "99999999999999999999"])
+def test_rejects_label_outside_int64_naming_file_and_line(tmp_path, entry):
+    path = tmp_path / "labels.txt"
+    path.write_text(f"0\n\n1\n{entry}\n")
+    with pytest.raises(ValueError,
+                       match=rf"labels\.txt: line 4 is outside the 64-bit integer range: '{entry}'$"):
+        read_labels(path)
+
+
+def test_labels_at_the_int64_bounds_are_read(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("-9223372036854775808\n9223372036854775807\n")
+    assert read_labels(path).tolist() == [-(2**63), 2**63 - 1]

@@ -15,7 +15,7 @@ from goca.oracle import (
 )
 from goca.ot_core import Marginals, SolverConfig, sinkhorn
 
-from _util import feasible_random_plan
+from _util import feasible_random_plan, marginal_miss
 
 
 UNIFORM2 = np.full(2, 0.5)
@@ -85,10 +85,8 @@ class TestMirrorDescent:
     def test_final_iterate_is_feasible(self):
         rng = np.random.default_rng(3)
         cost = rng.uniform(-1, 1, size=(3, 3))
-        plan, info = mirror_descent_small(
-            cost, None, UNIFORM3, UNIFORM3, 0.5, return_info=True
-        )
-        assert info["residuals"][-1] <= 1e-12
+        plan = mirror_descent_small(cost, None, UNIFORM3, UNIFORM3, 0.5)
+        assert marginal_miss(plan, UNIFORM3, UNIFORM3) <= 1e-12
         assert np.allclose(plan.sum(axis=1), UNIFORM3, atol=1e-11)
         assert np.allclose(plan.sum(axis=0), UNIFORM3, atol=1e-11)
 
@@ -140,6 +138,52 @@ class TestEntropicObjective:
     def test_rejects(self, plan, cost, prior, message):
         with pytest.raises(ValueError, match=message):
             entropic_objective(plan, cost, 0.1, prior, 0.2)
+
+
+class TestEntropyTerm:
+    """At zero cost and lambda1 = 1 the objective is minus the entropy."""
+
+    def test_uniform_2x2(self):
+        d = np.full((2, 2), 0.25)
+        assert -entropic_objective(d, np.zeros((2, 2)), 1.0) == pytest.approx(
+            math.log(4.0), abs=1e-12
+        )
+
+    def test_degenerate_point_mass(self):
+        d = np.array([[1.0, 0.0], [0.0, 0.0]])
+        assert -entropic_objective(d, np.zeros((2, 2)), 1.0) == 0.0
+
+    def test_matches_direct_summation(self):
+        d = np.array([[0.4, 0.1], [0.1, 0.4]])
+        # frozen from the direct summation -sum d log d
+        assert -entropic_objective(d, np.zeros((2, 2)), 1.0) == pytest.approx(
+            1.1935496040981332, abs=1e-15
+        )
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            entropic_objective(np.array([[-0.1, 1.1]]), np.zeros((1, 2)), 1.0)
+
+
+class TestObjectiveWithoutPrior:
+    def test_zero_cost_uniform(self):
+        d = np.full((2, 2), 0.25)
+        assert entropic_objective(d, np.zeros((2, 2)), 1.0) == pytest.approx(-math.log(4.0))
+
+    def test_plain_inner_product(self):
+        d = np.full((2, 2), 0.25)
+        c = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert entropic_objective(d, c, 0.0) == pytest.approx(0.5)
+
+    def test_matches_direct_summation(self):
+        rng = np.random.default_rng(7)
+        d = rng.uniform(0.01, 1.0, size=(3, 3))
+        d /= d.sum()
+        c = rng.uniform(-1.0, 1.0, size=(3, 3))
+        expected = math.fsum((d * c).ravel()) - 0.7 * math.fsum(
+            -v * math.log(v) for v in d.ravel()
+        )
+        assert entropic_objective(d, c, 0.7) == pytest.approx(expected, abs=1e-14)
 
 
 class TestObjectiveWithPrior:

@@ -9,6 +9,7 @@ from goca.oracle import finite_diff_grad
 from goca.ot_core import unit_rows
 from goca.prototypes import (
     ProtoOptConfig,
+    _StackIndex,
     _descend,
     _loss_and_nearest,
     _subgradient,
@@ -269,7 +270,7 @@ class TestStepKernelsBitwise:
     @pytest.mark.parametrize("sets", [1, 3, 10])
     def test_loss_and_nearest(self, sets):
         for stack in _kernel_stacks(sets).values():
-            loss, nearest = _loss_and_nearest(stack)
+            loss, nearest = _loss_and_nearest(stack, _StackIndex(stack.shape))
             for w, set_loss, set_nearest in zip(stack, loss, nearest):
                 sims = w @ w.T
                 np.fill_diagonal(sims, -np.inf)
@@ -279,17 +280,19 @@ class TestStepKernelsBitwise:
     @pytest.mark.parametrize("sets", [1, 3, 10])
     def test_subgradient(self, sets):
         for stack in _kernel_stacks(sets).values():
-            _, nearest = _loss_and_nearest(stack)
+            index = _StackIndex(stack.shape)
+            _, nearest = _loss_and_nearest(stack, index)
             expected = np.stack([_reference_grad(w) for w in stack])
-            assert np.array_equal(_subgradient(stack, nearest), expected)
+            assert np.array_equal(_subgradient(stack, nearest, index), expected)
 
     def test_duplicated_rows_go_to_the_lowest_index(self):
-        _, nearest = _loss_and_nearest(_kernel_stacks(3)["ties"])
+        stack = _kernel_stacks(3)["ties"]
+        _, nearest = _loss_and_nearest(stack, _StackIndex(stack.shape))
         assert np.all(nearest[:, [1, 3, 5]] == [3, 1, 1])
 
     def test_antipodal_loss_is_the_shifted_diagonal(self):
         stack = _kernel_stacks(3)["antipodal"]
-        loss, nearest = _loss_and_nearest(stack)
+        loss, nearest = _loss_and_nearest(stack, _StackIndex(stack.shape))
         assert np.all(nearest == [1, 0])
         for w, set_loss in zip(stack, loss):
             gram = w @ w.T
