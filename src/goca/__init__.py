@@ -8,16 +8,14 @@ clustering/retrieval metrics used to score it — all exercised on a
 synthetic two-view benchmark at desk scale.
 """
 
-from .guided_ot import (
-    clamp_prior,
-    cross_guided_assign,
-    guided_sinkhorn,
-)
+from .guided_ot import cross_guided_assign
 from .ot_core import (
     Marginals,
     SinkhornResult,
     SolverConfig,
+    clamp_prior,
     cost_from_features,
+    guided_sinkhorn,
     marginal_residual,
     sinkhorn,
 )

@@ -23,8 +23,7 @@ import numpy as np
 
 from . import eval as evalmod
 from . import matrixio, ssl_engine
-from .guided_ot import guided_sinkhorn
-from .ot_core import SolverConfig, sinkhorn
+from .ot_core import SolverConfig, guided_sinkhorn, sinkhorn
 from .prototypes import ProtoOptConfig, max_pairwise_cosine, optimize_prototypes, prototype_loss
 from .runconfig import ConfigError, RunConfig, dump_config, load_config
 from .ssl_engine import MODES, TrainConfig, TrainResult, extract_features, train

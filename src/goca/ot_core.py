@@ -12,6 +12,22 @@ D = diag(u) K diag(v) with kernel K = exp(-C / lambda1); the scaling
 vectors are found by alternating row/column (Sinkhorn) updates, run as
 one matrix-vector scaling loop, u = psi / (K v) and v = omega / (K^T u).
 
+The guided variant adds a KL pull toward a prior plan:
+
+    min_{D in U}  <D, C> - lambda1 * h(D) + lambda2 * KL(D | prior).
+
+Grouping the entropy terms shows this is a plain entropic problem with
+shifted cost C - lambda2 * log(prior) and regularization
+lambda1 + lambda2, so the same scaling form and loop apply, with the
+elementwise-positive guided kernel
+
+    K = exp((-C + lambda2 * log prior) / (lambda1 + lambda2))
+      = prior^(lambda2 / (lambda1 + lambda2)) * exp(-C / (lambda1 + lambda2)).
+
+Logs are taken of prior entries floored at ``SolverConfig.prior_floor``;
+the solution is invariant to the prior's total mass, so priors need not
+be normalized.
+
 The loop is stabilized by log-domain absorption (Schmitzer,
 arXiv:1610.06519), so that regularization as small as lambda1 ~ 0.001
 neither under- nor overflows.  A stage opens with one exact
@@ -63,7 +79,9 @@ __all__ = [
     "Marginals",
     "SolverConfig",
     "SinkhornResult",
+    "clamp_prior",
     "cost_from_features",
+    "guided_sinkhorn",
     "marginal_residual",
     "sinkhorn",
     "unit_rows",
@@ -74,13 +92,16 @@ _UNIT_NORM_ATOL = 1e-6
 
 
 def check_config(config, bounds: dict[str, int | str]) -> None:
-    """Raise ValueError naming the first float field of the dataclass
-    instance ``config`` that is NaN or infinite, then the first field of
-    ``bounds`` outside its bound, which is ``"positive"`` or an int N for
+    """Raise ValueError naming the first field of the dataclass instance
+    ``config`` that is annotated ``int`` but holds no integer (a numpy
+    integer counts) or holds a NaN or infinite float, then the first field
+    of ``bounds`` outside its bound, which is ``"positive"`` or an int N for
     at least N (read as nonnegative for 0).  The message reads
     ``<field> must be <rule>, got <value>``."""
     for f in fields(config):
         value = getattr(config, f.name)
+        if f.type == "int" and not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{f.name} must be an integer, got {value}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
     for name, bound in bounds.items():
@@ -154,6 +175,8 @@ class Marginals:
     def uniform(cls, num_rows: int, num_cols: int) -> "Marginals":
         """Uniform marginals, built and validated once per shape and
         shared by every caller, so their arrays are read-only."""
+        if num_rows < 1 or num_cols < 1:
+            raise ValueError("marginals must be non-empty")
         row = np.full(num_rows, 1.0 / num_rows)
         col = np.full(num_cols, 1.0 / num_cols)
         row.flags.writeable = col.flags.writeable = False
@@ -229,6 +252,12 @@ def cost_from_features(features: np.ndarray, prototypes: np.ndarray) -> np.ndarr
             f"dimension mismatch: features are {feats.shape[1]}-D, "
             f"prototypes are {protos.shape[1]}-D"
         )
+    for name, arr in (("features", feats), ("prototypes", protos)):
+        if not len(arr):
+            raise ValueError(
+                f"{name} must have at least one row; features are {feats.shape}, "
+                f"prototypes are {protos.shape}"
+            )
     require_unit_rows(feats, "feature", _UNIT_NORM_ATOL)
     require_unit_rows(protos, "prototype", _UNIT_NORM_ATOL)
     return -(feats @ protos.T)
@@ -520,6 +549,8 @@ def _validate_problem(
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2:
         raise ValueError("cost must be a 2-D matrix")
+    if 0 in c.shape:
+        raise ValueError(f"cost must have at least one row and one column, got shape {c.shape}")
     if not np.all(np.isfinite(c)):
         raise ValueError("cost matrix entries must be finite")
     m, n = c.shape
@@ -549,3 +580,32 @@ def sinkhorn(
     """
     c, marginals, cfg = _validate_problem(cost, marginals, cfg)
     return _solve(c, cfg.lambda1, marginals, cfg)
+
+
+def clamp_prior(prior: np.ndarray, floor: float = SolverConfig.prior_floor) -> np.ndarray:
+    """Floor prior entries so logs stay finite."""
+    p = np.asarray(prior, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise ValueError("prior entries must be finite")
+    if np.any(p < 0.0):
+        raise ValueError("prior entries must be nonnegative")
+    return np.maximum(p, floor)
+
+
+def guided_sinkhorn(
+    cost: np.ndarray,
+    prior: np.ndarray,
+    marginals: Marginals | None = None,
+    cfg: SolverConfig | None = None,
+) -> SinkhornResult:
+    """Minimize the guided objective over U by scaling the guided kernel."""
+    c, marginals, cfg = _validate_problem(cost, marginals, cfg)
+    p = clamp_prior(prior)
+    if p.shape != c.shape:
+        raise ValueError(f"shape mismatch: cost {c.shape} vs prior {p.shape}")
+    # a shift past float64 becomes inf, which _solve's cost range check
+    # reports as a FloatingPointError, not as numpy's overflow warning
+    with np.errstate(over="ignore"):
+        shifted = c - cfg.lambda2 * np.log(p)
+    # _solve, not sinkhorn, so that a wrapper of sinkhorn counts plain solves only
+    return _solve(shifted, cfg.lambda1 + cfg.lambda2, marginals, cfg)

@@ -15,12 +15,13 @@ import itertools
 import numpy as np
 
 from . import oracle
-from .guided_ot import clamp_prior, guided_sinkhorn
 from .ot_core import (
     Marginals,
     SinkhornResult,
     SolverConfig,
+    clamp_prior,
     cost_from_features,
+    guided_sinkhorn,
     marginal_residual,
     sinkhorn,
 )

@@ -16,9 +16,8 @@ import numpy as np
 import pytest
 
 from goca.cli import _MIRRORED, _flag_config, build_parser, main, run_ablation, run_lambda_grid
-from goca.guided_ot import guided_sinkhorn
 from goca.matrixio import read_matrix, write_matrix
-from goca.ot_core import SolverConfig
+from goca.ot_core import SolverConfig, guided_sinkhorn
 from goca.prototypes import optimize_prototypes
 from goca.runconfig import RunConfig, dump_config, parse_config
 from goca.ssl_engine import MODES

@@ -7,15 +7,21 @@ import numpy as np
 import pytest
 
 from goca import ot_core
-from goca.guided_ot import clamp_prior, guided_sinkhorn
+from goca.eval import EvalConfig
+from goca.guided_ot import cross_guided_assign
 from goca.oracle import entropic_gap, entropic_objective, golden_section_2x2, mirror_descent_small
 from goca.ot_core import (
     Marginals,
     SolverConfig,
+    clamp_prior,
     cost_from_features,
+    guided_sinkhorn,
     marginal_residual,
     sinkhorn,
 )
+from goca.prototypes import ProtoOptConfig
+from goca.ssl_engine import TrainConfig
+from goca.synth_data import SynthConfig
 from goca.verify import TRAINING_SHAPE_GAP, kernel_reduction_draws
 
 from _util import (
@@ -55,6 +61,14 @@ class TestCostFromFeatures:
     def test_rejects_non_unit_rows(self):
         with pytest.raises(ValueError, match="unit-norm"):
             cost_from_features(2.0 * np.eye(2), np.eye(2))
+
+    def test_rejects_an_argument_without_rows_naming_it_and_both_shapes(self):
+        message = "features must have at least one row; features are (0, 4), prototypes are (4, 4)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cost_from_features(np.zeros((0, 4)), np.eye(4))
+        message = "prototypes must have at least one row; features are (4, 4), prototypes are (0, 4)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cost_from_features(np.eye(4), np.zeros((0, 4)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_rows(self, bad):
@@ -767,6 +781,7 @@ class TestConfigValidation:
             {"tolerance": 0.0},
             {"tolerance": -1e-8},
             {"max_iters": 0},
+            {"max_iters": 2.5},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -799,7 +814,31 @@ class TestConfigValidation:
         # a NaN entry is rejected here, not later blamed on the cost by the solve
         (lambda: Marginals(np.array([np.nan, 0.5]), np.full(2, 0.5)),
          "marginal entries must be strictly positive"),
+        (lambda: Marginals.uniform(0, 2), "marginals must be non-empty"),
+        (lambda: Marginals.uniform(2, 0), "marginals must be non-empty"),
+        (lambda: sinkhorn(np.zeros((0, 3))),
+         "cost must have at least one row and one column, got shape (0, 3)"),
+        (lambda: sinkhorn(np.zeros((3, 0))),
+         "cost must have at least one row and one column, got shape (3, 0)"),
+        (lambda: guided_sinkhorn(np.zeros((0, 3)), np.zeros((0, 3))),
+         "cost must have at least one row and one column, got shape (0, 3)"),
+        (lambda: cross_guided_assign(np.zeros((2, 0)), np.zeros((2, 0))),
+         "cost must have at least one row and one column, got shape (2, 0)"),
     ])
     def test_rejects_malformed_marginals_or_cost(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
+
+    @pytest.mark.parametrize("config, field", [
+        (SolverConfig, "max_iters"),
+        (ProtoOptConfig, "steps"),
+        (TrainConfig, "epochs"),
+        (EvalConfig, "repeats"),
+        (SynthConfig, "num_classes"),
+    ])
+    def test_int_fields_take_integers_only(self, config, field):
+        # a float would pass the bound and fail later, inside range()
+        for value in (2.5, 3.0):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+                config(**{field: value})
+        assert getattr(config(**{field: np.int64(3)}), field) == 3
