@@ -19,12 +19,16 @@ are averaged), which head projects them, and the target rule:
            independent models; a plain plan per branch
     avg    one branch, fused, of both backbones, shared head; a plain plan
     sep    branches a and b, shared head; a plain plan per branch
-    goca   as sep, but each view's plan is guided by the other view's
-           plain plan on the same batch (``cross_guided_assign``)
+    goca   as sep, but each view's plan is that of the cost mix
+           (1 - w) * own + w * other, w = lambda2 / (lambda1 + lambda2):
+           in closed form, the plan guided by the other view's plain plan
+           on the same batch (``cross_guided_assign``)
 
-``train`` calls ``step`` once per batch.  Solver plans have rows
-summing to 1/M; they are multiplied by M before entering the
-cross-entropy so each target row is a probability row.
+Every target of every mode is one plain ``sinkhorn`` at ``cfg.solver``;
+goca differs from sep only in the cost it hands the solver.  ``train``
+calls ``step`` once per batch.  Solver plans have rows summing to 1/M;
+they are multiplied by M before entering the cross-entropy so each
+target row is a probability row.
 """
 
 from __future__ import annotations
@@ -350,9 +354,13 @@ def train(dataset, cfg: TrainConfig, prototypes=None) -> TrainResult:
                 message = f"{cfg.mode} training stopped at step {index}: {exc}"
                 raise FloatingPointError(message) from exc
             if result.solver_converged is False:
+                residuals = {key: max(res.row_residual, res.col_residual)
+                             for key, res in result.solves.items()}
+                worst = max(residuals, key=residuals.get)
                 logger.warning(
-                    "%s training step %d: assignment did not converge; using last iterate",
-                    cfg.mode, index,
+                    "%s training step %d: assignment did not converge; worst residual %.3g "
+                    "in %s after %d sweeps; using last iterate",
+                    cfg.mode, index, residuals[worst], worst, result.solves[worst].sweeps,
                 )
             if not np.isfinite(result.loss):
                 raise FloatingPointError(

@@ -122,8 +122,10 @@ def training_shape_gap(rng: np.random.Generator, draws: int) -> float:
 
     Each draw is a pair of views, 100 unit feature rows each, against one
     set of 64 unit prototypes in 16-D; each view is solved plainly and
-    then guided by the other view's plain plan, as cross_guided_assign
-    does.  At this size the oracle is ``oracle.entropic_gap``.
+    then by ``guided_sinkhorn`` with the other view's plain plan, clamped
+    at the prior floor, as its prior.  (Training reaches that objective
+    unfloored, in closed form: see ``cross_guided_assign``.)  At this
+    size the oracle is ``oracle.entropic_gap``.
     """
     cfg = SolverConfig()
     marg = Marginals.uniform(100, 64)

@@ -471,7 +471,7 @@ _ERROR_FILES = {
     "tiny.cfg": TINY_CONFIG,
     "seeded.cfg": "train.seed = 5\nproto.seed = 5\n",
     "diverge.cfg": TINY_CONFIG + "train.learning_rate = 1e200\n",
-    "huge_lambda2.cfg": TINY_CONFIG + "solver.lambda2 = 1e308\n",
+    "tiny_lambda1.cfg": TINY_CONFIG.replace("solver.lambda1 = 0.1", "solver.lambda1 = 1e-310"),
     "capped.cfg": TINY_CONFIG.replace("solver.max_iters = 500", "solver.max_iters = 1"),
     "big_batch.cfg": TINY_CONFIG.replace("train.batch_size = 10", "train.batch_size = 41"),
     "temperature.cfg": "train.temperature = nan\n",
@@ -572,9 +572,10 @@ _ERROR_ROWS = [
     _row("train-diverging", "train --mode sep --config diverge.cfg --out run", 2,
          "error: sep training stopped at step 1: cannot scale encoder output row 0 to unit "
          "length: its norm is inf: the parameters diverged"),
-    _row("train-huge-lambda2", "train --mode goca --config huge_lambda2.cfg --out run", 2,
+    # a regularization so small that the cost range over it overflows
+    _row("train-tiny-lambda1", "train --mode goca --config tiny_lambda1.cfg --out run", 2,
          "error: goca training stopped at step 0: transport plan is not finite at regularization "
-         "1e+308: cost / regularization leaves the float64 range"),
+         "1e-310: cost / regularization leaves the float64 range"),
     _row("train-capped", "train --mode avg --config capped.cfg --out run", 2,
          "error: avg training stopped at step 0: targets_t rows must sum to 1 (rescale plans "
          "by M); the assignment did not converge within solver.max_iters = 1"),
@@ -714,7 +715,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv, code, stderr", [
         row for row in _ERROR_ROWS if row.id in (
-            "train-diverging", "train-huge-lambda2", "eval-huge-query", "eval-huge-features",
+            "train-diverging", "train-tiny-lambda1", "eval-huge-query", "eval-huge-features",
             "solve-huge-cost", "solve-huge-cost-prior", "solve-huge-lambda2",
             "solve-huge-header")])
     def test_overflow_prints_only_the_error_line(self, tmp_path, argv, code, stderr):

@@ -1,4 +1,4 @@
-"""Prior-guided assignment: prior clamping, solver, cross-view wiring."""
+"""Prior-guided assignment: prior clamping, solver, and the cross-view pair in closed form."""
 
 import re
 
@@ -12,8 +12,9 @@ from goca.guided_ot import (
     cross_guided_assign,
     guided_sinkhorn,
 )
-from goca.oracle import golden_section_2x2, mirror_descent_small
+from goca.oracle import entropic_gap, golden_section_2x2, mirror_descent_small
 from goca.ot_core import Marginals, SolverConfig, cost_from_features, sinkhorn
+from goca.verify import TRAINING_SHAPE_GAP
 
 from _util import feasible_random_plan, random_unit_rows
 
@@ -155,7 +156,8 @@ class TestCrossGuidedAssign:
         assert np.max(np.abs(res_a.plan - plain_a.plan)) <= 1e-12
         assert np.max(np.abs(res_b.plan - plain_b.plan)) <= 1e-12
 
-    def test_matches_manual_two_stage_pipeline(self):
+    def test_matches_plain_solves_of_the_cost_mix(self):
+        # w = lambda2 / (lambda1 + lambda2) = 1/3, computed as the function does
         rng = np.random.default_rng(14)
         feats_a = random_unit_rows(rng, 4, 6)
         feats_b = random_unit_rows(rng, 4, 6)
@@ -165,13 +167,40 @@ class TestCrossGuidedAssign:
         cost_b = cost_from_features(feats_b, protos)
         res_a, res_b = cross_guided_assign(cost_a, cost_b, cfg=cfg)
 
-        marg = Marginals.uniform(4, 3)
-        prior_a = sinkhorn(cost_a, marg, cfg).plan
-        prior_b = sinkhorn(cost_b, marg, cfg).plan
-        by_hand_a = guided_sinkhorn(cost_a, prior_b, marg, cfg).plan
-        by_hand_b = guided_sinkhorn(cost_b, prior_a, marg, cfg).plan
+        w = 0.5 / (1.0 + 0.5)
+        by_hand_a = sinkhorn((1.0 - w) * cost_a + w * cost_b, cfg=cfg).plan
+        by_hand_b = sinkhorn((1.0 - w) * cost_b + w * cost_a, cfg=cfg).plan
         assert np.array_equal(res_a.plan, by_hand_a)
         assert np.array_equal(res_b.plan, by_hand_b)
+
+    @pytest.mark.parametrize("seed", range(61, 66))
+    def test_targets_solve_the_guided_objective_with_the_raw_prior(self, seed):
+        # the paper's objective, certified with the other view's plain plan
+        # unfloored as the prior: no prior floor stands between the two
+        rng = np.random.default_rng(seed)
+        cfg = SolverConfig()
+        marg = Marginals.uniform(100, 64)
+        protos = random_unit_rows(rng, 64, 16)
+        for _ in range(4):
+            cost_a = cost_from_features(random_unit_rows(rng, 100, 16), protos)
+            cost_b = cost_from_features(random_unit_rows(rng, 100, 16), protos)
+            res_a, res_b = cross_guided_assign(cost_a, cost_b)
+            prior_a, prior_b = sinkhorn(cost_a).plan, sinkhorn(cost_b).plan
+            for res, cost, prior in ((res_a, cost_a, prior_b), (res_b, cost_b, prior_a)):
+                assert res.converged
+                gap, _ = entropic_gap(res.plan, cost, cfg.lambda1, marg.row, marg.col,
+                                      prior, cfg.lambda2)
+                assert gap <= TRAINING_SHAPE_GAP
+
+    def test_huge_lambda2_gives_each_view_the_others_plain_plan(self):
+        # w is exactly 1, so each view solves the other's cost unmixed
+        rng = np.random.default_rng(17)
+        protos = random_unit_rows(rng, 3, 5)
+        cost_a = cost_from_features(random_unit_rows(rng, 4, 5), protos)
+        cost_b = cost_from_features(random_unit_rows(rng, 4, 5), protos)
+        res_a, res_b = cross_guided_assign(cost_a, cost_b, cfg=SolverConfig(lambda2=1e308))
+        assert np.array_equal(res_a.plan, sinkhorn(cost_b).plan)
+        assert np.array_equal(res_b.plan, sinkhorn(cost_a).plan)
 
     def test_batch_size_mismatch_rejected(self):
         # costs of unequal shape: the views' batches, or their prototype sets, differ
@@ -184,9 +213,23 @@ class TestCrossGuidedAssign:
         with pytest.raises(ValueError, match=r"^shape mismatch: cost_a \(4, 3\) vs cost_b \(4, 2\)$"):
             cross_guided_assign(cost_a, cost_a[:, :2])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("lambda2", [0.0, 0.03, 1e308])
+    def test_non_finite_cost_fails_by_the_solvers_message(self, bad, lambda2):
+        # a zero weight times inf is NaN; the suite turns numpy's warning into
+        # an error, so only the solver's own check may fire, for either view
+        cost = np.zeros((3, 4))
+        broken = cost.copy()
+        broken[1, 2] = bad
+        cfg = SolverConfig(lambda2=lambda2)
+        for pair in ((broken, cost), (cost, broken)):
+            with pytest.raises(ValueError, match="^cost matrix entries must be finite$"):
+                cross_guided_assign(*pair, cfg=cfg)
+
     def test_solves_go_through_this_modules_bindings(self, monkeypatch):
         # perfbench/tracer.py wraps guided_ot.sinkhorn and guided_ot.guided_sinkhorn;
-        # a call that bypassed them would drop the guided layer from a traced run
+        # a call that bypassed them would drop the solves from a traced run.  The
+        # guided pair is two plain solves, so the guided layer reads none
         assert goca.guided_ot.guided_sinkhorn is goca.ot_core.guided_sinkhorn
         assert goca.guided_ot.clamp_prior is goca.ot_core.clamp_prior
         calls = {"sinkhorn": 0, "guided_sinkhorn": 0}
@@ -206,4 +249,4 @@ class TestCrossGuidedAssign:
         cost_a = cost_from_features(random_unit_rows(rng, 4, 5), protos)
         cost_b = cost_from_features(random_unit_rows(rng, 4, 5), protos)
         cross_guided_assign(cost_a, cost_b)
-        assert calls == {"sinkhorn": 2, "guided_sinkhorn": 2}
+        assert calls == {"sinkhorn": 2, "guided_sinkhorn": 0}

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import goca.guided_ot as guided_ot
 import goca.ot_core as ot_core
 from goca.oracle import finite_diff_grad
 from goca.ot_core import SolverConfig
@@ -361,6 +362,22 @@ class TestStepEntryPoints:
             assert type(batch) is dict
             assert list(batch) == ["a.t", "a.s", "b.t", "b.s"]
 
+    @pytest.mark.parametrize("mode, solves", [("sview", 4), ("avg", 2), ("sep", 4), ("goca", 4)])
+    def test_every_target_is_one_plain_solve(self, mode, solves, monkeypatch):
+        # goca's guided pair is two plain solves of cost mixes, so its step
+        # runs as many solves as sep's and never the guided solver
+        calls = {"_solve": 0, "guided_sinkhorn": 0}
+        for module, name in ((ot_core, "_solve"), (guided_ot, "guided_sinkhorn")):
+            def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        params, protos, batch = _tiny_setup(mode, seed=13)
+        result = step(batch, params, protos, _fast_cfg(mode))
+        assert calls == {"_solve": solves, "guided_sinkhorn": 0}
+        assert len(result.solves) == solves
+
     @pytest.mark.parametrize("capped", [False, True])
     @pytest.mark.parametrize("mode", MODES)
     def test_step_reports_the_solve_behind_each_target(self, mode, capped):
@@ -491,7 +508,7 @@ class TestTrain:
             train(data, _train_cfg("goca"))
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_non_converged_steps_warn_once_naming_mode_and_step(self, mode, caplog):
+    def test_non_converged_steps_warn_once_naming_mode_and_step(self, mode, caplog, monkeypatch):
         data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
                                     distractor_dim=3, num_distractor_modes=4, seed=18))
         with caplog.at_level(logging.WARNING, logger="goca.ssl_engine"):
@@ -501,13 +518,30 @@ class TestTrain:
         # lambda1 = 0.1 a solve is one stage, so the cap bounds all its
         # sweeps: two check blocks (20 sweeps) leave targets within the
         # loss's row-sum bound in every mode, one (10) not in sview or avg
+        # The warning names the largest residual of the step's solves, its key
+        # and its sweeps.
+        solves = []
+        for name in ("goca_step", "baseline_step"):
+            def recorded(*args, _step=getattr(engine, name), **kwargs):
+                result = _step(*args, **kwargs)
+                solves.append(result.solves)
+                return result
+
+            monkeypatch.setattr(engine, name, recorded)
         with caplog.at_level(logging.WARNING, logger="goca.ssl_engine"):
             result = train(data, _train_cfg(mode, tolerance=1e-18, max_iters=20))
-        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
-            ("goca.ssl_engine", logging.WARNING,
-             f"{mode} training step {step}: assignment did not converge; using last iterate")
-            for step in range(len(result.trace))
-        ]
+        assert len(solves) == len(result.trace)
+        expected = []
+        for index, step_solves in enumerate(solves):
+            residuals = {key: max(res.row_residual, res.col_residual)
+                         for key, res in step_solves.items()}
+            worst = max(residuals, key=residuals.get)
+            assert residuals[worst] > 1e-18 and step_solves[worst].sweeps == 20
+            expected.append(
+                ("goca.ssl_engine", logging.WARNING,
+                 f"{mode} training step {index}: assignment did not converge; worst residual "
+                 f"{residuals[worst]:.3g} in {worst} after 20 sweeps; using last iterate"))
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == expected
 
     def test_training_at_defaults_never_polishes(self, monkeypatch):
         # Pins seed 0 at 2 epochs: no solve of this run stalls enough for
