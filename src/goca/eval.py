@@ -116,7 +116,9 @@ def _nearest(x: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.n
     g += c_sq[:, :, None]
     slack = (16 * d + 48) * (_U * (sq_norms + c_sq.max(axis=1)[:, None]) + 2.0**-1074)
     near = g <= (g.min(axis=1) + slack)[:, None, :]
-    labels = np.argmax(near, axis=1)
+    # a certain row has one near centroid, so this sum is its index; it
+    # reads contiguous rows where argmax would stride over the short k axis
+    labels = np.add.reduce(near * np.arange(k)[:, None], axis=1)
     run, row = np.nonzero(near.sum(axis=1) != 1)
     labels[run, row] = np.argmin(_sq_dists(x[row, None, :], centroids[run]), axis=1)
     return labels

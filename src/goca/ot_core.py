@@ -28,6 +28,15 @@ Logs are taken of prior entries floored at ``SolverConfig.prior_floor``;
 the solution is invariant to the prior's total mass, so priors need not
 be normalized.
 
+The paper guides each view's assignment by the other view's: the prior
+of view a is P_b = diag(u) exp(-C_b / lambda1) diag(v), view b's plain
+plan on the same batch.  Its log is a row term, a column term and
+-C_b / lambda1; the marginals absorb the first two, so the problem is
+the plain one at the same lambda1 on the cost mix (1 - w) * C_a + w * C_b,
+with w = lambda2 / (lambda1 + lambda2).  ``cross_guided_assign`` solves
+that mix, one plain solve per view; no prior is formed, so none is
+floored.
+
 The loop is stabilized by log-domain absorption (Schmitzer,
 arXiv:1610.06519), so that regularization as small as lambda1 ~ 0.001
 neither under- nor overflows.  A stage opens with one exact
@@ -81,6 +90,7 @@ __all__ = [
     "SinkhornResult",
     "clamp_prior",
     "cost_from_features",
+    "cross_guided_assign",
     "guided_sinkhorn",
     "marginal_residual",
     "sinkhorn",
@@ -609,3 +619,35 @@ def guided_sinkhorn(
         shifted = c - cfg.lambda2 * np.log(p)
     # _solve, not sinkhorn, so that a wrapper of sinkhorn counts plain solves only
     return _solve(shifted, cfg.lambda1 + cfg.lambda2, marginals, cfg)
+
+
+def cross_guided_assign(
+    cost_a: np.ndarray,
+    cost_b: np.ndarray,
+    cfg: SolverConfig | None = None,
+) -> tuple[SinkhornResult, SinkhornResult]:
+    """Assign two views, each guided by the other, from their costs against
+    one shared prototype set (one batch of M samples, so both are M x N).
+
+    Each view's plan is the guided one with the *other* view's plain plan
+    on the same batch as its prior, solved in closed form: one plain
+    ``sinkhorn`` at ``cfg.lambda1`` of the cost mix (1 - w) * own + w *
+    other, w = lambda2 / (lambda1 + lambda2), with uniform marginals and
+    ``cfg`` (``SolverConfig()`` if None).  lambda2 = 0 gives each view
+    its own plain plan, and lambda2 much larger than lambda1 the other
+    view's.
+    """
+    if np.shape(cost_a) != np.shape(cost_b):
+        raise ValueError(f"shape mismatch: cost_a {np.shape(cost_a)} vs cost_b {np.shape(cost_b)}")
+    cfg = SolverConfig() if cfg is None else cfg
+    # scaled by the larger weight first, so that no pair of finite weights
+    # overflows: w is exactly 0 at lambda2 = 0 and 1 at lambda2 = 1e308
+    top = max(cfg.lambda1, cfg.lambda2)
+    w = (cfg.lambda2 / top) / (cfg.lambda1 / top + cfg.lambda2 / top)
+    a, b = np.asarray(cost_a, dtype=float), np.asarray(cost_b, dtype=float)
+    # a non-finite entry of either cost leaves its mark on both mixes, which
+    # sinkhorn's own check then reports instead of numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        mix_a, mix_b = (1.0 - w) * a + w * b, (1.0 - w) * b + w * a
+    # this module's sinkhorn binding, so that a wrapper of it counts both solves
+    return sinkhorn(mix_a, cfg=cfg), sinkhorn(mix_b, cfg=cfg)

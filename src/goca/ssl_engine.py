@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .guided_ot import cross_guided_assign
-from .ot_core import SinkhornResult, SolverConfig, check_config, cost_from_features, sinkhorn, unit_rows
+from .ot_core import (SinkhornResult, SolverConfig, check_config, cost_from_features, cross_guided_assign,
+                      sinkhorn, unit_rows)
 from .prototypes import ProtoOptConfig, optimize_prototypes
 
 __all__ = [

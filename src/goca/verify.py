@@ -124,8 +124,8 @@ def training_shape_gap(rng: np.random.Generator, draws: int) -> float:
     set of 64 unit prototypes in 16-D; each view is solved plainly and
     then by ``guided_sinkhorn`` with the other view's plain plan, clamped
     at the prior floor, as its prior.  (Training reaches that objective
-    unfloored, in closed form: see ``cross_guided_assign``.)  At this
-    size the oracle is ``oracle.entropic_gap``.
+    unfloored, in closed form: see ``ot_core.cross_guided_assign``.)
+    At this size the oracle is ``oracle.entropic_gap``.
     """
     cfg = SolverConfig()
     marg = Marginals.uniform(100, 64)

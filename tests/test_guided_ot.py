@@ -9,11 +9,10 @@ import goca.guided_ot
 import goca.ot_core
 from goca.guided_ot import (
     clamp_prior,
-    cross_guided_assign,
     guided_sinkhorn,
 )
 from goca.oracle import entropic_gap, golden_section_2x2, mirror_descent_small
-from goca.ot_core import Marginals, SolverConfig, cost_from_features, sinkhorn
+from goca.ot_core import Marginals, SolverConfig, cost_from_features, cross_guided_assign, sinkhorn
 from goca.verify import TRAINING_SHAPE_GAP
 
 from _util import feasible_random_plan, random_unit_rows
@@ -227,15 +226,17 @@ class TestCrossGuidedAssign:
                 cross_guided_assign(*pair, cfg=cfg)
 
     def test_solves_go_through_this_modules_bindings(self, monkeypatch):
-        # perfbench/tracer.py wraps guided_ot.sinkhorn and guided_ot.guided_sinkhorn;
-        # a call that bypassed them would drop the solves from a traced run.  The
+        # perfbench/tracer.py wraps ot_core.sinkhorn, and resolves sinkhorn,
+        # guided_sinkhorn and clamp_prior in guided_ot too; a call that bypassed
+        # ot_core's bindings would drop the solves from a traced run.  The
         # guided pair is two plain solves, so the guided layer reads none
+        assert goca.guided_ot.sinkhorn is goca.ot_core.sinkhorn
         assert goca.guided_ot.guided_sinkhorn is goca.ot_core.guided_sinkhorn
         assert goca.guided_ot.clamp_prior is goca.ot_core.clamp_prior
         calls = {"sinkhorn": 0, "guided_sinkhorn": 0}
 
         def counting(name):
-            solve = getattr(goca.guided_ot, name)
+            solve = getattr(goca.ot_core, name)
 
             def counted(*args, **kwargs):
                 calls[name] += 1
@@ -243,7 +244,7 @@ class TestCrossGuidedAssign:
             return counted
 
         for name in calls:
-            monkeypatch.setattr(goca.guided_ot, name, counting(name))
+            monkeypatch.setattr(goca.ot_core, name, counting(name))
         rng = np.random.default_rng(16)
         protos = random_unit_rows(rng, 3, 5)
         cost_a = cost_from_features(random_unit_rows(rng, 4, 5), protos)

@@ -116,6 +116,19 @@ def test_modules_import_no_private_names_from_each_other():
     assert sorted(set(private)) == []
 
 
+def test_no_module_imports_guided_ot():
+    # guided_ot only re-exports ot_core's names for perfbench; a package
+    # module that imported it would pin a file the solver no longer needs
+    importers = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+                if any("guided_ot" in name.split(".") for name in names):
+                    importers.append(f"{path.name}:{node.lineno}")
+    assert importers == []
+
+
 def test_cli_uses_only_public_names_of_the_package():
     # the CLI runs on the library's public surface; a private helper it
     # reaches into has no caller the library's own tests and docs cover

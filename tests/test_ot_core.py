@@ -8,13 +8,13 @@ import pytest
 
 from goca import ot_core
 from goca.eval import EvalConfig
-from goca.guided_ot import cross_guided_assign
 from goca.oracle import entropic_gap, entropic_objective, golden_section_2x2, mirror_descent_small
 from goca.ot_core import (
     Marginals,
     SolverConfig,
     clamp_prior,
     cost_from_features,
+    cross_guided_assign,
     guided_sinkhorn,
     marginal_residual,
     sinkhorn,

@@ -9,7 +9,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import goca.guided_ot as guided_ot
 import goca.ot_core as ot_core
 from goca.oracle import finite_diff_grad
 from goca.ot_core import SolverConfig
@@ -367,7 +366,7 @@ class TestStepEntryPoints:
         # goca's guided pair is two plain solves of cost mixes, so its step
         # runs as many solves as sep's and never the guided solver
         calls = {"_solve": 0, "guided_sinkhorn": 0}
-        for module, name in ((ot_core, "_solve"), (guided_ot, "guided_sinkhorn")):
+        for module, name in ((ot_core, "_solve"), (ot_core, "guided_sinkhorn")):
             def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
