@@ -19,8 +19,8 @@ The repeated-k-means helper reports the mean and standard error over
 independent Lloyd runs; ``EvalConfig`` holds its settings.
 
 Every Lloyd run of one call (the restarts of ``kmeans``, the repeats of
-``repeated_cluster_metrics``) goes through one stacked loop,
-a block of runs at a time.  Each run keeps its own start, iteration cap
+``repeated_cluster_metrics``) goes through one stacked loop over live
+runs, refilled as runs stop.  Each run keeps its own start, iteration cap
 and stop when its labels no longer move, so its labels are the ones it
 would reach alone.  One GEMM per step ranks the centroids; a row whose
 best centroid does not lead the others by more than that GEMM's rounding
@@ -75,9 +75,9 @@ class RepeatedMetrics(NamedTuple):
     stderr: ClusterMetrics
 
 
-# Each stacked Lloyd step holds (B, k, n) float64 distance blocks; B runs
-# share one, sized to stay under this many bytes (8 runs at n = 800, k = 4).
-# Larger blocks raise the peak memory of a scoring.
+# Each stacked Lloyd step holds (B, k, n) float64 distance blocks of its B
+# live runs; B is capped to stay under this many bytes (8 runs at n = 800,
+# k = 4) at every step.  A larger cap raises the peak memory of a scoring.
 _BLOCK_BYTES = 200 * 1024
 _MAX_ITERS = 300
 _U = np.finfo(float).eps / 2  # unit roundoff
@@ -127,19 +127,19 @@ def _nearest(x: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.n
 def _cluster_means(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Centroids (A, k, d) of the runs' labels (A, n), bit for bit ``x[labels[r] == j].mean(0)``."""
     # numpy sums the rows of a 2-D array in index order, as bincount adds
-    # weights; np.add.reduceat does not match it.  A single coordinate is
-    # one contiguous run, which numpy sums pairwise, so d = 1 goes one
-    # cluster at a time.
-    runs, n = labels.shape
-    if x.shape[1] == 1:
-        return np.array([[x[row == j].mean(axis=0) for j in range(k)] for row in labels])
-    bins = (labels + k * np.arange(runs)[:, None]).ravel()
-    weights = np.empty((runs, n))  # one coordinate, once per run
-    sums = np.empty((runs * k, x.shape[1]))
-    for t, col in enumerate(x.T):
-        weights[:] = col
-        sums[:, t] = np.bincount(bins, weights=weights.ravel(), minlength=runs * k)
-    return (sums / np.bincount(bins, minlength=runs * k)[:, None]).reshape(runs, k, -1)
+    # weights; np.add.reduceat does not match it.  One bincount per run over
+    # the (cluster, coordinate) cells of the raveled x adds each cell's rows
+    # in that order.  A single coordinate is one contiguous run, which numpy
+    # sums pairwise, so d = 1 goes one cluster at a time.
+    runs, d = labels.shape[0], x.shape[1]
+    if d == 1:
+        means = [[x[row == j].mean(axis=0) for j in range(k)] for row in labels]
+        return np.reshape(means, (runs, k, d))  # (0, k, 1) for no runs
+    flat = x.ravel()
+    sums = [np.bincount((row[:, None] * d + np.arange(d)).ravel(), weights=flat, minlength=k * d)
+            for row in labels]
+    counts = np.bincount((labels + k * np.arange(runs)[:, None]).ravel(), minlength=runs * k)
+    return np.reshape(sums, (runs, k, d)) / counts.reshape(runs, k, 1)
 
 
 def _lloyd(x: np.ndarray, starts: np.ndarray, max_iters: int) -> np.ndarray:
@@ -149,29 +149,29 @@ def _lloyd(x: np.ndarray, starts: np.ndarray, max_iters: int) -> np.ndarray:
     block = max(1, _BLOCK_BYTES // (8 * k * n))
     sq_norms = (x * x).sum(axis=1)
     out = np.full((len(starts), n), -1)
-    for first in range(0, len(starts), block):
-        centroids = x[starts[first:first + block]]
-        labels = out[first:first + block]
-        live = np.arange(len(centroids))  # runs whose labels still move
-        for _ in range(max_iters):
-            new_labels = _nearest(x, sq_norms, centroids[live])
-            offsets = k * np.arange(live.size)[:, None]
-            sizes = np.bincount((new_labels + offsets).ravel(), minlength=live.size * k)
-            for r in np.flatnonzero(np.any(sizes.reshape(-1, k) == 0, axis=1)):
-                # each empty cluster in turn takes the point farthest from
-                # its own centroid
-                own = _sq_dists(x, centroids[live[r]][new_labels[r]])
-                for j in range(k):
-                    if not np.any(new_labels[r] == j):
-                        far = int(np.argmax(own))
-                        new_labels[r, far] = j
-                        own[far] = -np.inf
-            moved = np.any(new_labels != labels[live], axis=1)
-            live = live[moved]
-            if live.size == 0:
-                break
-            labels[live] = new_labels[moved]
-            centroids[live] = _cluster_means(x, labels[live], k)
+    centroids = x[starts]
+    steps = np.zeros(len(starts), dtype=int)  # steps each run has taken, 0 until it starts
+    live = np.arange(min(block, len(starts)))  # runs whose labels still move, in index order
+    while live.size:
+        new_labels = _nearest(x, sq_norms, centroids[live])
+        offsets = k * np.arange(live.size)[:, None]
+        sizes = np.bincount((new_labels + offsets).ravel(), minlength=live.size * k)
+        for r in np.flatnonzero(np.any(sizes.reshape(-1, k) == 0, axis=1)):
+            # each empty cluster in turn takes the point farthest from
+            # its own centroid
+            own = _sq_dists(x, centroids[live[r]][new_labels[r]])
+            for j in range(k):
+                if not np.any(new_labels[r] == j):
+                    far = int(np.argmax(own))
+                    new_labels[r, far] = j
+                    own[far] = -np.inf
+        steps[live] += 1
+        moved = np.any(new_labels != out[live], axis=1)
+        out[live[moved]] = new_labels[moved]
+        live = live[moved & (steps[live] < max_iters)]
+        centroids[live] = _cluster_means(x, out[live], k)
+        # free slots go to the next runs not yet started
+        live = np.concatenate([live, np.flatnonzero(steps == 0)[:block - live.size]])
     return out
 
 

@@ -495,6 +495,29 @@ class TestStackedLloyd:
             monkeypatch.setattr(evalmod, "_BLOCK_BYTES", 8 * k * x.shape[0] * runs_per_block)
             assert np.array_equal(evalmod._lloyd(x, starts, 300), whole)
 
+    def test_a_stopped_run_hands_its_slot_to_the_next(self, monkeypatch):
+        x, k, _ = _battery_cases(0)[1]
+        starts = np.array([
+            np.random.default_rng((0, i)).choice(x.shape[0], size=k, replace=False)
+            for i in range(_BATTERY_REPEATS)
+        ])
+        ranked = []
+        nearest = evalmod._nearest
+
+        def counted(x, sq_norms, centroids):
+            ranked.append(centroids.shape[0])
+            return nearest(x, sq_norms, centroids)
+
+        monkeypatch.setattr(evalmod, "_BLOCK_BYTES", 8 * k * x.shape[0] * 2)
+        monkeypatch.setattr(evalmod, "_nearest", counted)
+        stacked = evalmod._lloyd(x, starts, 300)
+        assert max(ranked) == 2
+        # the live set stays full until no run is left to start
+        assert all(a >= b for a, b in zip(ranked, ranked[1:])), ranked
+        for i in range(_BATTERY_REPEATS):
+            reference = lloyd_reference(x, k, np.random.default_rng((0, i)), 300)
+            assert np.array_equal(stacked[i], reference), i
+
     def test_repeated_metrics_match_reference_runs(self):
         rng = np.random.default_rng(12)
         truth = np.repeat(np.arange(3), 30)
@@ -513,7 +536,7 @@ class TestStackedLloyd:
 class TestClusterMeans:
     # np.add.reduceat in place of bincount fails this test: its sums
     # differ from numpy's row-order sums in the last bits.
-    @pytest.mark.parametrize("d", [1, 2, 16])
+    @pytest.mark.parametrize("d", [1, 2, 16, 40])
     def test_bit_exact_against_masked_mean(self, d):
         rng = np.random.default_rng(40 + d)
         for members in range(1, 401):
