@@ -639,7 +639,7 @@ def cross_guided_assign(
     """
     if np.shape(cost_a) != np.shape(cost_b):
         raise ValueError(f"shape mismatch: cost_a {np.shape(cost_a)} vs cost_b {np.shape(cost_b)}")
-    cfg = SolverConfig() if cfg is None else cfg
+    cfg = _DEFAULT_CONFIG if cfg is None else cfg
     # scaled by the larger weight first, so that no pair of finite weights
     # overflows: w is exactly 0 at lambda2 = 0 and 1 at lambda2 = 1e308
     top = max(cfg.lambda1, cfg.lambda2)

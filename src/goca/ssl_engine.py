@@ -220,11 +220,10 @@ def swapped_loss(
     g_t = np.asarray(scores_t, dtype=float)
     if not (t_t.shape == g_s.shape == t_s.shape == g_t.shape):
         raise ValueError("all four matrices must have the same shape")
-    # loose bound: catches unscaled plans (rows summing to 1/M) while
-    # tolerating a plan multiplied by M, whose rows carry M times its residual
+    # loose bound: catches a plan handed over as solved, whose rows sum to 1/M
     for name, t in (("targets_t", t_t), ("targets_s", t_s)):
         if np.max(np.abs(t.sum(axis=1) - 1.0)) > 0.1:
-            raise ValueError(f"{name} rows must sum to 1 (rescale plans by M)")
+            raise ValueError(f"{name} rows must sum to 1 (divide each plan by its row sums)")
     m = t_t.shape[0]
     total = -np.sum(t_t * np.log(np.maximum(g_s, 1e-300)))
     total -= np.sum(t_s * np.log(np.maximum(g_t, 1e-300)))

@@ -1,7 +1,7 @@
 """Every name a package module imports is used there or re-exported, every
 name it exports exists, no module borrows another's private names, the
-oracle reaches no solver code, and the CLI loads at start-up only what
-every command needs."""
+oracle reaches no solver code, the CLI loads at start-up only what every
+command needs, and only the acceptance suite runs a criterion's check."""
 
 import ast
 import importlib
@@ -91,6 +91,24 @@ def test_oracle_imports_no_solver_code():
 ])
 def test_oracle_check_sees_each_way_to_solver_code(line):
     assert _reach(ORACLE.read_text(encoding="utf-8") + "\n" + line + "\n") != _ORACLE_REACH
+
+
+# goca.verify's criterion checks; its draw helpers and TRAINING_SHAPE_GAP stay free to use
+_CRITERIA = {"plain_vs_oracles", "guided_vs_oracles", "training_shape_gap", "kernel_reduction",
+             "zero_lambda2", "prior_dominance", "prior_scale_invariance", "kl_to_prior_falls",
+             "prototype_subgradient"}
+
+
+def test_only_the_acceptance_suite_runs_the_criterion_checks():
+    # test_acceptance.py asserts each criterion once; a unit test that ran
+    # its check again, on another seed, would be a twin of the criterion
+    uses = {}
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        uses[path.name] = [node.lineno for node in ast.walk(tree) if getattr(node, "id", None) in _CRITERIA
+                           or getattr(node, "attr", None) in _CRITERIA]
+    assert uses.pop("test_acceptance.py")  # the scan sees the criteria's own calls
+    assert {name: lines for name, lines in uses.items() if lines} == {}
 
 
 def test_cli_import_leaves_out_what_only_some_commands_use():
