@@ -1,5 +1,6 @@
 """Clustering and retrieval metrics against hand-built oracles."""
 
+import itertools
 import re
 import warnings
 
@@ -19,6 +20,21 @@ from goca.eval import (
 from _util import lloyd_reference, majority_vote_reference, nmi_reference, random_unit_rows
 
 
+def _brute_force_wcss(points: np.ndarray, k: int) -> float:
+    """Exhaustive assignment enumeration with centroid re-fit."""
+    best = np.inf
+    n = points.shape[0]
+    for assignment in itertools.product(range(k), repeat=n):
+        labels = np.asarray(assignment)
+        total = 0.0
+        for j in range(k):
+            members = points[labels == j]
+            if len(members):
+                total += float(((members - members.mean(axis=0)) ** 2).sum())
+        best = min(best, total)
+    return best
+
+
 class TestKMeans:
     def test_separated_pairs(self):
         points = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 0.0], [10.1, 0.0]])
@@ -33,6 +49,14 @@ class TestKMeans:
         labels = kmeans(points, 5, seed=0)
         assert len(set(labels.tolist())) == 5
         assert within_cluster_ss(points, labels) == pytest.approx(0.0, abs=1e-18)
+
+    def test_matches_exhaustive_enumeration(self):
+        rng = np.random.default_rng(1)
+        points = rng.standard_normal((8, 2))
+        labels = kmeans(points, 2, seed=0, restarts=30)
+        assert within_cluster_ss(points, labels) == pytest.approx(
+            _brute_force_wcss(points, 2), rel=1e-12
+        )
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)

@@ -15,7 +15,12 @@ from goca.oracle import entropic_gap, golden_section_2x2, mirror_descent_small
 from goca.ot_core import Marginals, SolverConfig, cost_from_features, cross_guided_assign, sinkhorn
 from goca.verify import TRAINING_SHAPE_GAP
 
-from _util import random_unit_rows
+from _util import feasible_random_plan, random_unit_rows
+
+
+def _kl(plan, prior):
+    pos = plan > 0
+    return float(np.sum(plan[pos] * np.log(plan[pos] / prior[pos])))
 
 
 class TestClampPrior:
@@ -82,6 +87,18 @@ class TestGuidedSinkhorn:
 
 
 class TestGuidedInvariants:
+    def test_kernel_reduction_equivalence(self):
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            size = int(rng.integers(2, 5))
+            cost = rng.uniform(-1, 1, size=(size, size))
+            prior = clamp_prior(rng.uniform(0.0, 1.0, size=(size, size)))
+            cfg = SolverConfig(lambda1=0.02, lambda2=0.03)
+            guided = guided_sinkhorn(cost, prior, cfg=cfg)
+            shifted = cost - cfg.lambda2 * np.log(clamp_prior(prior, cfg.prior_floor))
+            reduced = sinkhorn(shifted, cfg=SolverConfig(lambda1=cfg.lambda1 + cfg.lambda2))
+            assert np.max(np.abs(guided.plan - reduced.plan)) <= 1e-8
+
     def test_prior_scale_invariance(self):
         rng = np.random.default_rng(9)
         cost = rng.uniform(-1, 1, size=(3, 3))
@@ -91,6 +108,28 @@ class TestGuidedInvariants:
         for factor in (1e-3, 1.0, 1e3):
             scaled = guided_sinkhorn(cost, factor * prior, cfg=cfg).plan
             assert np.max(np.abs(base - scaled)) <= 1e-9
+
+    def test_prior_pull_is_monotone_in_lambda2(self):
+        rng = np.random.default_rng(10)
+        marg = Marginals.uniform(3, 3)
+        for _ in range(5):
+            cost = rng.uniform(-1, 1, size=(3, 3))
+            prior = feasible_random_plan(rng, marg.row, marg.col)
+            kls = []
+            for lam2 in (0.0, 0.01, 0.1, 1.0, 10.0):
+                cfg = SolverConfig(lambda1=0.1, lambda2=lam2, max_iters=50_000)
+                res = guided_sinkhorn(cost, prior, marg, cfg)
+                kls.append(_kl(res.plan, prior))
+            assert all(b <= a + 1e-9 for a, b in zip(kls, kls[1:]))
+
+    def test_prior_dominance_limit(self):
+        rng = np.random.default_rng(11)
+        marg = Marginals.uniform(3, 3)
+        cost = rng.uniform(-1, 1, size=(3, 3))
+        prior = feasible_random_plan(rng, marg.row, marg.col)
+        cfg = SolverConfig(lambda1=0.02, lambda2=1e3)
+        res = guided_sinkhorn(cost, prior, marg, cfg)
+        assert np.max(np.abs(res.plan - prior)) <= 1e-3
 
 
 class TestCrossGuidedAssign:

@@ -143,12 +143,25 @@ class TestProjectToSphere:
 
 
 class TestOptimizePrototypes:
+    def test_antipodal_pair_found(self):
+        cfg = ProtoOptConfig(steps=2000, restarts=1)
+        w = optimize_prototypes(2, 3, cfg)
+        assert prototype_loss(w) <= -1.0 + 1e-3
+
     def test_three_points_on_circle(self):
         cfg = ProtoOptConfig(steps=5000, restarts=5)
         w = optimize_prototypes(3, 2, cfg)
         sims = w @ w.T
         off_diag = sims[~np.eye(3, dtype=bool)]
         assert np.max(np.abs(off_diag - (-0.5))) <= 1e-2
+
+    def test_simplex_bound_tetrahedron(self):
+        w = optimize_prototypes(4, 3)
+        assert abs(max_pairwise_cosine(w) - (-1.0 / 3.0)) <= 1e-2
+
+    def test_rows_unit_norm(self):
+        w = optimize_prototypes(6, 4, ProtoOptConfig(steps=500, restarts=1))
+        assert np.max(np.abs(np.linalg.norm(w, axis=1) - 1.0)) <= 1e-9
 
     def test_never_worse_than_initialization(self):
         cfg = ProtoOptConfig(steps=50, restarts=1, seed=11)

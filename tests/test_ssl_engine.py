@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import goca.ot_core as ot_core
+from goca.oracle import finite_diff_grad
 from goca.ot_core import SolverConfig
 from goca.prototypes import ProtoOptConfig, optimize_prototypes
 from goca.runconfig import RunConfig
@@ -29,6 +30,25 @@ from goca.ssl_engine import (
 from goca.synth_data import SynthConfig, generate
 
 from _util import random_unit_rows
+
+
+def _params_to_vec(params):
+    keys = sorted(params)
+    return np.concatenate([params[k].ravel() for k in keys]), keys
+
+
+def _vec_to_params(vec, keys, template):
+    out = {}
+    offset = 0
+    for k in keys:
+        size = template[k].size
+        out[k] = vec[offset : offset + size].reshape(template[k].shape)
+        offset += size
+    return out
+
+
+def _grad_vec(grads, keys):
+    return np.concatenate([grads[k].ravel() for k in keys])
 
 
 def _fast_cfg(mode, **kwargs):
@@ -261,6 +281,22 @@ class TestSelfConsistentFixedPoint:
 
 
 class TestStepGradients:
+    @pytest.mark.parametrize("mode", ["sview", "avg", "sep", "goca"])
+    def test_matches_finite_differences(self, mode):
+        params, protos, batch = _tiny_setup(mode, seed=8)
+        cfg = _fast_cfg(mode)
+        base = step(batch, params, protos, cfg)
+        vec, keys = _params_to_vec(params)
+        analytic = _grad_vec(base.grads, keys)
+
+        def loss_at(theta):
+            candidate = _vec_to_params(theta, keys, params)
+            return step(batch, candidate, protos, cfg, targets=base.targets).loss
+
+        fd = finite_diff_grad(loss_at, vec, step=1e-5)
+        scale = max(float(np.max(np.abs(fd))), 1e-12)
+        assert float(np.max(np.abs(analytic - fd))) / scale <= 1e-4
+
     def test_sview_view_b_inputs_leave_view_a_gradients_alone(self):
         # both sview branches score against the one frozen set, which gets
         # no gradient, so view b's inputs reach none of view a's parameters
@@ -276,6 +312,21 @@ class TestStepGradients:
         for key in a_keys:
             assert np.array_equal(first.grads[key], second.grads[key])
         assert not np.array_equal(first.grads["b.w2"], second.grads["b.w2"])
+
+    def test_stop_gradient_contract(self):
+        params, protos, batch = _tiny_setup("goca", seed=9)
+        results = []
+        for tolerance in (1e-11, 1e-13):
+            cfg = _fast_cfg(
+                "goca",
+                solver=SolverConfig(lambda1=0.5, lambda2=0.1, tolerance=tolerance, max_iters=200_000),
+            )
+            results.append(step(batch, params, protos, cfg))
+        first, second = results
+        assert abs(first.loss - second.loss) < 1e-8
+        _, keys = _params_to_vec(params)
+        drift = np.max(np.abs(_grad_vec(first.grads, keys) - _grad_vec(second.grads, keys)))
+        assert drift < 1e-7
 
 
 class TestStepEntryPoints:
