@@ -339,10 +339,13 @@ def repeated_cluster_metrics(
     seeded ``(cfg.seed, i)``, as ``kmeans(..., seed=(cfg.seed, i),
     restarts=1)`` would run it; all runs share one stacked Lloyd loop.
 
-    Raises ``ValueError`` as ``kmeans`` does.
+    Raises ``ValueError`` as ``kmeans`` does, and before any run for a
+    ``truth`` that is not one label per feature row.
     """
     cfg = EvalConfig() if cfg is None else cfg
     x = _checked_features(features, k)
+    if np.shape(truth) != (x.shape[0],):
+        raise ValueError("cluster and truth vectors must have equal length")
     starts = [_starts(x.shape[0], k, (cfg.seed, i), 1) for i in range(cfg.repeats)]
     runs = _lloyd(x, np.concatenate(starts), _MAX_ITERS)
     rows = [majority_vote_metrics(labels, truth) for labels in runs]

@@ -220,9 +220,10 @@ def swapped_loss(
     g_t = np.asarray(scores_t, dtype=float)
     if not (t_t.shape == g_s.shape == t_s.shape == g_t.shape):
         raise ValueError("all four matrices must have the same shape")
-    # loose bound: catches a plan handed over as solved, whose rows sum to 1/M
+    # loose bound: catches a plan handed over as solved, whose rows sum to 1/M;
+    # written so that a NaN row sum fails it too
     for name, t in (("targets_t", t_t), ("targets_s", t_s)):
-        if np.max(np.abs(t.sum(axis=1) - 1.0)) > 0.1:
+        if not np.max(np.abs(t.sum(axis=1) - 1.0)) <= 0.1:
             raise ValueError(f"{name} rows must sum to 1 (divide each plan by its row sums)")
     m = t_t.shape[0]
     total = -np.sum(t_t * np.log(np.maximum(g_s, 1e-300)))

@@ -23,12 +23,46 @@ from goca.ot_core import (
     marginal_residual,
 )
 from goca.prototypes import _FINAL_LEARNING_RATE
+from goca.ssl_engine import init_params
+from goca.synth_data import SynthConfig, generate
 from goca.verify import feasible_random_plan  # re-exported for the tests
 
 
 def random_unit_rows(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
     x = rng.standard_normal((rows, dim))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def tiny_views(seed: int, samples_per_class: int = 20, **synth):
+    """The two-class data set that the training tests run on."""
+    return generate(SynthConfig(num_classes=2, samples_per_class=samples_per_class, signal_dim=4,
+                                distractor_dim=3, num_distractor_modes=4, seed=seed, **synth))
+
+
+def tiny_instance(mode: str, seed: int, protos=None):
+    """(params, protos, batch) of one 8-row step: 7- and 6-column views, 5 hidden
+    units, and 4 random unit prototypes in 8 dimensions unless ``protos`` is given."""
+    rng = np.random.default_rng(seed)
+    params = init_params(mode, 7, 6, 5, 8 if protos is None else protos.shape[1], rng)
+    if protos is None:
+        protos = random_unit_rows(rng, 4, 8)
+    batch = {key: rng.standard_normal((8, 7 if key[0] == "a" else 6))
+             for key in ("a.t", "a.s", "b.t", "b.s")}
+    return params, protos, batch
+
+
+def flatten(arrays: dict) -> np.ndarray:
+    """A parameter or gradient dict as one vector, raveled in sorted-key order."""
+    return np.concatenate([arrays[k].ravel() for k in sorted(arrays)])
+
+
+def unflatten(vec: np.ndarray, template: dict) -> dict:
+    """``flatten``'s inverse: ``vec`` cut into ``template``'s keys and shapes."""
+    out, offset = {}, 0
+    for k in sorted(template):
+        out[k] = vec[offset : offset + template[k].size].reshape(template[k].shape)
+        offset += template[k].size
+    return out
 
 
 def marginal_miss(plan: np.ndarray, psi: np.ndarray, omega: np.ndarray) -> float:

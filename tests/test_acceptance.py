@@ -22,12 +22,10 @@ from goca.prototypes import ProtoOptConfig, max_pairwise_cosine, optimize_protot
 from goca.runconfig import RunConfig
 from goca.ssl_engine import (
     TrainConfig,
-    init_params,
     step,
     swapped_loss,
     train,
 )
-from goca.synth_data import SynthConfig, generate
 from goca.verify import (
     guided_vs_oracles,
     kernel_reduction,
@@ -39,7 +37,7 @@ from goca.verify import (
     zero_lambda2,
 )
 
-from _util import random_unit_rows
+from _util import flatten, random_unit_rows, tiny_instance, tiny_views, unflatten
 
 
 def _report(name: str, elapsed: float, detail: str = ""):
@@ -154,24 +152,6 @@ def test_c06_prototype_regularizer():
             f"simplex bounds hit, grad rel err {worst_rel:.1e}")
 
 
-def _tiny_instance(mode, seed):
-    rng = np.random.default_rng(seed)
-    params = init_params(mode, 7, 6, 5, 8, rng)
-    protos = random_unit_rows(rng, 4, 8)
-    batch = {
-        "a.t": rng.standard_normal((8, 7)),
-        "a.s": rng.standard_normal((8, 7)),
-        "b.t": rng.standard_normal((8, 6)),
-        "b.s": rng.standard_normal((8, 6)),
-    }
-    return params, protos, batch
-
-
-def _vec(params, keys=None):
-    keys = sorted(params) if keys is None else keys
-    return np.concatenate([params[k].ravel() for k in keys])
-
-
 def test_c07_loss_and_gradient_checks():
     start = time.perf_counter()
 
@@ -182,32 +162,23 @@ def test_c07_loss_and_gradient_checks():
 
     worst_rel = 0.0
     for mode in ("sview", "avg", "sep", "goca"):
-        params, protos, batch = _tiny_instance(mode, seed=1070)
+        params, protos, batch = tiny_instance(mode, seed=1070)
         cfg = TrainConfig(
             mode=mode,
             temperature=0.5,
             solver=SolverConfig(lambda1=0.5, lambda2=0.1, tolerance=1e-10, max_iters=20_000),
         )
         base = step(batch, params, protos, cfg)
-        keys = sorted(params)
-        analytic = np.concatenate([base.grads[k].ravel() for k in keys])
 
-        def loss_at(theta, step=step, batch=batch, protos=protos, cfg=cfg,
-                    params=params, keys=keys, base=base):
-            rebuilt = {}
-            offset = 0
-            for k in keys:
-                size = params[k].size
-                rebuilt[k] = theta[offset : offset + size].reshape(params[k].shape)
-                offset += size
-            return step(batch, rebuilt, protos, cfg, targets=base.targets).loss
+        def loss_at(theta, batch=batch, protos=protos, cfg=cfg, params=params, base=base):
+            return step(batch, unflatten(theta, params), protos, cfg, targets=base.targets).loss
 
-        fd = finite_diff_grad(loss_at, _vec(params, keys), step=1e-5)
-        rel = float(np.max(np.abs(analytic - fd))) / max(float(np.max(np.abs(fd))), 1e-12)
+        fd = finite_diff_grad(loss_at, flatten(params), step=1e-5)
+        rel = float(np.max(np.abs(flatten(base.grads) - fd))) / max(float(np.max(np.abs(fd))), 1e-12)
         worst_rel = max(worst_rel, rel)
     assert worst_rel <= 1e-4
 
-    params, protos, batch = _tiny_instance("goca", seed=1071)
+    params, protos, batch = tiny_instance("goca", seed=1071)
     results = []
     for tolerance in (1e-11, 1e-13):
         cfg = TrainConfig(
@@ -217,9 +188,7 @@ def test_c07_loss_and_gradient_checks():
         )
         results.append(step(batch, params, protos, cfg))
     loss_drift = abs(results[0].loss - results[1].loss)
-    grad_drift = float(np.max(np.abs(
-        _vec(results[0].grads) - _vec(results[1].grads)
-    )))
+    grad_drift = float(np.max(np.abs(flatten(results[0].grads) - flatten(results[1].grads))))
     assert loss_drift < 1e-8
     assert grad_drift < 1e-7
 
@@ -230,8 +199,7 @@ def test_c07_loss_and_gradient_checks():
 
 def test_c08_mode_collapse_equivalence():
     start = time.perf_counter()
-    data = generate(SynthConfig(num_classes=2, samples_per_class=40, signal_dim=4,
-                                distractor_dim=3, num_distractor_modes=4, seed=108))
+    data = tiny_views(108, samples_per_class=40)
     solver = SolverConfig(lambda1=0.1, lambda2=0.0, tolerance=1e-6, max_iters=500)
     common = dict(
         epochs=25, batch_size=20, hidden_dim=6, feature_dim=8, num_prototypes=4,

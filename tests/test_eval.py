@@ -316,6 +316,13 @@ class TestRepeatedMetrics:
 
 
 class TestInputChecks:
+    def test_truth_of_the_wrong_shape_is_rejected_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(evalmod, "_lloyd", lambda *args: pytest.fail("a Lloyd run started"))
+        points = np.arange(12.0).reshape(6, 2)
+        for truth in (np.zeros(5, dtype=int), np.zeros((6, 1), dtype=int)):
+            with pytest.raises(ValueError, match="^cluster and truth vectors must have equal length$"):
+                repeated_cluster_metrics(points, truth, 2, EvalConfig(repeats=2))
+
     def test_k_above_distinct_rows_is_rejected(self):
         points = np.repeat(np.eye(2), 5, axis=0)
         with pytest.raises(ValueError, match="k = 3 exceeds the 2 distinct rows of the 10 samples"):

@@ -27,28 +27,9 @@ from goca.ssl_engine import (
     swapped_loss,
     train,
 )
-from goca.synth_data import SynthConfig, generate
+from goca.synth_data import generate
 
-from _util import random_unit_rows
-
-
-def _params_to_vec(params):
-    keys = sorted(params)
-    return np.concatenate([params[k].ravel() for k in keys]), keys
-
-
-def _vec_to_params(vec, keys, template):
-    out = {}
-    offset = 0
-    for k in keys:
-        size = template[k].size
-        out[k] = vec[offset : offset + size].reshape(template[k].shape)
-        offset += size
-    return out
-
-
-def _grad_vec(grads, keys):
-    return np.concatenate([grads[k].ravel() for k in keys])
+from _util import flatten, random_unit_rows, tiny_instance, tiny_views, unflatten
 
 
 def _fast_cfg(mode, **kwargs):
@@ -67,23 +48,6 @@ def _train_cfg(mode, **solver):
                        solver=SolverConfig(**{"lambda1": 0.1, "tolerance": 1e-6,
                                               "max_iters": 500, **solver}),
                        proto=ProtoOptConfig(steps=50, restarts=1), seed=17)
-
-
-def _tiny_batch(rng, m=8, in_a=7, in_b=6):
-    return {
-        "a.t": rng.standard_normal((m, in_a)),
-        "a.s": rng.standard_normal((m, in_a)),
-        "b.t": rng.standard_normal((m, in_b)),
-        "b.s": rng.standard_normal((m, in_b)),
-    }
-
-
-def _tiny_setup(mode, seed=0):
-    rng = np.random.default_rng(seed)
-    params = init_params(mode, 7, 6, 5, 8, rng)
-    protos = random_unit_rows(rng, 4, 8)
-    batch = _tiny_batch(rng)
-    return params, protos, batch
 
 
 class TestPrototypeScores:
@@ -143,7 +107,7 @@ class TestOneCostPerBranchAndSlot:
         monkeypatch.setattr(engine, "sinkhorn", recording(engine.sinkhorn, solved))
         monkeypatch.setattr(engine, "cross_guided_assign", recording(engine.cross_guided_assign, solved))
         monkeypatch.setattr(engine, "prototype_scores", recording(engine.prototype_scores, scored))
-        params, protos, batch = _tiny_setup(mode)
+        params, protos, batch = tiny_instance(mode, seed=0)
         step(batch, params, protos, _fast_cfg(mode))
         assert len(made) == expected
         assert sorted(map(id, solved)) == sorted(map(id, made))
@@ -153,7 +117,7 @@ class TestOneCostPerBranchAndSlot:
         ("sview", ["a", "b"]), ("avg", ["fused"]), ("sep", ["a", "b"]), ("goca", ["a", "b"])])
     def test_step_keys_each_branch_by_a_condition_extract_features_returns(self, mode, branches):
         # avg's one branch is scored as the fused condition, so it is named for it
-        params, protos, batch = _tiny_setup(mode, seed=15)
+        params, protos, batch = tiny_instance(mode, seed=15)
         result = step(batch, params, protos, _fast_cfg(mode))
         keys = [f"{branch}.{slot}" for branch in branches for slot in ("t", "s")]
         assert sorted(result.targets) == sorted(result.solves) == sorted(keys)
@@ -209,6 +173,13 @@ class TestSwappedLoss:
         with pytest.raises(ValueError, match=re.escape("(divide each plan by its row sums)")):
             swapped_loss(plan, plan * 4.0, plan, plan * 4.0)
 
+    def test_rejects_a_nan_target(self):
+        uniform = np.full((3, 4), 0.25)
+        targets = uniform.copy()
+        targets[1, 2] = np.nan
+        with pytest.raises(ValueError, match=r"^targets_s rows must sum to 1 "):
+            swapped_loss(uniform, uniform, targets, uniform)
+
     def test_hint_divides_a_converged_plan_that_times_m_would_miss(self):
         # converged at tolerance 5e-3, row residual 4.8e-3: times M, rows miss 1 by 0.48
         rng = np.random.default_rng(0)
@@ -247,16 +218,14 @@ class TestSelfConsistentFixedPoint:
 
     @staticmethod
     def _setup(mode):
-        rng = np.random.default_rng(7)
-        params = init_params(mode, 7, 6, 5, 3, rng)
+        angles = 2.0 * np.pi * np.arange(4) / 4.0
+        r = math.sqrt(0.75)
+        protos = np.stack([r * np.cos(angles), r * np.sin(angles), np.full(4, 0.5)], axis=1)
+        params, protos, batch = tiny_instance(mode, seed=7, protos=protos)
         heads = ("a", "b") if mode == "sview" else ("shared",)
         for head in heads:
             params[f"{head}.w2"] = np.zeros_like(params[f"{head}.w2"])
             params[f"{head}.b2"] = np.array([0.0, 0.0, 1.0])
-        angles = 2.0 * np.pi * np.arange(4) / 4.0
-        r = math.sqrt(0.75)
-        protos = np.stack([r * np.cos(angles), r * np.sin(angles), np.full(4, 0.5)], axis=1)
-        batch = _tiny_batch(rng)
         return params, protos, batch
 
     def test_goca_loss_at_floor(self):
@@ -283,24 +252,21 @@ class TestSelfConsistentFixedPoint:
 class TestStepGradients:
     @pytest.mark.parametrize("mode", ["sview", "avg", "sep", "goca"])
     def test_matches_finite_differences(self, mode):
-        params, protos, batch = _tiny_setup(mode, seed=8)
+        params, protos, batch = tiny_instance(mode, seed=8)
         cfg = _fast_cfg(mode)
         base = step(batch, params, protos, cfg)
-        vec, keys = _params_to_vec(params)
-        analytic = _grad_vec(base.grads, keys)
 
         def loss_at(theta):
-            candidate = _vec_to_params(theta, keys, params)
-            return step(batch, candidate, protos, cfg, targets=base.targets).loss
+            return step(batch, unflatten(theta, params), protos, cfg, targets=base.targets).loss
 
-        fd = finite_diff_grad(loss_at, vec, step=1e-5)
+        fd = finite_diff_grad(loss_at, flatten(params), step=1e-5)
         scale = max(float(np.max(np.abs(fd))), 1e-12)
-        assert float(np.max(np.abs(analytic - fd))) / scale <= 1e-4
+        assert float(np.max(np.abs(flatten(base.grads) - fd))) / scale <= 1e-4
 
     def test_sview_view_b_inputs_leave_view_a_gradients_alone(self):
         # both sview branches score against the one frozen set, which gets
         # no gradient, so view b's inputs reach none of view a's parameters
-        params, protos, batch = _tiny_setup("sview", seed=11)
+        params, protos, batch = tiny_instance("sview", seed=11)
         cfg = _fast_cfg("sview")
         rng = np.random.default_rng(12)
         other = {**batch, "b.t": rng.standard_normal(batch["b.t"].shape),
@@ -314,7 +280,7 @@ class TestStepGradients:
         assert not np.array_equal(first.grads["b.w2"], second.grads["b.w2"])
 
     def test_stop_gradient_contract(self):
-        params, protos, batch = _tiny_setup("goca", seed=9)
+        params, protos, batch = tiny_instance("goca", seed=9)
         results = []
         for tolerance in (1e-11, 1e-13):
             cfg = _fast_cfg(
@@ -324,8 +290,7 @@ class TestStepGradients:
             results.append(step(batch, params, protos, cfg))
         first, second = results
         assert abs(first.loss - second.loss) < 1e-8
-        _, keys = _params_to_vec(params)
-        drift = np.max(np.abs(_grad_vec(first.grads, keys) - _grad_vec(second.grads, keys)))
+        drift = np.max(np.abs(flatten(first.grads) - flatten(second.grads)))
         assert drift < 1e-7
 
 
@@ -345,8 +310,7 @@ class TestStepEntryPoints:
                 return _step(*args, **kwargs)
 
             monkeypatch.setattr(engine, name, counted)
-        data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
-                                    distractor_dim=3, num_distractor_modes=4, seed=16))
+        data = tiny_views(16)
         cfg = _train_cfg(mode)
         result = train(data, cfg)
         steps = cfg.epochs * (len(data) // cfg.batch_size)
@@ -365,8 +329,7 @@ class TestStepEntryPoints:
                 return _step(batch, *args, **kwargs)
 
             monkeypatch.setattr(engine, name, recorded)
-        data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
-                                    distractor_dim=3, num_distractor_modes=4, seed=16))
+        data = tiny_views(16)
         cfg = _train_cfg(mode)
         train(data, cfg)
         assert len(batches) == cfg.epochs * (len(data) // cfg.batch_size)
@@ -385,7 +348,7 @@ class TestStepEntryPoints:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-        params, protos, batch = _tiny_setup(mode, seed=13)
+        params, protos, batch = tiny_instance(mode, seed=13)
         result = step(batch, params, protos, _fast_cfg(mode))
         assert calls == {"_solve": solves, "guided_sinkhorn": 0}
         assert len(result.solves) == solves
@@ -393,7 +356,7 @@ class TestStepEntryPoints:
     @pytest.mark.parametrize("capped", [False, True])
     @pytest.mark.parametrize("mode", MODES)
     def test_step_reports_the_solve_behind_each_target(self, mode, capped):
-        params, protos, batch = _tiny_setup(mode, seed=13)
+        params, protos, batch = tiny_instance(mode, seed=13)
         cfg = _fast_cfg(mode)
         if capped:
             # an unreachable tolerance stops every solve at a 3-sweep cap
@@ -412,7 +375,7 @@ class TestStepEntryPoints:
 
 class TestModeCollapse:
     def test_goca_with_zero_lambda2_is_bitwise_sep_step(self):
-        params, protos, batch = _tiny_setup("sep", seed=10)
+        params, protos, batch = tiny_instance("sep", seed=10)
         solver = SolverConfig(lambda1=0.1, lambda2=0.0, tolerance=1e-9, max_iters=50_000)
         goca_res = step(batch, dict(params), protos, _fast_cfg("goca", solver=solver))
         sep_res = step(batch, dict(params), protos, _fast_cfg("sep", solver=solver))
@@ -421,8 +384,7 @@ class TestModeCollapse:
             assert np.array_equal(goca_res.grads[key], sep_res.grads[key])
 
     def test_goca_with_zero_lambda2_reproduces_sep_training_trace(self):
-        data = generate(SynthConfig(num_classes=2, samples_per_class=40, signal_dim=4,
-                                    distractor_dim=3, num_distractor_modes=4, seed=3))
+        data = tiny_views(3, samples_per_class=40)
         solver = SolverConfig(lambda1=0.1, lambda2=0.0, tolerance=1e-6, max_iters=500)
         proto = ProtoOptConfig(steps=200, restarts=1)
         common = dict(
@@ -471,8 +433,7 @@ class TestAugment:
 
 class TestTrain:
     def test_zero_epochs_leaves_encoders_at_initialization(self):
-        data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
-                                    distractor_dim=3, num_distractor_modes=4, seed=4))
+        data = tiny_views(4)
         cfg = TrainConfig(mode="sep", epochs=0, batch_size=10, hidden_dim=6,
                           feature_dim=8, num_prototypes=4,
                           proto=ProtoOptConfig(steps=100, restarts=1), seed=12)
@@ -485,9 +446,7 @@ class TestTrain:
             assert np.array_equal(result.params[key], value)
 
     def test_descent_sanity_on_separable_data(self):
-        data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
-                                    distractor_dim=3, num_distractor_modes=4,
-                                    distractor_strength=0.5, view_b_noise=0.2, seed=5))
+        data = tiny_views(5, distractor_strength=0.5, view_b_noise=0.2)
         cfg = TrainConfig(mode="goca", epochs=50, batch_size=20, hidden_dim=6,
                           feature_dim=8, num_prototypes=4,
                           solver=SolverConfig(lambda1=0.1, lambda2=0.03,
@@ -501,8 +460,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("mode", ["sview", "avg", "sep", "goca"])
     def test_divergence_stops_naming_mode_and_step(self, mode):
-        data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
-                                    distractor_dim=3, num_distractor_modes=4, seed=6))
+        data = tiny_views(6)
         cfg = TrainConfig(mode=mode, epochs=2, batch_size=10, hidden_dim=6, feature_dim=8,
                           num_prototypes=4, learning_rate=1e200,
                           solver=SolverConfig(lambda1=0.1, tolerance=1e-6, max_iters=500),
@@ -514,16 +472,14 @@ class TestTrain:
             train(data, cfg)
 
     def test_non_finite_loss_stops_naming_mode_and_step(self, monkeypatch):
-        data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
-                                    distractor_dim=3, num_distractor_modes=4, seed=6))
+        data = tiny_views(6)
         monkeypatch.setattr(engine, "swapped_loss", lambda *args: math.nan)
         with pytest.raises(FloatingPointError, match="^goca training stopped at step 0: loss is nan$"):
             train(data, _train_cfg("goca"))
 
     @pytest.mark.parametrize("mode", MODES)
     def test_non_converged_steps_warn_once_naming_mode_and_step(self, mode, caplog, monkeypatch):
-        data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
-                                    distractor_dim=3, num_distractor_modes=4, seed=18))
+        data = tiny_views(18)
         with caplog.at_level(logging.WARNING, logger="goca.ssl_engine"):
             train(data, _train_cfg(mode))
         assert caplog.records == []
@@ -576,8 +532,7 @@ class TestTrain:
             assert len(result.trace) == 2 * len(data) // cfg.batch_size
 
     def test_dimension_mismatch_rejected(self):
-        data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
-                                    distractor_dim=3, num_distractor_modes=4, seed=6))
+        data = tiny_views(6)
         cfg = TrainConfig(mode="sep", epochs=1, batch_size=10, feature_dim=8,
                           num_prototypes=4, proto=ProtoOptConfig(steps=50, restarts=1))
         rng = np.random.default_rng(0)
@@ -585,8 +540,7 @@ class TestTrain:
             train(data, cfg, prototypes=random_unit_rows(rng, 4, 5))
 
     def test_batch_larger_than_the_data_set_rejected_naming_both_sizes(self):
-        data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
-                                    distractor_dim=3, num_distractor_modes=4, seed=6))
+        data = tiny_views(6)
         cfg = replace(_train_cfg("sep"), batch_size=41)
         with pytest.raises(ValueError, match="^batch_size 41 exceeds the dataset size 40$"):
             train(data, cfg, prototypes=random_unit_rows(np.random.default_rng(0), 4, 8))
@@ -601,8 +555,7 @@ class TestTrain:
     def test_wrong_prototype_set_count_rejected_before_any_step(
         self, monkeypatch, mode, sets, message
     ):
-        data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
-                                    distractor_dim=3, num_distractor_modes=4, seed=6))
+        data = tiny_views(6)
         rng = np.random.default_rng(0)
         pair = (random_unit_rows(rng, 4, 8), random_unit_rows(rng, 4, 8))
         prototypes = {"tuple": pair, "list": list(pair), "wide": random_unit_rows(rng, 4, 9)}[sets]
@@ -613,8 +566,7 @@ class TestTrain:
             train(data, _train_cfg(mode), prototypes)
 
     def test_prototypes_as_a_nested_list_train_as_the_array(self):
-        data = generate(SynthConfig(num_classes=2, samples_per_class=20, signal_dim=4,
-                                    distractor_dim=3, num_distractor_modes=4, seed=6))
+        data = tiny_views(6)
         protos = random_unit_rows(np.random.default_rng(0), 4, 8)
         cfg = replace(_train_cfg("goca"), epochs=1)
         listed, arrayed = train(data, cfg, protos.tolist()), train(data, cfg, protos)
@@ -624,8 +576,7 @@ class TestTrain:
             assert np.array_equal(listed.params[key], value), key
 
     def test_unknown_mode_rejected_naming_the_modes(self):
-        data = generate(SynthConfig(num_classes=2, samples_per_class=5, signal_dim=4,
-                                    distractor_dim=3, num_distractor_modes=4, seed=6))
+        data = tiny_views(6, samples_per_class=5)
         rng = np.random.default_rng(0)
         dims = (data.view_a.shape[1], data.view_b.shape[1], 6, 8)
         params = init_params("sep", *dims, rng)
@@ -636,8 +587,7 @@ class TestTrain:
             extract_features(params, "bogus", data)
 
     def test_extract_features_conditions(self):
-        data = generate(SynthConfig(num_classes=2, samples_per_class=15, signal_dim=4,
-                                    distractor_dim=3, num_distractor_modes=4, seed=7))
+        data = tiny_views(7, samples_per_class=15)
         for mode, expected in (("sep", {"a", "b", "fused"}), ("avg", {"fused"})):
             cfg = TrainConfig(mode=mode, epochs=1, batch_size=10, hidden_dim=6,
                               feature_dim=8, num_prototypes=4,
