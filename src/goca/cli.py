@@ -234,9 +234,12 @@ def _cmd_eval(args) -> int:
 
 def _pool_size(jobs: int, cells: int) -> int:
     """Worker processes for ``cells`` independent cells: ``jobs`` clamped
-    to the cell count and the processor count (below 2, run serially)."""
+    to the cell count and the CPUs this process may run on, or the
+    processor count where the platform cannot tell (below 2, run serially)."""
     if jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
+    if hasattr(os, "sched_getaffinity"):
+        return min(jobs, cells, len(os.sched_getaffinity(0)))
     return min(jobs, cells, os.cpu_count() or 1)
 
 

@@ -68,11 +68,11 @@ each) than a Newton solve costs (4 (M + N)^3), and the check at the
 cap, also after a polish that failed (singular Hessian, no descent, or
 its step cap spent).  A polish that meets the tolerance ends the stage.
 The rate needs two checks, so a cap of at most 10 sweeps is never
-polished.  Each Newton step solves with the Hessian refilled in one
-preallocated matrix and tests convergence on the row and column sums
-that the next step's gradient and Hessian reuse.  Where scaling
-converges before any check polishes, the plan is bit-for-bit that of
-scaling alone.
+polished.  Each Newton step eliminates the row shifts, solves the
+(N - 1) x (N - 1) Schur complement of the dual Hessian for the column
+shifts, and tests convergence on the row and column sums that the next
+step reuses.  Where scaling converges before any check polishes, the
+plan is bit-for-bit that of scaling alone.
 """
 
 from __future__ import annotations
@@ -317,7 +317,13 @@ _NEWTON_STEPS = 20
 # projected sweeps, more than training's cap of 2,000; but the rule
 # compares projected sweeps, so a training solve whose residual stalls
 # (near 2.2e-3, falling 1.7 % per check, projects 4,469) is polished
-# before the cap.
+# before the cap.  The constant prices the dense (M + N - 1)^2 solve the
+# polish no longer makes.  Measured at one OpenBLAS thread on x86-64, a
+# Schur step costs about 52 sweeps at 100 x 64 (166 us against 3.2 us)
+# and about 17 at criterion c03's sides 2-5 (26-27 us against 1.5 us).
+# With 4-5 steps per training polish and 5-7 per c03 polish, a polish
+# breaks even at about 210-260 sweeps at 100 x 64 and 90-125 at sides
+# 2-5, against the 2,757 and 64-160 this constant gives.
 _NEWTON_WORK = 4
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-10
@@ -390,34 +396,37 @@ def _newton_polish(plan: np.ndarray, marginals: Marginals, tolerance: float):
     sum(P * exp(df_i + dg_j)) - a . df - b . dg, whose Hessian at P is
     [[diag(P 1), P'], [P'^T, diag(P^T 1)']] with ' dropping the last
     column, and backtracks until the objective falls by at least
-    _ARMIJO times the predicted decrease.  The Hessian is refilled in
-    place each step; its zero blocks stay zero.  The row and column sums
-    of each new plan both test convergence and give the next step.
+    _ARMIJO times the predicted decrease.  The Newton system is solved
+    through its Schur complement: the row block gives
+    df = -(row_gap + P' dg') / (P 1), which leaves the (N-1) x (N-1)
+    system [diag(P^T 1)' - P'^T diag(P 1)^-1 P'] dg' =
+    P'^T (row_gap / (P 1)) - col_gap', solved with both sides negated,
+    which saves a pass.  The row and column sums of each new plan both
+    test convergence and give the next step.
 
-    Returns (plan, steps) once both residuals of the plan meet
-    ``tolerance``, or None when the Hessian is singular, a step finds
-    no descent or _NEWTON_STEPS run out.
+    Returns (plan, steps, row residual, column residual) once both
+    residuals of the plan meet ``tolerance``, or None when the Hessian
+    is singular, a step finds no descent or _NEWTON_STEPS run out.
     """
     row, col = marginals.row, marginals.col
-    m, n = plan.shape
-    hessian = np.zeros((m + n - 1, m + n - 1))
-    diagonal = hessian.reshape(-1)[:: m + n]  # a view of the diagonal
-    step_g = np.zeros(n)  # the last column potential stays fixed
+    step_g = np.zeros(plan.shape[1])  # the last column potential stays fixed
     rows, cols = plan.sum(axis=1), plan.sum(axis=0)
     row_gap, col_gap = rows - row, cols - col
+    # An empty row zeroes a row of the Hessian, which is then singular.  A
+    # row that a step's exp underflows to zero gives NaN steps instead,
+    # which the descent test rejects.
+    if not rows.all():
+        return None
     for steps in range(1, _NEWTON_STEPS + 1):
-        grad = np.concatenate([row_gap, col_gap[:-1]])
-        diagonal[:m] = rows
-        diagonal[m:] = cols[:-1]
-        hessian[:m, m:] = plan[:, :-1]
-        hessian[m:, :m] = plan[:, :-1].T
+        scaled = plan[:, :-1] / rows[:, None]  # diag(P 1)^-1 P'
+        negated_schur = plan[:, :-1].T.dot(scaled)
+        negated_schur.flat[:: negated_schur.shape[0] + 1] -= cols[:-1]
         try:
-            delta = np.linalg.solve(hessian, -grad)
+            step_g[:-1] = np.linalg.solve(negated_schur, col_gap[:-1] - row_gap.dot(scaled))
         except np.linalg.LinAlgError:
             return None
-        step_f = delta[:m]
-        step_g[:-1] = delta[m:]
-        slope = float(grad.dot(delta))
+        step_f = -(row_gap + plan.dot(step_g)) / rows
+        slope = float(row_gap.dot(step_f) + col_gap.dot(step_g))
         if not slope < 0.0:
             return None
         linear = row.dot(step_f) + col.dot(step_g)
@@ -435,8 +444,9 @@ def _newton_polish(plan: np.ndarray, marginals: Marginals, tolerance: float):
         rows, cols = plan.sum(axis=1), plan.sum(axis=0)
         row_gap, col_gap = rows - row, cols - col
         # marginal_residual's arithmetic, on gaps the next step reuses
-        if max(float(np.abs(row_gap).max()), float(np.abs(col_gap).max())) <= tolerance:
-            return plan, steps
+        row_res, col_res = float(np.abs(row_gap).max()), float(np.abs(col_gap).max())
+        if max(row_res, col_res) <= tolerance:
+            return plan, steps, row_res, col_res
     return None
 
 
@@ -514,8 +524,7 @@ def _scaling_stage(
                 rate_polished = True
                 polished = _newton_polish(u[:, None] * kernel * v[None, :], marginals, tolerance)
                 if polished is not None:
-                    plan, steps = polished
-                    residuals = marginal_residual(plan, marginals)
+                    plan, steps, *residuals = polished
                     result = SinkhornResult(plan, True, sweeps, *residuals, newton_steps=steps)
                     return g + np.log(v), result
             if sweeps >= max_iters:

@@ -8,10 +8,7 @@ import numpy as np
 
 from goca.eval import ClusterMetrics
 from goca.ot_core import (
-    _ARMIJO,
     _CHECK_EVERY,
-    _MIN_STEP,
-    _NEWTON_STEPS,
     _NON_FINITE_PLAN,
     _STAGE_ITER_CAP,
     Marginals,
@@ -20,7 +17,6 @@ from goca.ot_core import (
     _anneal_schedule,
     _forced_plan,
     _in_range,
-    marginal_residual,
 )
 from goca.prototypes import _FINAL_LEARNING_RATE
 from goca.ssl_engine import init_params
@@ -245,46 +241,6 @@ def solve_reference(
     return SinkhornResult(
         plan, converged, iterations, row_res, col_res, sweeps + iterations, len(stages)
     )
-
-
-def newton_polish_reference(plan: np.ndarray, marginals: Marginals, tolerance: float):
-    """``goca.ot_core._newton_polish`` as it was before its Hessian was
-    refilled in place and its convergence test reused the next step's sums.
-
-    Builds the Hessian with ``np.block`` and two ``np.diag`` each step and
-    tests convergence with ``marginal_residual``.  On every plan a solve
-    hands it, the library polish must return exactly (``np.array_equal``)
-    this plan with the same step count, or None where this does.
-    """
-    row, col = marginals.row, marginals.col
-    m = row.size
-    for steps in range(1, _NEWTON_STEPS + 1):
-        rows, cols = plan.sum(axis=1), plan.sum(axis=0)
-        grad = np.concatenate([rows - row, cols[:-1] - col[:-1]])
-        hessian = np.block([[np.diag(rows), plan[:, :-1]], [plan[:, :-1].T, np.diag(cols[:-1])]])
-        try:
-            delta = np.linalg.solve(hessian, -grad)
-        except np.linalg.LinAlgError:
-            return None
-        step_f, step_g = delta[:m], np.append(delta[m:], 0.0)
-        slope = float(grad.dot(delta))
-        if not slope < 0.0:
-            return None
-        linear = row.dot(step_f) + col.dot(step_g)
-        t = 1.0
-        while True:
-            exponent = t * step_f[:, None] + t * step_g[None, :]
-            # expm1 keeps the objective change exact near the optimum
-            change = float(np.sum(plan * np.expm1(exponent))) - t * linear
-            if change <= _ARMIJO * t * slope:
-                break
-            t *= 0.5
-            if t < _MIN_STEP:
-                return None
-        plan = plan * np.exp(exponent)
-        if max(marginal_residual(plan, marginals)) <= tolerance:
-            return plan, steps
-    return None
 
 
 def _entropy_of_counts(counts: np.ndarray) -> float:

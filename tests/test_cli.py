@@ -407,6 +407,8 @@ class TestGridAndAblate:
     def test_pool_size_is_clamped(self, monkeypatch):
         from goca.cli import _pool_size
 
+        # the processor count, where the platform reports no affinity mask
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 4)
         assert _pool_size(1, 20) == 1
         assert _pool_size(3, 20) == 3
@@ -414,6 +416,11 @@ class TestGridAndAblate:
         assert _pool_size(10_000, 2) == 2
         monkeypatch.setattr("os.cpu_count", lambda: None)
         assert _pool_size(8, 20) == 1
+        # the CPUs of the affinity mask, where it is smaller than the count
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 5, 6}, raising=False)
+        assert _pool_size(10_000, 20) == 3
+        assert _pool_size(2, 20) == 2
         with pytest.raises(ValueError, match="at least 1"):
             _pool_size(0, 20)
 
