@@ -9,7 +9,6 @@ synthetic two-view benchmark at desk scale.
 """
 
 from .ot_core import (
-    Marginals,
     SinkhornResult,
     SolverConfig,
     clamp_prior,
@@ -43,7 +42,6 @@ from .synth_data import SynthConfig, SynthDataset, generate
 __version__ = "0.1.0"
 
 __all__ = [
-    "Marginals",
     "SolverConfig",
     "SinkhornResult",
     "cost_from_features",

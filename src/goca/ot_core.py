@@ -1,16 +1,18 @@
 """Entropic optimal assignment over the transport polytope.
 
 The assignment between a batch of M unit feature vectors and N unit
-prototypes is the matrix D in U(psi, omega) minimizing
+prototypes is the matrix D in U(1/M, 1/N) minimizing
 
     <D, C> - lambda1 * h(D),
 
-where U(psi, omega) is the set of nonnegative M x N matrices with row
-sums psi and column sums omega, C is the feature-to-prototype cost and
-h(D) = -sum_ij d_ij log d_ij.  The minimizer has the scaling form
-D = diag(u) K diag(v) with kernel K = exp(-C / lambda1); the scaling
-vectors are found by alternating row/column (Sinkhorn) updates, run as
-one matrix-vector scaling loop, u = psi / (K v) and v = omega / (K^T u).
+where U(1/M, 1/N) is the set of nonnegative M x N matrices whose rows
+each sum to 1/M and whose columns each sum to 1/N (equipartition: every
+sample and every prototype carries the same mass), C is the
+feature-to-prototype cost and h(D) = -sum_ij d_ij log d_ij.  The
+minimizer has the scaling form D = diag(u) K diag(v) with kernel
+K = exp(-C / lambda1); the scaling vectors are found by alternating
+row/column (Sinkhorn) updates, run as one matrix-vector scaling loop,
+u = a / (K v) and v = b / (K^T u), with a and b the uniform vectors.
 
 The guided variant adds a KL pull toward a prior plan:
 
@@ -69,10 +71,11 @@ cap, also after a polish that failed (singular Hessian, no descent, or
 its step cap spent).  A polish that meets the tolerance ends the stage.
 The rate needs two checks, so a cap of at most 10 sweeps is never
 polished.  Each Newton step eliminates the row shifts, solves the
-(N - 1) x (N - 1) Schur complement of the dual Hessian for the column
-shifts, and tests convergence on the row and column sums that the next
-step reuses.  Where scaling converges before any check polishes, the
-plan is bit-for-bit that of scaling alone.
+(N - 1) x (N - 1) Schur complement of the dual Hessian, its diagonal
+damped by a relative 1e-11, for the column shifts, and tests
+convergence on the row and column sums that the next step reuses.
+Where scaling converges before any check polishes, the plan is
+bit-for-bit that of scaling alone.
 """
 
 from __future__ import annotations
@@ -85,7 +88,6 @@ from typing import ClassVar
 import numpy as np
 
 __all__ = [
-    "Marginals",
     "SolverConfig",
     "SinkhornResult",
     "clamp_prior",
@@ -157,40 +159,15 @@ def unit_rows(arr: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     return arr / norms, norms
 
 
-@dataclass(frozen=True)
-class Marginals:
-    """Prescribed row mass psi and column mass omega of the plan."""
-
-    row: np.ndarray
-    col: np.ndarray
-
-    def __post_init__(self):
-        row = np.asarray(self.row, dtype=float)
-        col = np.asarray(self.col, dtype=float)
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "col", col)
-        if row.ndim != 1 or col.ndim != 1:
-            raise ValueError("marginals must be vectors")
-        if row.size < 1 or col.size < 1:
-            raise ValueError("marginals must be non-empty")
-        # written so that a NaN entry fails it too
-        if not (np.all(row > 0.0) and np.all(col > 0.0)):
-            raise ValueError("marginal entries must be strictly positive")
-        for name, vec in (("row", row), ("col", col)):
-            if abs(float(vec.sum()) - 1.0) > 1e-12:
-                raise ValueError(f"{name} marginal must sum to 1 within 1e-12")
-
-    @classmethod
-    @functools.lru_cache(maxsize=64)
-    def uniform(cls, num_rows: int, num_cols: int) -> "Marginals":
-        """Uniform marginals, built and validated once per shape and
-        shared by every caller, so their arrays are read-only."""
-        if num_rows < 1 or num_cols < 1:
-            raise ValueError("marginals must be non-empty")
-        row = np.full(num_rows, 1.0 / num_rows)
-        col = np.full(num_cols, 1.0 / num_cols)
-        row.flags.writeable = col.flags.writeable = False
-        return cls(row, col)
+@functools.lru_cache(maxsize=64)
+def _uniform(num_rows: int, num_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row marginal 1/M and column marginal 1/N of an M x N plan, as
+    vectors: built once per shape and shared by every solve, so they are
+    read-only."""
+    row = np.full(num_rows, 1.0 / num_rows)
+    col = np.full(num_cols, 1.0 / num_cols)
+    row.flags.writeable = col.flags.writeable = False
+    return row, col
 
 
 @dataclass(frozen=True)
@@ -223,9 +200,11 @@ _DEFAULT_CONFIG = SolverConfig()
 class SinkhornResult:
     """Transport plan plus convergence diagnostics.
 
-    ``converged`` is True when both residuals of ``plan`` meet the
-    tolerance.  It is False when the iteration cap was reached first; the
-    plan is then the last iterate, which training code may still use.
+    ``row_residual`` and ``col_residual`` are those of ``plan`` against
+    the uniform marginals 1/M and 1/N (see ``marginal_residual``), and
+    ``converged`` is True when both meet the tolerance.  It is False
+    when the iteration cap was reached first; the plan is then the last
+    iterate, which training code may still use.
     ``iterations`` counts the sweeps of the final (target-regularization)
     stage, the one the cap applies to; ``sweeps`` counts the sweeps of
     all ``stages``, annealing stages included.  Annealing runs only where
@@ -273,13 +252,16 @@ def cost_from_features(features: np.ndarray, prototypes: np.ndarray) -> np.ndarr
     return -(feats @ protos.T)
 
 
-def marginal_residual(plan: np.ndarray, marginals: Marginals) -> tuple[float, float]:
-    """(max |row sums - psi|, max |col sums - omega|)."""
+def marginal_residual(plan: np.ndarray) -> tuple[float, float]:
+    """(max |row sums - 1/M|, max |col sums - 1/N|) of an M x N plan."""
     d = np.asarray(plan, dtype=float)
-    if d.shape != (marginals.row.size, marginals.col.size):
-        raise ValueError("plan shape does not match marginals")
-    row_res = float(np.max(np.abs(d.sum(axis=1) - marginals.row)))
-    col_res = float(np.max(np.abs(d.sum(axis=0) - marginals.col)))
+    if d.ndim != 2:
+        raise ValueError("plan must be a 2-D matrix")
+    if 0 in d.shape:
+        raise ValueError(f"plan must have at least one row and one column, got shape {d.shape}")
+    row, col = _uniform(*d.shape)
+    row_res = float(np.max(np.abs(d.sum(axis=1) - row)))
+    col_res = float(np.max(np.abs(d.sum(axis=0) - col)))
     return row_res, col_res
 
 
@@ -327,6 +309,13 @@ _NEWTON_STEPS = 20
 _NEWTON_WORK = 4
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-10
+# The polish solves S + mu diag(P^T 1)' for the Schur complement S, mu =
+# _SCHUR_DAMPING (Levenberg-Marquardt damping).  A plan close to a
+# permutation, as uniform marginals give on square costs at small
+# lambda1, makes S singular to rounding (condition numbers up to 7e21),
+# and the undamped step is noise.  Picked over battery seeds 0-39 and the
+# c03 set (DAMPING_51.json): no solve unconverged, then fewest sweeps.
+_SCHUR_DAMPING = 1e-11
 
 _NON_FINITE_PLAN = (
     "transport plan is not finite at regularization {:.3g}: "
@@ -344,9 +333,7 @@ def _anneal_schedule(scale: float, cost_range: float) -> list[float]:
     return stages
 
 
-def _absorb(
-    log_kernel: np.ndarray, marginals: Marginals, g: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _absorb(log_kernel: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One exact log-domain sweep from column potentials ``g``.
 
     Returns the kernel exp(log_kernel + f + g') with the updated row and
@@ -354,15 +341,16 @@ def _absorb(
     marginal, and the new column potentials g'.  Both log-sum-exp
     passes work in place in one M x N buffer, which becomes the kernel.
     """
+    row, col = _uniform(*log_kernel.shape)
     work = log_kernel + g
     row_peak = work.max(axis=1, keepdims=True)
     work -= row_peak
-    f = np.log(marginals.row) - (np.log(np.exp(work, out=work).sum(axis=1)) + row_peak[:, 0])
+    f = np.log(row) - (np.log(np.exp(work, out=work).sum(axis=1)) + row_peak[:, 0])
     np.add(log_kernel, f[:, None], out=work)
     peak = work.max(axis=0)
     work -= peak
     kernel = np.exp(work, out=work)
-    col_scale = marginals.col / kernel.sum(axis=0)  # column sums are >= 1
+    col_scale = col / kernel.sum(axis=0)  # column sums are >= 1
     kernel *= col_scale
     return kernel, np.log(col_scale) - peak
 
@@ -388,7 +376,7 @@ def _worth_polishing(res: float, prev: float, tolerance: float, shape: tuple[int
     return _CHECK_EVERY * blocks * m * n > _NEWTON_WORK * (m + n) ** 3
 
 
-def _newton_polish(plan: np.ndarray, marginals: Marginals, tolerance: float):
+def _newton_polish(plan: np.ndarray, tolerance: float):
     """Damped Newton on the dual potentials, starting from ``plan``.
 
     The unknowns are the row shifts df and the column shifts dg but the
@@ -401,14 +389,15 @@ def _newton_polish(plan: np.ndarray, marginals: Marginals, tolerance: float):
     df = -(row_gap + P' dg') / (P 1), which leaves the (N-1) x (N-1)
     system [diag(P^T 1)' - P'^T diag(P 1)^-1 P'] dg' =
     P'^T (row_gap / (P 1)) - col_gap', solved with both sides negated,
-    which saves a pass.  The row and column sums of each new plan both
-    test convergence and give the next step.
+    which saves a pass, and with its diagonal damped (_SCHUR_DAMPING).
+    The row and column sums of each new plan both test convergence and
+    give the next step.
 
     Returns (plan, steps, row residual, column residual) once both
     residuals of the plan meet ``tolerance``, or None when the Hessian
     is singular, a step finds no descent or _NEWTON_STEPS run out.
     """
-    row, col = marginals.row, marginals.col
+    row, col = _uniform(*plan.shape)
     step_g = np.zeros(plan.shape[1])  # the last column potential stays fixed
     rows, cols = plan.sum(axis=1), plan.sum(axis=0)
     row_gap, col_gap = rows - row, cols - col
@@ -420,7 +409,7 @@ def _newton_polish(plan: np.ndarray, marginals: Marginals, tolerance: float):
     for steps in range(1, _NEWTON_STEPS + 1):
         scaled = plan[:, :-1] / rows[:, None]  # diag(P 1)^-1 P'
         negated_schur = plan[:, :-1].T.dot(scaled)
-        negated_schur.flat[:: negated_schur.shape[0] + 1] -= cols[:-1]
+        negated_schur.flat[:: negated_schur.shape[0] + 1] -= (1.0 + _SCHUR_DAMPING) * cols[:-1]
         try:
             step_g[:-1] = np.linalg.solve(negated_schur, col_gap[:-1] - row_gap.dot(scaled))
         except np.linalg.LinAlgError:
@@ -453,7 +442,6 @@ def _newton_polish(plan: np.ndarray, marginals: Marginals, tolerance: float):
 def _scaling_stage(
     effective_cost: np.ndarray,
     scale: float,
-    marginals: Marginals,
     g: np.ndarray,
     tolerance: float,
     max_iters: int,
@@ -475,10 +463,10 @@ def _scaling_stage(
     of a polish) and a SinkhornResult whose ``iterations`` are the
     stage's sweeps, with ``newton_steps`` set when a polish ended it.
     """
-    row, col = marginals.row, marginals.col
+    row, col = _uniform(*effective_cost.shape)
     # one pass over the cost; negating the divisor is as exact as negating C
     log_kernel = effective_cost / -scale
-    kernel, g = _absorb(log_kernel, marginals, g)
+    kernel, g = _absorb(log_kernel, g)
     u, v = np.ones(row.size), np.ones(col.size)
     checked_v = v
     sweeps = 1
@@ -495,7 +483,7 @@ def _scaling_stage(
                 kv = kernel.dot(v)
             sweeps = checkpoint
             if not _in_range(np.concatenate((u, v))):
-                kernel, g = _absorb(log_kernel, marginals, g + np.log(checked_v))
+                kernel, g = _absorb(log_kernel, g + np.log(checked_v))
                 u, v = np.ones(row.size), np.ones(col.size)
                 kv = kernel.dot(v)
                 sweeps += 1
@@ -507,7 +495,7 @@ def _scaling_stage(
                 plan *= v
                 if not np.isfinite(plan).all():
                     raise FloatingPointError(_NON_FINITE_PLAN.format(scale))
-                row_res, col_res = marginal_residual(plan, marginals)
+                row_res, col_res = marginal_residual(plan)
                 converged = max(row_res, col_res) <= tolerance
                 result = SinkhornResult(plan, converged, sweeps, row_res, col_res)
                 if converged:
@@ -522,7 +510,7 @@ def _scaling_stage(
                 )
             ):
                 rate_polished = True
-                polished = _newton_polish(u[:, None] * kernel * v[None, :], marginals, tolerance)
+                polished = _newton_polish(u[:, None] * kernel * v[None, :], tolerance)
                 if polished is not None:
                     plan, steps, *residuals = polished
                     result = SinkhornResult(plan, True, sweeps, *residuals, newton_steps=steps)
@@ -532,15 +520,13 @@ def _scaling_stage(
             prev = res
 
 
-def _solve(
-    effective_cost: np.ndarray, scale: float, marginals: Marginals, cfg: SolverConfig
-) -> SinkhornResult:
+def _solve(effective_cost: np.ndarray, scale: float, cfg: SolverConfig) -> SinkhornResult:
     """Scale exp(-effective_cost / scale) to the marginals, annealing the
     regularization down to ``scale``; only the final stage, the one
     ``cfg.max_iters`` caps, may end in a Newton polish."""
     if effective_cost.shape[0] == 1 or effective_cost.shape[1] == 1:
-        return _forced_plan(marginals, cfg.tolerance)
-    g = np.zeros(marginals.col.size)
+        return _forced_plan(effective_cost.shape, cfg.tolerance)
+    g = np.zeros(effective_cost.shape[1])
     # Python floats, so that a range past float64 becomes inf without numpy's warning
     cost_range = float(effective_cost.max()) - float(effective_cost.min())
     if not math.isfinite(cost_range / scale):
@@ -549,22 +535,19 @@ def _solve(
     sweeps = 0
     for stage_scale in stages[:-1]:
         g, stage = _scaling_stage(
-            effective_cost, stage_scale, marginals, g, max(cfg.tolerance, 1e-9), _STAGE_ITER_CAP
+            effective_cost, stage_scale, g, max(cfg.tolerance, 1e-9), _STAGE_ITER_CAP
         )
         sweeps += stage.iterations
         # keep the Kantorovich potentials (scale * g) continuous across stages
         g = g * 2.0
-    _, result = _scaling_stage(
-        effective_cost, scale, marginals, g, cfg.tolerance, cfg.max_iters, polish=True
-    )
+    _, result = _scaling_stage(effective_cost, scale, g, cfg.tolerance, cfg.max_iters, polish=True)
     return replace(result, sweeps=sweeps + result.iterations, stages=len(stages))
 
 
 def _validate_problem(
-    cost: np.ndarray, marginals: Marginals | None, cfg: SolverConfig | None
-) -> tuple[np.ndarray, Marginals, SolverConfig]:
-    """The cost as a float matrix, with uniform marginals and the default
-    solver settings filled in where none are given."""
+    cost: np.ndarray, cfg: SolverConfig | None
+) -> tuple[np.ndarray, SolverConfig]:
+    """The cost as a float matrix, and the default solver settings where none are given."""
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2:
         raise ValueError("cost must be a 2-D matrix")
@@ -572,33 +555,24 @@ def _validate_problem(
         raise ValueError(f"cost must have at least one row and one column, got shape {c.shape}")
     if not np.all(np.isfinite(c)):
         raise ValueError("cost matrix entries must be finite")
-    m, n = c.shape
-    if marginals is None:
-        marginals = Marginals.uniform(m, n)
-    if marginals.row.size != m or marginals.col.size != n:
-        raise ValueError("marginals do not match the cost matrix shape")
-    return c, marginals, _DEFAULT_CONFIG if cfg is None else cfg
+    return c, _DEFAULT_CONFIG if cfg is None else cfg
 
 
-def _forced_plan(marginals: Marginals, tolerance: float) -> SinkhornResult:
+def _forced_plan(shape: tuple[int, int], tolerance: float) -> SinkhornResult:
     # With a single row or column the constraints pin the plan exactly, but
     # its sums still carry the rounding of the marginal's own sum.
-    plan = np.outer(marginals.row, marginals.col)
-    residuals = marginal_residual(plan, marginals)
+    plan = np.outer(*_uniform(*shape))
+    residuals = marginal_residual(plan)
     return SinkhornResult(plan, max(residuals) <= tolerance, 0, *residuals)
 
 
-def sinkhorn(
-    cost: np.ndarray,
-    marginals: Marginals | None = None,
-    cfg: SolverConfig | None = None,
-) -> SinkhornResult:
-    """Minimize <D, C> - lambda1 * h(D) over U(psi, omega).
+def sinkhorn(cost: np.ndarray, cfg: SolverConfig | None = None) -> SinkhornResult:
+    """Minimize <D, C> - lambda1 * h(D) over U(1/M, 1/N).
 
-    Defaults to uniform marginals and ``SolverConfig()``.
+    Defaults to ``SolverConfig()``.
     """
-    c, marginals, cfg = _validate_problem(cost, marginals, cfg)
-    return _solve(c, cfg.lambda1, marginals, cfg)
+    c, cfg = _validate_problem(cost, cfg)
+    return _solve(c, cfg.lambda1, cfg)
 
 
 def clamp_prior(prior: np.ndarray, floor: float = SolverConfig.prior_floor) -> np.ndarray:
@@ -614,11 +588,10 @@ def clamp_prior(prior: np.ndarray, floor: float = SolverConfig.prior_floor) -> n
 def guided_sinkhorn(
     cost: np.ndarray,
     prior: np.ndarray,
-    marginals: Marginals | None = None,
     cfg: SolverConfig | None = None,
 ) -> SinkhornResult:
-    """Minimize the guided objective over U by scaling the guided kernel."""
-    c, marginals, cfg = _validate_problem(cost, marginals, cfg)
+    """Minimize the guided objective over U(1/M, 1/N) by scaling the guided kernel."""
+    c, cfg = _validate_problem(cost, cfg)
     p = clamp_prior(prior)
     if p.shape != c.shape:
         raise ValueError(f"shape mismatch: cost {c.shape} vs prior {p.shape}")
@@ -627,7 +600,7 @@ def guided_sinkhorn(
     with np.errstate(over="ignore"):
         shifted = c - cfg.lambda2 * np.log(p)
     # _solve, not sinkhorn, so that a wrapper of sinkhorn counts plain solves only
-    return _solve(shifted, cfg.lambda1 + cfg.lambda2, marginals, cfg)
+    return _solve(shifted, cfg.lambda1 + cfg.lambda2, cfg)
 
 
 def cross_guided_assign(
@@ -641,8 +614,8 @@ def cross_guided_assign(
     Each view's plan is the guided one with the *other* view's plain plan
     on the same batch as its prior, solved in closed form: one plain
     ``sinkhorn`` at ``cfg.lambda1`` of the cost mix (1 - w) * own + w *
-    other, w = lambda2 / (lambda1 + lambda2), with uniform marginals and
-    ``cfg`` (``SolverConfig()`` if None).  lambda2 = 0 gives each view
+    other, w = lambda2 / (lambda1 + lambda2), under ``cfg``
+    (``SolverConfig()`` if None).  lambda2 = 0 gives each view
     its own plain plan, and lambda2 much larger than lambda1 the other
     view's.
     """

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import oracle
 from .ot_core import (
-    Marginals,
     SinkhornResult,
     SolverConfig,
     clamp_prior,
@@ -27,13 +26,16 @@ from .ot_core import (
 )
 from .prototypes import project_to_sphere, prototype_loss, prototype_loss_grad
 
-Solve = tuple[SinkhornResult, Marginals]
-
 # Bound on the entropic gap of a 100 x 64 plan at the default tolerance
 # of 1e-8: the smallest power of ten at least twice the largest gap, 3.1e-8,
 # of 200 plain and guided plans drawn as training_shape_gap draws them
 # (generators seeded 61-65, 20 views each).
 TRAINING_SHAPE_GAP = 1e-7
+
+
+def _uniform(size: int) -> np.ndarray:
+    """The uniform marginal of ``size`` rows or columns, as the oracles take it."""
+    return np.full(size, 1.0 / size)
 
 
 def feasible_random_plan(
@@ -49,41 +51,41 @@ def feasible_random_plan(
 
 def plain_vs_oracles(
     rng: np.random.Generator, draws_2x2: int, draws_per_size: int
-) -> tuple[float, float, list[Solve]]:
+) -> tuple[float, float, list[SinkhornResult]]:
     """c01: plain plans against golden section (2 x 2, three lambdas per
     cost) and mirror descent (3 x 3 and 4 x 4, lambda 0.1 or 0.5)."""
     solves = []
-    marg2 = Marginals.uniform(2, 2)
+    half = _uniform(2)
     worst_2x2 = 0.0
     for _ in range(draws_2x2):
         cost = rng.uniform(-1.0, 1.0, size=(2, 2))
         for lam in (0.02, 0.1, 0.5):
-            res = sinkhorn(cost, marg2, SolverConfig(lambda1=lam))
-            solves.append((res, marg2))
-            ref = oracle.golden_section_2x2(cost, None, marg2.row, marg2.col, lam)
+            res = sinkhorn(cost, SolverConfig(lambda1=lam))
+            solves.append(res)
+            ref = oracle.golden_section_2x2(cost, None, half, half, lam)
             worst_2x2 = max(worst_2x2, float(np.max(np.abs(res.plan - ref))))
 
     worst_nxn = 0.0
     for size in (3, 4):
-        marg = Marginals.uniform(size, size)
+        marg = _uniform(size)
         for _ in range(draws_per_size):
             cost = rng.uniform(-1.0, 1.0, size=(size, size))
             lam = float(rng.choice([0.1, 0.5]))
-            res = sinkhorn(cost, marg, SolverConfig(lambda1=lam, max_iters=100_000))
-            solves.append((res, marg))
-            ref = oracle.mirror_descent_small(cost, None, marg.row, marg.col, lam)
+            res = sinkhorn(cost, SolverConfig(lambda1=lam, max_iters=100_000))
+            solves.append(res)
+            ref = oracle.mirror_descent_small(cost, None, marg, marg, lam)
             worst_nxn = max(worst_nxn, float(np.max(np.abs(res.plan - ref))))
     return worst_2x2, worst_nxn, solves
 
 
 def guided_vs_oracles(
     rng: np.random.Generator, draws_2x2: int, draws_per_size: int
-) -> tuple[float, float, float, list[Solve]]:
+) -> tuple[float, float, float, list[SinkhornResult]]:
     """c02: guided plans against golden section (2 x 2, lambda1 cycling
     through 0.02, 0.1, 0.5), against mirror descent on every tenth 2 x 2
     draw, and against mirror descent on 3 x 3 and 4 x 4; three lambda2 each."""
     solves = []
-    marg2 = Marginals.uniform(2, 2)
+    half = _uniform(2)
     lambda1_cycle = itertools.cycle((0.02, 0.1, 0.5))
     worst_2x2 = 0.0
     worst_cross = 0.0
@@ -93,25 +95,25 @@ def guided_vs_oracles(
         lam1 = next(lambda1_cycle)
         for lam2 in (0.01, 0.03, 1.0):
             cfg = SolverConfig(lambda1=lam1, lambda2=lam2, max_iters=100_000)
-            res = guided_sinkhorn(cost, prior, marg2, cfg)
-            solves.append((res, marg2))
-            ref = oracle.golden_section_2x2(cost, prior, marg2.row, marg2.col, lam1, lam2)
+            res = guided_sinkhorn(cost, prior, cfg)
+            solves.append(res)
+            ref = oracle.golden_section_2x2(cost, prior, half, half, lam1, lam2)
             worst_2x2 = max(worst_2x2, float(np.max(np.abs(res.plan - ref))))
             if i % 10 == 0:
-                ref2 = oracle.mirror_descent_small(cost, prior, marg2.row, marg2.col, lam1, lam2)
+                ref2 = oracle.mirror_descent_small(cost, prior, half, half, lam1, lam2)
                 worst_cross = max(worst_cross, float(np.max(np.abs(res.plan - ref2))))
 
     worst_nxn = 0.0
     for size in (3, 4):
-        marg = Marginals.uniform(size, size)
+        marg = _uniform(size)
         for _ in range(draws_per_size):
             cost = rng.uniform(-1.0, 1.0, size=(size, size))
             prior = clamp_prior(rng.uniform(0.0, 1.0, size=(size, size)) ** 3)
             for lam2 in (0.01, 0.03, 1.0):
                 cfg = SolverConfig(lambda1=0.2, lambda2=lam2, max_iters=100_000)
-                res = guided_sinkhorn(cost, prior, marg, cfg)
-                solves.append((res, marg))
-                ref = oracle.mirror_descent_small(cost, prior, marg.row, marg.col, 0.2, lam2)
+                res = guided_sinkhorn(cost, prior, cfg)
+                solves.append(res)
+                ref = oracle.mirror_descent_small(cost, prior, marg, marg, 0.2, lam2)
                 worst_nxn = max(worst_nxn, float(np.max(np.abs(res.plan - ref))))
     return worst_2x2, worst_cross, worst_nxn, solves
 
@@ -128,20 +130,19 @@ def training_shape_gap(rng: np.random.Generator, draws: int) -> float:
     At this size the oracle is ``oracle.entropic_gap``.
     """
     cfg = SolverConfig()
-    marg = Marginals.uniform(100, 64)
+    row, col = _uniform(100), _uniform(64)
     protos = project_to_sphere(rng.standard_normal((64, 16)))
     worst = 0.0
     for _ in range(draws):
         feats = [project_to_sphere(rng.standard_normal((100, 16))) for _ in range(2)]
         costs = [cost_from_features(f, protos) for f in feats]
-        plains = [sinkhorn(cost, marg, cfg) for cost in costs]
+        plains = [sinkhorn(cost, cfg) for cost in costs]
         for cost, plain, other in zip(costs, plains, plains[::-1]):
             prior = clamp_prior(other.plan)
-            guided = guided_sinkhorn(cost, prior, marg, cfg)
+            guided = guided_sinkhorn(cost, prior, cfg)
             gaps = (
-                oracle.entropic_gap(plain.plan, cost, cfg.lambda1, marg.row, marg.col)[0],
-                oracle.entropic_gap(
-                    guided.plan, cost, cfg.lambda1, marg.row, marg.col, prior, cfg.lambda2)[0],
+                oracle.entropic_gap(plain.plan, cost, cfg.lambda1, row, col)[0],
+                oracle.entropic_gap(guided.plan, cost, cfg.lambda1, row, col, prior, cfg.lambda2)[0],
             )
             worst = max(worst, *gaps)
     return worst
@@ -184,10 +185,9 @@ def prior_dominance(rng: np.random.Generator, draws: int) -> float:
     worst = 0.0
     for _ in range(draws):
         size = int(rng.integers(2, 5))
-        marg = Marginals.uniform(size, size)
         cost = rng.uniform(-1.0, 1.0, size=(size, size))
-        prior = feasible_random_plan(rng, marg.row, marg.col)
-        res = guided_sinkhorn(cost, prior, marg, SolverConfig(lambda1=0.02, lambda2=1e3))
+        prior = feasible_random_plan(rng, _uniform(size), _uniform(size))
+        res = guided_sinkhorn(cost, prior, SolverConfig(lambda1=0.02, lambda2=1e3))
         worst = max(worst, float(np.max(np.abs(res.plan - prior))))
     return worst
 
@@ -208,21 +208,20 @@ def prior_scale_invariance(rng: np.random.Generator, draws: int) -> float:
     return worst
 
 
-def kl_to_prior_falls(rng: np.random.Generator, draws: int) -> tuple[float, list[Solve]]:
+def kl_to_prior_falls(rng: np.random.Generator, draws: int) -> tuple[float, list[SinkhornResult]]:
     """c05: the largest rise of KL(plan | prior) as lambda2 steps through
     0, 0.01, 0.1, 1, 10 (negative when it always falls), side 2 to 3."""
     solves = []
     worst = -np.inf
     for _ in range(draws):
         size = int(rng.integers(2, 4))
-        marg = Marginals.uniform(size, size)
         cost = rng.uniform(-1.0, 1.0, size=(size, size))
-        prior = feasible_random_plan(rng, marg.row, marg.col)
+        prior = feasible_random_plan(rng, _uniform(size), _uniform(size))
         kls = []
         for lam2 in (0.0, 0.01, 0.1, 1.0, 10.0):
             cfg = SolverConfig(lambda1=0.1, lambda2=lam2, max_iters=100_000)
-            res = guided_sinkhorn(cost, prior, marg, cfg)
-            solves.append((res, marg))
+            res = guided_sinkhorn(cost, prior, cfg)
+            solves.append(res)
             pos = res.plan > 0
             kls.append(float(np.sum(res.plan[pos] * np.log(res.plan[pos] / prior[pos]))))
         worst = max(worst, max(b - a for a, b in zip(kls, kls[1:])))
@@ -269,7 +268,7 @@ def oracle_battery(seed: int) -> list[tuple[str, bool, str]]:
     training_gap = training_shape_gap(rng, 2)
     # every solve runs at the default tolerance, 1e-8, so this also fails
     # any solve that did not converge
-    residual = max(max(marginal_residual(res.plan, marg)) for res, marg in plain + guided + kl)
+    residual = max(max(marginal_residual(res.plan)) for res in plain + guided + kl)
     checks = [
         ("c01 plain 2x2 vs golden-section", plain_2x2, 1e-6),
         ("c01 plain 3x3/4x4 vs mirror descent", plain_nxn, 1e-5),

@@ -11,7 +11,6 @@ from goca.ot_core import (
     _CHECK_EVERY,
     _NON_FINITE_PLAN,
     _STAGE_ITER_CAP,
-    Marginals,
     SinkhornResult,
     SolverConfig,
     _anneal_schedule,
@@ -59,6 +58,12 @@ def unflatten(vec: np.ndarray, template: dict) -> dict:
         out[k] = vec[offset : offset + template[k].size].reshape(template[k].shape)
         offset += template[k].size
     return out
+
+
+def uniform_marginals(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row and column marginals 1/M and 1/N that every solve targets,
+    as the oracles and references here take them."""
+    return np.full(rows, 1.0 / rows), np.full(cols, 1.0 / cols)
 
 
 def marginal_miss(plan: np.ndarray, psi: np.ndarray, omega: np.ndarray) -> float:
@@ -139,21 +144,20 @@ def lloyd_reference(x: np.ndarray, k: int, rng: np.random.Generator, max_iters: 
     return labels
 
 
-def absorb_reference(
-    log_kernel: np.ndarray, marginals: Marginals, g: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def absorb_reference(log_kernel: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``goca.ot_core._absorb`` as it was before it worked in one buffer:
     one exact log-domain sweep from column potentials ``g``, returning
     the absorbed kernel and the new column potentials.  The library
     must return exactly (``np.array_equal``) these arrays."""
+    row, col = uniform_marginals(*log_kernel.shape)
     a = log_kernel + g[None, :]
     m = np.max(a, axis=1, keepdims=True)
     lse = np.log(np.sum(np.exp(a - m), axis=1)) + np.squeeze(m, axis=1)
-    f = np.log(marginals.row) - lse
+    f = np.log(row) - lse
     shifted = log_kernel + f[:, None]
     peak = np.max(shifted, axis=0)
     kernel = np.exp(shifted - peak)
-    col_scale = marginals.col / kernel.sum(axis=0)  # column sums are >= 1
+    col_scale = col / kernel.sum(axis=0)  # column sums are >= 1
     kernel *= col_scale
     return kernel, np.log(col_scale) - peak
 
@@ -161,7 +165,6 @@ def absorb_reference(
 def _scaling_stage_reference(
     effective_cost: np.ndarray,
     scale: float,
-    marginals: Marginals,
     g: np.ndarray,
     tolerance: float,
     max_iters: int,
@@ -176,9 +179,9 @@ def _scaling_stage_reference(
     Returns (column potentials including log v, plan, sweeps, row
     residual, column residual, converged).
     """
-    row, col = marginals.row, marginals.col
+    row, col = uniform_marginals(*effective_cost.shape)
     log_kernel = -effective_cost / scale
-    kernel, g = absorb_reference(log_kernel, marginals, g)
+    kernel, g = absorb_reference(log_kernel, g)
     u, v = np.ones(row.size), np.ones(col.size)
     checked_v = v
     sweeps = 1
@@ -193,7 +196,7 @@ def _scaling_stage_reference(
                 kv = kernel.dot(v)
             sweeps = checkpoint
             if not (_in_range(u) and _in_range(v)):
-                kernel, g = absorb_reference(log_kernel, marginals, g + np.log(checked_v))
+                kernel, g = absorb_reference(log_kernel, g + np.log(checked_v))
                 u, v = np.ones(row.size), np.ones(col.size)
                 kv = kernel.dot(v)
                 sweeps += 1
@@ -210,9 +213,7 @@ def _scaling_stage_reference(
                     return g + np.log(v), plan, sweeps, row_res, col_res, converged
 
 
-def solve_reference(
-    effective_cost: np.ndarray, scale: float, marginals: Marginals, cfg: SolverConfig
-) -> SinkhornResult:
+def solve_reference(effective_cost: np.ndarray, scale: float, cfg: SolverConfig) -> SinkhornResult:
     """``goca.ot_core._solve`` as it was before the Newton polish.
 
     Scales exp(-effective_cost / scale) to the marginals, annealing the
@@ -221,8 +222,8 @@ def solve_reference(
     (``np.array_equal``) this plan with the same sweep counts.
     """
     if effective_cost.shape[0] == 1 or effective_cost.shape[1] == 1:
-        return _forced_plan(marginals, cfg.tolerance)
-    g = np.zeros(marginals.col.size)
+        return _forced_plan(effective_cost.shape, cfg.tolerance)
+    g = np.zeros(effective_cost.shape[1])
     cost_range = float(np.max(effective_cost) - np.min(effective_cost))
     if not math.isfinite(cost_range / scale):
         raise FloatingPointError(_NON_FINITE_PLAN.format(scale))
@@ -230,13 +231,13 @@ def solve_reference(
     sweeps = 0
     for stage_scale in stages[:-1]:
         g, _, stage_sweeps, _, _, _ = _scaling_stage_reference(
-            effective_cost, stage_scale, marginals, g, max(cfg.tolerance, 1e-9), _STAGE_ITER_CAP
+            effective_cost, stage_scale, g, max(cfg.tolerance, 1e-9), _STAGE_ITER_CAP
         )
         sweeps += stage_sweeps
         # keep the Kantorovich potentials (scale * g) continuous across stages
         g = g * 2.0
     _, plan, iterations, row_res, col_res, converged = _scaling_stage_reference(
-        effective_cost, scale, marginals, g, cfg.tolerance, cfg.max_iters
+        effective_cost, scale, g, cfg.tolerance, cfg.max_iters
     )
     return SinkhornResult(
         plan, converged, iterations, row_res, col_res, sweeps + iterations, len(stages)

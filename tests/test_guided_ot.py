@@ -12,10 +12,10 @@ from goca.guided_ot import (
     guided_sinkhorn,
 )
 from goca.oracle import entropic_gap, golden_section_2x2, mirror_descent_small
-from goca.ot_core import Marginals, SolverConfig, cost_from_features, cross_guided_assign, sinkhorn
+from goca.ot_core import SolverConfig, cost_from_features, cross_guided_assign, sinkhorn
 from goca.verify import TRAINING_SHAPE_GAP
 
-from _util import feasible_random_plan, random_unit_rows
+from _util import feasible_random_plan, random_unit_rows, uniform_marginals
 
 
 def _kl(plan, prior):
@@ -46,22 +46,21 @@ class TestGuidedSinkhorn:
     def test_2x2_matches_golden_section(self):
         cost = np.array([[0.0, 1.0], [1.0, 0.0]])
         prior = np.array([[0.4, 0.1], [0.1, 0.4]])
-        marg = Marginals.uniform(2, 2)
         cfg = SolverConfig(lambda1=0.02, lambda2=0.03)
-        res = guided_sinkhorn(cost, prior, marg, cfg)
-        ref = golden_section_2x2(cost, prior, marg.row, marg.col, 0.02, 0.03)
+        res = guided_sinkhorn(cost, prior, cfg)
+        ref = golden_section_2x2(cost, prior, *uniform_marginals(2, 2), 0.02, 0.03)
         assert np.max(np.abs(res.plan - ref)) <= 1e-6
 
     def test_matches_mirror_descent(self):
         rng = np.random.default_rng(6)
-        marg = Marginals.uniform(3, 3)
+        row, col = uniform_marginals(3, 3)
         for _ in range(5):
             cost = rng.uniform(-1, 1, size=(3, 3))
             prior = clamp_prior(rng.uniform(0.0, 1.0, size=(3, 3)))
             cfg = SolverConfig(lambda1=0.2, lambda2=0.03)
-            res = guided_sinkhorn(cost, prior, marg, cfg)
+            res = guided_sinkhorn(cost, prior, cfg)
             assert res.converged
-            ref = mirror_descent_small(cost, prior, marg.row, marg.col, 0.2, 0.03)
+            ref = mirror_descent_small(cost, prior, row, col, 0.2, 0.03)
             assert np.max(np.abs(res.plan - ref)) <= 1e-5
 
     def test_strict_positivity(self):
@@ -111,24 +110,22 @@ class TestGuidedInvariants:
 
     def test_prior_pull_is_monotone_in_lambda2(self):
         rng = np.random.default_rng(10)
-        marg = Marginals.uniform(3, 3)
         for _ in range(5):
             cost = rng.uniform(-1, 1, size=(3, 3))
-            prior = feasible_random_plan(rng, marg.row, marg.col)
+            prior = feasible_random_plan(rng, *uniform_marginals(3, 3))
             kls = []
             for lam2 in (0.0, 0.01, 0.1, 1.0, 10.0):
                 cfg = SolverConfig(lambda1=0.1, lambda2=lam2, max_iters=50_000)
-                res = guided_sinkhorn(cost, prior, marg, cfg)
+                res = guided_sinkhorn(cost, prior, cfg)
                 kls.append(_kl(res.plan, prior))
             assert all(b <= a + 1e-9 for a, b in zip(kls, kls[1:]))
 
     def test_prior_dominance_limit(self):
         rng = np.random.default_rng(11)
-        marg = Marginals.uniform(3, 3)
         cost = rng.uniform(-1, 1, size=(3, 3))
-        prior = feasible_random_plan(rng, marg.row, marg.col)
+        prior = feasible_random_plan(rng, *uniform_marginals(3, 3))
         cfg = SolverConfig(lambda1=0.02, lambda2=1e3)
-        res = guided_sinkhorn(cost, prior, marg, cfg)
+        res = guided_sinkhorn(cost, prior, cfg)
         assert np.max(np.abs(res.plan - prior)) <= 1e-3
 
 
@@ -178,7 +175,7 @@ class TestCrossGuidedAssign:
         # unfloored as the prior: no prior floor stands between the two
         rng = np.random.default_rng(seed)
         cfg = SolverConfig()
-        marg = Marginals.uniform(100, 64)
+        row, col = uniform_marginals(100, 64)
         protos = random_unit_rows(rng, 64, 16)
         for _ in range(4):
             cost_a = cost_from_features(random_unit_rows(rng, 100, 16), protos)
@@ -187,8 +184,7 @@ class TestCrossGuidedAssign:
             prior_a, prior_b = sinkhorn(cost_a).plan, sinkhorn(cost_b).plan
             for res, cost, prior in ((res_a, cost_a, prior_b), (res_b, cost_b, prior_a)):
                 assert res.converged
-                gap, _ = entropic_gap(res.plan, cost, cfg.lambda1, marg.row, marg.col,
-                                      prior, cfg.lambda2)
+                gap, _ = entropic_gap(res.plan, cost, cfg.lambda1, row, col, prior, cfg.lambda2)
                 assert gap <= TRAINING_SHAPE_GAP
 
     def test_huge_lambda2_gives_each_view_the_others_plain_plan(self):

@@ -10,7 +10,6 @@ from goca import ot_core
 from goca.eval import EvalConfig
 from goca.oracle import entropic_gap, entropic_objective, golden_section_2x2, mirror_descent_small
 from goca.ot_core import (
-    Marginals,
     SolverConfig,
     clamp_prior,
     cost_from_features,
@@ -30,6 +29,7 @@ from _util import (
     marginal_miss,
     random_unit_rows,
     solve_reference,
+    uniform_marginals,
     zero_sum_perturbation,
 )
 
@@ -133,12 +133,12 @@ class TestUnitRows:
 class TestMarginalResidual:
     def test_exactly_feasible(self):
         d = np.full((2, 2), 0.25)
-        assert marginal_residual(d, Marginals.uniform(2, 2)) == (0.0, 0.0)
+        assert marginal_residual(d) == (0.0, 0.0)
 
     def test_uniform_vs_skewed_rows(self):
-        d = np.full((2, 2), 0.25)
-        marg = Marginals(np.array([0.7, 0.3]), np.array([0.5, 0.5]))
-        row_res, col_res = marginal_residual(d, marg)
+        # rows of mass 0.7 and 0.3 against the uniform 0.5; columns exact
+        d = np.array([[0.35, 0.35], [0.15, 0.15]])
+        row_res, col_res = marginal_residual(d)
         assert row_res == pytest.approx(0.2)
         assert col_res == pytest.approx(0.0)
 
@@ -147,7 +147,7 @@ class TestMarginalResidual:
         cfg = SolverConfig(lambda1=0.1)
         res = sinkhorn(rng.uniform(-1, 1, size=(4, 3)), cfg=cfg)
         assert res.converged
-        row_res, col_res = marginal_residual(res.plan, Marginals.uniform(4, 3))
+        row_res, col_res = marginal_residual(res.plan)
         assert max(row_res, col_res) <= cfg.tolerance
 
 
@@ -166,17 +166,17 @@ class TestSinkhorn:
         t_star = 0.44039853898894116
         expected = np.array([[t_star, 0.5 - t_star], [0.5 - t_star, t_star]])
         assert np.allclose(res.plan, expected, atol=1e-8)
-        marg = Marginals.uniform(2, 2)
-        ref = golden_section_2x2(np.array([[0.0, 1.0], [1.0, 0.0]]), None, marg.row, marg.col, 0.5)
+        ref = golden_section_2x2(
+            np.array([[0.0, 1.0], [1.0, 0.0]]), None, *uniform_marginals(2, 2), 0.5)
         assert np.allclose(res.plan, ref, atol=1e-6)
 
     def test_forced_plans_single_row_or_col(self):
         res = sinkhorn(np.array([[0.3, -0.2, 0.9]]))
         assert np.allclose(res.plan, np.full((1, 3), 1.0 / 3.0))
         assert res.converged and res.iterations == 0
-        marg = Marginals(np.array([0.2, 0.8]), np.array([1.0]))
-        res = sinkhorn(np.array([[0.4], [0.1]]), marg)
-        assert np.allclose(res.plan, np.array([[0.2], [0.8]]))
+        res = sinkhorn(np.array([[0.4], [0.1], [-0.7], [0.2]]))
+        assert np.allclose(res.plan, np.full((4, 1), 0.25))
+        assert res.converged and res.iterations == 0
 
     def test_rejects_non_finite_cost(self):
         with pytest.raises(ValueError, match="finite"):
@@ -230,14 +230,13 @@ class TestSolverInvariants:
             m, n = rng.integers(2, 6, size=2)
             cost = rng.uniform(-1, 1, size=(m, n))
             lam = float(rng.choice([0.1, 0.5]))
-            marg = Marginals.uniform(m, n)
-            res = sinkhorn(cost, marg, SolverConfig(lambda1=lam, max_iters=100_000))
+            res = sinkhorn(cost, SolverConfig(lambda1=lam, max_iters=100_000))
             assert res.converged
-            assert max(*marginal_residual(res.plan, marg)) <= 1e-8
+            assert max(*marginal_residual(res.plan)) <= 1e-8
         # small regularization on a 2x2 stays feasible as well
         res = sinkhorn(rng.uniform(-1, 1, size=(2, 2)), cfg=SolverConfig(lambda1=0.02))
         assert res.converged
-        assert max(*marginal_residual(res.plan, Marginals.uniform(2, 2))) <= 1e-8
+        assert max(*marginal_residual(res.plan)) <= 1e-8
 
     def test_optimality_against_feasible_perturbations(self):
         rng = np.random.default_rng(29)
@@ -272,44 +271,65 @@ class TestSolverInvariants:
     def test_matches_mirror_descent_oracle(self):
         rng = np.random.default_rng(43)
         for size in (3, 4):
-            marg = Marginals.uniform(size, size)
+            row, col = uniform_marginals(size, size)
             for _ in range(5):
                 cost = rng.uniform(-1, 1, size=(size, size))
                 lam = float(rng.choice([0.1, 0.5]))
-                res = sinkhorn(cost, marg, SolverConfig(lambda1=lam))
+                res = sinkhorn(cost, SolverConfig(lambda1=lam))
                 assert res.converged
-                ref = mirror_descent_small(cost, None, marg.row, marg.col, lam)
+                ref = mirror_descent_small(cost, None, row, col, lam)
                 assert np.max(np.abs(res.plan - ref)) <= 1e-5
+
+
+# Unannealed textbook Sinkhorn (``_util.log_sinkhorn_reference``) converges
+# sublinearly on the degenerate problems that uniform marginals give (a
+# square cost, or one side a multiple of the other, at small lambda1).
+# Where it reaches its tolerance in the batteries below it needs at most
+# 8,612 sweeps; where it stalls it is still short of it after 50,000
+# (case 0 of the random battery after 400,000).  This cap tells the two
+# apart, and each battery names the draws it expects to stall.
+LOG_REFERENCE_SWEEPS = 10_000
 
 
 class TestScalingLoop:
     def test_random_battery_matches_log_domain_reference(self):
         rng = np.random.default_rng(47)
         converged = 0
+        stalled = []  # draws whose reference cannot reach its tolerance
         for case in range(24):
             m, n = (int(k) for k in rng.integers(2, 41, size=2))
-            row = rng.uniform(0.2, 1.0, size=m)
-            col = rng.uniform(0.2, 1.0, size=n)
-            marg = Marginals(row / row.sum(), col / col.sum())
+            # the m + n numbers once drawn for non-uniform marginals are
+            # still drawn, so that every later draw keeps its bits
+            rng.uniform(0.2, 1.0, size=m + n)
+            row, col = uniform_marginals(m, n)
             cost = rng.uniform(-1, 1, size=(m, n))
             cfg = SolverConfig(lambda1=(1e-3, 0.02, 0.5)[case % 3])
             if case % 2:
                 prior = rng.uniform(0.0, 1.0, size=(m, n))
                 prior[rng.random((m, n)) < 0.3] = cfg.prior_floor
-                res = guided_sinkhorn(cost, prior, marg, cfg)
+                res = guided_sinkhorn(cost, prior, cfg)
                 ref_cost = cost - cfg.lambda2 * np.log(clamp_prior(prior, cfg.prior_floor))
                 ref_reg = cfg.lambda1 + cfg.lambda2
             else:
-                res = sinkhorn(cost, marg, cfg)
+                res = sinkhorn(cost, cfg)
                 ref_cost, ref_reg = cost, cfg.lambda1
             assert np.all(np.isfinite(res.plan))
             assert res.sweeps >= res.iterations
             if res.converged:
                 converged += 1
-                assert max(*marginal_residual(res.plan, marg)) <= cfg.tolerance
-                ref = log_sinkhorn_reference(ref_cost, marg.row, marg.col, ref_reg)
+                assert max(*marginal_residual(res.plan)) <= cfg.tolerance
+                try:
+                    ref = log_sinkhorn_reference(
+                        ref_cost, row, col, ref_reg, max_sweeps=LOG_REFERENCE_SWEEPS)
+                except RuntimeError:
+                    # the reference stalls on case 0 (5 x 30, lambda1 = 1e-3);
+                    # the entropic gap certifies that plan instead
+                    stalled.append(case)
+                    assert entropic_gap(res.plan, ref_cost, ref_reg, row, col)[0] <= BATTERY_GAP
+                    continue
                 assert np.max(np.abs(res.plan - ref)) <= 1e-7
         assert converged >= 20
+        assert stalled == [0]
 
     def test_absorption_returns_a_finite_plan(self, monkeypatch):
         # Annealing keeps the scalings in range on random instances, so it
@@ -337,8 +357,7 @@ class TestScalingLoop:
         assert np.all(np.isfinite(res.plan))
         assert res.sweeps >= res.iterations
         assert res.converged
-        marg = Marginals.uniform(12, 9)
-        ref = log_sinkhorn_reference(cost, marg.row, marg.col, 1e-3)
+        ref = log_sinkhorn_reference(cost, *uniform_marginals(12, 9), 1e-3)
         assert np.max(np.abs(res.plan - ref)) <= 1e-7
 
     def test_stabilized_solver_converges_where_scalings_leave_range(self):
@@ -351,36 +370,38 @@ class TestScalingLoop:
 
 
 def battery_draws(seed: int):
-    """The 24 (cost, prior, marginals, cfg) draws of one battery seed.
+    """The 24 (cost, prior, cfg) draws of one battery seed.
 
     Shapes run from 2 to 40 per side, and a quarter of the draws (a
     plain and a guided one in every 8) are at most 4 x 4, where the
-    mirror-descent oracle applies.  Marginals are non-uniform and lambda1
-    is log-uniform on [1e-3, 1].  Odd draws are guided, against a raw
-    prior with about 30 % of its entries exactly 0, so that the solve
-    itself must floor them; even ones have prior None.
+    mirror-descent oracle applies.  lambda1 is log-uniform on [1e-3, 1].
+    Odd draws are guided, against a raw prior with about 30 % of its
+    entries exactly 0, so that the solve itself must floor them; even
+    ones have prior None.  Every draw is solved under the uniform
+    marginals that every program path uses.
     """
     rng = np.random.default_rng(seed)
     for case in range(24):
         high = 5 if case // 2 % 4 == 0 else 41
         m, n = (int(k) for k in rng.integers(2, high, size=2))
-        row = rng.uniform(0.2, 1.0, size=m)
-        col = rng.uniform(0.2, 1.0, size=n)
-        marg = Marginals(row / row.sum(), col / col.sum())
+        # the m + n numbers once drawn for non-uniform marginals are still
+        # drawn, so that each cost, lambda1 and prior keeps its bits and
+        # every draw named by (seed, index) below is the one it was
+        rng.uniform(0.2, 1.0, size=m + n)
         cost = rng.uniform(-1, 1, size=(m, n))
         cfg = SolverConfig(lambda1=float(10.0 ** rng.uniform(-3.0, 0.0)))
         prior = None
         if case % 2:
             prior = rng.uniform(0.0, 1.0, size=(m, n))
             prior[rng.random((m, n)) < 0.3] = 0.0
-        yield cost, prior, marg, cfg
+        yield cost, prior, cfg
 
 
-def _solve_draw(cost, prior, marg, cfg):
-    return sinkhorn(cost, marg, cfg) if prior is None else guided_sinkhorn(cost, prior, marg, cfg)
+def _solve_draw(cost, prior, cfg):
+    return sinkhorn(cost, cfg) if prior is None else guided_sinkhorn(cost, prior, cfg)
 
 
-def _reference_and_polished(cost, prior, marg, cfg):
+def _reference_and_polished(cost, prior, cfg):
     """The draw solved by ``_util.solve_reference``, the solver before its
     Newton polish, and by the library.
 
@@ -388,11 +409,11 @@ def _reference_and_polished(cost, prior, marg, cfg):
     reference is handed the floored prior.
     """
     if prior is None:
-        ref = solve_reference(cost, cfg.lambda1, marg, cfg)
+        ref = solve_reference(cost, cfg.lambda1, cfg)
     else:
         shifted = cost - cfg.lambda2 * np.log(clamp_prior(prior, cfg.prior_floor))
-        ref = solve_reference(shifted, cfg.lambda1 + cfg.lambda2, marg, cfg)
-    return ref, _solve_draw(cost, prior, marg, cfg)
+        ref = solve_reference(shifted, cfg.lambda1 + cfg.lambda2, cfg)
+    return ref, _solve_draw(cost, prior, cfg)
 
 
 def _assert_unpolished_parity(ref, res):
@@ -402,12 +423,12 @@ def _assert_unpolished_parity(ref, res):
         ref.converged, ref.iterations, ref.sweeps, ref.stages)
 
 
-def _assert_polished(res, marg, cfg):
+def _assert_polished(res, cfg):
     assert res.converged and res.newton_steps > 0
-    assert max(*marginal_residual(res.plan, marg)) <= cfg.tolerance
+    assert max(*marginal_residual(res.plan)) <= cfg.tolerance
 
 
-def _assert_matches_converged_reference(ref, res, marg, cfg):
+def _assert_matches_converged_reference(ref, res, cfg):
     """``res`` against a reference that converged: the same bits where the
     polish did not run.  Where it did, it ran before scaling would have
     converged, so the plan is a converged one within 1e-7 of the
@@ -415,23 +436,26 @@ def _assert_matches_converged_reference(ref, res, marg, cfg):
     if res.newton_steps == 0:
         _assert_unpolished_parity(ref, res)
         return
-    _assert_polished(res, marg, cfg)
+    _assert_polished(res, cfg)
     assert res.iterations < ref.iterations
     assert np.max(np.abs(res.plan - ref.plan)) <= 1e-7
 
 
 # Bounds on the entropic gap at the default tolerance of 1e-8, each the
 # smallest power of ten at least twice the largest gap of a stated set:
-# 3.7e-7 over battery seeds 0-39 (960 draws, seed 36, draw 2, at
-# lambda1 = 1.3e-3), and 4.7e-10 over the c03 instances that scaling
+# 4.7e-7 over battery seeds 0-39 (960 draws, seed 20, draw 10, at
+# lambda1 = 1.7e-3), and 4.7e-10 over the c03 instances that scaling
 # alone leaves at the cap.  At training shape the bounds are
 # TRAINING_SHAPE_GAP and, at training's tolerance of 1e-6, 1e-5 (4.7e-6
 # over 200 draws; see test_training_shape_draws_are_certified).
 BATTERY_GAP = 1e-6
 C03_CAPPED_GAP = 1e-9
 # The same rule for max |S - S^T| / max |S| over the Schur matrices S that
-# the polish solves: 2.7e-16 over battery seeds 0-39 and the c03 set.
+# the polish solves: 2.1e-16 over battery seeds 0-39 and the c03 set.
 SCHUR_ASYMMETRY = 1e-15
+# Draws of battery seeds 0-4 on which the log-domain reference stalls (see
+# LOG_REFERENCE_SWEEPS); the entropic gap alone certifies them.
+LOG_REFERENCE_STALLS = {0: [10], 1: [0, 4, 16, 18], 2: [10], 3: [], 4: []}
 
 
 def _assert_scaling_form(res, cost, prior, cfg):
@@ -448,35 +472,52 @@ def _assert_scaling_form(res, cost, prior, cfg):
 
 
 class TestPropertyBattery:
-    """Fresh-seed draws across shapes, marginals, regularizations and priors
-    (see ``battery_draws``); every draw converges at library defaults."""
+    """Fresh-seed draws across shapes, regularizations and priors (see
+    ``battery_draws``); every draw converges at library defaults."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_seeded_battery(self, seed):
         zero_priors = 0
-        for case, (cost, prior, marg, cfg) in enumerate(battery_draws(seed)):
-            ref, res = _reference_and_polished(cost, prior, marg, cfg)
+        stalled = []
+        for case, (cost, prior, cfg) in enumerate(battery_draws(seed)):
+            ref, res = _reference_and_polished(cost, prior, cfg)
             assert np.all(np.isfinite(res.plan))
             assert res.converged
-            if ref.converged:
-                _assert_matches_converged_reference(ref, res, marg, cfg)
+            if ref.converged and res.newton_steps == 0:
+                _assert_unpolished_parity(ref, res)
             else:
-                # scaling alone stops at the cap; the gap below certifies
-                # the polished plan in place of a converged reference
-                _assert_polished(res, marg, cfg)
+                # The polish ran, before scaling converged or once it
+                # stopped at the cap.  The gap and the log-domain reference
+                # below certify the plan, not a scaling reference at the
+                # tolerance: on seed 2, draw 4 that reference is 1.2e-7 off
+                # the optimum and the polished plan 1.2e-12.
+                _assert_polished(res, cfg)
+                assert not ref.converged or res.iterations < ref.iterations
+            row, col = uniform_marginals(*cost.shape)
             floored, lambda2 = None, 0.0
             if prior is not None:
                 zero_priors += bool(np.any(prior == 0.0))
                 floored, lambda2 = clamp_prior(prior, cfg.prior_floor), cfg.lambda2
-            gap, _ = entropic_gap(res.plan, cost, cfg.lambda1, marg.row, marg.col, floored, lambda2)
+            gap, _ = entropic_gap(res.plan, cost, cfg.lambda1, row, col, floored, lambda2)
             assert gap <= BATTERY_GAP
             ref_cost = cost if floored is None else cost - lambda2 * np.log(floored)
-            log_ref = log_sinkhorn_reference(ref_cost, marg.row, marg.col, cfg.lambda1 + lambda2)
-            assert np.max(np.abs(res.plan - log_ref)) <= 1e-7
+            try:
+                log_ref = log_sinkhorn_reference(
+                    ref_cost, row, col, cfg.lambda1 + lambda2, max_sweeps=LOG_REFERENCE_SWEEPS)
+            except RuntimeError:
+                stalled.append(case)
+            else:
+                assert np.max(np.abs(res.plan - log_ref)) <= 1e-7
             if max(cost.shape) <= 4:
-                oracle = mirror_descent_small(cost, floored, marg.row, marg.col, cfg.lambda1, lambda2)
-                assert np.max(np.abs(res.plan - oracle)) <= 1e-5
+                # mirror descent restores feasibility with Sinkhorn passes,
+                # which stall on degenerate draws too (seed 1, draw 16 misses
+                # its marginals by 1.3e-5), so it is held to 1e-5 within its
+                # own marginal residual, as in the c03 test
+                oracle = mirror_descent_small(cost, floored, row, col, cfg.lambda1, lambda2)
+                miss = marginal_miss(oracle, row, col)
+                assert np.max(np.abs(res.plan - oracle)) <= 1e-5 + miss
         assert zero_priors > 0
+        assert stalled == LOG_REFERENCE_STALLS[seed]
 
     @pytest.mark.parametrize("tolerance, max_iters, bound", [
         (1e-8, 10_000, TRAINING_SHAPE_GAP),
@@ -490,33 +531,55 @@ class TestPropertyBattery:
         rng = np.random.default_rng(67)
         protos = random_unit_rows(rng, 64, 16)
         cfg = SolverConfig(tolerance=tolerance, max_iters=max_iters)
-        marg = Marginals.uniform(100, 64)
+        row, col = uniform_marginals(100, 64)
         for _ in range(10):
             cost_a = cost_from_features(random_unit_rows(rng, 100, 16), protos)
             cost_b = cost_from_features(random_unit_rows(rng, 100, 16), protos)
-            prior = clamp_prior(sinkhorn(cost_b, marg, cfg).plan, cfg.prior_floor)
-            plain = sinkhorn(cost_a, marg, cfg)
-            guided = guided_sinkhorn(cost_a, prior, marg, cfg)
+            prior = clamp_prior(sinkhorn(cost_b, cfg).plan, cfg.prior_floor)
+            plain = sinkhorn(cost_a, cfg)
+            guided = guided_sinkhorn(cost_a, prior, cfg)
             assert plain.converged and guided.converged
             gaps = (
-                entropic_gap(plain.plan, cost_a, cfg.lambda1, marg.row, marg.col)[0],
-                entropic_gap(guided.plan, cost_a, cfg.lambda1, marg.row, marg.col,
-                             prior, cfg.lambda2)[0],
+                entropic_gap(plain.plan, cost_a, cfg.lambda1, row, col)[0],
+                entropic_gap(guided.plan, cost_a, cfg.lambda1, row, col, prior, cfg.lambda2)[0],
             )
             assert max(gaps) <= bound
 
     def test_plain_3x3_draw_that_reached_the_cap_converges(self):
-        # seed 11, draw 8: lambda1 = 0.0158 and non-uniform marginals.
-        # Scaling alone needs 18,310 sweeps here, in its one stage, past the cap.
-        cost, prior, marg, cfg = list(battery_draws(11))[8]
+        # seed 11, draw 8: lambda1 = 0.0158.  Scaling alone, in its one
+        # stage, is still short of the tolerance after 1,000,000 sweeps;
+        # the polish converges after 20 sweeps and 6 Newton steps.
+        cost, prior, cfg = list(battery_draws(11))[8]
         assert prior is None and cost.shape == (3, 3)
         assert cfg.lambda1 == pytest.approx(0.0158, abs=1e-4)
-        ref, res = _reference_and_polished(cost, prior, marg, cfg)
+        ref, res = _reference_and_polished(cost, prior, cfg)
         assert not ref.converged
-        _assert_polished(res, marg, cfg)
+        _assert_polished(res, cfg)
         assert res.iterations < cfg.max_iters
-        oracle = mirror_descent_small(cost, None, marg.row, marg.col, cfg.lambda1)
+        oracle = mirror_descent_small(cost, None, *uniform_marginals(3, 3), cfg.lambda1)
         assert np.max(np.abs(res.plan - oracle)) <= 1e-5
+
+    def test_near_permutation_draw_converges(self):
+        # seed 38, draw 2 (20 x 20, lambda1 = 2.1e-3): the capped plan is
+        # close to a permutation, and its Schur matrices are singular to
+        # rounding (condition numbers up to 7e21).  Undamped, both polishes
+        # fail and the solve stops at the cap with a row residual of
+        # 1.42e-7; scaling alone needs 367,900 sweeps in its final stage.
+        cost, prior, cfg = list(battery_draws(38))[2]
+        assert prior is None and cost.shape == (20, 20)
+        assert cfg.lambda1 == pytest.approx(2.0855e-3, abs=1e-7)
+        res = sinkhorn(cost, cfg)
+        _assert_polished(res, cfg)
+        assert res.iterations < cfg.max_iters
+
+    def test_every_draw_of_seeds_5_to_39_converges(self):
+        # 840 draws beyond the five seeds above, at library defaults; the
+        # undamped polish leaves seed 38, draw 2 at the cap
+        for seed in range(5, 40):
+            for cost, prior, cfg in battery_draws(seed):
+                res = _solve_draw(cost, prior, cfg)
+                assert res.converged, (seed, res.row_residual)
+                assert max(marginal_residual(res.plan)) <= cfg.tolerance
 
 
 class TestNewtonPolish:
@@ -530,21 +593,19 @@ class TestNewtonPolish:
         for cost, prior in kernel_reduction_draws(np.random.default_rng(103), 100):
             size = cost.shape[0]
             cfg = SolverConfig()
-            marg = Marginals.uniform(size, size)
-            ref, res = _reference_and_polished(cost, prior, marg, cfg)
+            row, col = uniform_marginals(size, size)
+            ref, res = _reference_and_polished(cost, prior, cfg)
             if ref.converged:
-                _assert_matches_converged_reference(ref, res, marg, cfg)
+                _assert_matches_converged_reference(ref, res, cfg)
                 continue
             capped += 1
-            _assert_polished(res, marg, cfg)
+            _assert_polished(res, cfg)
             _assert_scaling_form(res, cost, prior, cfg)
             assert res.iterations < cfg.max_iters
-            gap, _ = entropic_gap(
-                res.plan, cost, cfg.lambda1, marg.row, marg.col, prior, cfg.lambda2)
+            gap, _ = entropic_gap(res.plan, cost, cfg.lambda1, row, col, prior, cfg.lambda2)
             assert gap <= C03_CAPPED_GAP
             if size == 2:
-                oracle = golden_section_2x2(
-                    cost, prior, marg.row, marg.col, cfg.lambda1, cfg.lambda2)
+                oracle = golden_section_2x2(cost, prior, row, col, cfg.lambda1, cfg.lambda2)
                 assert np.max(np.abs(res.plan - oracle)) <= 1e-6
             elif size <= 4 and capped <= 3:
                 # Mirror descent restores feasibility with Sinkhorn passes,
@@ -553,9 +614,8 @@ class TestNewtonPolish:
                 # misses the marginals by up to 1.2e-5.  So it checks the
                 # first three (3 x 3 and 4 x 4), within its own residual;
                 # the entropic gap above checks them all.
-                oracle = mirror_descent_small(
-                    cost, prior, marg.row, marg.col, cfg.lambda1, cfg.lambda2)
-                miss = marginal_miss(oracle, marg.row, marg.col)
+                oracle = mirror_descent_small(cost, prior, row, col, cfg.lambda1, cfg.lambda2)
+                miss = marginal_miss(oracle, row, col)
                 assert np.max(np.abs(res.plan - oracle)) <= 1e-5 + miss
         # Every instance is solved in one stage (range(C) / 0.05 is within
         # the starting spread), from which scaling alone stops at the cap on
@@ -569,7 +629,7 @@ class TestNewtonPolish:
         # work rule, 30,930.
         cfg = SolverConfig()
         total = sum(
-            guided_sinkhorn(cost, prior, Marginals.uniform(*cost.shape), cfg).sweeps
+            guided_sinkhorn(cost, prior, cfg).sweeps
             for cost, prior in kernel_reduction_draws(np.random.default_rng(103), 100)
         )
         assert total <= 40_000
@@ -580,13 +640,12 @@ class TestNewtonPolish:
         rng = np.random.default_rng(61)
         protos = random_unit_rows(rng, 64, 16)
         cfg = SolverConfig()
-        marg = Marginals.uniform(100, 64)
         for _ in range(20):
             cost_a = cost_from_features(random_unit_rows(rng, 100, 16), protos)
             cost_b = cost_from_features(random_unit_rows(rng, 100, 16), protos)
             prior = clamp_prior(sinkhorn(cost_b).plan, cfg.prior_floor)
             for draw_prior in (None, prior):
-                ref, res = _reference_and_polished(cost_a, draw_prior, marg, cfg)
+                ref, res = _reference_and_polished(cost_a, draw_prior, cfg)
                 assert ref.converged
                 _assert_unpolished_parity(ref, res)
 
@@ -610,31 +669,33 @@ class TestNewtonPolish:
             assert res.newton_steps > 0
 
     def test_failed_polish_is_retried_at_the_cap(self, monkeypatch):
-        # seed 28, draw 18 (32 x 27): the first polish starts at a row
-        # residual of 8.0e-4 with a near-singular Hessian and fails; scaling
-        # then runs on to the 10,000 cap, where one Newton step converges
-        cost, prior, marg, cfg = list(battery_draws(28))[18]
+        # seed 11, draw 8 (3 x 3): scaling alone never converges here, and
+        # the first polish, once the rate rule fires, does; it is made to
+        # fail, so that scaling runs on to the 10,000 cap, where the polish
+        # is retried and converges
+        cost, prior, cfg = list(battery_draws(11))[8]
         attempts = []
         polish = ot_core._newton_polish
 
-        def recording_polish(plan, marginals, tolerance):
-            attempts.append(polish(plan, marginals, tolerance))
+        def failing_first_polish(plan, tolerance):
+            attempts.append(None if not attempts else polish(plan, tolerance))
             return attempts[-1]
 
-        monkeypatch.setattr(ot_core, "_newton_polish", recording_polish)
-        ref, res = _reference_and_polished(cost, prior, marg, cfg)
+        monkeypatch.setattr(ot_core, "_newton_polish", failing_first_polish)
+        ref, res = _reference_and_polished(cost, prior, cfg)
         assert not ref.converged
         assert [a is None for a in attempts] == [True, False]
         assert res.iterations == cfg.max_iters
-        assert res.newton_steps == 1
-        _assert_polished(res, marg, cfg)
+        assert res.newton_steps == attempts[-1][1]
+        _assert_polished(res, cfg)
         assert prior is None
-        assert entropic_gap(res.plan, cost, cfg.lambda1, marg.row, marg.col)[0] <= BATTERY_GAP
+        row, col = uniform_marginals(*cost.shape)
+        assert entropic_gap(res.plan, cost, cfg.lambda1, row, col)[0] <= BATTERY_GAP
 
     def test_failing_polish_falls_back_to_the_capped_iterate(self, monkeypatch):
         monkeypatch.setattr(ot_core, "_newton_polish", lambda *args: None)
-        cost, prior, marg, cfg = list(battery_draws(11))[8]
-        ref, res = _reference_and_polished(cost, prior, marg, cfg)
+        cost, prior, cfg = list(battery_draws(11))[8]
+        ref, res = _reference_and_polished(cost, prior, cfg)
         assert not ref.converged
         _assert_unpolished_parity(ref, res)
 
@@ -647,8 +708,8 @@ class TestNewtonPolishSchurSystem:
 
     @staticmethod
     def _solve_recording(monkeypatch, draws):
-        """Each draw's result; (N, marginals, tolerance, outcome) of every
-        polish the solves ran, in order; and the matrices each one solved."""
+        """Each draw's result; (N, tolerance, outcome) of every polish the
+        solves ran, in order; and the matrices each one solved."""
         calls, systems = [], []
         polish, solve = ot_core._newton_polish, np.linalg.solve
 
@@ -656,10 +717,10 @@ class TestNewtonPolishSchurSystem:
             systems[-1].append(matrix)
             return solve(matrix, rhs)
 
-        def recording_polish(plan, marginals, tolerance):
+        def recording_polish(plan, tolerance):
             systems.append([])
-            calls.append((plan.shape[1], marginals, tolerance, polish(plan, marginals, tolerance)))
-            return calls[-1][3]
+            calls.append((plan.shape[1], tolerance, polish(plan, tolerance)))
+            return calls[-1][2]
 
         monkeypatch.setattr(ot_core, "_newton_polish", recording_polish)
         monkeypatch.setattr(np.linalg, "solve", recording_solve)
@@ -667,14 +728,14 @@ class TestNewtonPolishSchurSystem:
 
     @staticmethod
     def _assert_schur_polishes(results, calls, systems):
-        for (n, marginals, tolerance, outcome), matrices in zip(calls, systems):
+        for (n, tolerance, outcome), matrices in zip(calls, systems):
             for schur in matrices:
                 assert schur.shape == (n - 1, n - 1)
                 assert np.max(np.abs(schur - schur.T)) <= SCHUR_ASYMMETRY * np.max(np.abs(schur))
             if outcome is not None:
                 plan, steps, row_res, col_res = outcome
                 assert len(matrices) == steps
-                assert (row_res, col_res) == marginal_residual(plan, marginals)
+                assert (row_res, col_res) == marginal_residual(plan)
                 assert max(row_res, col_res) <= tolerance
         # the successful polishes are the polished results, in order
         finished = [outcome for *_, outcome in calls if outcome is not None]
@@ -685,7 +746,7 @@ class TestNewtonPolishSchurSystem:
 
     def test_c03_set(self, monkeypatch):
         draws = [
-            (cost, prior, Marginals.uniform(*cost.shape), SolverConfig())
+            (cost, prior, SolverConfig())
             for cost, prior in kernel_reduction_draws(np.random.default_rng(103), 100)
         ]
         results, calls, systems = self._solve_recording(monkeypatch, draws)
@@ -706,7 +767,7 @@ class TestNewtonPolishFailures:
     def test_singular_hessian(self):
         plan = np.full((4, 5), 1.0 / 20)
         plan[2] = 0.0  # a zero row sum zeroes a row of the Hessian
-        assert ot_core._newton_polish(plan, Marginals.uniform(4, 5), 1e-8) is None
+        assert ot_core._newton_polish(plan, 1e-8) is None
 
     def test_step_cap_spent(self, monkeypatch):
         rng = np.random.default_rng(0)
@@ -714,38 +775,38 @@ class TestNewtonPolishFailures:
         # at a log-scale spread of 5 it converges in 10 steps, at 20 in 29,
         # past the shipped cap of 20
         start = np.full((4, 5), 1.0 / 20) * np.exp(20 * rng.standard_normal((4, 5)))
-        marg, tolerance = Marginals.uniform(4, 5), 1e-12
+        tolerance = 1e-12
         cap = ot_core._NEWTON_STEPS
-        assert ot_core._newton_polish(start, marg, tolerance) is None
+        assert ot_core._newton_polish(start, tolerance) is None
         # the same start converges given more steps, in 29
         monkeypatch.setattr(ot_core, "_NEWTON_STEPS", 100)
-        polished = ot_core._newton_polish(start, marg, tolerance)
+        polished = ot_core._newton_polish(start, tolerance)
         assert polished is not None
         plan, steps, *_ = polished
         assert steps > cap
-        assert max(marginal_residual(plan, marg)) <= tolerance
+        assert max(marginal_residual(plan)) <= tolerance
 
 
 def _battery_draw():
-    cost, prior, marg, cfg = list(battery_draws(0))[1]
-    return _solve_draw(cost, prior, marg, cfg), marg, cfg
+    cost, prior, cfg = list(battery_draws(0))[1]
+    return _solve_draw(cost, prior, cfg), cfg
 
 
 def _polished_c03_draw():
     cost, prior = list(kernel_reduction_draws(np.random.default_rng(103), 6))[5]
-    marg, cfg = Marginals.uniform(*cost.shape), SolverConfig()
-    return guided_sinkhorn(cost, prior, marg, cfg), marg, cfg
+    cfg = SolverConfig()
+    return guided_sinkhorn(cost, prior, cfg), cfg
 
 
 def _capped_draw():
     cost = np.random.default_rng(2).uniform(-1, 1, size=(4, 4))
-    marg, cfg = Marginals.uniform(4, 4), SolverConfig(max_iters=5, tolerance=1e-18)
-    return sinkhorn(cost, marg, cfg), marg, cfg
+    cfg = SolverConfig(max_iters=5, tolerance=1e-18)
+    return sinkhorn(cost, cfg), cfg
 
 
 def _forced_draw(tolerance=SolverConfig.tolerance):
-    marg, cfg = Marginals.uniform(1, 7), SolverConfig(tolerance=tolerance)
-    return sinkhorn(np.linspace(-1.0, 1.0, 7)[None, :], marg, cfg), marg, cfg
+    cfg = SolverConfig(tolerance=tolerance)
+    return sinkhorn(np.linspace(-1.0, 1.0, 7)[None, :], cfg), cfg
 
 
 def _forced_draw_below_rounding():
@@ -765,8 +826,8 @@ class TestReportedResiduals:
         (_forced_draw_below_rounding, "forced-unmet"),
     ])
     def test_residuals_are_those_of_the_returned_plan(self, draw, kind):
-        res, marg, cfg = draw()
-        assert (res.row_residual, res.col_residual) == marginal_residual(res.plan, marg)
+        res, cfg = draw()
+        assert (res.row_residual, res.col_residual) == marginal_residual(res.plan)
         assert res.converged == (max(res.row_residual, res.col_residual) <= cfg.tolerance)
         assert res.converged == (kind not in ("capped", "forced-unmet"))
         assert (res.newton_steps > 0) == (kind == "polished")
@@ -798,33 +859,23 @@ class TestConfigValidation:
             SolverConfig(**kwargs)
 
     def test_uniform_marginals_are_shared_and_read_only(self):
-        # every solve without marginals shares one instance per shape, so
-        # none may write to it
-        marg = Marginals.uniform(3, 4)
-        assert Marginals.uniform(3, 4) is marg
-        assert np.array_equal(marg.row, np.full(3, 1.0 / 3))
-        for vec in (marg.row, marg.col):
+        # every solve shares one pair per shape, so none may write to it
+        row, col = ot_core._uniform(3, 4)
+        assert ot_core._uniform(3, 4)[0] is row
+        assert np.array_equal(row, np.full(3, 1.0 / 3))
+        for vec in (row, col):
             with pytest.raises(ValueError, match="read-only"):
                 vec[0] = 1.0
 
-    def test_marginals_validation(self):
-        with pytest.raises(ValueError):
-            Marginals(np.array([0.5, 0.6]), np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            Marginals(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
-
     @pytest.mark.parametrize("build, message", [
-        (lambda: Marginals(np.full((2, 2), 0.25), np.full(2, 0.5)), "marginals must be vectors"),
-        (lambda: Marginals(np.full(2, 0.5), 1.0), "marginals must be vectors"),
-        (lambda: Marginals(np.empty(0), np.full(2, 0.5)), "marginals must be non-empty"),
-        (lambda: Marginals(np.full(2, 0.5), np.empty(0)), "marginals must be non-empty"),
+        (lambda: marginal_residual(np.full(4, 0.25)), "plan must be a 2-D matrix"),
+        (lambda: marginal_residual(np.full((2, 2, 2), 0.125)), "plan must be a 2-D matrix"),
         (lambda: sinkhorn(np.zeros(4)), "cost must be a 2-D matrix"),
         (lambda: sinkhorn(np.zeros((1, 2, 2))), "cost must be a 2-D matrix"),
-        # a NaN entry is rejected here, not later blamed on the cost by the solve
-        (lambda: Marginals(np.array([np.nan, 0.5]), np.full(2, 0.5)),
-         "marginal entries must be strictly positive"),
-        (lambda: Marginals.uniform(0, 2), "marginals must be non-empty"),
-        (lambda: Marginals.uniform(2, 0), "marginals must be non-empty"),
+        (lambda: marginal_residual(np.zeros((0, 2))),
+         "plan must have at least one row and one column, got shape (0, 2)"),
+        (lambda: marginal_residual(np.zeros((2, 0))),
+         "plan must have at least one row and one column, got shape (2, 0)"),
         (lambda: sinkhorn(np.zeros((0, 3))),
          "cost must have at least one row and one column, got shape (0, 3)"),
         (lambda: sinkhorn(np.zeros((3, 0))),
