@@ -872,6 +872,15 @@ class TestConfigValidation:
         (lambda: marginal_residual(np.full((2, 2, 2), 0.125)), "plan must be a 2-D matrix"),
         (lambda: sinkhorn(np.zeros(4)), "cost must be a 2-D matrix"),
         (lambda: sinkhorn(np.zeros((1, 2, 2))), "cost must be a 2-D matrix"),
+        # a NaN or inf entry is rejected up front, not met later inside the solve
+        (lambda: sinkhorn(np.array([[0.0, np.nan], [0.0, 0.0]])),
+         "cost matrix entries must be finite"),
+        (lambda: sinkhorn(np.array([[0.0, 0.0], [-np.inf, 0.0]])),
+         "cost matrix entries must be finite"),
+        (lambda: clamp_prior(np.array([[0.5, np.nan], [0.5, 0.5]])),
+         "prior entries must be finite"),
+        (lambda: guided_sinkhorn(np.zeros((2, 2)), np.full((2, 2), np.inf)),
+         "prior entries must be finite"),
         (lambda: marginal_residual(np.zeros((0, 2))),
          "plan must have at least one row and one column, got shape (0, 2)"),
         (lambda: marginal_residual(np.zeros((2, 0))),
