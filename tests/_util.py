@@ -16,6 +16,7 @@ from goca.ot_core import (
     _anneal_schedule,
     _forced_plan,
     _in_range,
+    _uniform,
 )
 from goca.prototypes import _FINAL_LEARNING_RATE
 from goca.ssl_engine import init_params
@@ -58,12 +59,6 @@ def unflatten(vec: np.ndarray, template: dict) -> dict:
         out[k] = vec[offset : offset + template[k].size].reshape(template[k].shape)
         offset += template[k].size
     return out
-
-
-def uniform_marginals(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """The row and column marginals 1/M and 1/N that every solve targets,
-    as the oracles and references here take them."""
-    return np.full(rows, 1.0 / rows), np.full(cols, 1.0 / cols)
 
 
 def marginal_miss(plan: np.ndarray, psi: np.ndarray, omega: np.ndarray) -> float:
@@ -149,7 +144,7 @@ def absorb_reference(log_kernel: np.ndarray, g: np.ndarray) -> tuple[np.ndarray,
     one exact log-domain sweep from column potentials ``g``, returning
     the absorbed kernel and the new column potentials.  The library
     must return exactly (``np.array_equal``) these arrays."""
-    row, col = uniform_marginals(*log_kernel.shape)
+    row, col = _uniform(*log_kernel.shape)
     a = log_kernel + g[None, :]
     m = np.max(a, axis=1, keepdims=True)
     lse = np.log(np.sum(np.exp(a - m), axis=1)) + np.squeeze(m, axis=1)
@@ -179,7 +174,7 @@ def _scaling_stage_reference(
     Returns (column potentials including log v, plan, sweeps, row
     residual, column residual, converged).
     """
-    row, col = uniform_marginals(*effective_cost.shape)
+    row, col = _uniform(*effective_cost.shape)
     log_kernel = -effective_cost / scale
     kernel, g = absorb_reference(log_kernel, g)
     u, v = np.ones(row.size), np.ones(col.size)

@@ -12,10 +12,10 @@ from goca.guided_ot import (
     guided_sinkhorn,
 )
 from goca.oracle import entropic_gap, golden_section_2x2, mirror_descent_small
-from goca.ot_core import SolverConfig, cost_from_features, cross_guided_assign, sinkhorn
+from goca.ot_core import SolverConfig, _uniform, cost_from_features, cross_guided_assign, sinkhorn
 from goca.verify import TRAINING_SHAPE_GAP
 
-from _util import feasible_random_plan, random_unit_rows, uniform_marginals
+from _util import feasible_random_plan, random_unit_rows
 
 
 def _kl(plan, prior):
@@ -48,12 +48,12 @@ class TestGuidedSinkhorn:
         prior = np.array([[0.4, 0.1], [0.1, 0.4]])
         cfg = SolverConfig(lambda1=0.02, lambda2=0.03)
         res = guided_sinkhorn(cost, prior, cfg)
-        ref = golden_section_2x2(cost, prior, *uniform_marginals(2, 2), 0.02, 0.03)
+        ref = golden_section_2x2(cost, prior, *_uniform(2, 2), 0.02, 0.03)
         assert np.max(np.abs(res.plan - ref)) <= 1e-6
 
     def test_matches_mirror_descent(self):
         rng = np.random.default_rng(6)
-        row, col = uniform_marginals(3, 3)
+        row, col = _uniform(3, 3)
         for _ in range(5):
             cost = rng.uniform(-1, 1, size=(3, 3))
             prior = clamp_prior(rng.uniform(0.0, 1.0, size=(3, 3)))
@@ -112,7 +112,7 @@ class TestGuidedInvariants:
         rng = np.random.default_rng(10)
         for _ in range(5):
             cost = rng.uniform(-1, 1, size=(3, 3))
-            prior = feasible_random_plan(rng, *uniform_marginals(3, 3))
+            prior = feasible_random_plan(rng, *_uniform(3, 3))
             kls = []
             for lam2 in (0.0, 0.01, 0.1, 1.0, 10.0):
                 cfg = SolverConfig(lambda1=0.1, lambda2=lam2, max_iters=50_000)
@@ -123,7 +123,7 @@ class TestGuidedInvariants:
     def test_prior_dominance_limit(self):
         rng = np.random.default_rng(11)
         cost = rng.uniform(-1, 1, size=(3, 3))
-        prior = feasible_random_plan(rng, *uniform_marginals(3, 3))
+        prior = feasible_random_plan(rng, *_uniform(3, 3))
         cfg = SolverConfig(lambda1=0.02, lambda2=1e3)
         res = guided_sinkhorn(cost, prior, cfg)
         assert np.max(np.abs(res.plan - prior)) <= 1e-3
@@ -175,7 +175,7 @@ class TestCrossGuidedAssign:
         # unfloored as the prior: no prior floor stands between the two
         rng = np.random.default_rng(seed)
         cfg = SolverConfig()
-        row, col = uniform_marginals(100, 64)
+        row, col = _uniform(100, 64)
         protos = random_unit_rows(rng, 64, 16)
         for _ in range(4):
             cost_a = cost_from_features(random_unit_rows(rng, 100, 16), protos)
