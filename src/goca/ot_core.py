@@ -63,12 +63,13 @@ The final stage, the only one the caller's max_iters caps (so for a
 single-stage solve the cap bounds all of its sweeps), may end in a
 Newton polish (Sinkhorn-Newton, Brauer et al., arXiv:1710.06635):
 damped Newton on the M + N - 1 dual potentials (the last column
-potential fixed), from the materialized plan.  Two checks polish: the
-first where the row residual did not shrink over the last 10 sweeps, or
-shrinks at a rate that meets the tolerance only after more sweeps (M N
-each) than a Newton solve costs (4 (M + N)^3), and the check at the
-cap, also after a polish that failed (singular Hessian, no descent, or
-its step cap spent).  A polish that meets the tolerance ends the stage.
+potential fixed), from the materialized plan.  A stage polishes at most
+once: at the first check where the row residual did not shrink over the
+last 10 sweeps, or shrinks at a rate that meets the tolerance only after
+more sweeps (M N each) than a Newton solve costs (4 (M + N)^3), or else
+at the check at the cap.  A polish that meets the tolerance ends the
+stage; after one that fails (singular Hessian, no descent, or its step
+cap spent), scaling runs on to the cap and its iterate there is returned.
 The rate needs two checks, so a cap of at most 10 sweeps is never
 polished.  Each Newton step eliminates the row shifts, solves the
 (N - 1) x (N - 1) Schur complement of the dual Hessian, its diagonal
@@ -267,15 +268,15 @@ def marginal_residual(plan: np.ndarray) -> tuple[float, float]:
 
 # Regularization annealing: the scaling loop warm-starts from stages whose
 # regularization is halved down to the target, starting where the kernel
-# exponent spread range(cost)/scale is at most _START_SPREAD.  Cold-started
-# Sinkhorn enters a 1/iteration residual regime on near-degenerate instances
-# when the regularization is small against the cost gaps; carrying rescaled
-# potentials across stages keeps every stage in its linear-rate basin.
-# Each stage opens with an exact _absorb.  With the final stage polished
-# (see _NEWTON_STEPS), stages up to a spread of 128 cost more sweeps than
-# their warm start saves; beyond it cold starts stall: from a spread of
-# 192 on, one draw of the solver's property battery (seeds 0-39, lambda1
-# down to 1e-3) ends short of the tolerance.
+# exponent spread range(cost)/scale is at most _START_SPREAD.  Each stage
+# opens with an exact _absorb.  With the final stage polished (see
+# _NEWTON_STEPS), stages up to a spread of 128 cost more sweeps than their
+# warm start saves.  Beyond it a cold single stage is slow at small lambda1
+# (ten 100 x 64 cosine solves at lambda1 = 1e-3 take about 3 s cold against
+# 0.5 s annealed), and it hands its one polish a plan that needs more steps
+# than _NEWTON_STEPS: 11 of the 960 draws of the solver's property battery
+# (seeds 0-39, lambda1 down to 1e-3) need 21-30, so that polish fails and
+# the draw ends short of the tolerance at the cap.
 _START_SPREAD = 128.0
 _STAGE_ITER_CAP = 500
 
@@ -395,7 +396,8 @@ def _newton_polish(plan: np.ndarray, tolerance: float):
 
     Returns (plan, steps, row residual, column residual) once both
     residuals of the plan meet ``tolerance``, or None when the Hessian
-    is singular, a step finds no descent or _NEWTON_STEPS run out.
+    is singular, a step finds no descent or _NEWTON_STEPS run out.  The
+    ``plan`` passed in is left unchanged, so a caller can still return it.
     """
     row, col = _uniform(*plan.shape)
     step_g = np.zeros(plan.shape[1])  # the last column potential stays fixed
@@ -453,11 +455,13 @@ def _scaling_stage(
     log-domain sweep and scales the kernel with those potentials
     absorbed; scalings that leave _SCALING_RANGE are rolled back to the
     last checkpoint and absorbed into the potentials.  With ``polish``,
-    the first check whose row residual rate makes a polish worth it (see
-    _worth_polishing) hands the plan to _newton_polish, and the cap check
-    polishes in any case, also after that polish failed.  Both need the
-    residual of the check before, so a stage capped within one check
-    block is never polished.
+    the stage hands its plan to _newton_polish at most once: at the first
+    check whose row residual rate makes a polish worth it (see
+    _worth_polishing), or else at the cap.  After a polish that fails,
+    scaling runs on to the cap.  Both need the residual of the check
+    before, so a stage capped within one check block is never polished.
+    A plan is polished only after missing its own residual test, where
+    the check makes one.
 
     Returns the column potentials including log v (without the shifts
     of a polish) and a SinkhornResult whose ``iterations`` are the
@@ -471,7 +475,6 @@ def _scaling_stage(
     checked_v = v
     sweeps = 1
     prev = None  # row residual at the last check
-    rate_polished = False  # whether _worth_polishing has fired
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # ndarray.dot has less call overhead than @ on these small operands
         kv = kernel.dot(v)
@@ -490,32 +493,30 @@ def _scaling_stage(
             checked_v = v
             # columns are exact after each v update; rows sum to u * (K v)
             res = float(np.abs(u * kv - row).max())
-            if sweeps >= max_iters or res <= tolerance:
+            capped = sweeps >= max_iters
+            tested = capped or res <= tolerance
+            polishing = polish and prev is not None and res > tolerance
+            if polishing and not capped:
+                polishing = _worth_polishing(res, prev, tolerance, kernel.shape)
+            if tested or polishing:
                 plan = u[:, None] * kernel
                 plan *= v
                 if not np.isfinite(plan).all():
                     raise FloatingPointError(_NON_FINITE_PLAN.format(scale))
+            if tested:
                 row_res, col_res = marginal_residual(plan)
                 converged = max(row_res, col_res) <= tolerance
                 result = SinkhornResult(plan, converged, sweeps, row_res, col_res)
                 if converged:
                     return g + np.log(v), result
-            if (
-                polish
-                and prev is not None
-                and res > tolerance
-                and (
-                    sweeps >= max_iters
-                    or (not rate_polished and _worth_polishing(res, prev, tolerance, kernel.shape))
-                )
-            ):
-                rate_polished = True
-                polished = _newton_polish(u[:, None] * kernel * v[None, :], tolerance)
+            if polishing:
+                polish = False  # the one attempt is spent
+                polished = _newton_polish(plan, tolerance)
                 if polished is not None:
                     plan, steps, *residuals = polished
                     result = SinkhornResult(plan, True, sweeps, *residuals, newton_steps=steps)
                     return g + np.log(v), result
-            if sweeps >= max_iters:
+            if capped:
                 return g + np.log(v), result
             prev = res
 
