@@ -708,6 +708,25 @@ class TestNewtonPolish:
         assert len(attempts) == 1
         _assert_unpolished_parity(ref, res)
 
+    def test_each_solve_polishes_at_most_once(self, monkeypatch):
+        # seed 11 holds draw 8, which scaling alone never converges; every
+        # solve that is polished is polished once, and converges
+        calls = []
+        polish = ot_core._newton_polish
+
+        def counting_polish(plan, tolerance):
+            calls[-1] += 1
+            return polish(plan, tolerance)
+
+        monkeypatch.setattr(ot_core, "_newton_polish", counting_polish)
+        for cost, prior, cfg in battery_draws(11):
+            calls.append(0)
+            res = _solve_draw(cost, prior, cfg)
+            assert calls[-1] <= 1
+            assert res.converged
+            assert (res.newton_steps > 0) == (calls[-1] == 1)
+        assert calls[8] == 1
+
 
 class TestNewtonPolishSchurSystem:
     """Every linear system a polish solves is the (N - 1) x (N - 1) Schur
@@ -794,6 +813,23 @@ class TestNewtonPolishFailures:
         plan, steps, *_ = polished
         assert steps > cap
         assert max(marginal_residual(plan)) <= tolerance
+
+    def test_leaves_its_start_unchanged(self, monkeypatch):
+        # a failed polish hands the capped iterate back to the solve, so
+        # neither outcome may write into the plan it started from
+        singular = np.full((4, 5), 1.0 / 20)
+        singular[2] = 0.0
+        rng = np.random.default_rng(0)
+        far = np.full((4, 5), 1.0 / 20) * np.exp(20 * rng.standard_normal((4, 5)))
+        for start, fails in ((singular, True), (far, True)):
+            kept = start.copy()
+            assert (ot_core._newton_polish(start, 1e-12) is None) == fails
+            assert np.array_equal(start, kept)
+        monkeypatch.setattr(ot_core, "_NEWTON_STEPS", 100)
+        kept = far.copy()
+        plan, *_ = ot_core._newton_polish(far, 1e-12)
+        assert plan is not far
+        assert np.array_equal(far, kept)
 
 
 def _battery_draw():
