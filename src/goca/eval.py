@@ -28,8 +28,9 @@ bound (the tie certificate in ``_nearest``) is ranked again with the
 exact ``((x - c)**2).sum(-1)``, so no label depends on BLAS rounding.  Cluster
 means are bit for bit ``x[labels == j].mean(axis=0)``.  Non-finite
 features, a row whose squared norm passes ``_MAX_SQ_NORM`` (past which
-distances may overflow), or more clusters than distinct rows, raise
-``ValueError``.
+distances may overflow), more clusters than distinct rows, or labels
+that are not 1-D and finite, raise ``ValueError``.  No scoring imports
+``numpy.ma``, as ``np.unique`` does for rows, or for labels without an inverse.
 """
 
 from __future__ import annotations
@@ -178,9 +179,11 @@ def _lloyd(x: np.ndarray, starts: np.ndarray, max_iters: int) -> np.ndarray:
 def within_cluster_ss(x: np.ndarray, labels: np.ndarray) -> float:
     """Sum of squared distances to refit cluster means."""
     x = np.asarray(x, dtype=float)
+    # the inverse keeps numpy.ma unloaded
+    values, codes = np.unique(_checked_labels(labels, "cluster"), return_inverse=True)
     total = 0.0
-    for j in np.unique(labels):
-        points = x[labels == j]
+    for j in range(values.size):
+        points = x[codes == j]
         total += float(((points - points.mean(axis=0)) ** 2).sum())
     return total
 
@@ -203,7 +206,9 @@ def _checked_features(features: np.ndarray, k: int) -> np.ndarray:
         )
     if k < 1:
         raise ValueError(f"need k >= 1 clusters, got k = {k}")
-    distinct = np.unique(x, axis=0).shape[0]
+    # np.unique(x, axis=0)'s count (-0.0 equals 0.0) without numpy.ma
+    rows = x[np.lexsort(x.T)] if x.shape[1] else x
+    distinct = min(x.shape[0], 1) + int(np.count_nonzero(np.any(rows[1:] != rows[:-1], axis=1)))
     if k > distinct:
         raise ValueError(
             f"k = {k} exceeds the {distinct} distinct rows of the {x.shape[0]} samples; "
@@ -248,15 +253,6 @@ def _entropy_of_counts(counts: np.ndarray) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Counts of the (a, b) value pairs; rows and columns in sorted value order."""
-    _, ai = np.unique(a, return_inverse=True)
-    _, bi = np.unique(b, return_inverse=True)
-    table = np.zeros((ai.max() + 1, bi.max() + 1))
-    np.add.at(table, (ai, bi), 1.0)
-    return table
-
-
 def _nmi(table: np.ndarray) -> float:
     joint = table / table.sum()
     outer = joint.sum(axis=1)[:, None] * joint.sum(axis=0)[None, :]
@@ -268,20 +264,21 @@ def _nmi(table: np.ndarray) -> float:
     return float(np.clip(2.0 * mutual / denom, 0.0, 1.0))
 
 
-def majority_vote_metrics(clusters: np.ndarray, truth: np.ndarray) -> ClusterMetrics:
-    """Label each cluster by its majority ground-truth class, then score.
+def _checked_labels(labels, name: str) -> np.ndarray:
+    """``labels`` as an array, if 1-D and finite."""
+    arr = np.asarray(labels)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} labels must be a 1-D array, got shape {arr.shape}")
+    if arr.dtype.kind in "fc" and not np.isfinite(arr).all():
+        bad = int(np.count_nonzero(~np.isfinite(arr)))
+        raise ValueError(f"{name} labels must be finite; {bad} of {arr.size} are NaN or infinite")
+    return arr
 
-    Majority ties go to the lowest class id.  F1 is macro-averaged over
-    the classes present in the ground truth.  One count table gives all three.
-    """
-    clusters = np.asarray(clusters)
-    truth = np.asarray(truth)
-    if clusters.shape != truth.shape:
-        raise ValueError("cluster and truth vectors must have equal length")
-    if clusters.size == 0:
-        raise ValueError("cluster and truth vectors are empty")
-    table = _contingency(clusters, truth)
-    classes = table.shape[1]
+
+def _coded_metrics(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> ClusterMetrics:
+    """Majority-vote metrics of (cluster, class) code pairs; every class has members."""
+    table = np.bincount(rows * shape[1] + cols, minlength=shape[0] * shape[1]).reshape(shape)
+    classes = shape[1]
     majority = table.argmax(axis=1)  # the first maximum: the lowest class id
     hits = table.max(axis=1)
     tp = np.bincount(majority, weights=hits, minlength=classes)
@@ -291,6 +288,24 @@ def majority_vote_metrics(clusters: np.ndarray, truth: np.ndarray) -> ClusterMet
     # precision + recall > 0 exactly where tp > 0
     f1 = np.divide(2.0 * precision * recall, precision + recall, out=np.zeros(classes), where=tp > 0)
     return ClusterMetrics(float(hits.sum() / table.sum()), _nmi(table), float(np.mean(f1)))
+
+
+def majority_vote_metrics(clusters: np.ndarray, truth: np.ndarray) -> ClusterMetrics:
+    """Label each cluster by its majority ground-truth class, then score.
+
+    Majority ties go to the lowest class id.  F1 is macro-averaged over
+    the classes present in the ground truth.  One count table gives all
+    three.  Labels that are not 1-D and finite raise ``ValueError``.
+    """
+    clusters = _checked_labels(clusters, "cluster")
+    truth = _checked_labels(truth, "truth")
+    if clusters.shape != truth.shape:
+        raise ValueError("cluster and truth vectors must have equal length")
+    if clusters.size == 0:
+        raise ValueError("cluster and truth vectors are empty")
+    ids, rows = np.unique(clusters, return_inverse=True)
+    classes, cols = np.unique(truth, return_inverse=True)
+    return _coded_metrics(rows, cols, (ids.size, classes.size))
 
 
 def recall_at_k(
@@ -346,9 +361,11 @@ def repeated_cluster_metrics(
     x = _checked_features(features, k)
     if np.shape(truth) != (x.shape[0],):
         raise ValueError("cluster and truth vectors must have equal length")
+    # every run's labels are its table's rows 0..k-1
+    classes, cols = np.unique(_checked_labels(truth, "truth"), return_inverse=True)
     starts = [_starts(x.shape[0], k, (cfg.seed, i), 1) for i in range(cfg.repeats)]
     runs = _lloyd(x, np.concatenate(starts), _MAX_ITERS)
-    rows = [majority_vote_metrics(labels, truth) for labels in runs]
+    rows = [_coded_metrics(labels, cols, (k, classes.size)) for labels in runs]
     arr = np.asarray(rows, dtype=float)
     means = arr.mean(axis=0)
     if cfg.repeats > 1:

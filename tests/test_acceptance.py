@@ -21,6 +21,7 @@ from goca.ot_core import SolverConfig, marginal_residual
 from goca.prototypes import ProtoOptConfig, max_pairwise_cosine, optimize_prototypes, prototype_loss
 from goca.runconfig import RunConfig
 from goca.ssl_engine import (
+    MODES,
     TrainConfig,
     step,
     swapped_loss,
@@ -217,7 +218,10 @@ def test_c08_mode_collapse_equivalence():
 
 def test_c09_qualitative_benchmark_ordering():
     start = time.perf_counter()
-    rows = run_ablation(RunConfig(), seeds=5)
+    # the 20 cells are independent; the pool runs them on every CPU this
+    # process may use (test_parallel_jobs_match_serial pins parallel = serial)
+    seeds = 5
+    rows = run_ablation(RunConfig(), seeds=seeds, jobs=seeds * len(MODES))
     medians = ablation_medians(rows)
 
     goca_fused = medians[("goca", "fused")]

@@ -342,6 +342,43 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="exceeds the 2 distinct rows"):
             kmeans(points, 3)
 
+    def test_signed_zeros_in_the_first_sort_key_are_one_row(self):
+        # the rows are sorted by their last column first; a sort that put
+        # -0.0 before 0.0 there would split both pairs and count 4 rows
+        points = np.array([[1.0, -0.0], [0.0, 0.0], [1.0, 0.0], [0.0, -0.0]])
+        message = "^k = 3 exceeds the 2 distinct rows of the 4 samples; k-means cannot fill"
+        with pytest.raises(ValueError, match=message):
+            kmeans(points, 3)
+        with pytest.raises(ValueError, match=message):
+            repeated_cluster_metrics(points, np.zeros(4, dtype=int), 3, EvalConfig(repeats=2))
+        labels = kmeans(points, 2, seed=0)
+        assert labels[0] == labels[2] != labels[1] == labels[3]
+
+    def test_exact_duplicate_rows_are_counted_once(self):
+        points = np.tile(np.array([[2.0, -1.0], [0.5, 3.0], [2.0, 3.0]]), (4, 1))
+        with pytest.raises(ValueError, match="^k = 4 exceeds the 3 distinct rows of the 12 samples;"):
+            kmeans(points, 4)
+        assert len(set(kmeans(points, 3, seed=0).tolist())) == 3
+
+    def test_zero_columns_are_one_row_and_zero_samples_none(self):
+        with pytest.raises(ValueError, match="^k = 2 exceeds the 1 distinct rows of the 5 samples;"):
+            kmeans(np.zeros((5, 0)), 2)
+        assert kmeans(np.zeros((5, 0)), 1).tolist() == [0] * 5
+        for shape in ((0, 3), (0, 0)):
+            with pytest.raises(ValueError, match="^k = 1 exceeds the 0 distinct rows of the 0 samples;"):
+                kmeans(np.zeros(shape), 1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_distinct_rows_are_the_rows_np_unique_keeps(self, seed):
+        # small integer grids with signed zeros, duplicates, no columns or no rows
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n, d = int(rng.integers(0, 12)), int(rng.integers(0, 4))
+            points = rng.integers(-1, 2, size=(n, d)) * rng.choice([-1.0, 1.0], size=(n, d))
+            distinct = np.unique(points, axis=0).shape[0]
+            with pytest.raises(ValueError, match=f"exceeds the {distinct} distinct rows of the {n} samples"):
+                evalmod._checked_features(points, distinct + 1)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_are_rejected(self, bad):
         points = np.arange(12.0).reshape(6, 2)
@@ -409,6 +446,39 @@ class TestInputChecks:
         points = np.random.default_rng(0).standard_normal((10, 2))
         with pytest.raises(TypeError, match="max_iters"):
             kmeans(points, 2, max_iters=0)
+
+
+class TestLabelChecks:
+    """Labels that are not one finite value per sample raise, naming the vector."""
+
+    def test_two_dimensional_labels_are_rejected_naming_them(self):
+        square = np.array([[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match=r"^cluster labels must be a 1-D array, got shape \(2, 2\)$"):
+            majority_vote_metrics(square, square)
+        with pytest.raises(ValueError, match=r"^truth labels must be a 1-D array, got shape \(4, 1\)$"):
+            majority_vote_metrics(np.zeros(4, dtype=int), np.zeros((4, 1), dtype=int))
+        with pytest.raises(ValueError, match=r"^cluster labels must be a 1-D array, got shape \(2, 2\)$"):
+            within_cluster_ss(np.eye(2), square)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_labels_are_rejected_before_any_run(self, bad, monkeypatch):
+        monkeypatch.setattr(evalmod, "_lloyd", lambda *args: pytest.fail("a Lloyd run started"))
+        labels = np.array([0.0] * 10 + [bad] * 10)
+        clusters = np.repeat([0, 1], 10)
+        with pytest.raises(ValueError, match="^truth labels must be finite; 10 of 20 are NaN or infinite$"):
+            majority_vote_metrics(clusters, labels)
+        with pytest.raises(ValueError, match="^cluster labels must be finite; 10 of 20 are NaN or infinite$"):
+            majority_vote_metrics(labels, clusters)
+        points = np.arange(40.0).reshape(20, 2)
+        with pytest.raises(ValueError, match="^truth labels must be finite; 10 of 20 are NaN or infinite$"):
+            repeated_cluster_metrics(points, labels, 2, EvalConfig(repeats=2))
+        with pytest.raises(ValueError, match="^cluster labels must be finite; 10 of 20 are NaN or infinite$"):
+            within_cluster_ss(points, labels)
+
+    def test_finite_float_labels_score_as_their_values(self):
+        clusters = np.array([0, 0, 1, 1, 1])
+        truth = np.array([2, 2, -1, -1, 2])
+        assert majority_vote_metrics(clusters, truth.astype(float)) == majority_vote_metrics(clusters, truth)
 
 
 _BATTERY_KINDS = ("grid", "duplicates", "scaled", "far_groups")

@@ -126,6 +126,25 @@ def test_cli_import_leaves_out_what_only_some_commands_use():
     assert out.strip() == "[]"
 
 
+def test_scoring_leaves_out_numpy_ma():
+    # np.unique of rows, or of labels without an inverse, imports numpy.ma
+    # (about 1.7 MB) to ask whether its input is masked; no scoring needs it
+    src = Path(goca.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = (
+        "import sys, numpy as np; "
+        "from goca.eval import EvalConfig, kmeans, majority_vote_metrics, repeated_cluster_metrics; "
+        "x = np.random.default_rng(0).standard_normal((40, 3)); truth = np.repeat([0, 1], 20); "
+        "repeated_cluster_metrics(x, truth, 2, EvalConfig(repeats=3)); "
+        "majority_vote_metrics(kmeans(x, 2, seed=1), truth); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
+
+
 def test_every_config_class_checks_its_fields():
     # check_config rejects non-finite floats and out-of-bound values; a
     # config class whose __post_init__ skips it would accept them unchecked
